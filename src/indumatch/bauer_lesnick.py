@@ -53,7 +53,8 @@ def iota(g: Morphism) -> RepMatching:
     pairs: dict[IndexedBar, IndexedBar] = {}
     for death, q in src.items():
         r = dst.get(death, [])
-        assert len(q) <= len(r), "injectivity must not lose deaths"
+        if len(q) > len(r):
+            raise AssertionError(f"injectivity must not lose deaths at {death}")
         for s, d in zip(q, r):
             pairs[s] = d
     return RepMatching(pairs)
@@ -68,7 +69,8 @@ def lambda_(h: Morphism) -> RepMatching:
     pairs: dict[IndexedBar, IndexedBar] = {}
     for birth, r in dst.items():
         q = src.get(birth, [])
-        assert len(r) <= len(q), "surjectivity must not add births"
+        if len(r) > len(q):
+            raise AssertionError(f"surjectivity must not add births at {birth}")
         for s, d in zip(q, r):
             pairs[s] = d
     return RepMatching(pairs)

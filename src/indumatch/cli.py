@@ -285,8 +285,13 @@ def main(argv=None) -> int:
             return cmd_match(_load(args.file), args.method, args.eps, args.format)
         if args.command == "sum":
             return cmd_sum(args.files)
-        if args.command in ("catalog", "random") and not gf.is_prime(args.prime):
-            raise UsageError(f"--prime must be prime, got {args.prime}")
+        if args.command in ("catalog", "random"):
+            # --prime must be exact at the largest dimension the command makes.
+            top = (args.max_dim if args.command == "random"
+                   else max(max(c.upper + c.lower) for c in CATALOG_CODES))
+            problem = gf.field_error(args.prime, top)
+            if problem:
+                raise UsageError(f"--prime: {problem}")
         if args.command == "catalog":
             return cmd_catalog(args.dump, args.prime)
         if args.command == "random":

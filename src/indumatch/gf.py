@@ -28,6 +28,20 @@ class WellDefinednessError(ValueError):
     """A map does not respect the given filtrations."""
 
 
+def field_error(p: int, max_dim: int) -> str | None:
+    """Why GF(p) is refused at this dimension, or None if it is usable.
+
+    An int64 matrix product sums up to max_dim terms below (p-1)^2, so
+    exactness needs max_dim * (p-1)^2 < 2^63.  That bound is checked
+    first; it caps p near 3e9, so is_prime's trial division stays short.
+    """
+    if max(max_dim, 1) * (p - 1) ** 2 >= 2**63:
+        return f"p={p} is too large for exact int64 arithmetic at dimension {max_dim}"
+    if not is_prime(p):
+        return f"p={p} is not prime"
+    return None
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -78,8 +92,6 @@ def rref(m, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     Returns (R, pivot_cols); pivots are 1 and alone in their column.
     """
     r = normalize(m, p)  # always a fresh buffer (the reduction copies)
-    if r is m:  # pragma: no cover - safety against future normalize changes
-        r = r.copy()
     rows, cols = r.shape
     pivots: list[int] = []
     pr = 0

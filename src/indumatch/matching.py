@@ -12,6 +12,7 @@ matching.  Both tables are linear under direct sums of morphisms.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import gf
@@ -24,6 +25,7 @@ from .modules import (
     barcode,
     im_minus,
     interval_sort_key,
+    memo,
     v_minus,
     v_plus,
     zero_module,
@@ -32,24 +34,18 @@ from .modules import (
 
 def _pushed(f: Morphism, iv: GridInterval, t: int, sign: str) -> Subspace:
     """f_t applied to v_plus / v_minus of the source, cached per morphism."""
-    key = (sign, iv.a, iv.b, t)
-    s = f._push_cache.get(key)
-    if s is None:
-        src = v_plus(f.source, iv, t) if sign == "+" else v_minus(f.source, iv, t)
-        s = Subspace.image(gf.matmul(f.comp(t), src.basis, f.p), f.p)
-        f._push_cache[key] = s
-    return s
+    op = v_plus if sign == "+" else v_minus
+    return memo(f._push_cache, (sign, iv.a, iv.b, t), lambda: _push(f, op, iv, t))
 
 
 def _pushed_early(f: Morphism, iv: GridInterval, t: int) -> Subspace:
     """f_t applied to what arrived strictly before the interval's start."""
-    key = ("early", iv.a, t)
-    s = f._push_cache.get(key)
-    if s is None:
-        src = im_minus(f.source, iv, t)
-        s = Subspace.image(gf.matmul(f.comp(t), src.basis, f.p), f.p)
-        f._push_cache[key] = s
-    return s
+    return memo(f._push_cache, ("early", iv.a, t), lambda: _push(f, im_minus, iv, t))
+
+
+def _push(f: Morphism, op, iv: GridInterval, t: int) -> Subspace:
+    src = op(f.source, iv, t)
+    return Subspace.image(gf.matmul(f.comp(t), src.basis, f.p), f.p)
 
 
 def y_plus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
@@ -120,7 +116,8 @@ def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
             mt = gf.induced_map_on_quotients(
                 f.target.map(t), big[t], small[t], big[t + 1], small[t + 1], p
             )
-            assert gf.rank(mt, p) == dims[t - 1], "comparison module not injective"
+            if gf.rank(mt, p) != dims[t - 1]:
+                raise AssertionError(f"comparison module not injective at t={t}")
             maps.append(mt)
         else:
             maps.append(gf.zeros(dims[t], dims[t - 1]))
@@ -137,14 +134,16 @@ def _entry_count(f: Morphism, i: GridInterval, j: GridInterval) -> int:
     return yp.dim - gf.intersect(ym, yp).dim
 
 
-class GMatchingTable:
-    """Map from bar pairs to barcodes; empty entries are omitted."""
+class MatchingTable:
+    """Map from bar pairs to table values; empty entries are omitted."""
 
-    def __init__(self, entries: dict[tuple[GridInterval, GridInterval], Barcode]):
+    empty: object = None  # the value of an absent entry
+
+    def __init__(self, entries: dict[tuple[GridInterval, GridInterval], object]):
         self._entries = {k: v for k, v in entries.items() if v}
 
-    def get(self, i: GridInterval, j: GridInterval) -> Barcode:
-        return self._entries.get((i, j), Barcode())
+    def get(self, i: GridInterval, j: GridInterval):
+        return self._entries.get((i, j), self.empty)
 
     def items(self):
         return sorted(
@@ -152,87 +151,43 @@ class GMatchingTable:
             key=lambda kv: (interval_sort_key(kv[0][0]), interval_sort_key(kv[0][1])),
         )
 
-    def as_dict(self) -> dict[tuple[GridInterval, GridInterval], Barcode]:
+    def as_dict(self) -> dict:
         return dict(self._entries)
 
     def __len__(self):
         return len(self._entries)
 
     def __eq__(self, other):
-        if not isinstance(other, GMatchingTable):
+        if type(other) is not type(self):
             return NotImplemented
         return self._entries == other._entries
 
     def __repr__(self):
-        inner = ", ".join(f"({i},{j}): {bc}" for (i, j), bc in self.items())
-        return "GMatchingTable{" + inner + "}"
+        inner = ", ".join(f"({i},{j}): {v}" for (i, j), v in self.items())
+        return type(self).__name__ + "{" + inner + "}"
 
 
-class MMatchingTable:
-    """Map from bar pairs to counts; zero entries are omitted."""
+class MMatchingTable(MatchingTable):
+    """Counts; zero entries are omitted."""
 
-    def __init__(self, entries: dict[tuple[GridInterval, GridInterval], int]):
-        self._entries = {k: v for k, v in entries.items() if v}
-
-    def get(self, i: GridInterval, j: GridInterval) -> int:
-        return self._entries.get((i, j), 0)
-
-    def items(self):
-        return sorted(
-            self._entries.items(),
-            key=lambda kv: (interval_sort_key(kv[0][0]), interval_sort_key(kv[0][1])),
-        )
-
-    def as_dict(self) -> dict[tuple[GridInterval, GridInterval], int]:
-        return dict(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, MMatchingTable):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __repr__(self):
-        inner = ", ".join(f"({i},{j}): {c}" for (i, j), c in self.items())
-        return "MMatchingTable{" + inner + "}"
+    empty = 0
 
 
-def _check_table_bounds(entries, b_src: Barcode, b_dst: Barcode, count):
-    for i in b_src.intervals():
-        row = sum(count(v) for (a, b), v in entries.items() if a == i)
-        assert row <= b_src.mult(i), f"row sum exceeds multiplicity of {i}"
-    for j in b_dst.intervals():
-        col = sum(count(v) for (a, b), v in entries.items() if b == j)
-        assert col <= b_dst.mult(j), f"column sum exceeds multiplicity of {j}"
+class GMatchingTable(MatchingTable):
+    """Barcodes; empty entries are omitted."""
+
+    empty = Barcode()
 
 
-def g_matching(f: Morphism) -> GMatchingTable:
-    """Barcode-valued matching: entry (I, J) is the barcode of the
-    comparison module, every bar of which dies at the right end of I n J."""
-    b_src = barcode(f.source)
-    b_dst = barcode(f.target)
-    entries: dict[tuple[GridInterval, GridInterval], Barcode] = {}
-    for i in b_src.intervals():
-        for j in b_dst.intervals():
-            # Injectivity makes dimensions nondecreasing toward the shared
-            # death, so a zero count there forces the whole module to zero.
-            count = _entry_count(f, i, j)
-            if count == 0:
-                continue
-            x = x_module(f, i, j)
-            bars = barcode(x.module)
-            assert x.support is not None
-            assert bars.total() == count, (
-                "bar count disagrees with the direct dimension computation"
-            )
-            assert all(iv.b == x.support.b for iv in bars.intervals()), (
-                "a comparison bar does not die at the shared death"
-            )
-            entries[(i, j)] = bars
-    _check_table_bounds(entries, b_src, b_dst, lambda bc: bc.total())
-    return GMatchingTable(entries)
+def _check_table_bounds(counts: dict, b_src: Barcode, b_dst: Barcode):
+    """Row and column sums of the counts stay within the multiplicities."""
+    for side, bars, k in (("row", b_src, 0), ("column", b_dst, 1)):
+        sums: Counter = Counter()
+        for pair, c in counts.items():
+            sums[pair[k]] += c
+        for iv, total in sums.items():
+            if total > bars.mult(iv):
+                raise ValueError(f"{side} sum {total} exceeds multiplicity of {iv}")
 
 
 def m_matching(f: Morphism) -> MMatchingTable:
@@ -245,8 +200,29 @@ def m_matching(f: Morphism) -> MMatchingTable:
             c = _entry_count(f, i, j)
             if c:
                 entries[(i, j)] = c
-    _check_table_bounds(entries, b_src, b_dst, lambda c: c)
+    _check_table_bounds(entries, b_src, b_dst)
     return MMatchingTable(entries)
+
+
+def g_matching(f: Morphism) -> GMatchingTable:
+    """Barcode-valued matching: entry (I, J) is the barcode of the
+    comparison module, every bar of which dies at the right end of I n J.
+
+    Built on the counting table: injectivity makes the comparison
+    module's dimensions nondecreasing toward the shared death, so a zero
+    count there forces the whole module to zero, and only the nonzero
+    entries of m_matching (whose bounds it checks) need a module.
+    """
+    entries: dict[tuple[GridInterval, GridInterval], Barcode] = {}
+    for (i, j), count in m_matching(f).items():
+        x = x_module(f, i, j)
+        bars = barcode(x.module)
+        if bars.total() != count:
+            raise AssertionError(f"bar count of ({i},{j}) disagrees with m")
+        if any(iv.b != x.support.b for iv in bars.intervals()):
+            raise AssertionError(f"a bar of ({i},{j}) misses the shared death")
+        entries[(i, j)] = bars
+    return GMatchingTable(entries)
 
 
 IndexedBar = tuple[GridInterval, int]
@@ -313,17 +289,10 @@ def representation(
     Deterministic: bar pairs are visited in interval order (earlier start
     first, then later end first) and indices are consumed ascending.
     """
-    for i in b_src.intervals():
-        if sum(c for (a, _), c in table.items() if a == i) > b_src.mult(i):
-            raise ValueError(f"table exceeds source multiplicity of {i}")
-    for j in b_dst.intervals():
-        if sum(c for (_, b), c in table.items() if b == j) > b_dst.mult(j):
-            raise ValueError(f"table exceeds target multiplicity of {j}")
-    for (i, j), c in table.items():
-        if b_src.mult(i) == 0 or b_dst.mult(j) == 0:
-            raise ValueError(f"table entry ({i},{j}) references absent bars")
-        if c < 0:
-            raise ValueError("negative count")
+    counts = table.as_dict()
+    if any(c < 0 for c in counts.values()):
+        raise ValueError("negative count")
+    _check_table_bounds(counts, b_src, b_dst)
     next_src = {i: 1 for i in b_src.intervals()}
     next_dst = {j: 1 for j in b_dst.intervals()}
     pairs: dict[IndexedBar, IndexedBar] = {}

@@ -7,9 +7,9 @@ API are 1-based, matching the usual way these diagrams are written.
 
 This module also provides the subspace operators that carve out, at a
 single grid position, the part of the module belonging to an interval
-(im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus), the barcode
-computed from their quotient dimensions, explicit persistence bases,
-image modules, and the shift-and-image endofunctor used for stability.
+(im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus), explicit
+persistence bases and the barcode read off them, image modules, and the
+shift-and-image endofunctor used for stability.
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ from .gf import Subspace
 
 class ValidationError(ValueError):
     """A module or morphism breaks one of its structural invariants."""
+
+
+def memo(cache: dict, key, compute):
+    """cache[key], computed by compute() and stored on the first request."""
+    value = cache.get(key)
+    if value is None:
+        value = compute()
+        cache[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -155,19 +164,17 @@ class PersistenceModule:
         self._check_t(t)
         if s > t:
             raise IndexError(f"composite needs s <= t, got {s} > {t}")
-        key = (s, t)
-        cached = self._comp_cache.get(key)
-        if cached is None:
-            if s == t:
-                cached = gf.identity(self.dims[t - 1])
-            else:
-                cached = gf.matmul(self.map(t - 1), self.composite(s, t - 1), self.p)
-            self._comp_cache[key] = cached
-        return cached
+        return memo(
+            self._comp_cache,
+            (s, t),
+            lambda: gf.identity(self.dims[t - 1]) if s == t
+            else gf.matmul(self.map(t - 1), self.composite(s, t - 1), self.p),
+        )
 
     def validate(self) -> "PersistenceModule":
-        if not gf.is_prime(self.p):
-            raise ValidationError(f"p={self.p} is not prime")
+        problem = gf.field_error(self.p, max(self.dims, default=0))
+        if problem:
+            raise ValidationError(problem)
         if self.n < 1:
             raise ValidationError("grid must have at least one position")
         if len(self.maps) != self.n - 1:
@@ -295,11 +302,6 @@ class Morphism:
         )
 
 
-def validate(obj) -> None:
-    """Check all structural invariants of a module or morphism."""
-    obj.validate()
-
-
 def zero_module(n: int, p: int) -> PersistenceModule:
     return PersistenceModule(p, [0] * n, [gf.zeros(0, 0)] * (n - 1))
 
@@ -348,101 +350,70 @@ def direct_sum_morphism(f: Morphism, g: Morphism) -> Morphism:
 
 def im_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
-    key = ("im+", iv.a, t)
-    s = m._sub_cache.get(key)
-    if s is None:
-        s = Subspace.image(m.composite(iv.a, t), m.p)
-        m._sub_cache[key] = s
-    return s
+    return memo(
+        m._sub_cache,
+        ("im+", iv.a, t),
+        lambda: Subspace.image(m.composite(iv.a, t), m.p),
+    )
 
 
 def im_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
-    key = ("im-", iv.a, t)
-    s = m._sub_cache.get(key)
-    if s is None:
-        if iv.a == 1:
-            s = Subspace.zero(m.dim(t), m.p)
-        else:
-            s = Subspace.image(m.composite(iv.a - 1, t), m.p)
-        m._sub_cache[key] = s
-    return s
+    return memo(
+        m._sub_cache,
+        ("im-", iv.a, t),
+        lambda: Subspace.zero(m.dim(t), m.p) if iv.a == 1
+        else Subspace.image(m.composite(iv.a - 1, t), m.p),
+    )
 
 
 def ker_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
-    key = ("ker+", iv.b, t)
-    s = m._sub_cache.get(key)
-    if s is None:
-        if iv.b == m.n:
-            s = Subspace.full(m.dim(t), m.p)
-        else:
-            s = Subspace.kernel(m.composite(t, iv.b + 1), m.p)
-        m._sub_cache[key] = s
-    return s
+    return memo(
+        m._sub_cache,
+        ("ker+", iv.b, t),
+        lambda: Subspace.full(m.dim(t), m.p) if iv.b == m.n
+        else Subspace.kernel(m.composite(t, iv.b + 1), m.p),
+    )
 
 
 def ker_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
-    key = ("ker-", iv.b, t)
-    s = m._sub_cache.get(key)
-    if s is None:
-        s = Subspace.kernel(m.composite(t, iv.b), m.p)
-        m._sub_cache[key] = s
-    return s
+    return memo(
+        m._sub_cache,
+        ("ker-", iv.b, t),
+        lambda: Subspace.kernel(m.composite(t, iv.b), m.p),
+    )
 
 
 def v_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     """Largest subspace of V(t) supported exactly along I; zero off I."""
     if not iv.contains(t):
         return Subspace.zero(m.dim(t), m.p)
-    key = ("v+", iv.a, iv.b, t)
-    s = m._sub_cache.get(key)
-    if s is None:
-        s = gf.intersect(im_plus(m, iv, t), ker_plus(m, iv, t))
-        m._sub_cache[key] = s
-    return s
+    return memo(
+        m._sub_cache,
+        ("v+", iv.a, iv.b, t),
+        lambda: gf.intersect(im_plus(m, iv, t), ker_plus(m, iv, t)),
+    )
 
 
 def v_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     """The part of v_plus already accounted for by longer intervals."""
     if not iv.contains(t):
         return Subspace.zero(m.dim(t), m.p)
-    key = ("v-", iv.a, iv.b, t)
-    s = m._sub_cache.get(key)
-    if s is None:
-        s = gf.sum_subspaces(
+    return memo(
+        m._sub_cache,
+        ("v-", iv.a, iv.b, t),
+        lambda: gf.sum_subspaces(
             gf.intersect(im_minus(m, iv, t), ker_plus(m, iv, t)),
             gf.intersect(im_plus(m, iv, t), ker_minus(m, iv, t)),
-        )
-        m._sub_cache[key] = s
-    return s
+        ),
+    )
 
 
 def _require_in_interval(iv: GridInterval, t: int):
     if not iv.contains(t):
         raise ValueError(f"t={t} not in interval {iv}")
-
-
-def barcode(m: PersistenceModule) -> Barcode:
-    """Interval decomposition multiplicities via quotient dimensions.
-
-    mult([a, b]) = dim v_plus - dim v_minus, evaluated at t = a; the
-    difference is constant along the interval.
-    """
-    if m._barcode is not None:
-        return m._barcode
-    entries: dict[GridInterval, int] = {}
-    for a in range(1, m.n + 1):
-        if m.dims[a - 1] == 0:
-            continue
-        for b in range(a, m.n + 1):
-            iv = GridInterval(a, b)
-            mult = v_plus(m, iv, a).dim - v_minus(m, iv, a).dim
-            if mult > 0:
-                entries[iv] = mult
-    m._barcode = Barcode(entries)
-    return m._barcode
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +489,6 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
     """
     p = m.p
     finished: list[tuple[int, int, list[np.ndarray]]] = []
-    live: list[tuple[int, list[np.ndarray]]] = []  # (birth, chain), oldest first
 
     def reduce_against(vec, accepted):
         # accepted vectors have pairwise distinct pivot rows and are zero
@@ -531,9 +501,9 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
                 coeffs.append((k, c))
         return vec, coeffs
 
-    for d1 in [m.dim(1)]:
-        for i in range(d1):
-            live.append((1, [gf.identity(d1)[:, i : i + 1]]))
+    start = gf.identity(m.dim(1))
+    # (birth, chain), oldest first
+    live = [(1, [start[:, i : i + 1]]) for i in range(m.dim(1))]
 
     for t in range(1, m.n):
         mat = m.map(t)
@@ -566,10 +536,9 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
             accepted.append((prow, red))
             accepted_owner.append(len(next_live))
             next_live.append((birth, chain))
-        d_next = m.dim(t + 1)
-        for i in range(d_next):
-            e = gf.identity(d_next)[:, i : i + 1]
-            red, _ = reduce_against(e, accepted)
+        fresh = gf.identity(m.dim(t + 1))
+        for i in range(fresh.shape[1]):
+            red, _ = reduce_against(fresh[:, i : i + 1], accepted)
             nz = np.nonzero(red[:, 0])[0]
             if nz.size == 0:
                 continue
@@ -593,6 +562,19 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
     return PersistenceBasis(tuple(gens))
 
 
+def barcode(m: PersistenceModule) -> Barcode:
+    """Interval decomposition multiplicities, read off the persistence basis.
+
+    The sweep in persistence_basis is the standard left-to-right column
+    reduction; the result is cached on the module.  The multiplicity of
+    [a, b] also equals dim v_plus - dim v_minus at t = a, which is the
+    fact the matching relies on.
+    """
+    if m._barcode is None:
+        m._barcode = persistence_basis(m).interval_barcode()
+    return m._barcode
+
+
 # ---------------------------------------------------------------------------
 # Image modules and the shift functor.
 
@@ -613,14 +595,16 @@ def image_factorization(
     for t in range(1, f.n):
         pushed = gf.matmul(f.target.map(t), bases[t - 1], p)
         coords = gf.solve(bases[t], pushed, p)
-        assert coords is not None, "image is not carried into itself"
+        if coords is None:
+            raise AssertionError(f"image is not carried into itself at t={t}")
         maps.append(coords)
     im = PersistenceModule(p, dims, maps)
     embed = Morphism(im, f.target, bases)
     proj_comps = []
     for t in range(1, f.n + 1):
         coords = gf.solve(bases[t - 1], f.comp(t), p)
-        assert coords is not None
+        if coords is None:
+            raise AssertionError(f"f does not land in its image at t={t}")
         proj_comps.append(coords)
     project = Morphism(f.source, im, proj_comps)
     return im, project, embed
@@ -671,7 +655,8 @@ def shift_morphism(f: Morphism, eps: int) -> Morphism:
     for t in range(1, f.n - eps + 1):
         pushed = gf.matmul(f.comp(t + eps), src_embed.comp(t), p)
         coords = gf.solve(dst_embed.comp(t), pushed, p)
-        assert coords is not None, "shifted image escapes the target image"
+        if coords is None:
+            raise AssertionError(f"shifted image escapes the target image at t={t}")
         comps.append(coords)
     return Morphism(src_embed.source, dst_embed.source, comps)
 

@@ -1,10 +1,10 @@
 """Brute-force checkers kept deliberately separate from the main paths.
 
 naive_barcode recovers multiplicities purely from ranks of composite
-maps by inclusion-exclusion, with no subspace arithmetic involved, so
-it can referee the quotient-dimension barcode.  count_generators turns
-an explicit persistence basis into the counting side of the dimension
-formulas for the interval operators.
+maps by inclusion-exclusion, independent of the basis sweep, so it can
+referee the barcode read off the persistence basis.  count_generators
+turns an explicit persistence basis into the counting side of the
+dimension formulas for the interval operators.
 """
 
 from __future__ import annotations

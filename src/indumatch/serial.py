@@ -1,9 +1,10 @@
 """JSON wire format for ladder modules (a morphism plus its two modules).
 
 All matrices are flat row-major integer arrays; shapes are implied by
-the dimension sequences, and entries are reduced mod p on load.  The
-canonical dump (sorted keys, two-space indent, trailing newline) makes
-equal data byte-identical.
+the dimension sequences, and entries are reduced mod p on load.  A
+prime too large for exact int64 arithmetic at the file's dimensions is
+rejected (see gf.field_error).  The canonical dump (sorted keys,
+two-space indent, trailing newline) makes equal data byte-identical.
 """
 
 from __future__ import annotations
@@ -58,26 +59,32 @@ def _int_list(value, msg: str) -> list[int]:
     return out
 
 
-def _reshape(flat: list[int], rows: int, cols: int, what: str) -> np.ndarray:
+def _reshape(flat: list[int], rows: int, cols: int, p: int, what: str) -> np.ndarray:
     _expect(
         len(flat) == rows * cols,
         f"{what}: expected {rows}x{cols} = {rows * cols} entries, got {len(flat)}",
     )
-    return np.array(flat, dtype=np.int64).reshape(rows, cols)
+    # Reduced while still Python ints, so any integer fits int64.
+    return np.array([x % p for x in flat], dtype=np.int64).reshape(rows, cols)
 
 
-def _module_from_dict(obj, n: int, p: int, what: str) -> PersistenceModule:
+def _dims(obj, n: int, what: str) -> list[int]:
     _expect(isinstance(obj, dict), f"{what} is not an object")
     dims = _int_list(obj.get("dims"), f"{what}.dims must be an integer array")
     _expect(len(dims) == n, f"{what}.dims must have length n={n}")
     _expect(all(d >= 0 for d in dims), f"{what}.dims must be nonnegative")
+    return dims
+
+
+def _module_from_dict(obj, dims: list[int], p: int, what: str) -> PersistenceModule:
+    n = len(dims)
     maps = obj.get("maps")
     _expect(isinstance(maps, list) and len(maps) == n - 1,
             f"{what}.maps must be an array of length n-1={n - 1}")
     mats = []
     for t, flat in enumerate(maps, start=1):
         entries = _int_list(flat, f"{what}.maps[{t - 1}] must be an integer array")
-        mats.append(_reshape(entries, dims[t], dims[t - 1], f"{what}.maps[{t - 1}]"))
+        mats.append(_reshape(entries, dims[t], dims[t - 1], p, f"{what}.maps[{t - 1}]"))
     return PersistenceModule(p, dims, mats)
 
 
@@ -86,11 +93,15 @@ def morphism_from_dict(obj) -> Morphism:
     _expect(obj.get("format") == FORMAT_NAME, f"format must be {FORMAT_NAME!r}")
     _expect(obj.get("version") == FORMAT_VERSION, f"version must be {FORMAT_VERSION}")
     p = obj.get("p")
-    _expect(isinstance(p, int) and gf.is_prime(p), "p must be a prime integer")
+    _expect(isinstance(p, int) and not isinstance(p, bool), "p must be a prime integer")
     n = obj.get("n")
     _expect(isinstance(n, int) and n >= 1, "n must be a positive integer")
-    source = _module_from_dict(obj.get("source"), n, p, "source")
-    target = _module_from_dict(obj.get("target"), n, p, "target")
+    src_dims = _dims(obj.get("source"), n, "source")
+    dst_dims = _dims(obj.get("target"), n, "target")
+    problem = gf.field_error(p, max(src_dims + dst_dims))
+    _expect(problem is None, problem)
+    source = _module_from_dict(obj["source"], src_dims, p, "source")
+    target = _module_from_dict(obj["target"], dst_dims, p, "target")
     comps = obj.get("morphism")
     _expect(isinstance(comps, list) and len(comps) == n,
             f"morphism must be an array of length n={n}")
@@ -98,7 +109,7 @@ def morphism_from_dict(obj) -> Morphism:
     for t, flat in enumerate(comps, start=1):
         entries = _int_list(flat, f"morphism[{t - 1}] must be an integer array")
         mats.append(
-            _reshape(entries, target.dims[t - 1], source.dims[t - 1],
+            _reshape(entries, target.dims[t - 1], source.dims[t - 1], p,
                      f"morphism[{t - 1}]")
         )
     return Morphism(source, target, mats)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -245,6 +246,27 @@ def test_nonprime_field_flag_exits_4(capsys):
     code, _, err = run_cli(capsys, "--prime", "6", "catalog")
     assert code == 4
     assert "prime" in err
+
+
+def test_prime_flag_bounded_by_generated_dims(capsys):
+    p = str(2**31 - 1)
+    code, _, _ = run_cli(capsys, "--prime", p, "random", "--max-dim", "2")
+    assert code == 0
+    code, _, err = run_cli(capsys, "--prime", p, "random", "--max-dim", "3")
+    assert code == 4
+    assert "too large" in err
+
+
+def test_prime_too_large_for_int64_exits_2_quickly(reference_ladder, tmp_path, capsys):
+    obj = morphism_to_dict(reference_ladder)
+    obj["p"] = 10**18 + 3  # prime, but products of entries overflow int64
+    path = tmp_path / "big_p.json"
+    path.write_text(dumps_canonical(obj), encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "barcode", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "too large" in err
 
 
 def test_match_counts_ascii_table(thick_file, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -368,3 +369,22 @@ def test_gf2_ops_agree_with_exhaustive_enumeration():
             inter = gf.intersect(a, b)
             assert span_set(inter.basis, 2) == va & vb
             assert a.contains(b) == (vb <= va)
+
+
+# ---------------------------------------------------------------------------
+# Field size: int64 products stay exact.
+
+
+def test_field_error_bounds_p_by_dimension():
+    p = 2**31 - 1
+    assert gf.field_error(p, 2) is None
+    a = np.full((2, 2), p - 1, dtype=np.int64)
+    assert np.array_equal(gf.matmul(a, a, p), np.full((2, 2), 2))  # 2 * (-1)^2
+    assert "too large" in gf.field_error(p, 3)
+
+
+def test_field_error_rejects_huge_prime_without_trial_division():
+    start = time.perf_counter()
+    assert "too large" in gf.field_error(10**18 + 3, 1)
+    assert time.perf_counter() - start < 1
+    assert "not prime" in gf.field_error(6, 3)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import indumatch
 from indumatch import (
     Barcode,
     Morphism,
@@ -400,6 +405,26 @@ def test_representation_rejects_overfull_table():
     b = Barcode.from_pairs([(1, 2, 1)])
     with pytest.raises(ValueError):
         representation(MMatchingTable({(iv(1, 2), iv(1, 2)): 2}), b, b)
+
+
+def test_table_bounds_raise_under_python_O():
+    # The bounds are explicit raises, not asserts that -O strips.
+    script = (
+        "from indumatch import Barcode, GridInterval\n"
+        "from indumatch.matching import _check_table_bounds\n"
+        "b = Barcode.from_pairs([(1, 2, 1)])\n"
+        "bar = GridInterval(1, 2)\n"
+        "try:\n"
+        "    _check_table_bounds({(bar, bar): 2}, b, b)\n"
+        "except ValueError:\n"
+        "    print('raised')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(indumatch.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.stdout == "raised\n", result.stderr
 
 
 def test_representation_realizes_counts_randomly():

@@ -52,6 +52,13 @@ def test_entries_reduced_mod_p(reference_ladder):
     assert f == reference_ladder
 
 
+def test_huge_entries_reduced_before_int64(reference_ladder):
+    obj = morphism_to_dict(reference_ladder)
+    obj["morphism"][1] = [10**20, 10**20 + 1]  # == [0, 1] mod 2, past int64
+    f = morphism_from_dict(obj)
+    assert f == reference_ladder
+
+
 def test_malformed_json_raises_with_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "indumatch-ladder",', encoding="utf-8")
