@@ -9,6 +9,7 @@ error, 4 usage error, 5 incompatible inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -237,6 +238,11 @@ def cmd_sum(paths: list[str]) -> int:
     total = morphisms[0]
     for f in morphisms[1:]:
         total = direct_sum_morphism(total, f)
+    # Every input passed the field bound at its own dims; the sum's are larger.
+    problem = gf.field_error(total.p, max(total.source.dims + total.target.dims))
+    if problem:
+        sys.stderr.write(f"error: incompatible inputs: {problem}\n")
+        return EXIT_INCOMPATIBLE
     sys.stdout.write(serial.dumps_canonical(serial.morphism_to_dict(total)))
     return EXIT_OK
 
@@ -269,10 +275,15 @@ def cmd_random(n: int, max_dim: int, seed: int | None, p: int) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: one build costs about twenty parses.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

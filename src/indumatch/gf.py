@@ -150,6 +150,21 @@ def inverse(a, p: int) -> np.ndarray:
     return x
 
 
+def _null_basis(m: np.ndarray, p: int) -> np.ndarray:
+    # One column per free variable of rref(m): a basis of the null space,
+    # not canonical.  Callers that only take an image of it skip the
+    # second rref that canonicalizing would cost.
+    cols = m.shape[1]
+    r, pivots = rref(m, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = zeros(cols, len(free))
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for row, pc in enumerate(pivots):
+            basis[pc, j] = (-r[row, fc]) % p
+    return basis
+
+
 def _canonical_columns(m: np.ndarray, p: int) -> np.ndarray:
     # Column space basis = transposed nonzero rows of rref(m^T); unique
     # per subspace, which is what makes Subspace equality a byte check.
@@ -175,16 +190,9 @@ class Subspace:
 
     @classmethod
     def kernel(cls, m, p: int) -> "Subspace":
+        """Null space of m, with the canonical basis of every Subspace."""
         m = normalize(m, p)
-        rows, cols = m.shape
-        r, pivots = rref(m, p)
-        free = [c for c in range(cols) if c not in pivots]
-        basis = zeros(cols, len(free))
-        for j, fc in enumerate(free):
-            basis[fc, j] = 1
-            for row, pc in enumerate(pivots):
-                basis[pc, j] = (-r[row, fc]) % p
-        return cls(cols, p, _canonical_columns(basis, p))
+        return cls(m.shape[1], p, _canonical_columns(_null_basis(m, p), p))
 
     @classmethod
     def zero(cls, ambient: int, p: int) -> "Subspace":
@@ -248,18 +256,23 @@ def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a n b, read off the null space of [A | B] without canonicalizing it."""
     a._check_compatible(b)
     if a.dim == 0 or b.is_full():
         return a
     if b.dim == 0 or a.is_full():
         return b
     # x with A x = -B y for some y, i.e. the A-part of ker [A | B].
-    k = Subspace.kernel(np.hstack([a.basis, b.basis]), a.p)
-    return Subspace.image(matmul(a.basis, k.basis[: a.dim], a.p), a.p)
+    k = _null_basis(np.hstack([a.basis, b.basis]), a.p)
+    return Subspace.image(matmul(a.basis, k[: a.dim], a.p), a.p)
 
 
 def preimage(m, s: Subspace, p: int) -> Subspace:
-    """{v : m v in s}, a subspace of the domain of m."""
+    """{v : m v in s}, a subspace of the domain of m.
+
+    The domain part of the null space of [m | S]; as in intersect, that
+    kernel basis is left uncanonicalized because only its image is kept.
+    """
     m = normalize(m, p)
     if m.shape[0] != s.ambient or s.p != p:
         raise DimensionMismatch(
@@ -267,8 +280,8 @@ def preimage(m, s: Subspace, p: int) -> Subspace:
         )
     if s.dim == s.ambient:
         return Subspace.full(m.shape[1], p)
-    k = Subspace.kernel(np.hstack([m, s.basis]), p)
-    return Subspace.image(k.basis[: m.shape[1]], p)
+    k = _null_basis(np.hstack([m, s.basis]), p)
+    return Subspace.image(k[: m.shape[1]], p)
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:
@@ -281,26 +294,15 @@ def quotient_dim(big: Subspace, small: Subspace) -> int:
 def complement_columns(big: Subspace, small: Subspace) -> np.ndarray:
     """Columns of big's canonical basis extending small to a basis of big.
 
-    Deterministic: scans big's echelon basis left to right, keeping the
-    columns that grow the span.  Requires small <= big.
+    Deterministic: the columns of big's echelon basis, left to right,
+    that are not in the span of small and the columns before them, read
+    off as the pivots of one rref of [small | big].  Requires small <= big.
     """
     big._check_compatible(small)
     if not big.contains(small):
         raise ContainmentError("complement of a space that is not contained")
-    p = big.p
-    chosen: list[np.ndarray] = []
-    cur = small.basis
-    cur_rank = small.dim
-    for j in range(big.dim):
-        cand = big.basis[:, j : j + 1]
-        stacked = np.hstack([cur, cand])
-        if rank(stacked, p) > cur_rank:
-            chosen.append(cand)
-            cur = stacked
-            cur_rank += 1
-    if not chosen:
-        return zeros(big.ambient, 0)
-    return np.hstack(chosen)
+    _, pivots = rref(np.hstack([small.basis, big.basis]), big.p)
+    return big.basis[:, [c - small.dim for c in pivots if c >= small.dim]]
 
 
 def induced_map_on_quotients(

@@ -20,6 +20,7 @@ from .modules import (
     Morphism,
     PersistenceModule,
     direct_sum,
+    hom_exists,
     interval_module,
     zero_module,
 )
@@ -48,7 +49,7 @@ def _thin_codes() -> list[LadderCode]:
         codes.append(LadderCode(_row_code(None), _row_code(iv)))
     for up in intervals:
         for lo in intervals:
-            if up.a <= lo.a <= up.b <= lo.b:
+            if hom_exists(lo, up):
                 codes.append(LadderCode(_row_code(up), _row_code(lo)))
     return sorted(codes, key=lambda c: (c.upper, c.lower))
 
@@ -160,12 +161,6 @@ def random_module(
     return _random_decomposition(n, max_dim, p, rng)[2]
 
 
-def _hom_exists(i: GridInterval, j: GridInterval) -> bool:
-    # A nonzero map from the I summand to the J summand exists exactly
-    # when J starts no later and ends no later, with overlap.
-    return j.a <= i.a <= j.b <= i.b
-
-
 def random_ladder(n: int, max_dim: int, p: int, seed: int) -> Morphism:
     """Deterministic random morphism between random modules.
 
@@ -182,7 +177,7 @@ def random_ladder(n: int, max_dim: int, p: int, seed: int) -> Morphism:
         (si, di): rng.randrange(p)
         for si, iv in enumerate(src_ivs)
         for di, jv in enumerate(dst_ivs)
-        if _hom_exists(iv, jv)
+        if hom_exists(iv, jv)
     }
     comps = []
     for t in range(1, n + 1):

@@ -23,6 +23,7 @@ from .modules import (
     Morphism,
     PersistenceModule,
     barcode,
+    hom_exists,
     im_minus,
     interval_sort_key,
     memo,
@@ -125,13 +126,18 @@ def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
 
 
 def _entry_count(f: Morphism, i: GridInterval, j: GridInterval) -> int:
-    """Bar count of the comparison module: its dimension at the shared death."""
+    """Bar count of the comparison module: its dimension at the shared death.
+
+    That is dim y_plus - dim (y_minus n y_plus), which the dimension
+    formula turns into dim (y_minus + y_plus) - dim y_minus: one rref
+    for the sum instead of a kernel and an image for the intersection.
+    """
     k = i.intersect(j)
     if k is None:
         return 0
     yp = y_plus(f, i, j, k.b)
     ym = y_minus(f, i, j, k.b)
-    return yp.dim - gf.intersect(ym, yp).dim
+    return gf.sum_subspaces(ym, yp).dim - ym.dim
 
 
 class MatchingTable:
@@ -191,15 +197,34 @@ def _check_table_bounds(counts: dict, b_src: Barcode, b_dst: Barcode):
 
 
 def m_matching(f: Morphism) -> MMatchingTable:
-    """Counting matching: entry (I, J) is the number of comparison bars."""
+    """Counting matching: entry (I, J) is the number of comparison bars.
+
+    Only pairs with J.a <= I.a <= J.b <= I.b (hom_exists) are counted;
+    every other entry is 0, as an entry factors through a map from the
+    I interval module to the J one.  In detail: disjoint bars count 0.
+    Otherwise I.a < J.a or I.b < J.b; let t = min(I.b, J.b), where the
+    count is dim y_plus - dim (y_minus n y_plus); V is the source and W
+    the target.
+      - I.a < J.a: v_plus_src(I, t) lies in im(V(I.a) -> V(t)), inside
+        im(V(J.a-1) -> V(t)), so naturality puts f of it in
+        im(W(J.a-1) -> W(t)) = im_minus(J, t).
+        Since v_plus_tgt(J, t) lies in ker_plus(J, t), y_plus lies in
+        im_minus n ker_plus, which is inside v_minus_tgt and so y_minus.
+      - I.b < J.b: here t = I.b, and naturality sends v_plus_src(I, t),
+        which dies at I.b + 1, into ker(W(t) -> W(I.b+1)), which lies
+        in ker(W(t) -> W(J.b)) = ker_minus(J, t).  Since
+        v_plus_tgt(J, t) lies in im_plus(J, t), y_plus lies in
+        im_plus n ker_minus, inside v_minus_tgt and so y_minus.
+    In both cases y_plus lies in y_minus and the entry is 0.
+    """
     b_src = barcode(f.source)
     b_dst = barcode(f.target)
-    entries: dict[tuple[GridInterval, GridInterval], int] = {}
-    for i in b_src.intervals():
-        for j in b_dst.intervals():
-            c = _entry_count(f, i, j)
-            if c:
-                entries[(i, j)] = c
+    entries = {
+        (i, j): _entry_count(f, i, j)
+        for i in b_src.intervals()
+        for j in b_dst.intervals()
+        if hom_exists(i, j)
+    }
     _check_table_bounds(entries, b_src, b_dst)
     return MMatchingTable(entries)
 

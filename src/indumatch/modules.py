@@ -70,6 +70,15 @@ def interval_sort_key(iv: GridInterval) -> tuple[int, int]:
     return (iv.a, -iv.b)
 
 
+def hom_exists(i: GridInterval, j: GridInterval) -> bool:
+    """Whether a nonzero map from the I interval module to the J one exists.
+
+    It does exactly when J starts no later and ends no later, with
+    overlap: J.a <= I.a <= J.b <= I.b.
+    """
+    return j.a <= i.a <= j.b <= i.b
+
+
 class Barcode:
     """Multiset of grid intervals with positive multiplicities."""
 

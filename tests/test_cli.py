@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from indumatch import LadderCode, from_code
+import indumatch
+from indumatch import LadderCode, cli, from_code
 from indumatch.cli import main
 from indumatch.serial import dumps_canonical, morphism_to_dict, write_morphism
 
@@ -168,6 +171,18 @@ def test_usage_error_exits_4(capsys):
     assert code == 4
 
 
+def test_parser_reused_after_usage_error(ref_file, capsys):
+    # The parser is built once per process; a parse that fails halfway,
+    # after --format was read, must not leak into the next command.
+    code, out, err = run_cli(capsys, "--format", "ascii", "match", ref_file, "--eps")
+    assert code == 4 and out == "" and "usage error" in err
+    code, out, _ = run_cli(capsys, "match", ref_file)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["method"], payload["eps"]) == ("m", 0)
+    assert cli._parser() is cli._parser()
+
+
 # ---------------------------------------------------------------------------
 # sum
 
@@ -199,6 +214,36 @@ def test_sum_mismatched_primes_exits_5(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sum", str(a), str(b))
     assert code == 5
     assert "incompatible" in err
+
+
+def _random_files(capsys, tmp_path, prime, copies):
+    code, out, _ = run_cli(capsys, "--prime", str(prime), "random", "--n", "4",
+                           "--max-dim", "2", "--seed", "3")
+    assert code == 0
+    path = tmp_path / f"r{prime}.json"
+    path.write_text(out, encoding="utf-8")
+    return [str(path)] * copies
+
+
+def test_sum_past_the_field_bound_exits_5(tmp_path, capsys):
+    # Each file is exact at dimension 2; three of them reach dimension 6,
+    # where p = 2^31-1 products overflow int64.
+    files = _random_files(capsys, tmp_path, 2**31 - 1, 3)
+    code, out, err = run_cli(capsys, "sum", *files)
+    assert code == 5
+    assert out == ""
+    assert "incompatible" in err and "too large" in err and "dimension 6" in err
+
+
+def test_sum_within_the_field_bound_exits_0(tmp_path, capsys):
+    # 6 * (10^9 + 6)^2 < 2^63: the same sum over a smaller prime is exact.
+    files = _random_files(capsys, tmp_path, 10**9 + 7, 3)
+    code, out, _ = run_cli(capsys, "sum", *files)
+    assert code == 0
+    path = tmp_path / "sum.json"
+    path.write_text(out, encoding="utf-8")
+    code, _, _ = run_cli(capsys, "barcode", str(path))
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +347,13 @@ def test_random_seed_flag_beats_env(capsys, monkeypatch):
 
 
 def test_module_entry_point(ref_file):
+    # The package is imported from the source tree, not installed.
+    env = {**os.environ, "PYTHONPATH": str(Path(indumatch.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-m", "indumatch", "barcode", ref_file],
         capture_output=True,
         text=True,
+        env=env,
         timeout=60,
     )
     assert result.returncode == 0

@@ -388,3 +388,81 @@ def test_field_error_rejects_huge_prime_without_trial_division():
     assert "too large" in gf.field_error(10**18 + 3, 1)
     assert time.perf_counter() - start < 1
     assert "not prime" in gf.field_error(6, 3)
+
+
+# ---------------------------------------------------------------------------
+# Kernel-free shortcuts against the constructions they replaced.
+
+
+def intersect_by_canonical_kernel(a, b):
+    """a n b as the A-part of the canonical Subspace.kernel of [A | B]."""
+    if a.dim == 0 or b.is_full():
+        return a
+    if b.dim == 0 or a.is_full():
+        return b
+    k = Subspace.kernel(np.hstack([a.basis, b.basis]), a.p)
+    return Subspace.image(gf.matmul(a.basis, k.basis[: a.dim], a.p), a.p)
+
+
+def preimage_by_canonical_kernel(m, s, p):
+    m = gf.normalize(m, p)
+    if s.dim == s.ambient:
+        return Subspace.full(m.shape[1], p)
+    k = Subspace.kernel(np.hstack([m, s.basis]), p)
+    return Subspace.image(k.basis[: m.shape[1]], p)
+
+
+def complement_by_greedy_scan(big, small):
+    """Big's basis columns, left to right, that grow the span: one rank each."""
+    chosen = []
+    cur = small.basis
+    for j in range(big.dim):
+        cand = big.basis[:, j : j + 1]
+        stacked = np.hstack([cur, cand])
+        if gf.rank(stacked, big.p) > cur.shape[1]:
+            chosen.append(cand)
+            cur = stacked
+    return np.hstack(chosen) if chosen else gf.zeros(big.ambient, 0)
+
+
+def test_null_basis_spans_the_kernel():
+    rng = random.Random(57)
+    for p in (2, 5):
+        for _ in range(60):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 6)
+            m = mat([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+            m = m.reshape(rows, cols)
+            k = gf._null_basis(m, p)
+            assert k.shape == (cols, cols - gf.rank(m, p))
+            assert not gf.matmul(m, k, p).any()
+            assert Subspace.image(k, p) == Subspace.kernel(m, p)
+
+
+def test_intersect_and_preimage_match_canonical_kernel_referees():
+    rng = random.Random(61)
+    for p in (2, 5):
+        for _ in range(80):
+            ambient = rng.randint(1, 6)
+            a = random_subspace(ambient, p, rng, max_gens=5)
+            b = random_subspace(ambient, p, rng, max_gens=5)
+            assert gf.intersect(a, b) == intersect_by_canonical_kernel(a, b)
+            cols = rng.randint(1, 5)
+            m = mat([[rng.randrange(p) for _ in range(cols)] for _ in range(ambient)])
+            assert gf.preimage(m, a, p) == preimage_by_canonical_kernel(m, a, p)
+
+
+def test_complement_columns_match_greedy_scan_referee():
+    rng = random.Random(67)
+    for p in (2, 5):
+        for _ in range(80):
+            ambient = rng.randint(1, 6)
+            big = random_subspace(ambient, p, rng, max_gens=6)
+            # small: the span of a few random combinations of big's basis
+            gens = rng.randint(0, big.dim)
+            coeffs = mat([[rng.randrange(p) for _ in range(gens)] for _ in range(big.dim)])
+            coeffs = coeffs.reshape(big.dim, gens)
+            small = Subspace.image(gf.matmul(big.basis, coeffs, p), p)
+            got = gf.complement_columns(big, small)
+            want = complement_by_greedy_scan(big, small)
+            assert np.array_equal(got, want)
+            assert got.shape[1] == big.dim - small.dim

@@ -19,6 +19,7 @@ from indumatch import (
     direct_sum,
     direct_sum_morphism,
     gf,
+    hom_exists,
     interval_module,
     g_matching,
     m_matching,
@@ -33,7 +34,8 @@ from indumatch import (
     zero_module,
 )
 from indumatch.gf import Subspace
-from indumatch.matching import MMatchingTable
+from indumatch import matching
+from indumatch.matching import MMatchingTable, _entry_count
 
 from conftest import iv, mat
 
@@ -200,6 +202,53 @@ def test_matched_pairs_are_admissible():
         for (i, j), c in m_matching(f).items():
             assert c > 0
             assert j.a <= i.a <= j.b <= i.b
+
+
+def full_scan_counts(f):
+    """Every bar pair counted, with the two-space form of the entry."""
+    counts = {}
+    for i in barcode(f.source).intervals():
+        for j in barcode(f.target).intervals():
+            k = i.intersect(j)
+            if k is None:
+                continue
+            yp = y_plus(f, i, j, k.b)
+            ym = y_minus(f, i, j, k.b)
+            c = yp.dim - gf.intersect(ym, yp).dim
+            assert _entry_count(f, i, j) == c
+            if not hom_exists(i, j):
+                assert c == 0, (i, j)
+            if c:
+                counts[(i, j)] = c
+    return counts
+
+
+def test_pruned_table_equals_full_scan():
+    # m_matching visits only hom pairs; scanning every pair must agree.
+    for seed in range(24):
+        p = 2 if seed % 2 else 5
+        f = random_ladder(6, 4, p, 5000 + seed)
+        for g in (f, shift_morphism(f, 1)):
+            assert m_matching(g).as_dict() == full_scan_counts(g)
+
+
+def test_entry_counts_only_for_hom_pairs(monkeypatch):
+    f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
+    hom_pairs = sum(
+        hom_exists(i, j)
+        for i in barcode(f.source).intervals()
+        for j in barcode(f.target).intervals()
+    )
+    visited = []
+
+    def counting(f, i, j):
+        visited.append((i, j))
+        return _entry_count(f, i, j)
+
+    monkeypatch.setattr(matching, "_entry_count", counting)
+    m_matching(f)
+    assert 0 < len(visited) == hom_pairs
+    assert all(hom_exists(i, j) for i, j in visited)
 
 
 def test_table_inequalities_small_suite():
