@@ -26,21 +26,13 @@ from .modules import (
 )
 
 
-def _death_buckets(bc: Barcode) -> dict[int, list[IndexedBar]]:
+def _buckets(bc: Barcode, end) -> dict[int, list[IndexedBar]]:
+    """Indexed bars grouped by the endpoint end(interval), longest first."""
     out: dict[int, list[IndexedBar]] = {}
     for iv, l in bc.rep():
-        out.setdefault(iv.b, []).append((iv, l))
+        out.setdefault(end(iv), []).append((iv, l))
     for bucket in out.values():
-        bucket.sort(key=lambda bar: (bar[0].a, bar[1]))  # longest first
-    return out
-
-
-def _birth_buckets(bc: Barcode) -> dict[int, list[IndexedBar]]:
-    out: dict[int, list[IndexedBar]] = {}
-    for iv, l in bc.rep():
-        out.setdefault(iv.a, []).append((iv, l))
-    for bucket in out.values():
-        bucket.sort(key=lambda bar: (-bar[0].b, bar[1]))  # longest first
+        bucket.sort(key=lambda bar: (-bar[0].length, bar[1]))
     return out
 
 
@@ -48,8 +40,8 @@ def iota(g: Morphism) -> RepMatching:
     """Death-bucket matching under an injective morphism."""
     if not g.is_injective():
         raise ValueError("iota needs an injective morphism")
-    src = _death_buckets(barcode(g.source))
-    dst = _death_buckets(barcode(g.target))
+    src = _buckets(barcode(g.source), lambda iv: iv.b)
+    dst = _buckets(barcode(g.target), lambda iv: iv.b)
     pairs: dict[IndexedBar, IndexedBar] = {}
     for death, q in src.items():
         r = dst.get(death, [])
@@ -64,8 +56,8 @@ def lambda_(h: Morphism) -> RepMatching:
     """Birth-bucket matching under a surjective morphism."""
     if not h.is_surjective():
         raise ValueError("lambda_ needs a surjective morphism")
-    src = _birth_buckets(barcode(h.source))
-    dst = _birth_buckets(barcode(h.target))
+    src = _buckets(barcode(h.source), lambda iv: iv.a)
+    dst = _buckets(barcode(h.target), lambda iv: iv.a)
     pairs: dict[IndexedBar, IndexedBar] = {}
     for birth, r in dst.items():
         q = src.get(birth, [])

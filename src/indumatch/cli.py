@@ -314,9 +314,6 @@ def main(argv=None) -> int:
     except serial.ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATE

@@ -5,11 +5,11 @@ structure matrices V(t) -> V(t+1); a morphism is a grid of component
 matrices making every square commute.  All grid positions in the public
 API are 1-based, matching the usual way these diagrams are written.
 
-This module also provides the subspace operators that carve out, at a
+It reads the barcode and the subspace operators that carve out, at a
 single grid position, the part of the module belonging to an interval
-(im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus), explicit
-persistence bases and the barcode read off them, image modules, and the
-shift-and-image endofunctor used for stability.
+(im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus) off one cached
+interval decomposition, the persistence basis, and provides image
+modules and the shift-and-image endofunctor used for stability.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class PersistenceModule:
             m.setflags(write=False)
         self._comp_cache: dict[tuple[int, int], np.ndarray] = {}
         self._sub_cache: dict[tuple, Subspace] = {}
-        self._barcode: "Barcode | None" = None
+        self._basis: "PersistenceBasis | None" = None
 
     def dim(self, t: int) -> int:
         self._check_t(t)
@@ -268,7 +268,9 @@ class Morphism:
             lhs = gf.matmul(self.comp(t + 1), self.source.map(t), self.p)
             rhs = gf.matmul(self.target.map(t), self.comp(t), self.p)
             if not np.array_equal(lhs, rhs):
-                raise ValidationError(f"naturality fails at t={t}")
+                raise ValidationError(
+                    f"naturality fails at t={t}: f_{t + 1} @ V_{t} = {lhs.tolist()}"
+                    f" but W_{t} @ f_{t} = {rhs.tolist()}")
         return self
 
     def is_injective(self) -> bool:
@@ -347,51 +349,58 @@ def direct_sum_morphism(f: Morphism, g: Morphism) -> Morphism:
 # ---------------------------------------------------------------------------
 # Interval subspace operators.
 #
-# For I = [a, b] and t in I, the four operators pick out, inside V(t), what
+# For I = [a, b] and t in I, the operators pick out, inside V(t), what
 # arrives from the start of the interval and what survives to its end:
 #   im_plus  = image of V(a) -> V(t)        (arrived by a)
-#   im_minus = image of V(a-1) -> V(t)      (arrived strictly before a)
-#   ker_plus = kernel of V(t) -> V(b+1)     (dead just after b)
+#   im_minus = image of V(a-1) -> V(t)      (arrived strictly before a; 0 at a = 1)
+#   ker_plus = kernel of V(t) -> V(b+1)     (dead just after b; V(t) at b = n)
 #   ker_minus= kernel of V(t) -> V(b)       (dead strictly before b's end)
-# with the grid-boundary conventions im_minus = 0 at a = 1 and
-# ker_plus = V(t) at b = n.
+#   v_plus   = im_plus n ker_plus;  v_minus = im_minus n ker_plus + im_plus n ker_minus
+#
+# All six are spans of persistence-basis generators.  The generators alive
+# at t are a basis of V(t), and for s <= t the composite V(s) -> V(t) sends
+# a generator g alive at s to its vector at t if g.b >= t, else to 0.  Each
+# composite is thus diagonal: its image is spanned by the g alive at t with
+# g.a <= s, its kernel by the g alive at s with g.b < t.  So the four keep
+# g.a <= a, g.a < a, g.b <= b, g.b < b (no g has g.a < 1, all have g.b <= n),
+# and as spans of one basis meet and add like index sets, v_plus keeps
+# g.a <= a and g.b <= b, and v_minus the same less the generators of I.
+
+
+def _span(m: PersistenceModule, t: int, keep) -> Subspace:
+    """Span of the basis vectors alive at t whose interval passes keep."""
+    alive = persistence_basis(m).alive_at(t)
+    cols = [g.vector_at(t) for g in alive if keep(g.interval)]
+    if not cols:
+        return Subspace.zero(m.dim(t), m.p)
+    return Subspace.image(np.hstack(cols), m.p)
 
 
 def im_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
     return memo(
-        m._sub_cache,
-        ("im+", iv.a, t),
-        lambda: Subspace.image(m.composite(iv.a, t), m.p),
+        m._sub_cache, ("im+", iv.a, t), lambda: _span(m, t, lambda g: g.a <= iv.a)
     )
 
 
 def im_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
     return memo(
-        m._sub_cache,
-        ("im-", iv.a, t),
-        lambda: Subspace.zero(m.dim(t), m.p) if iv.a == 1
-        else Subspace.image(m.composite(iv.a - 1, t), m.p),
+        m._sub_cache, ("im-", iv.a, t), lambda: _span(m, t, lambda g: g.a < iv.a)
     )
 
 
 def ker_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
     return memo(
-        m._sub_cache,
-        ("ker+", iv.b, t),
-        lambda: Subspace.full(m.dim(t), m.p) if iv.b == m.n
-        else Subspace.kernel(m.composite(t, iv.b + 1), m.p),
+        m._sub_cache, ("ker+", iv.b, t), lambda: _span(m, t, lambda g: g.b <= iv.b)
     )
 
 
 def ker_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
     return memo(
-        m._sub_cache,
-        ("ker-", iv.b, t),
-        lambda: Subspace.kernel(m.composite(t, iv.b), m.p),
+        m._sub_cache, ("ker-", iv.b, t), lambda: _span(m, t, lambda g: g.b < iv.b)
     )
 
 
@@ -402,7 +411,7 @@ def v_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     return memo(
         m._sub_cache,
         ("v+", iv.a, iv.b, t),
-        lambda: gf.intersect(im_plus(m, iv, t), ker_plus(m, iv, t)),
+        lambda: _span(m, t, lambda g: g.a <= iv.a and g.b <= iv.b),
     )
 
 
@@ -413,10 +422,7 @@ def v_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     return memo(
         m._sub_cache,
         ("v-", iv.a, iv.b, t),
-        lambda: gf.sum_subspaces(
-            gf.intersect(im_minus(m, iv, t), ker_plus(m, iv, t)),
-            gf.intersect(im_plus(m, iv, t), ker_minus(m, iv, t)),
-        ),
+        lambda: _span(m, t, lambda g: g.a <= iv.a and g.b <= iv.b and g != iv),
     )
 
 
@@ -494,8 +500,11 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
     first; a generator whose image falls in the span of older ones is
     closed, with the past chain corrected so its final vector maps to
     zero.  Standard basis vectors complete each step's span, becoming
-    the newborn generators.
+    the newborn generators.  The basis is cached on the module, with
+    read-only vectors like the structure maps.
     """
+    if m._basis is not None:
+        return m._basis
     p = m.p
     finished: list[tuple[int, int, list[np.ndarray]]] = []
 
@@ -510,31 +519,30 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
                 coeffs.append((k, c))
         return vec, coeffs
 
-    start = gf.identity(m.dim(1))
-    # (birth, chain), oldest first
-    live = [(1, [start[:, i : i + 1]]) for i in range(m.dim(1))]
-
-    for t in range(1, m.n):
-        mat = m.map(t)
+    live: list[tuple[int, list[np.ndarray]]] = []  # (birth, chain), oldest first
+    for t in range(m.n):
+        # Images in V(t+1) of the live generators, then the standard basis
+        # vectors of V(t+1) as candidates born at t+1 with an empty past.
+        fresh = gf.identity(m.dim(t + 1))
+        candidates = [(birth, chain, gf.matmul(m.map(t), chain[-1], p))
+                      for birth, chain in live]
+        candidates += [(t + 1, [], fresh[:, i : i + 1]) for i in range(fresh.shape[1])]
         accepted: list[tuple[int, np.ndarray]] = []  # (pivot_row, vector at t+1)
-        accepted_owner: list[int] = []  # index into next_live
-        next_live: list[tuple[int, list[np.ndarray]]] = []
-        for birth, chain in live:
-            img = gf.matmul(mat, chain[-1], p)
+        live = []  # accepted[k] is the last vector of live[k]
+        for birth, chain, img in candidates:
             red, coeffs = reduce_against(img, accepted)
-            if coeffs:
-                # Apply the same combination to the past chain; the owners
-                # are older, so their chains cover [birth, t].
-                for k, c in coeffs:
-                    other = next_live[accepted_owner[k]][1]
-                    other_birth = next_live[accepted_owner[k]][0]
-                    for s in range(birth, t + 1):
-                        chain[s - birth] = (
-                            chain[s - birth] - c * other[s - other_birth]
-                        ) % p
+            # Apply the same combination to the past chain; the owners are
+            # older, so their chains cover [birth, t].
+            for k, c in coeffs:
+                other_birth, other = live[k]
+                for s in range(birth, t + 1):
+                    chain[s - birth] = (
+                        chain[s - birth] - c * other[s - other_birth]
+                    ) % p
             nz = np.nonzero(red[:, 0])[0]
             if nz.size == 0:
-                finished.append((birth, t, chain))
+                if chain:
+                    finished.append((birth, t, chain))
                 continue
             prow = int(nz[0])
             inv = pow(int(red[prow, 0]), -1, p)
@@ -543,45 +551,33 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
                 chain = [(v * inv) % p for v in chain]
             chain.append(red)
             accepted.append((prow, red))
-            accepted_owner.append(len(next_live))
-            next_live.append((birth, chain))
-        fresh = gf.identity(m.dim(t + 1))
-        for i in range(fresh.shape[1]):
-            red, _ = reduce_against(fresh[:, i : i + 1], accepted)
-            nz = np.nonzero(red[:, 0])[0]
-            if nz.size == 0:
-                continue
-            prow = int(nz[0])
-            inv = pow(int(red[prow, 0]), -1, p)
-            if inv != 1:
-                red = (red * inv) % p
-            accepted.append((prow, red))
-            accepted_owner.append(len(next_live))
-            next_live.append((t + 1, [red]))
-        live = next_live
+            live.append((birth, chain))
 
     for birth, chain in live:
         finished.append((birth, m.n, chain))
 
+    for _, _, chain in finished:
+        for v in chain:
+            v.setflags(write=False)
     gens = [
         Generator(GridInterval(birth, death), tuple(chain))
         for birth, death, chain in finished
     ]
     gens.sort(key=lambda g: interval_sort_key(g.interval))
-    return PersistenceBasis(tuple(gens))
+    m._basis = PersistenceBasis(tuple(gens))
+    return m._basis
 
 
 def barcode(m: PersistenceModule) -> Barcode:
     """Interval decomposition multiplicities, read off the persistence basis.
 
     The sweep in persistence_basis is the standard left-to-right column
-    reduction; the result is cached on the module.  The multiplicity of
-    [a, b] also equals dim v_plus - dim v_minus at t = a, which is the
-    fact the matching relies on.
+    reduction.  Since v_plus and v_minus of [a, b] are spanned by basis
+    vectors and differ by exactly the generators with interval [a, b],
+    dim v_plus - dim v_minus at any t in [a, b] is the multiplicity of
+    [a, b], which is the fact the matching relies on.
     """
-    if m._barcode is None:
-        m._barcode = persistence_basis(m).interval_barcode()
-    return m._barcode
+    return persistence_basis(m).interval_barcode()
 
 
 # ---------------------------------------------------------------------------

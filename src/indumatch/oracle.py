@@ -3,8 +3,10 @@
 naive_barcode recovers multiplicities purely from ranks of composite
 maps by inclusion-exclusion, independent of the basis sweep, so it can
 referee the barcode read off the persistence basis.  count_generators
-turns an explicit persistence basis into the counting side of the
-dimension formulas for the interval operators.
+counts basis generators by an interval predicate.  The interval
+operators are read off that same basis, so their independent referee is
+the composite definitions (images and kernels of composites, their
+intersections and sums) in tests/test_modules.py.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ def _int_list(value, msg: str) -> list[int]:
     _expect(isinstance(value, list), msg)
     out = []
     for x in value:
-        _expect(isinstance(x, int) and not isinstance(x, bool), msg)
+        _expect(type(x) is int, msg)  # not bool, which JSON true/false give
         out.append(x)
     return out
 
@@ -91,11 +91,13 @@ def _module_from_dict(obj, dims: list[int], p: int, what: str) -> PersistenceMod
 def morphism_from_dict(obj) -> Morphism:
     _expect(isinstance(obj, dict), "top level is not an object")
     _expect(obj.get("format") == FORMAT_NAME, f"format must be {FORMAT_NAME!r}")
-    _expect(obj.get("version") == FORMAT_VERSION, f"version must be {FORMAT_VERSION}")
+    version = obj.get("version")
+    _expect(type(version) is int and version == FORMAT_VERSION,
+            f"version must be the integer {FORMAT_VERSION}")
     p = obj.get("p")
-    _expect(isinstance(p, int) and not isinstance(p, bool), "p must be a prime integer")
+    _expect(type(p) is int, "p must be a prime integer")
     n = obj.get("n")
-    _expect(isinstance(n, int) and n >= 1, "n must be a positive integer")
+    _expect(type(n) is int and n >= 1, "n must be a positive integer")
     src_dims = _dims(obj.get("source"), n, "source")
     dst_dims = _dims(obj.get("target"), n, "target")
     problem = gf.field_error(p, max(src_dims + dst_dims))
@@ -124,7 +126,10 @@ def write_morphism(f: Morphism, path) -> None:
 
 
 def read_morphism(path) -> Morphism:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

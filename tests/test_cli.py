@@ -95,6 +95,42 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": "indumatch-ladder \xe9"}')
+    code, out, err = run_cli(capsys, "barcode", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and str(path) in err
+
+
+@pytest.mark.parametrize("argv", [["barcode", "{d}"], ["sum", "{d}", "{d}"]])
+def test_directory_input_exits_2(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *[arg.format(d=tmp_path) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and str(tmp_path) in err
+
+
+ONE_POSITION_LADDER = {
+    "format": "indumatch-ladder", "version": 1, "p": 2, "n": 1,
+    "source": {"dims": [1], "maps": []}, "target": {"dims": [1], "maps": []},
+    "morphism": [[1]],
+}
+
+
+@pytest.mark.parametrize(
+    "field,value", [("n", True), ("version", True), ("version", 1.0)]
+)
+def test_header_bool_or_float_exits_2(tmp_path, capsys, field, value):
+    # On a one-position ladder, true and 1.0 compare equal to the valid 1.
+    path = tmp_path / "header.json"
+    path.write_text(json.dumps(ONE_POSITION_LADDER), encoding="utf-8")
+    assert run_cli(capsys, "barcode", str(path))[0] == 0
+    path.write_text(json.dumps({**ONE_POSITION_LADDER, field: value}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "barcode", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error: {field} must be")
+
+
 def test_invalid_morphism_exits_3(thick_ladder, tmp_path, capsys):
     obj = morphism_to_dict(thick_ladder)
     obj["morphism"][2] = [0]  # breaks the commuting square at t=2

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indumatch import (
     Barcode,
@@ -26,6 +28,7 @@ from indumatch import (
     ker_plus,
     one_eps_morphism,
     persistence_basis,
+    random_ladder,
     random_module,
     restrict,
     shift_module,
@@ -56,8 +59,11 @@ def test_broken_naturality_reports_position(thick_ladder):
     comps = list(thick_ladder.comps)
     comps[2] = mat([[0]])  # perturb the last vertical map
     bad = Morphism(thick_ladder.source, thick_ladder.target, comps)
-    with pytest.raises(ValidationError, match="t=2"):
+    with pytest.raises(ValidationError, match="t=2") as info:
         bad.validate()
+    # Both sides of the failing square: f_3 V_2 = 0 V_2, W_2 f_2 = [0 1][1 1]^T.
+    assert "f_3 @ V_2 = [[0]]" in str(info.value)
+    assert "W_2 @ f_2 = [[1]]" in str(info.value)
 
 
 def test_shape_mismatch_detected():
@@ -205,6 +211,84 @@ def test_v_pushforward_along_interval():
                             gf.matmul(rho, space(m, interval, s).basis, p), p
                         )
                         assert pushed == space(m, interval, t)
+
+
+# Referee: the six operators by their composite definitions, with the two
+# grid-boundary conventions, independent of the persistence basis the
+# library reads them off.
+
+
+def _ref_im_plus(m, i, t):
+    return Subspace.image(m.composite(i.a, t), m.p)
+
+
+def _ref_im_minus(m, i, t):
+    if i.a == 1:
+        return Subspace.zero(m.dim(t), m.p)
+    return Subspace.image(m.composite(i.a - 1, t), m.p)
+
+
+def _ref_ker_plus(m, i, t):
+    if i.b == m.n:
+        return Subspace.full(m.dim(t), m.p)
+    return Subspace.kernel(m.composite(t, i.b + 1), m.p)
+
+
+def _ref_ker_minus(m, i, t):
+    return Subspace.kernel(m.composite(t, i.b), m.p)
+
+
+def _ref_v_plus(m, i, t):
+    if not i.contains(t):
+        return Subspace.zero(m.dim(t), m.p)
+    return gf.intersect(_ref_im_plus(m, i, t), _ref_ker_plus(m, i, t))
+
+
+def _ref_v_minus(m, i, t):
+    if not i.contains(t):
+        return Subspace.zero(m.dim(t), m.p)
+    return gf.sum_subspaces(
+        gf.intersect(_ref_im_minus(m, i, t), _ref_ker_plus(m, i, t)),
+        gf.intersect(_ref_im_plus(m, i, t), _ref_ker_minus(m, i, t)),
+    )
+
+
+ON_INTERVAL = (
+    (im_plus, _ref_im_plus),
+    (im_minus, _ref_im_minus),
+    (ker_plus, _ref_ker_plus),
+    (ker_minus, _ref_ker_minus),
+)
+EVERYWHERE = ((v_plus, _ref_v_plus), (v_minus, _ref_v_minus))
+
+
+def assert_operators_match_referee(m):
+    for a in range(1, m.n + 1):
+        for b in range(a, m.n + 1):
+            interval = iv(a, b)
+            for t in range(1, m.n + 1):
+                pairs = EVERYWHERE + (ON_INTERVAL if interval.contains(t) else ())
+                for op, ref in pairs:
+                    got, want = op(m, interval, t), ref(m, interval, t)
+                    assert got == want, (op.__name__, interval, t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    max_dim=st.integers(0, 4),
+    p=st.sampled_from([2, 5]),
+    seed=st.integers(0, 2**16),
+    eps=st.integers(0, 4),
+)
+def test_interval_operators_match_composite_referee(n, max_dim, p, seed, eps):
+    # Subspace bases are canonical, so == is equality of subspaces.
+    f = random_ladder(n, max_dim, p, seed)
+    eps = min(eps, n - 1)
+    image, _ = image_module(f)
+    for m in (f.source, f.target, image,
+              shift_module(f.source, eps), shift_module(f.target, eps)):
+        assert_operators_match_referee(m)
 
 
 # ---------------------------------------------------------------------------
