@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf
 from .matching import IndexedBar, RepMatching, m_matching, representation
 from .modules import (
@@ -151,22 +149,14 @@ def realize_as_m(f: Morphism) -> tuple[Morphism, RealizationCertificate]:
 
     comps = []
     for t in range(1, f.n + 1):
-        cols_basis = []
-        cols_image = []
-        for gen, mate in zip(alpha.generators, partner):
-            if not gen.interval.contains(t):
-                continue
-            cols_basis.append(gen.vector_at(t))
+        _, _, a_t = alpha.alive_columns(t)
+        mates = [mate for gen, mate in zip(alpha.generators, partner)
+                 if gen.interval.contains(t)]
+        w_t = gf.zeros(u.dim(t), len(mates))
+        for k, mate in enumerate(mates):
             if mate is not None and mate.interval.contains(t):
-                cols_image.append(mate.vector_at(t))
-            else:
-                cols_image.append(gf.zeros(u.dim(t), 1))
-        if cols_basis:
-            a_t = np.hstack(cols_basis)
-            w_t = np.hstack(cols_image)
-            comps.append(gf.matmul(w_t, gf.inverse(a_t, p), p))
-        else:
-            comps.append(gf.zeros(u.dim(t), 0))
+                w_t[:, k : k + 1] = mate.vector_at(t)
+        comps.append(gf.matmul(w_t, gf.inverse(a_t, p), p))
     g = Morphism(v, u, comps).validate()
 
     induced = m_matching(g)

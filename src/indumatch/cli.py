@@ -2,8 +2,10 @@
 
 Subcommands: barcode, match, sum, catalog, random.  Reports are JSON
 with sorted keys (byte-deterministic given the same file and flags) or
-an ASCII bar rendering.  Exit codes: 0 ok, 2 parse error, 3 validation
-error, 4 usage error, 5 incompatible inputs.
+an ASCII bar rendering.  Exit codes: 0 ok, 2 parse error (including
+a dimension above gf.MAX_DIM), 3 validation error, 4 usage error
+(including a catalog --dump DIR that cannot be written), 5 incompatible
+inputs (including a sum past the field bound or the dimension cap).
 """
 
 from __future__ import annotations
@@ -260,9 +262,12 @@ def cmd_catalog(dump: str | None, p: int) -> int:
                        for c in CATALOG_CODES]}
         )
     out = Path(dump)
-    out.mkdir(parents=True, exist_ok=True)
-    for code in CATALOG_CODES:
-        serial.write_morphism(from_code(code, p), out / f"{_code_slug(code)}.json")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for code in CATALOG_CODES:
+            serial.write_morphism(from_code(code, p), out / f"{_code_slug(code)}.json")
+    except OSError as exc:  # DIR is a file, lies under one, or is not writable
+        raise UsageError(f"--dump {dump}: cannot write there: {exc}") from exc
     sys.stderr.write(f"wrote {len(CATALOG_CODES)} files to {out}\n")
     return EXIT_OK
 
@@ -297,12 +302,13 @@ def main(argv=None) -> int:
         if args.command == "sum":
             return cmd_sum(args.files)
         if args.command in ("catalog", "random"):
-            # --prime must be exact at the largest dimension the command makes.
+            # --prime must be exact at the largest dimension the command
+            # makes, which must also be within the cap.
             top = (args.max_dim if args.command == "random"
                    else max(max(c.upper + c.lower) for c in CATALOG_CODES))
             problem = gf.field_error(args.prime, top)
             if problem:
-                raise UsageError(f"--prime: {problem}")
+                raise UsageError(problem)
         if args.command == "catalog":
             return cmd_catalog(args.dump, args.prime)
         if args.command == "random":

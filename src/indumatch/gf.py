@@ -28,13 +28,23 @@ class WellDefinednessError(ValueError):
     """A map does not respect the given filtrations."""
 
 
+# Largest dimension accepted at a grid position.  The basis sweep and
+# the reductions cost d^2 to d^3 steps per position and np.eye(d) takes
+# 8 d^2 bytes, so without a cap a file of a few bytes naming a huge
+# dimension exhausts memory or runs for hours.
+MAX_DIM = 256
+
+
 def field_error(p: int, max_dim: int) -> str | None:
     """Why GF(p) is refused at this dimension, or None if it is usable.
 
-    An int64 matrix product sums up to max_dim terms below (p-1)^2, so
-    exactness needs max_dim * (p-1)^2 < 2^63.  That bound is checked
-    first; it caps p near 3e9, so is_prime's trial division stays short.
+    A dimension above MAX_DIM is refused for every p.  An int64 matrix
+    product sums up to max_dim terms below (p-1)^2, so exactness needs
+    max_dim * (p-1)^2 < 2^63.  That bound is checked before primality;
+    it caps p near 3e9, so is_prime's trial division stays short.
     """
+    if max_dim > MAX_DIM:
+        return f"dimension {max_dim} is above the cap of {MAX_DIM}"
     if max(max_dim, 1) * (p - 1) ** 2 >= 2**63:
         return f"p={p} is too large for exact int64 arithmetic at dimension {max_dim}"
     if not is_prime(p):

@@ -8,12 +8,19 @@ bars on either side).  The quotient is a persistence module whose bars
 all die where I meets J; its barcode is the table entry of the
 persistence-valued matching, and its size the entry of the counting
 matching.  Both tables are linear under direct sums of morphisms.
+
+f is read off the persistence bases of its two ends: by the operator
+proof block in modules.py, the y spaces are meets and sums of column
+sets of F_t, f_t between the generators alive at t, and coordinate
+subspaces.  These frames are the only thing a morphism caches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import gf
 from .gf import Subspace
@@ -24,29 +31,48 @@ from .modules import (
     PersistenceModule,
     barcode,
     hom_exists,
-    im_minus,
     interval_sort_key,
-    memo,
-    v_minus,
-    v_plus,
+    persistence_basis,
     zero_module,
 )
 
 
-def _pushed(f: Morphism, iv: GridInterval, t: int, sign: str) -> Subspace:
-    """f_t applied to v_plus / v_minus of the source, cached per morphism."""
-    op = v_plus if sign == "+" else v_minus
-    return memo(f._push_cache, (sign, iv.a, iv.b, t), lambda: _push(f, op, iv, t))
+def _frame(f: Morphism, t: int):
+    """f's frame at t, (src_a, src_b, tgt_a, tgt_b, T_t, F_t): the generators
+    alive at t as in alive_columns, and T_t F_t = f_t S_t; cached on f."""
+    if f._frames is None:
+        frames = []
+        for s in range(1, f.n + 1):
+            src_a, src_b, src = persistence_basis(f.source).alive_columns(s)
+            tgt_a, tgt_b, tgt = persistence_basis(f.target).alive_columns(s)
+            coords = gf.solve(tgt, gf.matmul(f.comp(s), src, f.p), f.p)
+            if coords is None:  # cannot happen: tgt is a basis of W(s)
+                raise AssertionError(f"target basis at t={s} does not span f_{s}")
+            frames.append((src_a, src_b, tgt_a, tgt_b, tgt, coords))
+        f._frames = tuple(frames)
+    return f._frames[t - 1]
 
 
-def _pushed_early(f: Morphism, iv: GridInterval, t: int) -> Subspace:
-    """f_t applied to what arrived strictly before the interval's start."""
-    return memo(f._push_cache, ("early", iv.a, t), lambda: _push(f, im_minus, iv, t))
+def _meet(block: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """Columns spanning the part of block's span that is zero off rows."""
+    return gf.matmul(block, gf._null_basis(block[~rows], p), p)
 
 
-def _push(f: Morphism, op, iv: GridInterval, t: int) -> Subspace:
-    src = op(f.source, iv, t)
-    return Subspace.image(gf.matmul(f.comp(t), src.basis, f.p), f.p)
+def _upper(f: Morphism, i: GridInterval, j: GridInterval, t: int):
+    """T_t and columns spanning y_plus in f's frame at t."""
+    src_a, src_b, tgt_a, tgt_b, tgt, coords = _frame(f, t)
+    src_plus = (src_a <= i.a) & (src_b <= i.b)
+    return tgt, _meet(coords[:, src_plus], (tgt_a <= j.a) & (tgt_b <= j.b), f.p)
+
+
+def _lower(f: Morphism, i: GridInterval, j: GridInterval, t: int):
+    """T_t, columns spanning y_minus off the v_minus_tgt(J) rows, those rows."""
+    src_a, src_b, tgt_a, tgt_b, tgt, coords = _frame(f, t)
+    tgt_plus = (tgt_a <= j.a) & (tgt_b <= j.b)
+    early = _meet(coords[:, src_a < i.a], tgt_plus, f.p)
+    src_minus = (src_a <= i.a) & (src_b <= i.b) & ((src_a < i.a) | (src_b < i.b))
+    tgt_minus = tgt_plus & ((tgt_a < j.a) | (tgt_b < j.b))
+    return tgt, np.hstack([coords[:, src_minus], early]), tgt_minus
 
 
 def y_plus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
@@ -54,7 +80,7 @@ def y_plus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
     k = i.intersect(j)
     if k is None or not k.contains(t):
         return Subspace.zero(f.target.dim(t), f.p)
-    return gf.intersect(_pushed(f, i, t, "+"), v_plus(f.target, j, t))
+    return Subspace.image(gf.matmul(*_upper(f, i, j, t), f.p), f.p)
 
 
 def y_minus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
@@ -71,9 +97,8 @@ def y_minus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
     k = i.intersect(j)
     if k is None or not k.contains(t):
         return Subspace.zero(f.target.dim(t), f.p)
-    absorbed = gf.sum_subspaces(_pushed(f, i, t, "-"), v_minus(f.target, j, t))
-    early = gf.intersect(_pushed_early(f, i, t), v_plus(f.target, j, t))
-    return gf.sum_subspaces(absorbed, early)
+    tgt, lower, rows = _lower(f, i, j, t)
+    return Subspace.image(np.hstack([gf.matmul(tgt, lower, f.p), tgt[:, rows]]), f.p)
 
 
 @dataclass(frozen=True)
@@ -82,9 +107,6 @@ class XModule:
 
     support: GridInterval | None
     module: PersistenceModule
-
-    def dim(self, t: int) -> int:
-        return self.module.dim(t)
 
 
 def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
@@ -128,16 +150,19 @@ def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
 def _entry_count(f: Morphism, i: GridInterval, j: GridInterval) -> int:
     """Bar count of the comparison module: its dimension at the shared death.
 
-    That is dim y_plus - dim (y_minus n y_plus), which the dimension
-    formula turns into dim (y_minus + y_plus) - dim y_minus: one rref
-    for the sum instead of a kernel and an image for the intersection.
+    That is dim (y_minus + y_plus) - dim y_minus in the frame at the shared
+    death, modulo the v_minus_tgt(J) rows (y_minus holds those coordinate
+    vectors): the pivots of one rref of [lower | upper] that fall in upper.
     """
     k = i.intersect(j)
     if k is None:
         return 0
-    yp = y_plus(f, i, j, k.b)
-    ym = y_minus(f, i, j, k.b)
-    return gf.sum_subspaces(ym, yp).dim - ym.dim
+    _, upper = _upper(f, i, j, k.b)
+    if not upper.any():
+        return 0
+    _, lower, rows = _lower(f, i, j, k.b)
+    _, pivots = gf.rref(np.hstack([lower, upper])[~rows], f.p)
+    return sum(c >= lower.shape[1] for c in pivots)
 
 
 class MatchingTable:

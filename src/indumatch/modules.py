@@ -7,8 +7,8 @@ API are 1-based, matching the usual way these diagrams are written.
 
 It reads the barcode and the subspace operators that carve out, at a
 single grid position, the part of the module belonging to an interval
-(im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus) off one cached
-interval decomposition, the persistence basis, and provides image
+(im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus) off the
+persistence basis, the only thing a module caches, and provides image
 modules and the shift-and-image endofunctor used for stability.
 """
 
@@ -24,15 +24,6 @@ from .gf import Subspace
 
 class ValidationError(ValueError):
     """A module or morphism breaks one of its structural invariants."""
-
-
-def memo(cache: dict, key, compute):
-    """cache[key], computed by compute() and stored on the first request."""
-    value = cache.get(key)
-    if value is None:
-        value = compute()
-        cache[key] = value
-    return value
 
 
 @dataclass(frozen=True)
@@ -153,8 +144,6 @@ class PersistenceModule:
         self.maps = tuple(gf.normalize(m, self.p) for m in maps)
         for m in self.maps:
             m.setflags(write=False)
-        self._comp_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._sub_cache: dict[tuple, Subspace] = {}
         self._basis: "PersistenceBasis | None" = None
 
     def dim(self, t: int) -> int:
@@ -173,12 +162,10 @@ class PersistenceModule:
         self._check_t(t)
         if s > t:
             raise IndexError(f"composite needs s <= t, got {s} > {t}")
-        return memo(
-            self._comp_cache,
-            (s, t),
-            lambda: gf.identity(self.dims[t - 1]) if s == t
-            else gf.matmul(self.map(t - 1), self.composite(s, t - 1), self.p),
-        )
+        out = gf.identity(self.dims[s - 1])
+        for u in range(s, t):
+            out = gf.matmul(self.map(u), out, self.p)
+        return out
 
     def validate(self) -> "PersistenceModule":
         problem = gf.field_error(self.p, max(self.dims, default=0))
@@ -228,7 +215,7 @@ class Morphism:
         self.comps = tuple(gf.normalize(c, source.p) for c in comps)
         for c in self.comps:
             c.setflags(write=False)
-        self._push_cache: dict[tuple, Subspace] = {}
+        self._frames: tuple | None = None  # filled by matching._frame
 
     @property
     def n(self) -> int:
@@ -368,62 +355,44 @@ def direct_sum_morphism(f: Morphism, g: Morphism) -> Morphism:
 
 
 def _span(m: PersistenceModule, t: int, keep) -> Subspace:
-    """Span of the basis vectors alive at t whose interval passes keep."""
-    alive = persistence_basis(m).alive_at(t)
-    cols = [g.vector_at(t) for g in alive if keep(g.interval)]
-    if not cols:
-        return Subspace.zero(m.dim(t), m.p)
-    return Subspace.image(np.hstack(cols), m.p)
+    """Span of the basis vectors alive at t whose starts and ends pass keep."""
+    starts, ends, cols = persistence_basis(m).alive_columns(t)
+    return Subspace.image(cols[:, keep(starts, ends)], m.p)
 
 
 def im_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
-    return memo(
-        m._sub_cache, ("im+", iv.a, t), lambda: _span(m, t, lambda g: g.a <= iv.a)
-    )
+    return _span(m, t, lambda a, b: a <= iv.a)
 
 
 def im_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
-    return memo(
-        m._sub_cache, ("im-", iv.a, t), lambda: _span(m, t, lambda g: g.a < iv.a)
-    )
+    return _span(m, t, lambda a, b: a < iv.a)
 
 
 def ker_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
-    return memo(
-        m._sub_cache, ("ker+", iv.b, t), lambda: _span(m, t, lambda g: g.b <= iv.b)
-    )
+    return _span(m, t, lambda a, b: b <= iv.b)
 
 
 def ker_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     _require_in_interval(iv, t)
-    return memo(
-        m._sub_cache, ("ker-", iv.b, t), lambda: _span(m, t, lambda g: g.b < iv.b)
-    )
+    return _span(m, t, lambda a, b: b < iv.b)
 
 
 def v_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     """Largest subspace of V(t) supported exactly along I; zero off I."""
     if not iv.contains(t):
         return Subspace.zero(m.dim(t), m.p)
-    return memo(
-        m._sub_cache,
-        ("v+", iv.a, iv.b, t),
-        lambda: _span(m, t, lambda g: g.a <= iv.a and g.b <= iv.b),
-    )
+    return _span(m, t, lambda a, b: (a <= iv.a) & (b <= iv.b))
 
 
 def v_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
     """The part of v_plus already accounted for by longer intervals."""
     if not iv.contains(t):
         return Subspace.zero(m.dim(t), m.p)
-    return memo(
-        m._sub_cache,
-        ("v-", iv.a, iv.b, t),
-        lambda: _span(m, t, lambda g: g.a <= iv.a and g.b <= iv.b and g != iv),
-    )
+    return _span(m, t, lambda a, b: (a <= iv.a) & (b <= iv.b)
+                 & ((a != iv.a) | (b != iv.b)))
 
 
 def _require_in_interval(iv: GridInterval, t: int):
@@ -461,6 +430,14 @@ class PersistenceBasis:
     def alive_at(self, t: int) -> list[Generator]:
         return [g for g in self.generators if g.interval.contains(t)]
 
+    def alive_columns(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Starts, ends and vectors (as columns) of the generators alive at t."""
+        alive = self.alive_at(t)
+        starts = np.array([g.interval.a for g in alive], dtype=np.int64)
+        ends = np.array([g.interval.b for g in alive], dtype=np.int64)
+        cols = np.hstack([g.vector_at(t) for g in alive]) if alive else gf.zeros(0, 0)
+        return starts, ends, cols
+
     def validate(self, m: PersistenceModule) -> "PersistenceBasis":
         for g in self.generators:
             iv = g.interval
@@ -483,13 +460,11 @@ class PersistenceBasis:
                 if np.any(dead):
                     raise ValidationError(f"generator {iv} survives its end")
         for t in range(1, m.n + 1):
-            alive = self.alive_at(t)
-            if len(alive) != m.dim(t):
+            _, _, cols = self.alive_columns(t)
+            if cols.shape[1] != m.dim(t):
                 raise ValidationError(f"basis count at t={t}")
-            if alive:
-                stack = np.hstack([g.vector_at(t) for g in alive])
-                if gf.rank(stack, m.p) != m.dim(t):
-                    raise ValidationError(f"basis vectors dependent at t={t}")
+            if gf.rank(cols, m.p) != m.dim(t):
+                raise ValidationError(f"basis vectors dependent at t={t}")
         return self
 
 

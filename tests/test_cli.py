@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import indumatch
-from indumatch import LadderCode, cli, from_code
+from indumatch import LadderCode, cli, from_code, gf
 from indumatch.cli import main
-from indumatch.serial import dumps_canonical, morphism_to_dict, write_morphism
+from indumatch.serial import (
+    dumps_canonical,
+    morphism_to_dict,
+    read_morphism,
+    write_morphism,
+)
 
 
 @pytest.fixture
@@ -282,6 +293,43 @@ def test_sum_within_the_field_bound_exits_0(tmp_path, capsys):
     assert code == 0
 
 
+def _one_position_file(tmp_path, name, target_dim):
+    # n = 1 with an empty source: no matrix has an entry, so the file is
+    # tiny whatever the dimension it names.
+    obj = {"format": "indumatch-ladder", "version": 1, "p": 2, "n": 1,
+           "source": {"dims": [0], "maps": []},
+           "target": {"dims": [target_dim], "maps": []}, "morphism": [[]]}
+    path = tmp_path / name
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def test_dimension_cap_loads_and_cap_plus_one_exits_2_quickly(tmp_path, capsys):
+    at_cap = _one_position_file(tmp_path, "cap.json", gf.MAX_DIM)
+    f = read_morphism(at_cap).validate()
+    assert f.target.dims == (gf.MAX_DIM,)
+    code, out, _ = run_cli(capsys, "barcode", at_cap)
+    assert code == 0
+    assert json.loads(out)["barcode_target"] == [
+        {"interval": [1, 1], "multiplicity": gf.MAX_DIM}
+    ]
+    past = _one_position_file(tmp_path, "past.json", gf.MAX_DIM + 1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "barcode", past)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert f"dimension {gf.MAX_DIM + 1}" in err
+
+
+def test_sum_past_the_dimension_cap_exits_5(tmp_path, capsys):
+    half = _one_position_file(tmp_path, "half.json", gf.MAX_DIM // 2 + 1)
+    code, out, err = run_cli(capsys, "sum", half, half)
+    assert code == 5
+    assert out == ""
+    assert "incompatible" in err and f"dimension {gf.MAX_DIM + 2}" in err
+
+
 # ---------------------------------------------------------------------------
 # catalog and random
 
@@ -305,6 +353,17 @@ def test_catalog_dump_deterministic(tmp_path, capsys):
     for a in sorted(d1.glob("*.json")):
         b = d2 / a.name
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_catalog_dump_onto_a_file_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", encoding="utf-8")
+    for target in (blocker, blocker / "sub"):
+        code, out, err = run_cli(capsys, "catalog", "--dump", str(target))
+        assert code == 4
+        assert out == ""
+        assert "usage error" in err and str(target) in err
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_catalog_listing(capsys):
@@ -376,6 +435,80 @@ def test_random_seed_flag_beats_env(capsys, monkeypatch):
     monkeypatch.delenv("INDUMATCH_SEED")
     _, out_default, _ = run_cli(capsys, "random", "--n", "4", "--seed", "7")
     assert out_flag == out_default
+
+
+# ---------------------------------------------------------------------------
+# parser fuzz: mutated ladder files give a documented exit code, never a
+# traceback.
+
+# The wide ladder of conftest.py: every dimension is positive, so a dimension
+# moved to the cap leaves a neighbouring matrix with the wrong entry count.
+WIDE = {
+    "format": "indumatch-ladder", "version": 1, "p": 2, "n": 4,
+    "source": {"dims": [1, 2, 2, 1], "maps": [[1, 0], [1, 0, 0, 1], [0, 1]]},
+    "target": {"dims": [2, 3, 3, 1],
+               "maps": [[1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1], [0, 1, 0]]},
+    "morphism": [[1, 0], [1, 0, 0, 1, 0, 1], [1, 0, 0, 1, 0, 1], [1]],
+}
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) position in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutate(obj, data):
+    path = data.draw(st.sampled_from(list(_paths(obj))))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    kinds = ["drop", "replace", "grow", "negate", "cap", "retype"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[key]  # a missing key, or a list one entry short
+    elif kind == "replace":
+        parent[key] = data.draw(ANY_JSON)
+    elif kind == "grow" and isinstance(value, list):
+        value.append(data.draw(ANY_JSON))
+    elif kind == "negate" and type(value) is int:
+        parent[key] = -1 - value
+    elif kind == "cap":
+        big = [gf.MAX_DIM, gf.MAX_DIM + 1, 10**12]  # at and past the cap
+        parent[key] = data.draw(st.sampled_from(big))
+    elif kind == "retype" and type(value) is int:
+        retyped = [bool(value), float(value), str(value)]
+        parent[key] = data.draw(st.sampled_from(retyped))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutations=st.integers(0, 2), data=st.data())
+def test_mutated_ladder_files_exit_with_a_documented_code(mutations, data):
+    obj = copy.deepcopy(WIDE)
+    for _ in range(mutations):
+        if isinstance(obj, (dict, list)) and obj:
+            _mutate(obj, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        for argv in (["barcode", path], ["match", path]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3, 5), (argv[0], obj)
+    if mutations == 0:
+        assert code == 0
 
 
 # ---------------------------------------------------------------------------

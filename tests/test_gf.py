@@ -383,6 +383,12 @@ def test_field_error_bounds_p_by_dimension():
     assert "too large" in gf.field_error(p, 3)
 
 
+def test_field_error_caps_the_dimension_for_every_prime():
+    assert gf.field_error(2, gf.MAX_DIM) is None
+    for p in (2, 5):
+        assert "above the cap" in gf.field_error(p, gf.MAX_DIM + 1)
+
+
 def test_field_error_rejects_huge_prime_without_trial_division():
     start = time.perf_counter()
     assert "too large" in gf.field_error(10**18 + 3, 1)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import indumatch
 from indumatch import (
@@ -22,12 +24,15 @@ from indumatch import (
     hom_exists,
     interval_module,
     g_matching,
+    im_minus,
     m_matching,
     one_eps_morphism,
     random_ladder,
     random_module,
     representation,
     shift_morphism,
+    v_minus,
+    v_plus,
     x_module,
     y_minus,
     y_plus,
@@ -85,6 +90,58 @@ def test_y_spaces_zero_for_zero_morphism(chain_module):
 def test_y_spaces_zero_off_overlap(wide_ladder):
     assert y_plus(wide_ladder, iv(1, 3), iv(1, 4), 4).ambient == 1
     assert y_plus(wide_ladder, iv(2, 4), iv(2, 3), 1).dim == 0
+
+
+# Referee: the y spaces as pushed subspaces, f_t applied to the spans of
+# the source operators and then intersected and summed with the target
+# operators in W(t), independent of the frames the library reads them off.
+
+
+def _ref_pushed(f, op, i, t):
+    src = op(f.source, i, t)
+    return Subspace.image(gf.matmul(f.comp(t), src.basis, f.p), f.p)
+
+
+def _ref_y_plus(f, i, j, t):
+    return gf.intersect(_ref_pushed(f, v_plus, i, t), v_plus(f.target, j, t))
+
+
+def _ref_y_minus(f, i, j, t):
+    absorbed = gf.sum_subspaces(_ref_pushed(f, v_minus, i, t), v_minus(f.target, j, t))
+    early = gf.intersect(_ref_pushed(f, im_minus, i, t), v_plus(f.target, j, t))
+    return gf.sum_subspaces(absorbed, early)
+
+
+def assert_y_spaces_match_referee(f):
+    for i in barcode(f.source).intervals():
+        for j in barcode(f.target).intervals():
+            k = i.intersect(j)
+            if k is None:
+                continue
+            for t in k:
+                yp, ym = _ref_y_plus(f, i, j, t), _ref_y_minus(f, i, j, t)
+                assert y_plus(f, i, j, t) == yp, ("y_plus", i, j, t)
+                assert y_minus(f, i, j, t) == ym, ("y_minus", i, j, t)
+            # t is now the shared death, where the entry is counted.
+            count = gf.sum_subspaces(ym, yp).dim - ym.dim
+            assert _entry_count(f, i, j) == count, ("count", i, j)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 6),
+    max_dim=st.integers(0, 4),
+    p=st.sampled_from([2, 5]),
+    seed=st.integers(0, 2**16),
+    other=st.integers(0, 2**16),
+    eps=st.integers(0, 4),
+)
+def test_y_spaces_match_pushed_subspace_referee(n, max_dim, p, seed, other, eps):
+    # Subspace bases are canonical, so == is equality of subspaces.
+    f = random_ladder(n, max_dim, p, seed)
+    g = random_ladder(n, max_dim, p, other)
+    for h in (f, shift_morphism(f, min(eps, n - 1)), direct_sum_morphism(f, g)):
+        assert_y_spaces_match_referee(h)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +424,6 @@ def test_interval_source_matches_single_target_bar():
 def test_pushforward_identity_for_lower_spaces():
     # The image of the source's lower space plus the target's lower space
     # is carried exactly onto its later version along the overlap.
-    from indumatch.matching import _pushed
-    from indumatch.modules import v_minus
-
     for seed in range(20):
         f = random_ladder(6, 3, 2 if seed % 2 else 5, 700 + seed)
         p = f.p
@@ -380,10 +434,10 @@ def test_pushforward_identity_for_lower_spaces():
                     continue
                 for t in range(k.a, k.b):
                     now = gf.sum_subspaces(
-                        _pushed(f, i, t, "-"), v_minus(f.target, j, t)
+                        _ref_pushed(f, v_minus, i, t), v_minus(f.target, j, t)
                     )
                     nxt = gf.sum_subspaces(
-                        _pushed(f, i, t + 1, "-"), v_minus(f.target, j, t + 1)
+                        _ref_pushed(f, v_minus, i, t + 1), v_minus(f.target, j, t + 1)
                     )
                     pushed = Subspace.image(
                         gf.matmul(f.target.map(t), now.basis, p), p
