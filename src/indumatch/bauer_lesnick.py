@@ -2,9 +2,11 @@
 
 An injective morphism matches bars that die together, longest first; a
 surjective one matches bars born together, longest first.  A general
-morphism factors through its image and composes the two.  The result
-depends only on the three barcodes involved, which is also why it fails
-to be additive over direct sums; realize_as_m builds a companion
+morphism factors through its image and composes the two, and the result
+depends only on the three barcodes involved: chi reads the source and
+target barcodes and the image barcode (modules.image_barcode, read off
+f's basis matrix) and never builds the image.  That is also why it
+fails to be additive over direct sums; realize_as_m builds a companion
 morphism whose counting table this matching represents.
 """
 
@@ -19,7 +21,7 @@ from .modules import (
     GridInterval,
     Morphism,
     barcode,
-    image_factorization,
+    image_barcode,
     persistence_basis,
 )
 
@@ -34,42 +36,47 @@ def _buckets(bc: Barcode, end) -> dict[int, list[IndexedBar]]:
     return out
 
 
+def _bucket_matching(b_src: Barcode, b_dst: Barcode, by: str) -> RepMatching:
+    """Bars born together (by="birth") or dying together (by="death")
+    matched longest first.  A surjection adds no births, so at a birth
+    every target bar needs a partner; an injection loses no deaths, so
+    at a death every source bar does.  A shortfall raises AssertionError.
+    """
+    end = (lambda iv: iv.a) if by == "birth" else (lambda iv: iv.b)
+    src, dst = _buckets(b_src, end), _buckets(b_dst, end)
+    pairs: dict[IndexedBar, IndexedBar] = {}
+    for t in sorted(src.keys() | dst.keys()):
+        q, r = src.get(t, []), dst.get(t, [])
+        need, have = (r, q) if by == "birth" else (q, r)
+        if len(need) > len(have):
+            side = "target" if by == "birth" else "source"
+            raise AssertionError(f"{len(need)} {side} bars with {by} t={t} but only"
+                                 f" {len(have)} to match them")
+        pairs.update(zip(q, r))
+    return RepMatching(pairs)
+
+
 def iota(g: Morphism) -> RepMatching:
     """Death-bucket matching under an injective morphism."""
     if not g.is_injective():
         raise ValueError("iota needs an injective morphism")
-    src = _buckets(barcode(g.source), lambda iv: iv.b)
-    dst = _buckets(barcode(g.target), lambda iv: iv.b)
-    pairs: dict[IndexedBar, IndexedBar] = {}
-    for death, q in src.items():
-        r = dst.get(death, [])
-        if len(q) > len(r):
-            raise AssertionError(f"injectivity must not lose deaths at {death}")
-        for s, d in zip(q, r):
-            pairs[s] = d
-    return RepMatching(pairs)
+    return _bucket_matching(barcode(g.source), barcode(g.target), "death")
 
 
 def lambda_(h: Morphism) -> RepMatching:
     """Birth-bucket matching under a surjective morphism."""
     if not h.is_surjective():
         raise ValueError("lambda_ needs a surjective morphism")
-    src = _buckets(barcode(h.source), lambda iv: iv.a)
-    dst = _buckets(barcode(h.target), lambda iv: iv.a)
-    pairs: dict[IndexedBar, IndexedBar] = {}
-    for birth, r in dst.items():
-        q = src.get(birth, [])
-        if len(r) > len(q):
-            raise AssertionError(f"surjectivity must not add births at {birth}")
-        for s, d in zip(q, r):
-            pairs[s] = d
-    return RepMatching(pairs)
+    return _bucket_matching(barcode(h.source), barcode(h.target), "birth")
 
 
 def chi(f: Morphism) -> RepMatching:
-    """Composite matching through the image factorization of f."""
-    _, project, embed = image_factorization(f)
-    return lambda_(project).then(iota(embed))
+    """lambda_ of the projection onto the image, then iota of its embedding,
+    from the three barcodes: births from source to image, then deaths
+    from image to target."""
+    b_img = image_barcode(f)
+    return _bucket_matching(barcode(f.source), b_img, "birth").then(
+        _bucket_matching(b_img, barcode(f.target), "death"))
 
 
 def _validate_representation(sigma: RepMatching, b_src: Barcode, b_dst: Barcode):

@@ -2,7 +2,9 @@
 
 Subcommands: barcode, match, sum, catalog, random.  Reports are JSON
 with sorted keys (byte-deterministic given the same file and flags) or
-an ASCII bar rendering.  Exit codes: 0 ok, 2 parse error (including
+an ASCII bar rendering.  Every report reads the morphism off one matrix
+between the persistence bases of its ends: the image barcode, the
+tables, chi and the --eps shift.  Exit codes: 0 ok, 2 parse error (including
 a dimension above gf.MAX_DIM), 3 validation error, 4 usage error
 (including a catalog --dump DIR that cannot be written), 5 incompatible
 inputs (including a sum past the field bound or the dimension cap).
@@ -27,7 +29,7 @@ from .modules import (
     ValidationError,
     barcode,
     direct_sum_morphism,
-    image_module,
+    image_barcode,
     shift_morphism,
 )
 
@@ -125,8 +127,7 @@ def _render_barcode_panel(title: str, bc: Barcode, n: int) -> list[str]:
 
 
 def cmd_barcode(f: Morphism, fmt: str) -> int:
-    image, _ = image_module(f)
-    b_src, b_dst, b_img = barcode(f.source), barcode(f.target), barcode(image)
+    b_src, b_dst, b_img = barcode(f.source), barcode(f.target), image_barcode(f)
     if fmt == "ascii":
         lines = (
             _render_barcode_panel("source", b_src, f.n)

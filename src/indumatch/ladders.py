@@ -19,9 +19,9 @@ from .modules import (
     GridInterval,
     Morphism,
     PersistenceModule,
-    direct_sum,
     hom_exists,
     interval_module,
+    module_from_bars,
     zero_module,
 )
 
@@ -134,7 +134,6 @@ def _random_decomposition(n: int, max_dim: int, p: int, rng: random.Random):
     basis change per grid position.  Returns (intervals, changes, module)."""
     dims = [0] * n
     intervals: list[GridInterval] = []
-    acc = zero_module(n, p)
     for _ in range(rng.randrange(0, 2 * n + 1)):
         a = rng.randint(1, n)
         b = rng.randint(a, n)
@@ -143,7 +142,7 @@ def _random_decomposition(n: int, max_dim: int, p: int, rng: random.Random):
         for t in range(a, b + 1):
             dims[t - 1] += 1
         intervals.append(GridInterval(a, b))
-        acc = direct_sum(acc, interval_module(n, p, GridInterval(a, b)))
+    acc = module_from_bars(n, p, intervals)
     changes = [_random_invertible(d, p, rng) for d in acc.dims]
     maps = []
     for t in range(1, n):

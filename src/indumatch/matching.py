@@ -9,10 +9,10 @@ all die where I meets J; its barcode is the table entry of the
 persistence-valued matching, and its size the entry of the counting
 matching.  Both tables are linear under direct sums of morphisms.
 
-f is read off the persistence bases of its two ends: by the operator
-proof block in modules.py, the y spaces are meets and sums of column
-sets of F_t, f_t between the generators alive at t, and coordinate
-subspaces.  These frames are the only thing a morphism caches.
+f is read off the persistence bases of its two ends as one matrix M
+(see the proof block in modules.py): F_t, f_t between the generators
+alive at t, is a slice of M, and the y spaces are meets and sums of
+column sets of F_t and coordinate subspaces.
 """
 
 from __future__ import annotations
@@ -34,23 +34,9 @@ from .modules import (
     interval_sort_key,
     persistence_basis,
     zero_module,
+    _basis_matrix,
+    _BasisMatrix,
 )
-
-
-def _frame(f: Morphism, t: int):
-    """f's frame at t, (src_a, src_b, tgt_a, tgt_b, T_t, F_t): the generators
-    alive at t as in alive_columns, and T_t F_t = f_t S_t; cached on f."""
-    if f._frames is None:
-        frames = []
-        for s in range(1, f.n + 1):
-            src_a, src_b, src = persistence_basis(f.source).alive_columns(s)
-            tgt_a, tgt_b, tgt = persistence_basis(f.target).alive_columns(s)
-            coords = gf.solve(tgt, gf.matmul(f.comp(s), src, f.p), f.p)
-            if coords is None:  # cannot happen: tgt is a basis of W(s)
-                raise AssertionError(f"target basis at t={s} does not span f_{s}")
-            frames.append((src_a, src_b, tgt_a, tgt_b, tgt, coords))
-        f._frames = tuple(frames)
-    return f._frames[t - 1]
 
 
 def _meet(block: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -58,21 +44,20 @@ def _meet(block: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     return gf.matmul(block, gf._null_basis(block[~rows], p), p)
 
 
-def _upper(f: Morphism, i: GridInterval, j: GridInterval, t: int):
-    """T_t and columns spanning y_plus in f's frame at t."""
-    src_a, src_b, tgt_a, tgt_b, tgt, coords = _frame(f, t)
-    src_plus = (src_a <= i.a) & (src_b <= i.b)
-    return tgt, _meet(coords[:, src_plus], (tgt_a <= j.a) & (tgt_b <= j.b), f.p)
+def _upper(ft: _BasisMatrix, i: GridInterval, j: GridInterval) -> np.ndarray:
+    """Columns spanning y_plus in the target generators, from ft = F_t."""
+    src_plus = (ft.src_a <= i.a) & (ft.src_b <= i.b)
+    return _meet(ft.m[:, src_plus], (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b), ft.p)
 
 
-def _lower(f: Morphism, i: GridInterval, j: GridInterval, t: int):
-    """T_t, columns spanning y_minus off the v_minus_tgt(J) rows, those rows."""
-    src_a, src_b, tgt_a, tgt_b, tgt, coords = _frame(f, t)
-    tgt_plus = (tgt_a <= j.a) & (tgt_b <= j.b)
-    early = _meet(coords[:, src_a < i.a], tgt_plus, f.p)
-    src_minus = (src_a <= i.a) & (src_b <= i.b) & ((src_a < i.a) | (src_b < i.b))
-    tgt_minus = tgt_plus & ((tgt_a < j.a) | (tgt_b < j.b))
-    return tgt, np.hstack([coords[:, src_minus], early]), tgt_minus
+def _lower(ft: _BasisMatrix, i: GridInterval, j: GridInterval):
+    """Columns spanning y_minus off the v_minus_tgt(J) rows, and those rows."""
+    tgt_plus = (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b)
+    early = _meet(ft.m[:, ft.src_a < i.a], tgt_plus, ft.p)
+    src_minus = ((ft.src_a <= i.a) & (ft.src_b <= i.b)
+                 & ((ft.src_a < i.a) | (ft.src_b < i.b)))
+    tgt_minus = tgt_plus & ((ft.tgt_a < j.a) | (ft.tgt_b < j.b))
+    return np.hstack([ft.m[:, src_minus], early]), tgt_minus
 
 
 def y_plus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
@@ -80,7 +65,9 @@ def y_plus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
     k = i.intersect(j)
     if k is None or not k.contains(t):
         return Subspace.zero(f.target.dim(t), f.p)
-    return Subspace.image(gf.matmul(*_upper(f, i, j, t), f.p), f.p)
+    tgt = persistence_basis(f.target).alive_columns(t)[2]
+    upper = _upper(_basis_matrix(f).at(t), i, j)
+    return Subspace.image(gf.matmul(tgt, upper, f.p), f.p)
 
 
 def y_minus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
@@ -97,7 +84,8 @@ def y_minus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
     k = i.intersect(j)
     if k is None or not k.contains(t):
         return Subspace.zero(f.target.dim(t), f.p)
-    tgt, lower, rows = _lower(f, i, j, t)
+    tgt = persistence_basis(f.target).alive_columns(t)[2]
+    lower, rows = _lower(_basis_matrix(f).at(t), i, j)
     return Subspace.image(np.hstack([gf.matmul(tgt, lower, f.p), tgt[:, rows]]), f.p)
 
 
@@ -147,21 +135,20 @@ def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
     return XModule(support, PersistenceModule(p, dims, maps))
 
 
-def _entry_count(f: Morphism, i: GridInterval, j: GridInterval) -> int:
-    """Bar count of the comparison module: its dimension at the shared death.
+def _entry_count(ft: _BasisMatrix, i: GridInterval, j: GridInterval) -> int:
+    """Bar count of the comparison module of (I, J): its dimension at the
+    shared death t = min(I.b, J.b), read off ft = F_t.
 
-    That is dim (y_minus + y_plus) - dim y_minus in the frame at the shared
-    death, modulo the v_minus_tgt(J) rows (y_minus holds those coordinate
-    vectors): the pivots of one rref of [lower | upper] that fall in upper.
+    That is dim (y_minus + y_plus) - dim y_minus in the target generators
+    alive at t, modulo the v_minus_tgt(J) rows (y_minus holds those
+    coordinate vectors): the pivots of one rref of [lower | upper] that
+    fall in upper.
     """
-    k = i.intersect(j)
-    if k is None:
-        return 0
-    _, upper = _upper(f, i, j, k.b)
+    upper = _upper(ft, i, j)
     if not upper.any():
         return 0
-    _, lower, rows = _lower(f, i, j, k.b)
-    _, pivots = gf.rref(np.hstack([lower, upper])[~rows], f.p)
+    lower, rows = _lower(ft, i, j)
+    _, pivots = gf.rref(np.hstack([lower, upper])[~rows], ft.p)
     return sum(c >= lower.shape[1] for c in pivots)
 
 
@@ -244,8 +231,11 @@ def m_matching(f: Morphism) -> MMatchingTable:
     """
     b_src = barcode(f.source)
     b_dst = barcode(f.target)
+    # A hom pair overlaps, and J ends first: the shared death is J.b.
+    bm = _basis_matrix(f)
+    at = {t: bm.at(t) for t in {j.b for j in b_dst.intervals()}}
     entries = {
-        (i, j): _entry_count(f, i, j)
+        (i, j): _entry_count(at[j.b], i, j)
         for i in b_src.intervals()
         for j in b_dst.intervals()
         if hom_exists(i, j)

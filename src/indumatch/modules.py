@@ -8,13 +8,18 @@ API are 1-based, matching the usual way these diagrams are written.
 It reads the barcode and the subspace operators that carve out, at a
 single grid position, the part of the module belonging to an interval
 (im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus) off the
-persistence basis, the only thing a module caches, and provides image
-modules and the shift-and-image endofunctor used for stability.
+persistence basis, the only thing a module caches.  A morphism f is
+read off the persistence bases of its two ends as one matrix M, the
+only thing a morphism caches; the image barcode and the shift functor
+are read off M.  The image factorization and the composite maps stay
+as public referees.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -215,7 +220,7 @@ class Morphism:
         self.comps = tuple(gf.normalize(c, source.p) for c in comps)
         for c in self.comps:
             c.setflags(write=False)
-        self._frames: tuple | None = None  # filled by matching._frame
+        self._matrix: "_BasisMatrix | None" = None  # filled by _basis_matrix
 
     @property
     def n(self) -> int:
@@ -300,22 +305,44 @@ class Morphism:
         )
 
 
+def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
+    """The direct sum of the interval modules of bars, in their order.
+
+    V(t) has one coordinate per bar alive at t, in the order given, and
+    the structure map V(t) -> V(t+1) keeps the bars that survive and
+    drops the rest, a 0/1 selection.  The standard basis vectors are a
+    persistence basis; it is seeded on the module, so no sweep runs on it.
+    """
+    bars = list(bars)
+    for iv in bars:
+        if iv.b > n:
+            raise ValueError(f"interval {iv} does not fit grid of length {n}")
+    starts = np.array([iv.a for iv in bars], dtype=np.int64)
+    ends = np.array([iv.b for iv in bars], dtype=np.int64)
+    alive = [np.nonzero((starts <= t) & (t <= ends))[0] for t in range(1, n + 1)]
+    maps = [(alive[t][:, None] == alive[t - 1]).astype(np.int64) for t in range(1, n)]
+    m = PersistenceModule(p, [len(k) for k in alive], maps)
+    gens = []
+    for k, iv in enumerate(bars):
+        vectors = []
+        for t in iv:
+            v = gf.zeros(m.dims[t - 1], 1)
+            v[np.searchsorted(alive[t - 1], k), 0] = 1
+            v.setflags(write=False)
+            vectors.append(v)
+        gens.append(Generator(iv, tuple(vectors)))
+    gens.sort(key=lambda g: interval_sort_key(g.interval))
+    m._basis = PersistenceBasis(tuple(gens))
+    return m
+
+
 def zero_module(n: int, p: int) -> PersistenceModule:
-    return PersistenceModule(p, [0] * n, [gf.zeros(0, 0)] * (n - 1))
+    return module_from_bars(n, p, [])
 
 
 def interval_module(n: int, p: int, iv: GridInterval) -> PersistenceModule:
     """One-dimensional on the interval with identity maps, zero elsewhere."""
-    if iv.b > n:
-        raise ValueError(f"interval {iv} does not fit grid of length {n}")
-    dims = [1 if iv.contains(t) else 0 for t in range(1, n + 1)]
-    maps = []
-    for t in range(1, n):
-        if iv.contains(t) and iv.contains(t + 1):
-            maps.append(gf.identity(1))
-        else:
-            maps.append(gf.zeros(dims[t], dims[t - 1]))
-    return PersistenceModule(p, dims, maps)
+    return module_from_bars(n, p, [iv])
 
 
 def direct_sum(x: PersistenceModule, y: PersistenceModule) -> PersistenceModule:
@@ -401,6 +428,80 @@ def _require_in_interval(iv: GridInterval, t: int):
 
 
 # ---------------------------------------------------------------------------
+# A morphism between the persistence bases.
+#
+# Write f_t g_t = sum_h F_t[h, g] h_t for the generators g, h of the
+# source and target bases alive at t.  For g alive at t and t+1,
+# naturality gives f_{t+1} g_{t+1} = f_{t+1} V_t g_t = W_t f_t g_t, and
+# W_t sends h_t to h_{t+1} if h survives t, else to 0; comparing
+# coefficients of the basis h_{t+1}:
+#   F_{t+1}[h, g] = F_t[h, g] for h alive at t and t+1, 0 for h born at t+1.
+# So every F_t is a slice of one matrix M, rows the target generators and
+# columns the source ones, F_t = M[alive at t, alive at t], and M[h, g] can
+# be read at t = g.a.  A nonzero M[h, g] is a nonzero map from g's interval
+# module to h's, so hom_exists(g.interval, h.interval) holds.
+
+
+@dataclass(frozen=True)
+class _BasisMatrix:
+    """M with the starts and ends of its columns (source generators) and
+    rows (target generators), in basis order; at(t) is F_t."""
+
+    p: int
+    src_a: np.ndarray
+    src_b: np.ndarray
+    tgt_a: np.ndarray
+    tgt_b: np.ndarray
+    m: np.ndarray
+
+    def at(self, t: int) -> "_BasisMatrix":
+        """F_t: f_t from the source generators alive at t to the target ones."""
+        return self.select((self.tgt_a <= t) & (t <= self.tgt_b),
+                           (self.src_a <= t) & (t <= self.src_b))
+
+    def select(self, rows, cols) -> "_BasisMatrix":
+        return _BasisMatrix(self.p, self.src_a[cols], self.src_b[cols],
+                            self.tgt_a[rows], self.tgt_b[rows], self.m[rows][:, cols])
+
+
+def _check_support(bm: _BasisMatrix) -> _BasisMatrix:
+    """bm, once every nonzero entry is known to sit on a hom_exists pair."""
+    hom = ((bm.tgt_a[:, None] <= bm.src_a) & (bm.src_a <= bm.tgt_b[:, None])
+           & (bm.tgt_b[:, None] <= bm.src_b))
+    bad = np.argwhere((bm.m != 0) & ~hom)
+    if bad.size:
+        h, g = (int(x) for x in bad[0])
+        src = GridInterval(int(bm.src_a[g]), int(bm.src_b[g]))
+        tgt = GridInterval(int(bm.tgt_a[h]), int(bm.tgt_b[h]))
+        raise AssertionError(
+            f"f at t={src.a} sends source generator {src} onto target generator"
+            f" {tgt} with coefficient {bm.m[h, g]}, but no nonzero map {src} -> {tgt}"
+            " exists")
+    return bm
+
+
+def _basis_matrix(f: Morphism) -> _BasisMatrix:
+    """f's M, cached on f: one gf.solve per distinct source birth s, for
+    the columns of the generators born at s against the target generators
+    alive at s, which include every h that column can reach."""
+    if f._matrix is None:
+        p = f.p
+        alpha, beta = persistence_basis(f.source), persistence_basis(f.target)
+        (src_a, src_b), (tgt_a, tgt_b) = alpha._endpoints, beta._endpoints
+        m = gf.zeros(len(tgt_a), len(src_a))
+        for s in sorted(set(src_a.tolist())):
+            cols = np.nonzero(src_a == s)[0]
+            src = np.hstack([alpha.generators[g].vector_at(s) for g in cols])
+            _, _, tgt = beta.alive_columns(s)
+            coords = gf.solve(tgt, gf.matmul(f.comp(s), src, p), p)
+            if coords is None:  # cannot happen: tgt is a basis of W(s)
+                raise AssertionError(f"target basis at t={s} does not span f_{s}")
+            m[beta._alive(s)[:, None], cols] = coords
+        f._matrix = _check_support(_BasisMatrix(p, src_a, src_b, tgt_a, tgt_b, m))
+    return f._matrix
+
+
+# ---------------------------------------------------------------------------
 # Persistence bases.
 
 
@@ -427,16 +528,26 @@ class PersistenceBasis:
             entries[g.interval] = entries.get(g.interval, 0) + 1
         return Barcode(entries)
 
+    @cached_property
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Starts and ends of the generators, in basis order."""
+        return (np.array([g.interval.a for g in self.generators], dtype=np.int64),
+                np.array([g.interval.b for g in self.generators], dtype=np.int64))
+
+    def _alive(self, t: int) -> np.ndarray:
+        starts, ends = self._endpoints
+        return np.nonzero((starts <= t) & (t <= ends))[0]
+
     def alive_at(self, t: int) -> list[Generator]:
-        return [g for g in self.generators if g.interval.contains(t)]
+        return [self.generators[k] for k in self._alive(t)]
 
     def alive_columns(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Starts, ends and vectors (as columns) of the generators alive at t."""
-        alive = self.alive_at(t)
-        starts = np.array([g.interval.a for g in alive], dtype=np.int64)
-        ends = np.array([g.interval.b for g in alive], dtype=np.int64)
-        cols = np.hstack([g.vector_at(t) for g in alive]) if alive else gf.zeros(0, 0)
-        return starts, ends, cols
+        alive = self._alive(t)
+        cols = (np.hstack([self.generators[k].vector_at(t) for k in alive])
+                if alive.size else gf.zeros(0, 0))
+        starts, ends = self._endpoints
+        return starts[alive], ends[alive], cols
 
     def validate(self, m: PersistenceModule) -> "PersistenceBasis":
         for g in self.generators:
@@ -559,6 +670,34 @@ def barcode(m: PersistenceModule) -> Barcode:
 # Image modules and the shift functor.
 
 
+def image_barcode(f: Morphism) -> Barcode:
+    """Barcode of the image of f, read off M without building the image.
+
+    The rank r(s, t) of Im(s) -> Im(t) is that of f_t on the source
+    generators alive at t that start by s: a prefix of the columns of F_t,
+    which are sorted by start.  So one rref of F_t gives every s at once,
+    since the pivots in a prefix count its rank: the pivots that start at
+    s number r(s, t) - r(s-1, t).  Inclusion-exclusion, as in
+    oracle.naive_barcode, makes [a, b]'s multiplicity the count at (a, b)
+    less the count at (a, b+1).
+    """
+    bm = _basis_matrix(f)
+    born = []  # per t: start -> number of pivots of F_t with that start
+    for t in range(1, f.n + 1):
+        ft = bm.at(t)
+        _, pivots = gf.rref(ft.m, f.p)
+        born.append(Counter(ft.src_a[list(pivots)].tolist()))
+    born.append(Counter())
+    entries: dict[GridInterval, int] = {}
+    for b in range(1, f.n + 1):
+        for a, k in born[b - 1].items():
+            mult = k - born[b][a]
+            if mult < 0:
+                raise AssertionError(f"image barcode: multiplicity {mult} at [{a},{b}]")
+            entries[GridInterval(a, b)] = mult
+    return Barcode(entries)
+
+
 def image_factorization(
     f: Morphism,
 ) -> tuple[PersistenceModule, Morphism, Morphism]:
@@ -566,7 +705,8 @@ def image_factorization(
 
     Returns (image module, projection source ->> image, embedding
     image >-> target).  The image value at t is the column space of the
-    component f_t inside the target, in canonical basis.
+    component f_t inside the target, in canonical basis.  No production
+    path calls it: it referees image_barcode, chi and shift_morphism.
     """
     p = f.p
     bases = [Subspace.image(f.comp(t), p).basis for t in range(1, f.n + 1)]
@@ -626,19 +766,28 @@ def shift_module(m: PersistenceModule, eps: int) -> PersistenceModule:
 
 
 def shift_morphism(f: Morphism, eps: int) -> Morphism:
-    """The morphism induced between the shifted source and target."""
+    """The morphism induced between the shifted source and target, read off M.
+
+    im(V(t) -> V(t+eps)) is spanned by the generators alive at t and
+    t+eps, so the shift keeps each bar [a, b] with b - a >= eps as
+    [a, b - eps].  Its two modules are built from those bars in
+    persistence coordinates, and its M is f's on the kept generators,
+    less the entries whose shortened bars no longer overlap; the support
+    check stands for "the shifted image stays in the target's".  The
+    result is isomorphic to the morphism between the shift_module images.
+    """
     _check_eps(f.n, eps)
-    _, _, src_embed = image_factorization(one_eps_morphism(f.source, eps))
-    _, _, dst_embed = image_factorization(one_eps_morphism(f.target, eps))
-    p = f.p
-    comps = []
-    for t in range(1, f.n - eps + 1):
-        pushed = gf.matmul(f.comp(t + eps), src_embed.comp(t), p)
-        coords = gf.solve(dst_embed.comp(t), pushed, p)
-        if coords is None:
-            raise AssertionError(f"shifted image escapes the target image at t={t}")
-        comps.append(coords)
-    return Morphism(src_embed.source, dst_embed.source, comps)
+    bm = _basis_matrix(f)
+    kept = bm.select(bm.tgt_b - bm.tgt_a >= eps, bm.src_b - bm.src_a >= eps)
+    src_b, tgt_b = kept.src_b - eps, kept.tgt_b - eps
+    m = np.where(kept.src_a <= tgt_b[:, None], kept.m, 0)
+    shifted = _check_support(_BasisMatrix(f.p, kept.src_a, src_b, kept.tgt_a, tgt_b, m))
+    n = f.n - eps
+    source = module_from_bars(n, f.p, map(GridInterval, kept.src_a.tolist(), src_b.tolist()))
+    target = module_from_bars(n, f.p, map(GridInterval, kept.tgt_a.tolist(), tgt_b.tolist()))
+    g = Morphism(source, target, [shifted.at(t).m for t in range(1, n + 1)])
+    g._matrix = shifted
+    return g
 
 
 def _check_eps(n: int, eps: int):

@@ -41,6 +41,7 @@ from indumatch import (
 from indumatch.gf import Subspace
 from indumatch import matching
 from indumatch.matching import MMatchingTable, _entry_count
+from indumatch.modules import _basis_matrix
 
 from conftest import iv, mat
 
@@ -94,7 +95,7 @@ def test_y_spaces_zero_off_overlap(wide_ladder):
 
 # Referee: the y spaces as pushed subspaces, f_t applied to the spans of
 # the source operators and then intersected and summed with the target
-# operators in W(t), independent of the frames the library reads them off.
+# operators in W(t), independent of the matrix M the library reads them off.
 
 
 def _ref_pushed(f, op, i, t):
@@ -124,7 +125,8 @@ def assert_y_spaces_match_referee(f):
                 assert y_minus(f, i, j, t) == ym, ("y_minus", i, j, t)
             # t is now the shared death, where the entry is counted.
             count = gf.sum_subspaces(ym, yp).dim - ym.dim
-            assert _entry_count(f, i, j) == count, ("count", i, j)
+            ft = _basis_matrix(f).at(t)
+            assert _entry_count(ft, i, j) == count, ("count", i, j)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -272,7 +274,7 @@ def full_scan_counts(f):
             yp = y_plus(f, i, j, k.b)
             ym = y_minus(f, i, j, k.b)
             c = yp.dim - gf.intersect(ym, yp).dim
-            assert _entry_count(f, i, j) == c
+            assert _entry_count(_basis_matrix(f).at(k.b), i, j) == c
             if not hom_exists(i, j):
                 assert c == 0, (i, j)
             if c:
@@ -298,9 +300,9 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
     )
     visited = []
 
-    def counting(f, i, j):
+    def counting(ft, i, j):
         visited.append((i, j))
-        return _entry_count(f, i, j)
+        return _entry_count(ft, i, j)
 
     monkeypatch.setattr(matching, "_entry_count", counting)
     m_matching(f)
