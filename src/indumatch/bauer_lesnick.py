@@ -19,6 +19,7 @@ from .matching import IndexedBar, RepMatching, m_matching, representation
 from .modules import (
     Barcode,
     GridInterval,
+    InvariantError,
     Morphism,
     barcode,
     image_barcode,
@@ -40,7 +41,7 @@ def _bucket_matching(b_src: Barcode, b_dst: Barcode, by: str) -> RepMatching:
     """Bars born together (by="birth") or dying together (by="death")
     matched longest first.  A surjection adds no births, so at a birth
     every target bar needs a partner; an injection loses no deaths, so
-    at a death every source bar does.  A shortfall raises AssertionError.
+    at a death every source bar does.  A shortfall raises InvariantError.
     """
     end = (lambda iv: iv.a) if by == "birth" else (lambda iv: iv.b)
     src, dst = _buckets(b_src, end), _buckets(b_dst, end)
@@ -50,7 +51,7 @@ def _bucket_matching(b_src: Barcode, b_dst: Barcode, by: str) -> RepMatching:
         need, have = (r, q) if by == "birth" else (q, r)
         if len(need) > len(have):
             side = "target" if by == "birth" else "source"
-            raise AssertionError(f"{len(need)} {side} bars with {by} t={t} but only"
+            raise InvariantError(f"{len(need)} {side} bars with {by} t={t} but only"
                                  f" {len(have)} to match them")
         pairs.update(zip(q, r))
     return RepMatching(pairs)

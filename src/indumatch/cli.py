@@ -4,10 +4,13 @@ Subcommands: barcode, match, sum, catalog, random.  Reports are JSON
 with sorted keys (byte-deterministic given the same file and flags) or
 an ASCII bar rendering.  Every report reads the morphism off one matrix
 between the persistence bases of its ends: the image barcode, the
-tables, chi and the --eps shift.  Exit codes: 0 ok, 2 parse error (including
-a dimension above gf.MAX_DIM), 3 validation error, 4 usage error
-(including a catalog --dump DIR that cannot be written), 5 incompatible
-inputs (including a sum past the field bound or the dimension cap).
+tables, chi and the --eps shift.  Exit codes: 0 ok, 2 parse error
+(including a dimension above gf.MAX_DIM or a file past the work bound
+gf.MAX_WORK), 3 validation error, 4 usage error (including a catalog
+--dump DIR that cannot be written and random arguments whose output
+could pass either bound), 5 incompatible inputs (including a sum past
+the field bound, the dimension cap or the work bound), 6 internal
+invariant failure (a bug; the message names the failing check).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .matching import g_matching, m_matching
 from .modules import (
     Barcode,
     GridInterval,
+    InvariantError,
     Morphism,
     ValidationError,
     barcode,
@@ -38,6 +42,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATE = 3
 EXIT_USAGE = 4
 EXIT_INCOMPATIBLE = 5
+EXIT_INTERNAL = 6
 
 
 class UsageError(Exception):
@@ -241,8 +246,10 @@ def cmd_sum(paths: list[str]) -> int:
     total = morphisms[0]
     for f in morphisms[1:]:
         total = direct_sum_morphism(total, f)
-    # Every input passed the field bound at its own dims; the sum's are larger.
-    problem = gf.field_error(total.p, max(total.source.dims + total.target.dims))
+    # Every input passed the field and work bounds at its own dims; the
+    # sum's are larger.
+    dims = total.source.dims + total.target.dims
+    problem = gf.field_error(total.p, max(dims)) or gf.work_error(total.n, sum(dims))
     if problem:
         sys.stderr.write(f"error: incompatible inputs: {problem}\n")
         return EXIT_INCOMPATIBLE
@@ -271,6 +278,20 @@ def cmd_catalog(dump: str | None, p: int) -> int:
         raise UsageError(f"--dump {dump}: cannot write there: {exc}") from exc
     sys.stderr.write(f"wrote {len(CATALOG_CODES)} files to {out}\n")
     return EXIT_OK
+
+
+def _check_random_args(n: int, max_dim: int):
+    """Refuse a grid or dimension random_ladder cannot draw, and any pair
+    whose output could pass the work bound: each module has at most
+    max_dim dimensions at each of its n positions."""
+    if n < 1:
+        raise UsageError(f"--n must be at least 1, got {n}")
+    if max_dim < 0:
+        raise UsageError(f"--max-dim must be at least 0, got {max_dim}")
+    problem = gf.work_error(n, 2 * n * max_dim)
+    if problem:
+        raise UsageError(f"--n {n} --max-dim {max_dim} could pass the work bound:"
+                         f" {problem}")
 
 
 def cmd_random(n: int, max_dim: int, seed: int | None, p: int) -> int:
@@ -310,6 +331,8 @@ def main(argv=None) -> int:
             problem = gf.field_error(args.prime, top)
             if problem:
                 raise UsageError(problem)
+        if args.command == "random":
+            _check_random_args(args.n, args.max_dim)
         if args.command == "catalog":
             return cmd_catalog(args.dump, args.prime)
         if args.command == "random":
@@ -324,6 +347,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATE
+    except InvariantError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

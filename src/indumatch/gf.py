@@ -34,6 +34,15 @@ class WellDefinednessError(ValueError):
 # dimension exhausts memory or runs for hours.
 MAX_DIM = 256
 
+# Largest work measure of one ladder, n + the sum of every dimension of
+# both modules, i.e. the sum over grid positions t of 1 + dim V(t) +
+# dim W(t).  MAX_DIM bounds the work per position, not per file: without
+# this bound the cost grows linearly in n (about 0.5 ms per input byte,
+# so a file of a few hundred KB runs for minutes).  At the bound,
+# barcode, match m and chi take under a second; match g, whose cost grows
+# as n times its nonzero entries, can take ten.
+MAX_WORK = 4096
+
 
 def field_error(p: int, max_dim: int) -> str | None:
     """Why GF(p) is refused at this dimension, or None if it is usable.
@@ -49,6 +58,15 @@ def field_error(p: int, max_dim: int) -> str | None:
         return f"p={p} is too large for exact int64 arithmetic at dimension {max_dim}"
     if not is_prime(p):
         return f"p={p} is not prime"
+    return None
+
+
+def work_error(n: int, total_dim: int) -> str | None:
+    """Why a ladder on n positions whose dims sum to total_dim is refused,
+    or None if n + total_dim is within MAX_WORK."""
+    if n + total_dim > MAX_WORK:
+        return (f"n + the sum of all dims is {n + total_dim}, above the work"
+                f" bound of {MAX_WORK}")
     return None
 
 

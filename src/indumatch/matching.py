@@ -27,6 +27,7 @@ from .gf import Subspace
 from .modules import (
     Barcode,
     GridInterval,
+    InvariantError,
     Morphism,
     PersistenceModule,
     barcode,
@@ -128,7 +129,8 @@ def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
                 f.target.map(t), big[t], small[t], big[t + 1], small[t + 1], p
             )
             if gf.rank(mt, p) != dims[t - 1]:
-                raise AssertionError(f"comparison module not injective at t={t}")
+                raise InvariantError(f"comparison module of ({i},{j}) not injective"
+                                     f" at t={t}")
             maps.append(mt)
         else:
             maps.append(gf.zeros(dims[t], dims[t - 1]))
@@ -258,9 +260,11 @@ def g_matching(f: Morphism) -> GMatchingTable:
         x = x_module(f, i, j)
         bars = barcode(x.module)
         if bars.total() != count:
-            raise AssertionError(f"bar count of ({i},{j}) disagrees with m")
+            raise InvariantError(f"bar count {bars.total()} of ({i},{j}) disagrees"
+                                 f" with m = {count}")
         if any(iv.b != x.support.b for iv in bars.intervals()):
-            raise AssertionError(f"a bar of ({i},{j}) misses the shared death")
+            raise InvariantError(f"a bar of ({i},{j}) misses the shared death"
+                                 f" t={x.support.b}")
         entries[(i, j)] = bars
     return GMatchingTable(entries)
 

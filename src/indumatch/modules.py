@@ -31,6 +31,14 @@ class ValidationError(ValueError):
     """A module or morphism breaks one of its structural invariants."""
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: a bug, not bad input.
+
+    Raised explicitly, so it survives python -O; the CLI maps it to its
+    own exit code.
+    """
+
+
 @dataclass(frozen=True)
 class GridInterval:
     """Discrete closed interval [a, b] of grid positions, 1 <= a <= b."""
@@ -473,7 +481,7 @@ def _check_support(bm: _BasisMatrix) -> _BasisMatrix:
         h, g = (int(x) for x in bad[0])
         src = GridInterval(int(bm.src_a[g]), int(bm.src_b[g]))
         tgt = GridInterval(int(bm.tgt_a[h]), int(bm.tgt_b[h]))
-        raise AssertionError(
+        raise InvariantError(
             f"f at t={src.a} sends source generator {src} onto target generator"
             f" {tgt} with coefficient {bm.m[h, g]}, but no nonzero map {src} -> {tgt}"
             " exists")
@@ -495,7 +503,7 @@ def _basis_matrix(f: Morphism) -> _BasisMatrix:
             _, _, tgt = beta.alive_columns(s)
             coords = gf.solve(tgt, gf.matmul(f.comp(s), src, p), p)
             if coords is None:  # cannot happen: tgt is a basis of W(s)
-                raise AssertionError(f"target basis at t={s} does not span f_{s}")
+                raise InvariantError(f"target basis at t={s} does not span f_{s}")
             m[beta._alive(s)[:, None], cols] = coords
         f._matrix = _check_support(_BasisMatrix(p, src_a, src_b, tgt_a, tgt_b, m))
     return f._matrix
@@ -693,7 +701,7 @@ def image_barcode(f: Morphism) -> Barcode:
         for a, k in born[b - 1].items():
             mult = k - born[b][a]
             if mult < 0:
-                raise AssertionError(f"image barcode: multiplicity {mult} at [{a},{b}]")
+                raise InvariantError(f"image barcode: multiplicity {mult} at [{a},{b}]")
             entries[GridInterval(a, b)] = mult
     return Barcode(entries)
 
@@ -716,7 +724,7 @@ def image_factorization(
         pushed = gf.matmul(f.target.map(t), bases[t - 1], p)
         coords = gf.solve(bases[t], pushed, p)
         if coords is None:
-            raise AssertionError(f"image is not carried into itself at t={t}")
+            raise InvariantError(f"image is not carried into itself at t={t}")
         maps.append(coords)
     im = PersistenceModule(p, dims, maps)
     embed = Morphism(im, f.target, bases)
@@ -724,7 +732,7 @@ def image_factorization(
     for t in range(1, f.n + 1):
         coords = gf.solve(bases[t - 1], f.comp(t), p)
         if coords is None:
-            raise AssertionError(f"f does not land in its image at t={t}")
+            raise InvariantError(f"f does not land in its image at t={t}")
         proj_comps.append(coords)
     project = Morphism(f.source, im, proj_comps)
     return im, project, embed

@@ -3,7 +3,8 @@
 All matrices are flat row-major integer arrays; shapes are implied by
 the dimension sequences, and entries are reduced mod p on load.  A
 prime too large for exact int64 arithmetic at the file's dimensions is
-rejected (see gf.field_error).  The canonical dump (sorted keys,
+rejected (see gf.field_error), and so is a file past the work bound
+gf.MAX_WORK, before any matrix is read.  The canonical dump (sorted keys,
 two-space indent, trailing newline) makes equal data byte-identical.
 """
 
@@ -100,7 +101,8 @@ def morphism_from_dict(obj) -> Morphism:
     _expect(type(n) is int and n >= 1, "n must be a positive integer")
     src_dims = _dims(obj.get("source"), n, "source")
     dst_dims = _dims(obj.get("target"), n, "target")
-    problem = gf.field_error(p, max(src_dims + dst_dims))
+    problem = (gf.field_error(p, max(src_dims + dst_dims))
+               or gf.work_error(n, sum(src_dims) + sum(dst_dims)))
     _expect(problem is None, problem)
     source = _module_from_dict(obj["source"], src_dims, p, "source")
     target = _module_from_dict(obj["target"], dst_dims, p, "target")

@@ -5,8 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from indumatch import GridInterval, Morphism, PersistenceModule
-from indumatch import gf
+from indumatch import (
+    GridInterval,
+    Morphism,
+    PersistenceModule,
+    gf,
+    image_factorization,
+    one_eps_morphism,
+    persistence_basis,
+)
 
 
 def mat(rows):
@@ -71,3 +78,32 @@ def chain_module():
 
 def iv(a, b):
     return GridInterval(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Referees for what the library reads off a morphism's basis matrix M:
+# the definitions it used before M, built independently of it.
+
+
+def ref_frame(f, t):
+    """F_t by its definition, T_t F_t = f_t S_t, for the matrices S_t and
+    T_t of the source and target generators alive at t."""
+    _, _, src = persistence_basis(f.source).alive_columns(t)
+    _, _, tgt = persistence_basis(f.target).alive_columns(t)
+    coords = gf.solve(tgt, gf.matmul(f.comp(t), src, f.p), f.p)
+    assert coords is not None, f"target basis at t={t} does not span f_{t}"
+    return coords
+
+
+def ref_shift_morphism(f, eps):
+    """The morphism between the shift_module images of f's two ends, in
+    their canonical image bases, by image factorization."""
+    _, _, src_embed = image_factorization(one_eps_morphism(f.source, eps))
+    _, _, dst_embed = image_factorization(one_eps_morphism(f.target, eps))
+    comps = []
+    for t in range(1, f.n - eps + 1):
+        pushed = gf.matmul(f.comp(t + eps), src_embed.comp(t), f.p)
+        coords = gf.solve(dst_embed.comp(t), pushed, f.p)
+        assert coords is not None, f"shifted image escapes the target image at t={t}"
+        comps.append(coords)
+    return Morphism(src_embed.source, dst_embed.source, comps)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indumatch import (
     Barcode,
@@ -12,6 +14,7 @@ from indumatch import (
     barcode,
     chi,
     direct_sum,
+    direct_sum_morphism,
     gf,
     image_factorization,
     image_module,
@@ -26,10 +29,11 @@ from indumatch import (
     realize_as_m,
     representation,
     shift_module,
+    shift_morphism,
 )
 from indumatch.matching import RepMatching
 
-from conftest import iv, mat
+from conftest import iv, mat, ref_shift_morphism
 
 
 def embedding(n, p, small, big_summands):
@@ -141,6 +145,26 @@ def test_chi_recovers_image_barcode():
         assert Barcode(
             {k: c for k, c in overlaps.items()}
         ) == barcode(im)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 6),
+    max_dim=st.integers(0, 4),
+    p=st.sampled_from([2, 3, 5]),
+    seed=st.integers(0, 2**16),
+    other=st.integers(0, 2**16),
+    eps=st.integers(0, 4),
+)
+def test_chi_matches_image_factorization_referee(n, max_dim, p, seed, other, eps):
+    # chi reads three barcodes; the referee composes the two legs of the
+    # image factorization.
+    f = random_ladder(n, max_dim, p, seed)
+    eps = min(eps, n - 1)
+    for h in (f, direct_sum_morphism(f, random_ladder(n, max_dim, p, other)),
+              shift_morphism(f, eps), ref_shift_morphism(f, eps)):
+        _, project, embed = image_factorization(h)
+        assert chi(h) == lambda_(project).then(iota(embed))
 
 
 def test_chi_matched_pairs_are_admissible():

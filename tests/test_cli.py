@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indumatch
-from indumatch import LadderCode, cli, from_code, gf
+from indumatch import LadderCode, cli, from_code, gf, matching, modules, random_ladder
 from indumatch.cli import main
 from indumatch.serial import (
     dumps_canonical,
@@ -330,6 +330,47 @@ def test_sum_past_the_dimension_cap_exits_5(tmp_path, capsys):
     assert "incompatible" in err and f"dimension {gf.MAX_DIM + 2}" in err
 
 
+def _alternating_file(tmp_path, name, n, dim, last=None):
+    # Target dims alternate dim and 0 (the last position may differ) over
+    # an empty source, so no matrix has an entry and the file stays small.
+    dims = [dim if t % 2 == 0 else 0 for t in range(n)]
+    if last is not None:
+        dims[-1] = last
+    obj = {"format": "indumatch-ladder", "version": 1, "p": 2, "n": n,
+           "source": {"dims": [0] * n, "maps": [[]] * (n - 1)},
+           "target": {"dims": dims, "maps": [[]] * (n - 1)},
+           "morphism": [[]] * n}
+    path = tmp_path / name
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def test_work_bound_loads_at_the_bound_and_exits_2_past_it_quickly(tmp_path, capsys):
+    # n = 32 with 16 target dims of 254: 32 + 16 * 254 = 4096.
+    assert 32 + 16 * 254 == gf.MAX_WORK
+    at_bound = _alternating_file(tmp_path, "at.json", 32, 254)
+    code, out, _ = run_cli(capsys, "barcode", at_bound)
+    assert code == 0
+    assert json.loads(out)["barcode_target"][0]["multiplicity"] == 254
+    past = _alternating_file(tmp_path, "past.json", 32, 254, last=1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "barcode", past)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert f"{gf.MAX_WORK + 1}, above the work bound of {gf.MAX_WORK}" in err
+
+
+def test_sum_past_the_work_bound_exits_5(tmp_path, capsys):
+    # Each file is 64 + 32 * 64 = 2112; the sum, 64 + 32 * 128 = 4160, is
+    # past the work bound but within the dimension cap.
+    half = _alternating_file(tmp_path, "half.json", 64, 64)
+    code, out, err = run_cli(capsys, "sum", half, half)
+    assert code == 5
+    assert out == ""
+    assert "incompatible" in err and "4160, above the work bound" in err
+
+
 # ---------------------------------------------------------------------------
 # catalog and random
 
@@ -407,6 +448,35 @@ def test_prime_too_large_for_int64_exits_2_quickly(reference_ladder, tmp_path, c
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "too large" in err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["random", "--n", "-3"], "--n must be at least 1"),
+    (["random", "--n", "0"], "--n must be at least 1"),
+    (["random", "--max-dim", "-1"], "--max-dim must be at least 0"),
+    (["random", "--max-dim", str(gf.MAX_DIM + 1)], "above the cap"),
+    (["random", "--n", "1600"], "work bound"),
+    (["random", "--n", str(10**6), "--max-dim", "0"], "work bound"),
+])
+def test_bad_random_arguments_exit_4(capsys, argv, fragment):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert fragment in err
+
+
+def test_random_output_is_always_loadable(tmp_path, capsys):
+    # The largest n the work bound admits at --max-dim 1: n + 2n <= MAX_WORK.
+    n = gf.MAX_WORK // 3
+    code, out, _ = run_cli(capsys, "random", "--n", str(n), "--max-dim", "1")
+    assert code == 0
+    path = tmp_path / "big.json"
+    path.write_text(out, encoding="utf-8")
+    assert read_morphism(path).n == n
+    code, _, err = run_cli(capsys, "random", "--n", str(n + 1), "--max-dim", "1")
+    assert code == 4 and "work bound" in err
 
 
 def test_match_counts_ascii_table(thick_file, capsys):
@@ -509,6 +579,103 @@ def test_mutated_ladder_files_exit_with_a_documented_code(mutations, data):
             assert code in (0, 2, 3, 5), (argv[0], obj)
     if mutations == 0:
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# argument fuzz: any argv of random, catalog, sum and the match flags gives
+# a documented exit code, never a traceback.
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    files = []
+    for name, f in (("wide", random_ladder(6, 3, 2, 5)), ("gf5", random_ladder(6, 3, 5, 6)),
+                    ("short", from_code(LadderCode((1, 2, 1), (0, 1, 1)), 2))):
+        write_morphism(f, root / f"{name}.json")
+        files.append(str(root / f"{name}.json"))
+    files.append(str(root / "missing.json"))
+    return root, files
+
+
+INTS = st.integers(-3, 9) | st.sampled_from([10**6, gf.MAX_DIM + 1, gf.MAX_WORK + 1])
+FLAG = INTS.map(str) | st.sampled_from(["", "x", "1.5", "-"])
+
+
+def _argv(data, root, files):
+    head = data.draw(st.lists(st.sampled_from(
+        [["--prime", "2"], ["--prime", "5"], ["--prime", data.draw(FLAG)],
+         ["--format", "ascii"]]), max_size=2))
+    command = data.draw(st.sampled_from(["random", "catalog", "sum", "match"]))
+    rest = []
+    if command == "random":
+        for flag in ("--n", "--max-dim", "--seed"):
+            if data.draw(st.booleans()):
+                rest += [flag, data.draw(FLAG)]
+    elif command == "catalog" and data.draw(st.booleans()):
+        rest = ["--dump", data.draw(st.sampled_from([str(root / "dump"), files[0]]))]
+    elif command == "sum":
+        rest = data.draw(st.lists(st.sampled_from(files), min_size=1, max_size=3))
+    elif command == "match":
+        rest = [data.draw(st.sampled_from(files))]
+        if data.draw(st.booleans()):
+            rest += ["--method", data.draw(st.sampled_from(["m", "g", "chi", "x", ""]))]
+        if data.draw(st.booleans()):
+            rest += ["--eps", data.draw(FLAG)]
+    return [x for pair in head for x in pair] + [command] + rest
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_command_arguments_exit_with_a_documented_code(argv_files, data):
+    root, files = argv_files
+    argv = _argv(data, root, files)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# one production path, and internal invariant failures
+
+
+def test_cli_reads_nothing_through_the_image_factorization(
+        ref_file, wide_file, thick_file, tmp_path, capsys, monkeypatch):
+    rand = tmp_path / "rand.json"
+    write_morphism(random_ladder(6, 4, 3, 11), rand)
+    argvs = [argv for path in (ref_file, wide_file, thick_file, str(rand))
+             for argv in (["barcode", path], ["match", path, "--method", "chi"],
+                          ["match", path, "--method", "m", "--eps", "1"],
+                          ["match", path, "--method", "g", "--eps", "1"])]
+    want = [run_cli(capsys, *argv) for argv in argvs]
+
+    def referee_only(*args, **kwargs):
+        raise RuntimeError("a referee ran on the production path")
+
+    monkeypatch.setattr(modules, "image_factorization", referee_only)
+    monkeypatch.setattr(modules, "one_eps_morphism", referee_only)
+    monkeypatch.setattr(modules.PersistenceModule, "composite", referee_only)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+
+
+def _no_bars(f, i, j):
+    return matching.XModule(i.intersect(j), modules.zero_module(f.n, f.p))
+
+
+@pytest.mark.parametrize("owner, attr, fake, argv, message", [
+    (gf, "solve", lambda *args: None, ["barcode"],
+     "target basis at t=2 does not span f_2"),
+    (matching, "x_module", _no_bars, ["match", "--method", "g"],
+     "bar count 0 of ([2,2],[1,2]) disagrees with m = 1"),
+])
+def test_internal_invariant_failure_exits_6(ref_file, capsys, monkeypatch,
+                                            owner, attr, fake, argv, message):
+    monkeypatch.setattr(owner, attr, fake)
+    code, out, err = run_cli(capsys, argv[0], ref_file, *argv[1:])
+    assert code == 6
+    assert out == ""
+    assert err == f"internal error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from indumatch import (
     Barcode,
+    GridInterval,
     LadderCode,
+    PersistenceModule,
     THIN_CODES,
+    direct_sum,
     direct_sum_morphism,
     enumerate_catalog,
     from_code,
     g_matching,
+    gf,
     m_matching,
+    module_from_bars,
     random_ladder,
 )
 
@@ -133,3 +140,29 @@ def test_random_ladder_tables_double_under_self_sum():
     f = random_ladder(6, 4, 2, 777)
     doubled = m_matching(direct_sum_morphism(f, f)).as_dict()
     assert doubled == {k: 2 * c for k, c in m_matching(f).items()}
+
+
+def _ref_interval_module(n, p, interval):
+    dims = [1 if interval.contains(t) else 0 for t in range(1, n + 1)]
+    maps = [gf.identity(1) if interval.contains(t) and interval.contains(t + 1)
+            else gf.zeros(dims[t], dims[t - 1]) for t in range(1, n)]
+    return PersistenceModule(p, dims, maps)
+
+
+def test_module_from_bars_equals_direct_sum_of_interval_modules():
+    # The bar draws of random_ladder, summed one interval module at a time.
+    rng = random.Random(2024)
+    for _ in range(500):
+        n, max_dim, p = rng.randint(1, 7), rng.randint(0, 4), rng.choice([2, 3, 5, 7])
+        dims, bars = [0] * n, []
+        for _ in range(rng.randrange(0, 2 * n + 1)):
+            a = rng.randint(1, n)
+            b = rng.randint(a, n)
+            if all(dims[t - 1] < max_dim for t in range(a, b + 1)):
+                for t in range(a, b + 1):
+                    dims[t - 1] += 1
+                bars.append(GridInterval(a, b))
+        acc = PersistenceModule(p, [0] * n, [gf.zeros(0, 0)] * (n - 1))
+        for bar in bars:
+            acc = direct_sum(acc, _ref_interval_module(n, p, bar))
+        assert module_from_bars(n, p, bars) == acc

@@ -43,7 +43,7 @@ from indumatch import matching
 from indumatch.matching import MMatchingTable, _entry_count
 from indumatch.modules import _basis_matrix
 
-from conftest import iv, mat
+from conftest import iv, mat, ref_shift_morphism
 
 
 def interval_hom(n, p, src, dst):
@@ -538,3 +538,23 @@ def test_representation_realizes_counts_randomly():
         table = m_matching(f)
         rep = representation(table, barcode(f.source), barcode(f.target))
         assert rep.counts() == table.as_dict()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 6),
+    max_dim=st.integers(0, 4),
+    p=st.sampled_from([2, 3, 5]),
+    seed=st.integers(0, 2**16),
+    other=st.integers(0, 2**16),
+)
+def test_shift_tables_match_image_factorization_referee(n, max_dim, p, seed, other):
+    # The shift read off M is isomorphic to the morphism between the
+    # canonical image bases, so their tables agree.
+    f = random_ladder(n, max_dim, p, seed)
+    for h in (f, direct_sum_morphism(f, random_ladder(n, max_dim, p, other))):
+        for eps in range(1, n):
+            got, want = shift_morphism(h, eps), ref_shift_morphism(h, eps)
+            got.validate()
+            assert m_matching(got) == m_matching(want), eps
+            assert g_matching(got) == g_matching(want), eps

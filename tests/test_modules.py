@@ -21,11 +21,13 @@ from indumatch import (
     gf,
     im_minus,
     im_plus,
+    image_barcode,
     image_factorization,
     image_module,
     interval_module,
     ker_minus,
     ker_plus,
+    module_from_bars,
     one_eps_morphism,
     persistence_basis,
     random_ladder,
@@ -38,9 +40,10 @@ from indumatch import (
     zero_module,
 )
 from indumatch.gf import Subspace
+from indumatch.modules import InvariantError, _basis_matrix, _BasisMatrix, _check_support
 from indumatch.oracle import naive_barcode
 
-from conftest import iv, mat
+from conftest import iv, mat, ref_frame, ref_shift_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -496,3 +499,82 @@ def test_shift_morphism_validates_and_shifts_tables(wide_ladder):
 def test_shift_out_of_range(chain_module):
     with pytest.raises(ValueError):
         shift_module(chain_module, 3)
+
+
+# ---------------------------------------------------------------------------
+# the basis matrix M and what is read off it
+
+
+def test_basis_matrix_of_thick_ladder(thick_ladder):
+    bm = _basis_matrix(thick_ladder)
+    assert bm.src_a.tolist() == [2] and bm.src_b.tolist() == [3]
+    assert list(zip(bm.tgt_a.tolist(), bm.tgt_b.tolist())) == [(1, 2), (2, 3)]
+    # f_2 sends the source generator to (1, 1), the sum of both target ones.
+    assert bm.m.tolist() == [[1], [1]]
+    assert _basis_matrix(thick_ladder) is bm  # cached on the morphism
+
+
+def test_support_check_names_t_and_the_generator_pair():
+    # Target generator [2,5] outlives source generator [3,4]: no map exists.
+    bm = _BasisMatrix(2, np.array([3]), np.array([4]), np.array([2]), np.array([5]),
+                      mat([[1]]))
+    with pytest.raises(InvariantError, match=r"t=3 .*\[3,4\].*\[2,5\]"):
+        _check_support(bm)
+    assert _check_support(_BasisMatrix(2, bm.src_a, bm.src_b, bm.tgt_a, bm.tgt_a + 1,
+                                       bm.m)) is not None
+
+
+def test_image_barcode_of_reference(reference_ladder):
+    assert image_barcode(reference_ladder) == Barcode.from_pairs([(2, 2, 1)])
+
+
+def test_module_from_bars_seeds_a_valid_basis():
+    bars = [iv(2, 4), iv(1, 1), iv(2, 4), iv(3, 3), iv(1, 4)]
+    m = module_from_bars(4, 3, bars).validate()
+    assert m.dims == (2, 3, 4, 3)
+    pb = persistence_basis(m).validate(m)
+    assert [g.interval for g in pb.generators] == sorted(bars, key=lambda i: (i.a, -i.b))
+    assert barcode(m) == naive_barcode(m)
+    with pytest.raises(ValueError):
+        module_from_bars(3, 2, [iv(2, 4)])
+
+
+def _basis_matrix_cases(n, max_dim, p, seed, other, eps):
+    f = random_ladder(n, max_dim, p, seed)
+    g = random_ladder(n, max_dim, p, other)
+    eps = min(eps, n - 1)
+    return (f, direct_sum_morphism(f, g), shift_morphism(f, eps),
+            ref_shift_morphism(f, eps))
+
+
+CASES = dict(
+    n=st.integers(1, 6),
+    max_dim=st.integers(0, 4),
+    p=st.sampled_from([2, 3, 5]),
+    seed=st.integers(0, 2**16),
+    other=st.integers(0, 2**16),
+    eps=st.integers(0, 4),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(**CASES)
+def test_basis_matrix_slices_match_frame_referee(n, max_dim, p, seed, other, eps):
+    for f in _basis_matrix_cases(n, max_dim, p, seed, other, eps):
+        bm = _basis_matrix(f)
+        for t in range(1, f.n + 1):
+            ft = bm.at(t)
+            src_a, src_b, _ = persistence_basis(f.source).alive_columns(t)
+            tgt_a, tgt_b, _ = persistence_basis(f.target).alive_columns(t)
+            assert ft.src_a.tolist() == src_a.tolist()
+            assert ft.src_b.tolist() == src_b.tolist()
+            assert ft.tgt_a.tolist() == tgt_a.tolist()
+            assert ft.tgt_b.tolist() == tgt_b.tolist()
+            assert np.array_equal(ft.m, ref_frame(f, t)), t
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(**CASES)
+def test_image_barcode_matches_rank_referee(n, max_dim, p, seed, other, eps):
+    for f in _basis_matrix_cases(n, max_dim, p, seed, other, eps):
+        assert image_barcode(f) == naive_barcode(image_module(f)[0])
