@@ -1,16 +1,10 @@
 """Exact barcodes and morphism-induced partial matchings on a finite grid."""
 
 from .gf import (
-    ContainmentError,
     DimensionMismatch,
     Subspace,
-    WellDefinednessError,
-    induced_map_on_quotients,
     intersect,
-    preimage,
-    quotient_dim,
     rank,
-    sum_subspaces,
 )
 from .modules import (
     Barcode,

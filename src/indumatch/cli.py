@@ -296,7 +296,11 @@ def _check_random_args(n: int, max_dim: int):
 
 def cmd_random(n: int, max_dim: int, seed: int | None, p: int) -> int:
     if seed is None:
-        seed = int(os.environ.get("INDUMATCH_SEED", "0"))
+        env = os.environ.get("INDUMATCH_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise UsageError(f"INDUMATCH_SEED must be an integer, got {env!r}") from None
     f = random_ladder(n, max_dim, p, seed)
     sys.stdout.write(serial.dumps_canonical(serial.morphism_to_dict(f)))
     return EXIT_OK

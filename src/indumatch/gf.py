@@ -20,14 +20,6 @@ class DimensionMismatch(ValueError):
     """Operands live in incompatible ambient spaces."""
 
 
-class ContainmentError(ValueError):
-    """A subspace expected to contain another does not."""
-
-
-class WellDefinednessError(ValueError):
-    """A map does not respect the given filtrations."""
-
-
 # Largest dimension accepted at a grid position.  The basis sweep and
 # the reductions cost d^2 to d^3 steps per position and np.eye(d) takes
 # 8 d^2 bytes, so without a cap a file of a few bytes naming a huge
@@ -39,8 +31,8 @@ MAX_DIM = 256
 # dim W(t).  MAX_DIM bounds the work per position, not per file: without
 # this bound the cost grows linearly in n (about 0.5 ms per input byte,
 # so a file of a few hundred KB runs for minutes).  At the bound,
-# barcode, match m and chi take under a second; match g, whose cost grows
-# as n times its nonzero entries, can take ten.
+# barcode and match take about a second (match g 1.2 s on n = 1365 with
+# dims 1 on both sides and 1,365 nonzero entries).
 MAX_WORK = 4096
 
 
@@ -274,15 +266,6 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, p={self.p}, dim={self.dim})"
 
 
-def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    a._check_compatible(b)
-    if b.dim == 0 or a.is_full():
-        return a
-    if a.dim == 0 or b.is_full():
-        return b
-    return Subspace.image(np.hstack([a.basis, b.basis]), a.p)
-
-
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """a n b, read off the null space of [A | B] without canonicalizing it."""
     a._check_compatible(b)
@@ -293,81 +276,3 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     # x with A x = -B y for some y, i.e. the A-part of ker [A | B].
     k = _null_basis(np.hstack([a.basis, b.basis]), a.p)
     return Subspace.image(matmul(a.basis, k[: a.dim], a.p), a.p)
-
-
-def preimage(m, s: Subspace, p: int) -> Subspace:
-    """{v : m v in s}, a subspace of the domain of m.
-
-    The domain part of the null space of [m | S]; as in intersect, that
-    kernel basis is left uncanonicalized because only its image is kept.
-    """
-    m = normalize(m, p)
-    if m.shape[0] != s.ambient or s.p != p:
-        raise DimensionMismatch(
-            f"map into GF({p})^{m.shape[0]} vs subspace of GF({s.p})^{s.ambient}"
-        )
-    if s.dim == s.ambient:
-        return Subspace.full(m.shape[1], p)
-    k = _null_basis(np.hstack([m, s.basis]), p)
-    return Subspace.image(k[: m.shape[1]], p)
-
-
-def quotient_dim(big: Subspace, small: Subspace) -> int:
-    big._check_compatible(small)
-    if not big.contains(small):
-        raise ContainmentError("quotient by a space that is not contained")
-    return big.dim - small.dim
-
-
-def complement_columns(big: Subspace, small: Subspace) -> np.ndarray:
-    """Columns of big's canonical basis extending small to a basis of big.
-
-    Deterministic: the columns of big's echelon basis, left to right,
-    that are not in the span of small and the columns before them, read
-    off as the pivots of one rref of [small | big].  Requires small <= big.
-    """
-    big._check_compatible(small)
-    if not big.contains(small):
-        raise ContainmentError("complement of a space that is not contained")
-    _, pivots = rref(np.hstack([small.basis, big.basis]), big.p)
-    return big.basis[:, [c - small.dim for c in pivots if c >= small.dim]]
-
-
-def induced_map_on_quotients(
-    m,
-    src_big: Subspace,
-    src_small: Subspace,
-    dst_big: Subspace,
-    dst_small: Subspace,
-    p: int,
-) -> np.ndarray:
-    """Matrix of the map (src_big/src_small) -> (dst_big/dst_small).
-
-    Coordinates are the canonical complement bases on both sides.  Raises
-    WellDefinednessError when m does not carry the source filtration into
-    the target one.
-    """
-    m = normalize(m, p)
-    if m.shape[1] != src_big.ambient or m.shape[0] != dst_big.ambient:
-        raise DimensionMismatch(
-            f"map shape {m.shape} does not match ambients "
-            f"{src_big.ambient} -> {dst_big.ambient}"
-        )
-    c_src = complement_columns(src_big, src_small)
-    c_dst = complement_columns(dst_big, dst_small)
-    if src_small.dim and not dst_small.contains(
-        Subspace.image(matmul(m, src_small.basis, p), p)
-    ):
-        raise WellDefinednessError("m does not map src_small into dst_small")
-    if src_big.dim and not dst_big.contains(
-        Subspace.image(matmul(m, src_big.basis, p), p)
-    ):
-        raise WellDefinednessError("m does not map src_big into dst_big")
-    q = c_src.shape[1]
-    r = c_dst.shape[1]
-    if q == 0:
-        return zeros(r, 0)
-    coords = solve(np.hstack([c_dst, dst_small.basis]), matmul(m, c_src, p), p)
-    if coords is None:  # pragma: no cover - excluded by the checks above
-        raise WellDefinednessError("image not contained in target quotient")
-    return coords[:r].copy()

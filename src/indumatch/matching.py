@@ -4,19 +4,24 @@ For every pair of bars (I, J) of the source and target barcodes, the
 morphism squeezes a comparison module out of the target: an upper space
 y_plus (what the I-part of the source hits inside the J-part of the
 target) and a lower space y_minus (what is already explained by longer
-bars on either side).  The quotient is a persistence module whose bars
-all die where I meets J; its barcode is the table entry of the
-persistence-valued matching, and its size the entry of the counting
-matching.  Both tables are linear under direct sums of morphisms.
+bars on either side).  The comparison module is injective and zero off
+the overlap K = I n J, so all of its bars die at K.b and it is fixed by
+its dimensions along K: its barcode is the table entry of the
+persistence-valued matching, and its dimension at K.b the entry of the
+counting matching.  Both tables are linear under direct sums of
+morphisms.
 
 f is read off the persistence bases of its two ends as one matrix M
 (see the proof block in modules.py): F_t, f_t between the generators
 alive at t, is a slice of M, and the y spaces are meets and sums of
-column sets of F_t and coordinate subspaces.
+column sets of F_t and coordinate subspaces.  The target's structure
+maps are 0/1 selections of those generators, so each dimension of a
+comparison module is the rank count of an entry, on slices of M.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -33,6 +38,7 @@ from .modules import (
     barcode,
     hom_exists,
     interval_sort_key,
+    module_from_bars,
     persistence_basis,
     zero_module,
     _basis_matrix,
@@ -90,51 +96,12 @@ def y_minus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
     return Subspace.image(np.hstack([gf.matmul(tgt, lower, f.p), tgt[:, rows]]), f.p)
 
 
-@dataclass(frozen=True)
-class XModule:
-    """Quotient comparison module for a bar pair; zero off the overlap."""
-
-    support: GridInterval | None
-    module: PersistenceModule
-
-
-def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
-    """The quotient of y_plus by the saturated absorbed part, on the full grid.
-
-    The absorbed space at the shared death is y_minus n y_plus; walking
-    left, a direction is absorbed as soon as its pushforward eventually
-    is.  This keeps every structure map of the quotient injective, so
-    all of its bars die together at the right end of the overlap, and
-    its dimension there counts them.
-    """
-    p = f.p
-    n = f.n
-    support = i.intersect(j)
-    if support is None:
-        return XModule(None, zero_module(n, p))
-    big = {t: y_plus(f, i, j, t) for t in support}
-    small: dict[int, Subspace] = {}
-    dims = [0] * n
-    for t in reversed(list(support)):
-        if t == support.b:
-            small[t] = gf.intersect(y_minus(f, i, j, t), big[t])
-        else:
-            pulled = gf.preimage(f.target.map(t), small[t + 1], p)
-            small[t] = gf.intersect(pulled, big[t])
-        dims[t - 1] = big[t].dim - small[t].dim
-    maps = []
-    for t in range(1, n):
-        if support.contains(t) and support.contains(t + 1):
-            mt = gf.induced_map_on_quotients(
-                f.target.map(t), big[t], small[t], big[t + 1], small[t + 1], p
-            )
-            if gf.rank(mt, p) != dims[t - 1]:
-                raise InvariantError(f"comparison module of ({i},{j}) not injective"
-                                     f" at t={t}")
-            maps.append(mt)
-        else:
-            maps.append(gf.zeros(dims[t], dims[t - 1]))
-    return XModule(support, PersistenceModule(p, dims, maps))
+def _count(upper: np.ndarray, lower: np.ndarray, rows: np.ndarray, p: int) -> int:
+    """dim (span lower + span upper) - dim span lower, modulo the coordinate
+    vectors of rows: the pivots of one rref of [lower | upper] off rows
+    that fall in upper."""
+    _, pivots = gf.rref(np.hstack([lower, upper])[~rows], p)
+    return sum(c >= lower.shape[1] for c in pivots)
 
 
 def _entry_count(ft: _BasisMatrix, i: GridInterval, j: GridInterval) -> int:
@@ -143,15 +110,95 @@ def _entry_count(ft: _BasisMatrix, i: GridInterval, j: GridInterval) -> int:
 
     That is dim (y_minus + y_plus) - dim y_minus in the target generators
     alive at t, modulo the v_minus_tgt(J) rows (y_minus holds those
-    coordinate vectors): the pivots of one rref of [lower | upper] that
-    fall in upper.
+    coordinate vectors).
     """
     upper = _upper(ft, i, j)
-    if not upper.any():
-        return 0
-    lower, rows = _lower(ft, i, j)
-    _, pivots = gf.rref(np.hstack([lower, upper])[~rows], ft.p)
-    return sum(c >= lower.shape[1] for c in pivots)
+    return _count(upper, *_lower(ft, i, j), ft.p) if upper.any() else 0
+
+
+def _carry(cols: np.ndarray, fs: _BasisMatrix, s: int, fu: _BasisMatrix, u: int):
+    """The composite W(s) -> W(u), s <= u, on cols in the target generators
+    alive at s (fs = F_s, fu = F_u): a generator alive at u keeps its
+    coordinate if it was alive at s, and one born after s gets 0."""
+    out = gf.zeros(len(fu.tgt_a), cols.shape[1])
+    out[fu.tgt_a <= s] = cols[fs.tgt_b >= u]
+    return out
+
+
+def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
+    """Dimensions of the comparison module of (I, J) at each t of the
+    overlap K = I n J, read off the frames frame(t) = F_t.
+
+    The module is big_t / small_t with the maps W_t induces, where
+    big_t = y_plus(t), small at K.b is big n y_minus(K.b), and walking
+    left small_t = big_t n W_t^-1(small_{t+1}).  Let C_t : W(t) -> W(K.b)
+    be the composite of structure maps.  If W_t(big_t) lies in big_{t+1}
+    for every t < K.b, then C_t(big_t) lies in big at K.b and the walk
+    telescopes to small_t = big_t n C_t^-1(small at K.b)
+    = big_t n C_t^-1(y_minus(K.b)), the kernel of big_t -> W(K.b) / y_minus.
+    So dims[t] = dim (C_t big_t + y_minus) - dim y_minus at K.b.
+
+    In the target generators, C_t is a 0/1 selection (_carry): the rows of
+    the generators alive at t and at K.b are kept, and rows born after t
+    are 0.  So dims[t] is _count on [lower | C_t upper_t] with the
+    v_minus_tgt(J) rows dropped, the form of _entry_count, and dims at K.b
+    is the m entry.
+
+    Checks, each naming the pair and t (InvariantError):
+      - W_t(span upper_t) lies in span upper_{t+1}.  The induced map
+        big_t / small_t -> big_{t+1} / small_{t+1} is well defined when W_t
+        carries big into big and small into small; the second holds by the
+        definition of small_t, which also makes the kernel of the induced
+        map small_t / small_t = 0.  So the module is injective, which is
+        what a rank check on its maps would test, exactly when this
+        containment holds, and the telescoping above rests on it too.
+      - dims nondecreasing along K, as an injective module's are.
+    An injective module zero after K.b has all its bars die at K.b, and
+    dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
+    """
+    k = i.intersect(j)
+    fk = frame(k.b)
+    lower, rows = _lower(fk, i, j)
+    dims: list[int] = []
+    prev = None  # F_{t-1} and upper_{t-1}
+    for t in k:
+        ft = frame(t)
+        upper = _upper(ft, i, j)
+        if prev is not None and prev[1].any():
+            pushed = _carry(prev[1], prev[0], t - 1, ft, t)
+            if gf.solve(upper, pushed, ft.p) is None:
+                raise InvariantError(f"W_{t - 1} carries y_plus of ({i},{j}) at"
+                                     f" t={t - 1} out of y_plus at t={t}")
+        d = _count(_carry(upper, ft, t, fk, k.b), lower, rows, ft.p) if upper.any() else 0
+        if dims and d < dims[-1]:
+            raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
+                                 f" {dims[-1]} to {d} at t={t}")
+        dims.append(d)
+        prev = ft, upper
+    return dims
+
+
+def _overlap_bars(k: GridInterval, dims: list[int]) -> Barcode:
+    """dims[s] - dims[s-1] bars [s, K.b] at each s of K, with dims[K.a - 1] = 0."""
+    return Barcode({GridInterval(s, k.b): d - e for s, d, e in zip(k, dims, [0] + dims)})
+
+
+@dataclass(frozen=True)
+class XModule:
+    """Comparison module for a bar pair; zero off the overlap."""
+
+    support: GridInterval | None
+    module: PersistenceModule
+
+
+def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
+    """The comparison module of (I, J) on the full grid, as the direct sum
+    of its bars, which all die at the right end of the overlap."""
+    support = i.intersect(j)
+    if support is None:
+        return XModule(None, zero_module(f.n, f.p))
+    bars = _overlap_bars(support, _comparison_dims(_basis_matrix(f).at, i, j))
+    return XModule(support, module_from_bars(f.n, f.p, [iv for iv, _ in bars.rep()]))
 
 
 class MatchingTable:
@@ -250,22 +297,19 @@ def g_matching(f: Morphism) -> GMatchingTable:
     """Barcode-valued matching: entry (I, J) is the barcode of the
     comparison module, every bar of which dies at the right end of I n J.
 
-    Built on the counting table: injectivity makes the comparison
-    module's dimensions nondecreasing toward the shared death, so a zero
-    count there forces the whole module to zero, and only the nonzero
-    entries of m_matching (whose bounds it checks) need a module.
+    Built on the counting table: the comparison module's dimensions are
+    nondecreasing toward the shared death, so a zero count there forces
+    the whole module to zero, and only the nonzero entries of m_matching
+    (whose bounds it checks) are read, off their dims along the overlap.
     """
+    frame = functools.cache(_basis_matrix(f).at)
     entries: dict[tuple[GridInterval, GridInterval], Barcode] = {}
     for (i, j), count in m_matching(f).items():
-        x = x_module(f, i, j)
-        bars = barcode(x.module)
-        if bars.total() != count:
-            raise InvariantError(f"bar count {bars.total()} of ({i},{j}) disagrees"
+        dims = _comparison_dims(frame, i, j)
+        if dims[-1] != count:
+            raise InvariantError(f"bar count {dims[-1]} of ({i},{j}) disagrees"
                                  f" with m = {count}")
-        if any(iv.b != x.support.b for iv in bars.intervals()):
-            raise InvariantError(f"a bar of ({i},{j}) misses the shared death"
-                                 f" t={x.support.b}")
-        entries[(i, j)] = bars
+        entries[(i, j)] = _overlap_bars(i.intersect(j), dims)
     return GMatchingTable(entries)
 
 

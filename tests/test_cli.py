@@ -361,6 +361,28 @@ def test_work_bound_loads_at_the_bound_and_exits_2_past_it_quickly(tmp_path, cap
     assert f"{gf.MAX_WORK + 1}, above the work bound of {gf.MAX_WORK}" in err
 
 
+def test_match_g_at_the_work_bound_is_linear_in_its_entries(tmp_path, capsys):
+    # n = 1365 with dims 1 on both sides, zero structure maps and identity
+    # components: 1,365 one-point bars per side, each matched to its twin.
+    n = 1365
+    assert n + 2 * n <= gf.MAX_WORK
+    obj = {"format": "indumatch-ladder", "version": 1, "p": 2, "n": n,
+           "source": {"dims": [1] * n, "maps": [[0]] * (n - 1)},
+           "target": {"dims": [1] * n, "maps": [[0]] * (n - 1)},
+           "morphism": [[1]] * n}
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "match", str(path), "--method", "g")
+    assert time.perf_counter() - start < 4
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert len(entries) == n
+    for t, entry in enumerate(entries, start=1):
+        assert entry == {"I": [t, t], "J": [t, t],
+                         "bars": [{"interval": [t, t], "multiplicity": 1}]}
+
+
 def test_sum_past_the_work_bound_exits_5(tmp_path, capsys):
     # Each file is 64 + 32 * 64 = 2112; the sum, 64 + 32 * 128 = 4160, is
     # past the work bound but within the dimension cap.
@@ -497,6 +519,15 @@ def test_random_respects_env_seed(capsys, monkeypatch):
     assert out3 != out1
     payload = json.loads(out1)
     assert payload["n"] == 4
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_random_non_integer_env_seed_exits_4(capsys, monkeypatch, value):
+    monkeypatch.setenv("INDUMATCH_SEED", value)
+    code, out, err = run_cli(capsys, "random", "--n", "2", "--max-dim", "1")
+    assert code == 4
+    assert out == ""
+    assert err == f"usage error: INDUMATCH_SEED must be an integer, got {value!r}\n"
 
 
 def test_random_seed_flag_beats_env(capsys, monkeypatch):
@@ -659,14 +690,14 @@ def test_cli_reads_nothing_through_the_image_factorization(
     assert [run_cli(capsys, *argv) for argv in argvs] == want
 
 
-def _no_bars(f, i, j):
-    return matching.XModule(i.intersect(j), modules.zero_module(f.n, f.p))
+def _no_dims(frame, i, j):
+    return [0] * (i.intersect(j).length + 1)
 
 
 @pytest.mark.parametrize("owner, attr, fake, argv, message", [
     (gf, "solve", lambda *args: None, ["barcode"],
      "target basis at t=2 does not span f_2"),
-    (matching, "x_module", _no_bars, ["match", "--method", "g"],
+    (matching, "_comparison_dims", _no_dims, ["match", "--method", "g"],
      "bar count 0 of ([2,2],[1,2]) disagrees with m = 1"),
 ])
 def test_internal_invariant_failure_exits_6(ref_file, capsys, monkeypatch,

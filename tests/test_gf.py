@@ -13,6 +13,7 @@ import pytest
 from indumatch import gf
 from indumatch.gf import Subspace
 
+import quotients
 from conftest import mat
 
 
@@ -174,18 +175,18 @@ def test_kernel_of_empty_codomain_is_everything():
 
 def test_sum_with_zero_is_identity():
     a = Subspace.image(mat([[1], [1], [0]]), 2)
-    assert gf.sum_subspaces(a, Subspace.zero(3, 2)) == a
+    assert quotients.sum_subspaces(a, Subspace.zero(3, 2)) == a
 
 
 def test_sum_of_axes_is_full_plane():
     e1 = Subspace.image(mat([[1], [0]]), 2)
     e2 = Subspace.image(mat([[0], [1]]), 2)
-    assert gf.sum_subspaces(e1, e2) == Subspace.full(2, 2)
+    assert quotients.sum_subspaces(e1, e2) == Subspace.full(2, 2)
 
 
 def test_sum_zero_plus_line():
     line = Subspace.image(mat([[1], [0]]), 2)
-    assert gf.sum_subspaces(Subspace.zero(2, 2), line) == line
+    assert quotients.sum_subspaces(Subspace.zero(2, 2), line) == line
 
 
 def test_intersect_skew_lines_is_zero():
@@ -209,12 +210,12 @@ def test_intersect_idempotent():
 
 def test_preimage_of_full_space_is_full_domain():
     m = mat([[1, 2, 3]])
-    assert gf.preimage(m, Subspace.full(1, 5), 5) == Subspace.full(3, 5)
+    assert quotients.preimage(m, Subspace.full(1, 5), 5) == Subspace.full(3, 5)
 
 
 def test_preimage_of_zero_is_kernel():
     m = mat([[1, 0], [1, 0]])
-    assert gf.preimage(m, Subspace.zero(2, 2), 2) == Subspace.kernel(m, 2)
+    assert quotients.preimage(m, Subspace.zero(2, 2), 2) == Subspace.kernel(m, 2)
 
 
 def test_preimage_projection_case_by_enumeration():
@@ -226,7 +227,7 @@ def test_preimage_projection_case_by_enumeration():
         for v in itertools.product(range(2), repeat=2)
         if tuple((m @ np.array(v)) % 2) in span_set(target.basis, 2)
     }
-    got = gf.preimage(m, target, 2)
+    got = quotients.preimage(m, target, 2)
     assert span_set(got.basis, 2) == frozenset(expect)
     assert got == Subspace.full(2, 2)
 
@@ -235,16 +236,16 @@ def test_quotient_dim():
     full = Subspace.full(2, 2)
     zero = Subspace.zero(2, 2)
     a = Subspace.image(mat([[1], [1]]), 2)
-    assert gf.quotient_dim(a, a) == 0
-    assert gf.quotient_dim(full, zero) == 2
-    assert gf.quotient_dim(a, zero) == 1
-    with pytest.raises(gf.ContainmentError):
-        gf.quotient_dim(a, Subspace.image(mat([[1], [0]]), 2))
+    assert quotients.quotient_dim(a, a) == 0
+    assert quotients.quotient_dim(full, zero) == 2
+    assert quotients.quotient_dim(a, zero) == 1
+    with pytest.raises(quotients.ContainmentError):
+        quotients.quotient_dim(a, Subspace.image(mat([[1], [0]]), 2))
 
 
 def test_ambient_mismatch_raises():
     with pytest.raises(gf.DimensionMismatch):
-        gf.sum_subspaces(Subspace.zero(2, 2), Subspace.zero(3, 2))
+        quotients.sum_subspaces(Subspace.zero(2, 2), Subspace.zero(3, 2))
     with pytest.raises(gf.DimensionMismatch):
         gf.intersect(Subspace.full(2, 2), Subspace.full(2, 3))
 
@@ -256,14 +257,14 @@ def test_ambient_mismatch_raises():
 def test_induced_map_identity_on_equal_filtrations():
     big = Subspace.full(2, 2)
     small = Subspace.zero(2, 2)
-    m = gf.induced_map_on_quotients(gf.identity(2), big, small, big, small, 2)
+    m = quotients.induced_map_on_quotients(gf.identity(2), big, small, big, small, 2)
     assert np.array_equal(m, gf.identity(2))
 
 
 def test_induced_map_zero_source_quotient():
     big = Subspace.image(mat([[1], [1]]), 2)
     collapse = mat([[1, 1], [1, 1]])  # kills (1,1) over GF(2)
-    m = gf.induced_map_on_quotients(
+    m = quotients.induced_map_on_quotients(
         collapse, big, big, Subspace.full(2, 2), Subspace.zero(2, 2), 2
     )
     assert m.shape == (2, 0)
@@ -275,15 +276,15 @@ def test_induced_map_detects_ill_defined():
     dst_big = Subspace.full(2, 2)
     dst_small = Subspace.zero(2, 2)
     swap = mat([[0, 1], [1, 0]])
-    with pytest.raises(gf.WellDefinednessError):
-        gf.induced_map_on_quotients(swap, src_big, src_small, dst_big, dst_small, 2)
+    with pytest.raises(quotients.WellDefinednessError):
+        quotients.induced_map_on_quotients(swap, src_big, src_small, dst_big, dst_small, 2)
 
 
 def test_induced_map_single_line_case():
     # Quotient map span{(1,1)}/0 -> span{1}/0 under the row (0 1).
     src = Subspace.image(mat([[1], [1]]), 2)
     dst = Subspace.full(1, 2)
-    m = gf.induced_map_on_quotients(
+    m = quotients.induced_map_on_quotients(
         mat([[0, 1]]), src, Subspace.zero(2, 2), dst, Subspace.zero(1, 2), 2
     )
     assert np.array_equal(m, mat([[1]]))
@@ -328,7 +329,7 @@ def test_dimension_formula_random_pairs():
             ambient = rng.randint(1, 5)
             a = random_subspace(ambient, p, rng)
             b = random_subspace(ambient, p, rng)
-            s = gf.sum_subspaces(a, b)
+            s = quotients.sum_subspaces(a, b)
             i = gf.intersect(a, b)
             assert s.dim + i.dim == a.dim + b.dim
             assert s.contains(a) and s.contains(b)
@@ -342,7 +343,7 @@ def test_preimage_image_adjunction_random():
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             m = mat([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
             s = random_subspace(rows, p, rng, max_gens=3)
-            pre = gf.preimage(m, s, p)
+            pre = quotients.preimage(m, s, p)
             pushed = Subspace.image(gf.matmul(m, pre.basis, p), p)
             assert s.contains(pushed)
 
@@ -361,7 +362,7 @@ def test_gf2_ops_agree_with_exhaustive_enumeration():
             reps[vecs] = Subspace.image(basis, 2)
         for va, vb in itertools.product(spaces, repeat=2):
             a, b = reps[va], reps[vb]
-            su = gf.sum_subspaces(a, b)
+            su = quotients.sum_subspaces(a, b)
             expect_sum = span_set(
                 np.hstack([reps[va].basis, reps[vb].basis]), 2
             )
@@ -454,7 +455,7 @@ def test_intersect_and_preimage_match_canonical_kernel_referees():
             assert gf.intersect(a, b) == intersect_by_canonical_kernel(a, b)
             cols = rng.randint(1, 5)
             m = mat([[rng.randrange(p) for _ in range(cols)] for _ in range(ambient)])
-            assert gf.preimage(m, a, p) == preimage_by_canonical_kernel(m, a, p)
+            assert quotients.preimage(m, a, p) == preimage_by_canonical_kernel(m, a, p)
 
 
 def test_complement_columns_match_greedy_scan_referee():
@@ -468,7 +469,7 @@ def test_complement_columns_match_greedy_scan_referee():
             coeffs = mat([[rng.randrange(p) for _ in range(gens)] for _ in range(big.dim)])
             coeffs = coeffs.reshape(big.dim, gens)
             small = Subspace.image(gf.matmul(big.basis, coeffs, p), p)
-            got = gf.complement_columns(big, small)
+            got = quotients.complement_columns(big, small)
             want = complement_by_greedy_scan(big, small)
             assert np.array_equal(got, want)
             assert got.shape[1] == big.dim - small.dim

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -41,8 +42,9 @@ from indumatch import (
 from indumatch.gf import Subspace
 from indumatch import matching
 from indumatch.matching import MMatchingTable, _entry_count
-from indumatch.modules import _basis_matrix
+from indumatch.modules import InvariantError, _basis_matrix
 
+import quotients
 from conftest import iv, mat, ref_shift_morphism
 
 
@@ -108,9 +110,9 @@ def _ref_y_plus(f, i, j, t):
 
 
 def _ref_y_minus(f, i, j, t):
-    absorbed = gf.sum_subspaces(_ref_pushed(f, v_minus, i, t), v_minus(f.target, j, t))
+    absorbed = quotients.sum_subspaces(_ref_pushed(f, v_minus, i, t), v_minus(f.target, j, t))
     early = gf.intersect(_ref_pushed(f, im_minus, i, t), v_plus(f.target, j, t))
-    return gf.sum_subspaces(absorbed, early)
+    return quotients.sum_subspaces(absorbed, early)
 
 
 def assert_y_spaces_match_referee(f):
@@ -124,7 +126,7 @@ def assert_y_spaces_match_referee(f):
                 assert y_plus(f, i, j, t) == yp, ("y_plus", i, j, t)
                 assert y_minus(f, i, j, t) == ym, ("y_minus", i, j, t)
             # t is now the shared death, where the entry is counted.
-            count = gf.sum_subspaces(ym, yp).dim - ym.dim
+            count = quotients.sum_subspaces(ym, yp).dim - ym.dim
             ft = _basis_matrix(f).at(t)
             assert _entry_count(ft, i, j) == count, ("count", i, j)
 
@@ -190,6 +192,52 @@ def test_x_module_dims_nondecreasing_on_support():
                     continue
                 dims = [x.module.dim(t) for t in x.support]
                 assert dims == sorted(dims)
+
+
+# Referee: the comparison module by the subspace walk in W(t), against its
+# dims read off M.  A frame with M zeroed at the shared death K.b drops
+# y_plus there, so whatever the module holds at K.b - 1 must trip the
+# containment check at K.b.
+
+
+def _zeroed_at(frame, t0):
+    def broken(t):
+        ft = frame(t)
+        return dataclasses.replace(ft, m=np.zeros_like(ft.m)) if t == t0 else ft
+    return broken
+
+
+def assert_comparison_modules_match_referee(f):
+    table = g_matching(f)
+    frame = _basis_matrix(f).at
+    for i in barcode(f.source).intervals():
+        for j in barcode(f.target).intervals():
+            k = i.intersect(j)
+            if k is None:
+                continue
+            ref = quotients.ref_x_module(f, i, j)
+            assert x_module(f, i, j).module.dims == ref.module.dims, ("dims", i, j)
+            assert table.get(i, j) == barcode(ref.module), ("g", i, j)
+            if k.a < k.b and ref.module.dim(k.b - 1):
+                with pytest.raises(InvariantError,
+                                   match=rf"t={k.b - 1} out of y_plus at t={k.b}$"):
+                    matching._comparison_dims(_zeroed_at(frame, k.b), i, j)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 6),
+    max_dim=st.integers(1, 4),
+    p=st.sampled_from([2, 3, 5]),
+    seed=st.integers(0, 2**16),
+    other=st.integers(0, 2**16),
+    eps=st.integers(0, 4),
+)
+def test_comparison_modules_match_subspace_walk_referee(n, max_dim, p, seed, other, eps):
+    f = random_ladder(n, max_dim, p, seed)
+    g = random_ladder(n, max_dim, p, other)
+    for h in (f, shift_morphism(f, min(eps, n - 1)), direct_sum_morphism(f, g)):
+        assert_comparison_modules_match_referee(h)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +483,10 @@ def test_pushforward_identity_for_lower_spaces():
                 if k is None:
                     continue
                 for t in range(k.a, k.b):
-                    now = gf.sum_subspaces(
+                    now = quotients.sum_subspaces(
                         _ref_pushed(f, v_minus, i, t), v_minus(f.target, j, t)
                     )
-                    nxt = gf.sum_subspaces(
+                    nxt = quotients.sum_subspaces(
                         _ref_pushed(f, v_minus, i, t + 1), v_minus(f.target, j, t + 1)
                     )
                     pushed = Subspace.image(

@@ -43,6 +43,7 @@ from indumatch.gf import Subspace
 from indumatch.modules import InvariantError, _basis_matrix, _BasisMatrix, _check_support
 from indumatch.oracle import naive_barcode
 
+import quotients
 from conftest import iv, mat, ref_frame, ref_shift_morphism
 
 
@@ -250,7 +251,7 @@ def _ref_v_plus(m, i, t):
 def _ref_v_minus(m, i, t):
     if not i.contains(t):
         return Subspace.zero(m.dim(t), m.p)
-    return gf.sum_subspaces(
+    return quotients.sum_subspaces(
         gf.intersect(_ref_im_minus(m, i, t), _ref_ker_plus(m, i, t)),
         gf.intersect(_ref_im_plus(m, i, t), _ref_ker_minus(m, i, t)),
     )
