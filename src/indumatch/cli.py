@@ -172,10 +172,11 @@ def _match_payload(f: Morphism, method: str, eps: int) -> dict:
          "target": {"interval": _interval_json(j), "index": m}}
         for (i, l), (j, m) in sigma.items()
     ]
+    matched = sigma.domain()
     unmatched = [
         {"interval": _interval_json(iv), "index": l}
         for iv, l in barcode(f.source).rep()
-        if (iv, l) not in sigma.domain()
+        if (iv, l) not in matched
     ]
     return {"method": "chi", "eps": eps, "pairs": pairs,
             "unmatched_source": unmatched}
@@ -243,9 +244,7 @@ def cmd_sum(paths: list[str]) -> int:
                 f"(n={first.n}, p={first.p})\n"
             )
             return EXIT_INCOMPATIBLE
-    total = morphisms[0]
-    for f in morphisms[1:]:
-        total = direct_sum_morphism(total, f)
+    total = direct_sum_morphism(*morphisms)
     # Every input passed the field and work bounds at its own dims; the
     # sum's are larger.
     dims = total.source.dims + total.target.dims

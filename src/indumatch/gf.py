@@ -99,10 +99,13 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    out = zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
     return out
 
 
@@ -174,15 +177,17 @@ def _null_basis(m: np.ndarray, p: int) -> np.ndarray:
     # One column per free variable of rref(m): a basis of the null space,
     # not canonical.  Callers that only take an image of it skip the
     # second rref that canonicalizing would cost.
-    cols = m.shape[1]
+    # Free column fc gives e_fc - sum_row R[row, fc] e_pivot(row): column
+    # fc of the identity with its pivot rows replaced by those of -R.
     r, pivots = rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(cols, len(free))
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for row, pc in enumerate(pivots):
-            basis[pc, j] = (-r[row, fc]) % p
-    return basis
+    basis = identity(m.shape[1])
+    if not pivots:  # m is zero: every column is free
+        return basis
+    pivots = list(pivots)
+    basis[pivots] = -r[: len(pivots)] % p
+    free = np.ones(m.shape[1], dtype=bool)
+    free[pivots] = False
+    return basis[:, free]
 
 
 def _canonical_columns(m: np.ndarray, p: int) -> np.ndarray:

@@ -282,11 +282,12 @@ def m_matching(f: Morphism) -> MMatchingTable:
     b_dst = barcode(f.target)
     # A hom pair overlaps, and J ends first: the shared death is J.b.
     bm = _basis_matrix(f)
-    at = {t: bm.at(t) for t in {j.b for j in b_dst.intervals()}}
+    targets = b_dst.intervals()
+    at = {t: bm.at(t) for t in {j.b for j in targets}}
     entries = {
         (i, j): _entry_count(at[j.b], i, j)
         for i in b_src.intervals()
-        for j in b_dst.intervals()
+        for j in targets
         if hom_exists(i, j)
     }
     _check_table_bounds(entries, b_src, b_dst)
@@ -381,11 +382,12 @@ def representation(
     if any(c < 0 for c in counts.values()):
         raise ValueError("negative count")
     _check_table_bounds(counts, b_src, b_dst)
-    next_src = {i: 1 for i in b_src.intervals()}
-    next_dst = {j: 1 for j in b_dst.intervals()}
+    sources, targets = b_src.intervals(), b_dst.intervals()
+    next_src = {i: 1 for i in sources}
+    next_dst = {j: 1 for j in targets}
     pairs: dict[IndexedBar, IndexedBar] = {}
-    for i in b_src.intervals():
-        for j in b_dst.intervals():
+    for i in sources:
+        for j in targets:
             for _ in range(table.get(i, j)):
                 pairs[(i, next_src[i])] = (j, next_dst[j])
                 next_src[i] += 1

@@ -353,18 +353,28 @@ def interval_module(n: int, p: int, iv: GridInterval) -> PersistenceModule:
     return module_from_bars(n, p, [iv])
 
 
-def direct_sum(x: PersistenceModule, y: PersistenceModule) -> PersistenceModule:
-    if x.n != y.n or x.p != y.p:
+def direct_sum(*modules: PersistenceModule) -> PersistenceModule:
+    """The direct sum of one or more modules, in the order given."""
+    if not modules:
+        raise ValueError("direct sum needs at least one summand")
+    first = modules[0]
+    if any(m.n != first.n or m.p != first.p for m in modules):
         raise ValidationError("direct sum needs matching grid and field")
-    dims = [a + b for a, b in zip(x.dims, y.dims)]
-    maps = [gf.block_diag(a, b) for a, b in zip(x.maps, y.maps)]
-    return PersistenceModule(x.p, dims, maps)
+    dims = [sum(ds) for ds in zip(*(m.dims for m in modules))]
+    maps = [gf.block_diag(*ms) for ms in zip(*(m.maps for m in modules))]
+    return PersistenceModule(first.p, dims, maps)
 
 
-def direct_sum_morphism(f: Morphism, g: Morphism) -> Morphism:
-    source = direct_sum(f.source, g.source)
-    target = direct_sum(f.target, g.target)
-    comps = [gf.block_diag(a, b) for a, b in zip(f.comps, g.comps)]
+def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
+    """The direct sum of one or more morphisms, in the order given.
+
+    Each structure map and component is one block-diagonal matrix of the
+    summands' blocks, so a k-way sum costs one build per position rather
+    than k - 1 pairwise folds that each copy the growing sum.
+    """
+    source = direct_sum(*(f.source for f in morphisms))
+    target = direct_sum(*(f.target for f in morphisms))
+    comps = [gf.block_diag(*cs) for cs in zip(*(f.comps for f in morphisms))]
     return Morphism(source, target, comps)
 
 

@@ -253,6 +253,20 @@ def test_sum_single_input_passthrough(ref_file, capsys):
         assert out == fh.read()
 
 
+def test_sum_of_many_files_equals_pairwise_fold(tmp_path, capsys):
+    fs = [random_ladder(5, d, 3, 40 + d) for d in (0, 3, 1, 4, 2)]
+    paths = []
+    for k, f in enumerate(fs):
+        paths.append(str(tmp_path / f"s{k}.json"))
+        write_morphism(f, paths[-1])
+    fold = fs[0]
+    for f in fs[1:]:
+        fold = modules.direct_sum_morphism(fold, f)
+    code, out, _ = run_cli(capsys, "sum", *paths)
+    assert code == 0
+    assert out == dumps_canonical(morphism_to_dict(fold))
+
+
 def test_sum_mismatched_primes_exits_5(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indumatch import gf
 from indumatch.gf import Subspace
@@ -443,6 +445,33 @@ def test_null_basis_spans_the_kernel():
             assert k.shape == (cols, cols - gf.rank(m, p))
             assert not gf.matmul(m, k, p).any()
             assert Subspace.image(k, p) == Subspace.kernel(m, p)
+
+
+def null_basis_by_scalar_writes(m, p):
+    """The null basis written one entry at a time, free column by free
+    column: the loop gf._null_basis replaced with one indexed assignment."""
+    cols = m.shape[1]
+    r, pivots = gf.rref(m, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = gf.zeros(cols, len(free))
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for row, pc in enumerate(pivots):
+            basis[pc, j] = (-r[row, fc]) % p
+    return basis
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), rows=st.integers(0, 7),
+       cols=st.integers(0, 8), data=st.data())
+def test_null_basis_equals_scalar_write_referee(p, rows, cols, data):
+    entries = data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=rows * cols,
+                                 max_size=rows * cols))
+    m = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    got = gf._null_basis(m, p)
+    want = null_basis_by_scalar_writes(m, p)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_intersect_and_preimage_match_canonical_kernel_referees():

@@ -118,6 +118,26 @@ def test_direct_sum_reproduces_reference_ladder(reference_ladder):
     assert direct_sum_morphism(f_a, f_b) == reference_ladder
 
 
+def test_k_way_direct_sum_equals_pairwise_fold():
+    rng = random.Random(71)
+    for p in (2, 5):
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            fs = [random_ladder(n, rng.randint(0, 3), p, rng.randrange(10**6))
+                  for _ in range(rng.randint(1, 5))]
+            fold = fs[0]
+            for f in fs[1:]:
+                fold = direct_sum_morphism(fold, f)
+            total = direct_sum_morphism(*fs)
+            assert total == fold
+            assert direct_sum(*(f.source for f in fs)) == fold.source
+            total.validate()
+    with pytest.raises(ValueError, match="at least one"):
+        direct_sum()
+    with pytest.raises(ValidationError, match="matching grid"):
+        direct_sum(zero_module(3, 2), zero_module(3, 2), zero_module(3, 5))
+
+
 def test_direct_sum_of_intervals_gives_chain_matrices(chain_module):
     k12 = interval_module(3, 2, iv(1, 2))
     k23 = interval_module(3, 2, iv(2, 3))

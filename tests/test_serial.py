@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indumatch import enumerate_catalog, random_ladder
+from indumatch.cli import main
 from indumatch.serial import (
     ParseError,
     dumps_canonical,
@@ -92,3 +96,84 @@ def test_nonprime_p_rejected(reference_ladder):
     obj["p"] = 6
     with pytest.raises(ParseError, match="prime"):
         morphism_from_dict(obj)
+
+
+# ---------------------------------------------------------------------------
+# dumps_canonical against the standard library's indent encoder.
+
+_INTS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, st.floats(), st.text())
+_JSON = st.recursive(
+    st.one_of(_SCALARS, st.lists(_INTS)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(), children, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+def stdlib_canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(payload=st.dictionaries(st.text(), _JSON, max_size=6))
+@example(payload={})
+@example(payload={"é\"\\\n\t\u2028😀": {"": [], "b": {}}, "a": [1, True, None, "x", 1.5]})
+@example(payload={"m": [-(2**70) - 1, 2**64, 0, -1], "nested": [[1, 2], [], [[3]]]})
+@example(payload={"t": (1, 2), "u": ({"k": (False,)},), "f": [float("nan"), -0.0, 1e300]})
+def test_dumps_canonical_equals_stdlib_indent_encoder(payload):
+    assert dumps_canonical(payload) == stdlib_canonical(payload)
+
+
+def test_dumps_canonical_equals_stdlib_on_files_and_reports(capsys):
+    f = random_ladder(8, 4, 5, 7)
+    assert dumps_canonical(morphism_to_dict(f)) == stdlib_canonical(morphism_to_dict(f))
+    for argv in (["catalog"], ["--prime", "3", "random", "--seed", "5"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == stdlib_canonical(json.loads(out))
+
+
+# ---------------------------------------------------------------------------
+# The loader: exact reduction past int64, strict entry types.
+
+
+@pytest.mark.parametrize("big", [2**70 + 1, -(2**70 + 1), 2**63, -(2**63) - 1])
+def test_entry_past_int64_is_reduced_exactly(big):
+    f = random_ladder(6, 4, 7, 3)
+    obj = morphism_to_dict(f)
+    k = next(t for t, flat in enumerate(obj["morphism"]) if flat)
+    obj["morphism"][k][0] = big
+    g = morphism_from_dict(obj)
+    assert g.comps[k].flat[0] == big % 7
+    want = f.comps[k].copy()
+    want.flat[0] = big % 7
+    assert np.array_equal(g.comps[k], want)
+    assert g.source == f.source and g.target == f.target
+    assert all(np.array_equal(a, b) for t, (a, b) in enumerate(zip(g.comps, f.comps))
+               if t != k)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+@pytest.mark.parametrize("where", ["morphism", "source.maps", "target.maps"])
+def test_non_integer_matrix_entry_exits_2(reference_ladder, tmp_path, capsys, bad, where):
+    obj = morphism_to_dict(reference_ladder)
+    if where == "morphism":
+        arrays, label = obj["morphism"], "morphism"
+    else:
+        side = where.split(".")[0]
+        arrays, label = obj[side]["maps"], f"{side}.maps"
+    k = next(t for t, flat in enumerate(arrays) if flat)
+    arrays[k][-1] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["barcode", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {label}[{k}] must be an integer array\n"
