@@ -17,6 +17,21 @@ alive at t, is a slice of M, and the y spaces are meets and sums of
 column sets of F_t and coordinate subspaces.  The target's structure
 maps are 0/1 selections of those generators, so each dimension of a
 comparison module is the rank count of an entry, on slices of M.
+
+Both tables are read one block of M at a time (_BasisMatrix.blocks: the
+connected components of its nonzero entries), and this is exact by
+elementary linear algebra, with no appeal to linearity of the tables.
+Every space an entry uses is a span of M-columns, a coordinate subspace,
+or a meet or sum of these (_upper, _lower, _carry).  Under the partition
+of the generators into blocks, with the generators of an all-zero row or
+column as summands of their own, M is block diagonal, so each such space
+is the direct sum of its parts in the blocks, and so are the quotients
+by coordinate rows that _count takes: pivot counts add over the blocks.
+A block with no I-generator counts 0 for (I, J), as its src_minus is its
+src_plus, so lower spans upper; so does one with no J-generator, as its
+tgt_minus is its tgt_plus, which holds upper.  So an entry is the sum of
+the counts of the blocks holding both of its bars, and a comparison
+module is the direct sum of theirs, its dims the sums of theirs.
 """
 
 from __future__ import annotations
@@ -257,8 +272,30 @@ def _check_table_bounds(counts: dict, b_src: Barcode, b_dst: Barcode):
                 raise ValueError(f"{side} sum {total} exceeds multiplicity of {iv}")
 
 
+def _bars(starts: np.ndarray, ends: np.ndarray) -> list[GridInterval]:
+    """The distinct intervals of some generators, in basis order."""
+    return [GridInterval(a, b) for a, b in dict.fromkeys(zip(starts.tolist(), ends.tolist()))]
+
+
+def _block_counts(block: _BasisMatrix, frame) -> dict:
+    """The counts of block's hom_exists pairs, off its frames frame(t).
+
+    A hom pair overlaps and J ends first, so the shared death is J.b.
+    """
+    targets = _bars(block.tgt_a, block.tgt_b)
+    return {
+        (i, j): _entry_count(frame(j.b), i, j)
+        for i in _bars(block.src_a, block.src_b)
+        for j in targets
+        if hom_exists(i, j)
+    }
+
+
 def m_matching(f: Morphism) -> MMatchingTable:
     """Counting matching: entry (I, J) is the number of comparison bars.
+
+    Read one block of M at a time and summed (see the module docstring):
+    within a block only the pairs of its own bars are counted.
 
     Only pairs with J.a <= I.a <= J.b <= I.b (hom_exists) are counted;
     every other entry is 0, as an entry factors through a map from the
@@ -278,39 +315,41 @@ def m_matching(f: Morphism) -> MMatchingTable:
         im_plus n ker_minus, inside v_minus_tgt and so y_minus.
     In both cases y_plus lies in y_minus and the entry is 0.
     """
-    b_src = barcode(f.source)
-    b_dst = barcode(f.target)
-    # A hom pair overlaps, and J ends first: the shared death is J.b.
-    bm = _basis_matrix(f)
-    targets = b_dst.intervals()
-    at = {t: bm.at(t) for t in {j.b for j in targets}}
-    entries = {
-        (i, j): _entry_count(at[j.b], i, j)
-        for i in b_src.intervals()
-        for j in targets
-        if hom_exists(i, j)
-    }
-    _check_table_bounds(entries, b_src, b_dst)
-    return MMatchingTable(entries)
+    counts: Counter = Counter()
+    for block in _basis_matrix(f).blocks():
+        counts.update(_block_counts(block, functools.cache(block.at)))
+    _check_table_bounds(counts, barcode(f.source), barcode(f.target))
+    return MMatchingTable(counts)
 
 
 def g_matching(f: Morphism) -> GMatchingTable:
     """Barcode-valued matching: entry (I, J) is the barcode of the
     comparison module, every bar of which dies at the right end of I n J.
 
-    Built on the counting table: the comparison module's dimensions are
-    nondecreasing toward the shared death, so a zero count there forces
-    the whole module to zero, and only the nonzero entries of m_matching
-    (whose bounds it checks) are read, off their dims along the overlap.
+    Read one block of M at a time (see the module docstring): the
+    comparison module of (I, J) is the direct sum of those of the blocks
+    holding both bars, so its barcode is the union of theirs.  Within a
+    block, the module's dimensions are nondecreasing toward the shared
+    death, so a zero count there forces the whole module to zero, and
+    only the nonzero counts are read, off their dims along the overlap;
+    each block's last dim must equal its count, and the summed counts
+    must stay within the table bounds.
     """
-    frame = functools.cache(_basis_matrix(f).at)
+    counts: Counter = Counter()
     entries: dict[tuple[GridInterval, GridInterval], Barcode] = {}
-    for (i, j), count in m_matching(f).items():
-        dims = _comparison_dims(frame, i, j)
-        if dims[-1] != count:
-            raise InvariantError(f"bar count {dims[-1]} of ({i},{j}) disagrees"
-                                 f" with m = {count}")
-        entries[(i, j)] = _overlap_bars(i.intersect(j), dims)
+    for block in _basis_matrix(f).blocks():
+        frame = functools.cache(block.at)
+        for (i, j), count in _block_counts(block, frame).items():
+            if not count:
+                continue
+            dims = _comparison_dims(frame, i, j)
+            if dims[-1] != count:
+                raise InvariantError(f"bar count {dims[-1]} of ({i},{j}) disagrees"
+                                     f" with m = {count}")
+            counts[(i, j)] += count
+            bars = _overlap_bars(i.intersect(j), dims)
+            entries[(i, j)] = entries.get((i, j), Barcode()).union(bars)
+    _check_table_bounds(counts, barcode(f.source), barcode(f.target))
     return GMatchingTable(entries)
 
 

@@ -481,6 +481,30 @@ class _BasisMatrix:
         return _BasisMatrix(self.p, self.src_a[cols], self.src_b[cols],
                             self.tgt_a[rows], self.tgt_b[rows], self.m[rows][:, cols])
 
+    def blocks(self) -> list["_BasisMatrix"]:
+        """The connected components of M's bipartite graph, as selects:
+        rows (target generators) and columns (source generators) joined by
+        the nonzero entries, in the order of their first nonzero.  An
+        all-zero row or column is in no block."""
+        nr = self.m.shape[0]
+        parent = list(range(nr + self.m.shape[1]))  # rows, then columns
+
+        def root(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        rows, cols = np.nonzero(self.m)
+        for h, g in zip(rows.tolist(), (cols + nr).tolist()):
+            parent[root(h)] = root(g)
+        # A root is a node of its component, so no zero row or column is one.
+        groups = {root(h): ([], []) for h in rows.tolist()}
+        for x in range(len(parent)):
+            group = groups.get(root(x))
+            if group is not None:
+                group[x >= nr].append(x - nr if x >= nr else x)
+        return [self.select(r, c) for r, c in groups.values()]
+
 
 def _check_support(bm: _BasisMatrix) -> _BasisMatrix:
     """bm, once every nonzero entry is known to sit on a hom_exists pair."""

@@ -75,7 +75,7 @@ def _reshape(flat: list[int], rows: int, cols: int, p: int, what: str) -> np.nda
         m = np.array(flat, dtype=np.int64)
     except OverflowError:  # an entry outside int64: reduce it as a Python int
         m = np.array([x % p for x in flat], dtype=np.int64)
-    return (m % p).reshape(rows, cols)
+    return m.reshape(rows, cols)  # the module and morphism reduce it mod p
 
 
 def _dims(obj, n: int, what: str) -> list[int]:

@@ -375,17 +375,22 @@ def test_work_bound_loads_at_the_bound_and_exits_2_past_it_quickly(tmp_path, cap
     assert f"{gf.MAX_WORK + 1}, above the work bound of {gf.MAX_WORK}" in err
 
 
-def test_match_g_at_the_work_bound_is_linear_in_its_entries(tmp_path, capsys):
-    # n = 1365 with dims 1 on both sides, zero structure maps and identity
-    # components: 1,365 one-point bars per side, each matched to its twin.
-    n = 1365
-    assert n + 2 * n <= gf.MAX_WORK
+def _points_file(tmp_path, n):
+    # Dims 1 on both sides, zero structure maps and identity components:
+    # n one-point bars per side, each matched to its twin.
     obj = {"format": "indumatch-ladder", "version": 1, "p": 2, "n": n,
            "source": {"dims": [1] * n, "maps": [[0]] * (n - 1)},
            "target": {"dims": [1] * n, "maps": [[0]] * (n - 1)},
            "morphism": [[1]] * n}
     path = tmp_path / "points.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+def test_match_g_at_the_work_bound_is_linear_in_its_entries(tmp_path, capsys):
+    n = 1365
+    assert n + 2 * n <= gf.MAX_WORK
+    path = _points_file(tmp_path, n)
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "match", str(path), "--method", "g")
     assert time.perf_counter() - start < 4
@@ -395,6 +400,25 @@ def test_match_g_at_the_work_bound_is_linear_in_its_entries(tmp_path, capsys):
     for t, entry in enumerate(entries, start=1):
         assert entry == {"I": [t, t], "J": [t, t],
                          "bars": [{"interval": [t, t], "multiplicity": 1}]}
+
+
+def test_match_m_at_the_work_bound_tests_linearly_many_pairs(tmp_path, capsys,
+                                                            monkeypatch):
+    # M splits into n one-by-one blocks, and each block pairs only its own
+    # bars: n hom_exists tests, not one per pair of the n x n bars.
+    n = 1365
+    path = _points_file(tmp_path, n)
+    calls = []
+
+    def counting(i, j):
+        calls.append((i, j))
+        return modules.hom_exists(i, j)
+
+    monkeypatch.setattr(matching, "hom_exists", counting)
+    code, out, _ = run_cli(capsys, "match", str(path), "--method", "m")
+    assert code == 0
+    assert len(json.loads(out)["entries"]) == n
+    assert 0 < len(calls) <= 2 * n
 
 
 def test_sum_past_the_work_bound_exits_5(tmp_path, capsys):
@@ -740,3 +764,27 @@ def test_module_entry_point(ref_file):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["barcode_image"] == [{"interval": [2, 2], "multiplicity": 1}]
+
+
+def test_cli_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs 10-15 ms and over 1 MB to import (np.unique loads it).
+    # pytest may have loaded it already, so a fresh interpreter runs every
+    # command and then looks.
+    path = tmp_path / "ladder.json"
+    write_morphism(random_ladder(6, 4, 5, 3), path)
+    code = f"""
+import sys
+from indumatch.cli import main
+path = {str(path)!r}
+for argv in (["barcode", path], ["match", path, "--method", "m"],
+             ["match", path, "--method", "g"], ["match", path, "--method", "chi"],
+             ["match", path, "--method", "m", "--eps", "1"],
+             ["sum", path, path]):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(indumatch.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

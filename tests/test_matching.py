@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import random
 import subprocess
@@ -41,7 +42,7 @@ from indumatch import (
 )
 from indumatch.gf import Subspace
 from indumatch import matching
-from indumatch.matching import MMatchingTable, _entry_count
+from indumatch.matching import GMatchingTable, MMatchingTable, _entry_count
 from indumatch.modules import InvariantError, _basis_matrix
 
 import quotients
@@ -339,23 +340,83 @@ def test_pruned_table_equals_full_scan():
             assert m_matching(g).as_dict() == full_scan_counts(g)
 
 
+def _bar_set(starts, ends):
+    return set(zip(starts.tolist(), ends.tolist()))
+
+
 def test_entry_counts_only_for_hom_pairs(monkeypatch):
+    # Each block of M counts the hom pairs of its own bars, and only those.
     f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
+    blocks = _basis_matrix(f).blocks()
     hom_pairs = sum(
         hom_exists(i, j)
-        for i in barcode(f.source).intervals()
-        for j in barcode(f.target).intervals()
+        for b in blocks
+        for i in matching._bars(b.src_a, b.src_b)
+        for j in matching._bars(b.tgt_a, b.tgt_b)
     )
     visited = []
+    block_counts = matching._block_counts
+
+    def per_block(block, frame):
+        visited.append((block, []))
+        return block_counts(block, frame)
 
     def counting(ft, i, j):
-        visited.append((i, j))
+        visited[-1][1].append((i, j))
         return _entry_count(ft, i, j)
 
+    monkeypatch.setattr(matching, "_block_counts", per_block)
     monkeypatch.setattr(matching, "_entry_count", counting)
     m_matching(f)
-    assert 0 < len(visited) == hom_pairs
-    assert all(hom_exists(i, j) for i, j in visited)
+    assert len(visited) == len(blocks) > 1
+    pairs = [(block, i, j) for block, seen in visited for i, j in seen]
+    assert 0 < len(pairs) == hom_pairs
+    for block, i, j in pairs:
+        assert hom_exists(i, j)
+        assert (i.a, i.b) in _bar_set(block.src_a, block.src_b), (i, j)
+        assert (j.a, j.b) in _bar_set(block.tgt_a, block.tgt_b), (i, j)
+    for _, seen in visited:
+        assert len(set(seen)) == len(seen)  # no pair twice in one block
+
+
+# Referee: both tables on the whole M, with no block split.
+
+
+def unsplit_tables(f):
+    bm = _basis_matrix(f)
+    frame = functools.cache(bm.at)
+    m, g = {}, {}
+    for i in barcode(f.source).intervals():
+        for j in barcode(f.target).intervals():
+            if not hom_exists(i, j):
+                continue
+            count = _entry_count(frame(j.b), i, j)
+            if count:
+                dims = matching._comparison_dims(frame, i, j)
+                assert dims[-1] == count, (i, j)
+                m[(i, j)] = count
+                g[(i, j)] = matching._overlap_bars(i.intersect(j), dims)
+    return MMatchingTable(m), GMatchingTable(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 6),
+    max_dim=st.integers(0, 4),
+    p=st.sampled_from([2, 3, 5]),
+    seed=st.integers(0, 2**16),
+    other=st.integers(0, 2**16),
+    eps=st.integers(1, 4),
+)
+def test_block_sums_match_unsplit_referee(n, max_dim, p, seed, other, eps):
+    f = random_ladder(n, max_dim, p, seed)
+    g = random_ladder(n, max_dim, p, other)
+    zero = Morphism.zero(g.source, f.target)
+    for h in (f, shift_morphism(f, min(eps, n - 1)), direct_sum_morphism(f, zero, g),
+              direct_sum_morphism(f, f, zero, g)):
+        m_table, g_table = unsplit_tables(h)
+        assert m_matching(h) == m_table
+        assert g_matching(h) == g_table
 
 
 def test_table_inequalities_small_suite():

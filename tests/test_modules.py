@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -599,3 +600,54 @@ def test_basis_matrix_slices_match_frame_referee(n, max_dim, p, seed, other, eps
 def test_image_barcode_matches_rank_referee(n, max_dim, p, seed, other, eps):
     for f in _basis_matrix_cases(n, max_dim, p, seed, other, eps):
         assert image_barcode(f) == naive_barcode(image_module(f)[0])
+
+
+def _indexed_blocks(bm):
+    # blocks() reads only M, so endpoints replaced by indices label each
+    # block's rows and columns with their places in M.
+    nr, nc = bm.m.shape
+    return dataclasses.replace(bm, src_a=np.arange(nc), tgt_a=np.arange(nr)).blocks()
+
+
+def assert_blocks_partition_m(bm):
+    blocks = _indexed_blocks(bm)
+    rows = [b.tgt_a.tolist() for b in blocks]
+    cols = [b.src_a.tolist() for b in blocks]
+    assert sum(map(len, rows)) == len({h for r in rows for h in r})  # disjoint
+    assert sum(map(len, cols)) == len({g for c in cols for g in c})
+    for h, g in np.argwhere(bm.m != 0).tolist():
+        assert sum(h in r and g in c for r, c in zip(rows, cols)) == 1, (h, g)
+    for block, r, c in zip(blocks, rows, cols):
+        assert np.array_equal(block.m, bm.m[np.ix_(r, c)])
+        assert block.m.any(axis=0).all() and block.m.any(axis=1).all()
+        assert len(block.blocks()) == 1  # connected
+    # The zero rows and columns of M are in no block.
+    assert sorted(h for r in rows for h in r) == np.flatnonzero(bm.m.any(axis=1)).tolist()
+    assert sorted(g for c in cols for g in c) == np.flatnonzero(bm.m.any(axis=0)).tolist()
+
+
+def test_blocks_of_a_path_and_a_lone_entry():
+    # Nonzeros (0,0), (0,1), (1,1), (2,2) with row 3 and column 3 zero:
+    # a path through rows 0, 1 and a separate entry.
+    m = mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    ends = np.array([1, 1, 1, 1])
+    bm = _BasisMatrix(2, ends, ends, ends, ends, m)
+    assert [b.m.tolist() for b in _indexed_blocks(bm)] == [[[1, 1], [0, 1]], [[1]]]
+    assert_blocks_partition_m(bm)
+    assert _BasisMatrix(2, ends, ends, ends, ends, gf.zeros(4, 4)).blocks() == []
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(**CASES)
+def test_blocks_partition_the_nonzeros_of_m(n, max_dim, p, seed, other, eps):
+    for f in _basis_matrix_cases(n, max_dim, p, seed, other, eps):
+        assert_blocks_partition_m(_basis_matrix(f))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), max_dim=st.integers(0, 4), p=st.sampled_from([2, 3, 5]),
+       seed=st.integers(0, 2**16), k=st.integers(2, 4))
+def test_k_copies_have_k_times_the_blocks(n, max_dim, p, seed, k):
+    f = random_ladder(n, max_dim, p, seed)
+    one = len(_basis_matrix(f).blocks())
+    assert len(_basis_matrix(direct_sum_morphism(*[f] * k)).blocks()) == k * one
