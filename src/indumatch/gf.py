@@ -30,9 +30,12 @@ MAX_DIM = 256
 # both modules, i.e. the sum over grid positions t of 1 + dim V(t) +
 # dim W(t).  MAX_DIM bounds the work per position, not per file: without
 # this bound the cost grows linearly in n (about 0.5 ms per input byte,
-# so a file of a few hundred KB runs for minutes).  At the bound,
-# barcode and match take about a second (match g 1.2 s on n = 1365 with
-# dims 1 on both sides and 1,365 nonzero entries).
+# so a file of a few hundred KB runs for minutes).  At the bound, the
+# slowest input measured is a target with n = 16, dims 255 and dense
+# seeded GF(2) structure maps over an empty source: barcode takes 0.7 s
+# on a 2-core x86 VM, 0.6 s of it for the persistence basis (identity
+# maps of the same shape: 0.3 s); match g on n = 1365 with dims 1 on
+# both sides and 1,365 nonzero entries takes 0.4 s.
 MAX_WORK = 4096
 
 

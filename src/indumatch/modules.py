@@ -17,9 +17,11 @@ as public referees.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -474,12 +476,13 @@ class _BasisMatrix:
 
     def at(self, t: int) -> "_BasisMatrix":
         """F_t: f_t from the source generators alive at t to the target ones."""
-        return self.select((self.tgt_a <= t) & (t <= self.tgt_b),
-                           (self.src_a <= t) & (t <= self.src_b))
+        return self.select(((self.tgt_a <= t) & (t <= self.tgt_b)).nonzero()[0],
+                           ((self.src_a <= t) & (t <= self.src_b)).nonzero()[0])
 
-    def select(self, rows, cols) -> "_BasisMatrix":
-        return _BasisMatrix(self.p, self.src_a[cols], self.src_b[cols],
-                            self.tgt_a[rows], self.tgt_b[rows], self.m[rows][:, cols])
+    def select(self, rows: np.ndarray, cols: np.ndarray) -> "_BasisMatrix":
+        """The rows and columns of M at the index arrays rows and cols."""
+        return _BasisMatrix(self.p, self.src_a[cols], self.src_b[cols], self.tgt_a[rows],
+                            self.tgt_b[rows], self.m.take(rows, 0).take(cols, 1))
 
     def blocks(self) -> list["_BasisMatrix"]:
         """The connected components of M's bipartite graph, as selects:
@@ -503,7 +506,7 @@ class _BasisMatrix:
             group = groups.get(root(x))
             if group is not None:
                 group[x >= nr].append(x - nr if x >= nr else x)
-        return [self.select(r, c) for r, c in groups.values()]
+        return [self.select(np.array(r), np.array(c)) for r, c in groups.values()]
 
 
 def _check_support(bm: _BasisMatrix) -> _BasisMatrix:
@@ -621,89 +624,149 @@ class PersistenceBasis:
         return self
 
 
+def _reduce_images(x: np.ndarray, eye: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Reduce a copy of the columns of x, oldest (leftmost) first.
+
+    Returns (lead, comb).  lead[j] is the leading row of reduced column j,
+    or -1 when it reduces to 0.  Column j of comb writes reduced column j
+    as a combination of the raw ones (x @ comb is the reduced copy); comb
+    is unit upper triangular, and only columns with a lead are ever
+    subtracted, so a column that reduces to 0 is its raw column plus
+    older survivors.  Nothing is rescaled: each pivot's 1/lead scales its
+    coefficients instead.  eye is an identity at least as wide as x.
+    """
+    d, width = x.shape
+    # Row j of work is column j of x, then its combination: rows make the
+    # per-pivot updates contiguous, and only rows that need one are read.
+    work = np.concatenate((x.T, eye[:width, :width]), axis=1)
+    lead = []
+    for j in range(width):
+        # Row j is reduced mod p only once every older pivot is out of it.
+        # Each pivot subtracted a product below p^2 (a reduced row times a
+        # reduced coefficient), and there are at most d pivots, so by the
+        # field bound d (p-1)^2 < 2^63 nothing overflows meanwhile.  The
+        # combination part is triangular: past column d + j it is still 0.
+        vec = work[j, : d + j + 1]
+        vec %= p
+        nz = vec[:d].nonzero()[0]
+        if not nz.size:
+            lead.append(-1)
+            continue
+        r = int(nz[0])
+        lead.append(r)
+        c = work[j + 1 :, r] % p
+        later = c.nonzero()[0]
+        if later.size:
+            c = c[later] * pow(int(vec[r]), -1, p) % p
+            work[j + 1 + later, : d + j + 1] -= c[:, None] * vec
+    return lead, work[:, d:].T
+
+
 def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
     """Explicit interval decomposition by a left-to-right sweep.
 
-    At each step the images of the live generators are reduced oldest
-    first; a generator whose image falls in the span of older ones is
-    closed, with the past chain corrected so its final vector maps to
-    zero.  Standard basis vectors complete each step's span, becoming
-    the newborn generators.  The basis is cached on the module, with
-    read-only vectors like the structure maps.
+    The vectors at t of the generators alive at t, oldest first, are the
+    columns of one matrix B_t.  The step from V(t) to V(t+1):
+      1. One image product X = V_t B_t holds the images of all of them.
+      2. A copy of X is reduced oldest first (_reduce_images), each
+         reduced column kept as a combination comb of the raw ones.
+      3. A survivor, a column that keeps a lead, takes its raw image as
+         its vector at t+1; its past is never touched.
+      4. A column that reduces to 0 dies at t.  Its chain is corrected
+         once, over [birth, t], by its comb over the older survivors,
+         whose chains cover that range; its vector at t then maps to 0.
+      5. The newborns at t+1 are the unit vectors e_i of the rows i that
+         no reduced survivor leads.  They need no reduction.
+    Why this is exact:
+      - The reduced copies have distinct leading rows, so with those e_i
+        they are an echelon set of dim V(t+1) vectors, a basis.
+      - Each reduced copy is its raw image less older raw images, a
+        unitriangular change, so the raw survivors and the e_i are a
+        basis of V(t+1) too.  A death adds older generators alive at
+        every s in [birth, t] to the dying one, also unitriangular, so
+        every B_s stays a basis.
+      - A column dies exactly when its image lies in the span of the
+        older images.  This is the elder rule, so the barcode is the
+        module's own; the basis, and so M, depends on the sweep, but
+        every table and chi are basis-invariant.
+    After the sweep the generators alive at each t must number dim V(t);
+    InvariantError names the first t where they do not.  The basis is
+    cached on the module, with read-only vectors like the structure maps.
     """
     if m._basis is not None:
         return m._basis
     p = m.p
-    finished: list[tuple[int, int, list[np.ndarray]]] = []
+    eye = gf.identity(max(m.dims))
+    births = [1] * m.dims[0]  # per generator, numbered as they are born
+    # cols[s - 1] is B_s and ids[s - 1] its generators' numbers, ascending,
+    # so oldest first.
+    cols = [eye[: m.dims[0], : m.dims[0]].copy()]
+    ids = [list(range(m.dims[0]))]
+    for t in range(1, m.n):
+        x = gf.matmul(m.map(t), cols[-1], p)
+        lead, comb = _reduce_images(x, eye, p)
+        alive = ids[-1]
+        # A column that reduces to 0 dies at t; if its image was 0 already,
+        # its chain needs no correction.
+        fix = [j for j, r in enumerate(lead) if r < 0 and x[:, j].any()]
+        if fix:
+            alive_births = [births[g] for g in alive]  # nondecreasing
+            for s in range(alive_births[fix[0]], t + 1):
+                k = bisect_right(alive_births, s)  # alive[:k] are born by s
+                place = {g: c for c, g in enumerate(ids[s - 1])}
+                pos = [place[g] for g in alive[:k]]
+                here = [j for j in fix if j < k]
+                b = cols[s - 1]
+                b[:, [pos[j] for j in here]] = b[:, pos] @ comb[:k, here] % p
+        survive = [j for j, r in enumerate(lead) if r >= 0]
+        led = set(lead)
+        newborn = [i for i in range(m.dims[t]) if i not in led]
+        # The survivors' raw images, then the unit vectors of the unled rows.
+        width = len(lead)
+        cols.append(np.concatenate((x, eye[: m.dims[t]]), axis=1)[
+            :, survive + [width + i for i in newborn]])
+        ids.append([alive[j] for j in survive]
+                   + list(range(len(births), len(births) + len(newborn))))
+        births += [t + 1] * len(newborn)
 
-    def reduce_against(vec, accepted):
-        # accepted vectors have pairwise distinct pivot rows and are zero
-        # on the earlier pivots, so one pass fully reduces.
-        coeffs = []
-        for k, (prow, pvec) in enumerate(accepted):
-            c = int(vec[prow, 0])
-            if c:
-                vec = (vec - c * pvec) % p
-                coeffs.append((k, c))
-        return vec, coeffs
-
-    live: list[tuple[int, list[np.ndarray]]] = []  # (birth, chain), oldest first
-    for t in range(m.n):
-        # Images in V(t+1) of the live generators, then the standard basis
-        # vectors of V(t+1) as candidates born at t+1 with an empty past.
-        fresh = gf.identity(m.dim(t + 1))
-        candidates = [(birth, chain, gf.matmul(m.map(t), chain[-1], p))
-                      for birth, chain in live]
-        candidates += [(t + 1, [], fresh[:, i : i + 1]) for i in range(fresh.shape[1])]
-        accepted: list[tuple[int, np.ndarray]] = []  # (pivot_row, vector at t+1)
-        live = []  # accepted[k] is the last vector of live[k]
-        for birth, chain, img in candidates:
-            red, coeffs = reduce_against(img, accepted)
-            # Apply the same combination to the past chain; the owners are
-            # older, so their chains cover [birth, t].
-            for k, c in coeffs:
-                other_birth, other = live[k]
-                for s in range(birth, t + 1):
-                    chain[s - birth] = (
-                        chain[s - birth] - c * other[s - other_birth]
-                    ) % p
-            nz = np.nonzero(red[:, 0])[0]
-            if nz.size == 0:
-                if chain:
-                    finished.append((birth, t, chain))
-                continue
-            prow = int(nz[0])
-            inv = pow(int(red[prow, 0]), -1, p)
-            if inv != 1:
-                red = (red * inv) % p
-                chain = [(v * inv) % p for v in chain]
-            chain.append(red)
-            accepted.append((prow, red))
-            live.append((birth, chain))
-
-    for birth, chain in live:
-        finished.append((birth, m.n, chain))
-
-    for _, _, chain in finished:
-        for v in chain:
-            v.setflags(write=False)
-    gens = [
-        Generator(GridInterval(birth, death), tuple(chain))
-        for birth, death, chain in finished
-    ]
+    vectors: list[list[np.ndarray]] = [[] for _ in births]
+    for b, gens in zip(cols, ids):
+        b.setflags(write=False)
+        for c, g in enumerate(gens):
+            vectors[g].append(b[:, c : c + 1])
+    gens = [Generator(GridInterval(a, a + len(vecs) - 1), tuple(vecs))
+            for a, vecs in zip(births, vectors)]
+    _check_alive_counts(m, gens)
     gens.sort(key=lambda g: interval_sort_key(g.interval))
     m._basis = PersistenceBasis(tuple(gens))
     return m._basis
 
 
+def _check_alive_counts(m: PersistenceModule, gens: list[Generator]):
+    """Raise InvariantError unless dim V(t) generators are alive at each t."""
+    change = [0] * (m.n + 2)
+    for g in gens:
+        change[g.interval.a] += 1
+        change[g.interval.b + 1] -= 1
+    for t, (alive, dim) in enumerate(zip(accumulate(change[1:]), m.dims), start=1):
+        if alive != dim:
+            raise InvariantError(f"persistence basis: {alive} generators alive at"
+                                 f" t={t}, but dim V({t}) = {dim}")
+
+
 def barcode(m: PersistenceModule) -> Barcode:
     """Interval decomposition multiplicities, read off the persistence basis.
 
-    The sweep in persistence_basis is the standard left-to-right column
-    reduction.  Since v_plus and v_minus of [a, b] are spanned by basis
-    vectors and differ by exactly the generators with interval [a, b],
-    dim v_plus - dim v_minus at any t in [a, b] is the multiplicity of
-    [a, b], which is the fact the matching relies on.
+    The sweep in persistence_basis is a left-to-right column reduction
+    that closes a generator by the elder rule, so the bars are the
+    module's own whatever basis it builds.  Each step makes one image
+    product, reduces a copy of it oldest first, takes the unit vectors
+    of the unled rows as newborns and rewrites only a dying generator's
+    past (the steps and why they are exact are in its docstring).  Since
+    v_plus and v_minus of [a, b] are spanned by basis vectors and differ
+    by exactly the generators with interval [a, b], dim v_plus - dim
+    v_minus at any t in [a, b] is the multiplicity of [a, b], which is
+    the fact the matching relies on.
     """
     return persistence_basis(m).interval_barcode()
 
@@ -820,7 +883,8 @@ def shift_morphism(f: Morphism, eps: int) -> Morphism:
     """
     _check_eps(f.n, eps)
     bm = _basis_matrix(f)
-    kept = bm.select(bm.tgt_b - bm.tgt_a >= eps, bm.src_b - bm.src_a >= eps)
+    kept = bm.select((bm.tgt_b - bm.tgt_a >= eps).nonzero()[0],
+                     (bm.src_b - bm.src_a >= eps).nonzero()[0])
     src_b, tgt_b = kept.src_b - eps, kept.tgt_b - eps
     m = np.where(kept.src_a <= tgt_b[:, None], kept.m, 0)
     shifted = _check_support(_BasisMatrix(f.p, kept.src_a, src_b, kept.tgt_a, tgt_b, m))

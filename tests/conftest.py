@@ -14,6 +14,7 @@ from indumatch import (
     one_eps_morphism,
     persistence_basis,
 )
+from indumatch.modules import Generator, PersistenceBasis, interval_sort_key
 
 
 def mat(rows):
@@ -107,3 +108,64 @@ def ref_shift_morphism(f, eps):
         assert coords is not None, f"shifted image escapes the target image at t={t}"
         comps.append(coords)
     return Morphism(src_embed.source, dst_embed.source, comps)
+
+
+# ---------------------------------------------------------------------------
+# Referee for the persistence-basis sweep: the earlier sweep, which reduces
+# every image and every unit-vector candidate one at a time, rescales each
+# pivot to 1 and rewrites the past chain of every generator it reduces.
+
+
+def ref_persistence_basis(m):
+    """A persistence basis of m by the earlier candidate-by-candidate sweep;
+    not cached on m."""
+    p = m.p
+    finished = []
+
+    def reduce_against(vec, accepted):
+        # accepted vectors have pairwise distinct pivot rows and are zero
+        # on the earlier pivots, so one pass fully reduces.
+        coeffs = []
+        for k, (prow, pvec) in enumerate(accepted):
+            c = int(vec[prow, 0])
+            if c:
+                vec = (vec - c * pvec) % p
+                coeffs.append((k, c))
+        return vec, coeffs
+
+    live = []  # (birth, chain), oldest first
+    for t in range(m.n):
+        # Images in V(t+1) of the live generators, then the standard basis
+        # vectors of V(t+1) as candidates born at t+1 with an empty past.
+        fresh = gf.identity(m.dim(t + 1))
+        candidates = [(birth, chain, gf.matmul(m.map(t), chain[-1], p))
+                      for birth, chain in live]
+        candidates += [(t + 1, [], fresh[:, i : i + 1]) for i in range(fresh.shape[1])]
+        accepted = []  # (pivot_row, vector at t+1)
+        live = []  # accepted[k] is the last vector of live[k]
+        for birth, chain, img in candidates:
+            red, coeffs = reduce_against(img, accepted)
+            # Apply the same combination to the past chain; the owners are
+            # older, so their chains cover [birth, t].
+            for k, c in coeffs:
+                other_birth, other = live[k]
+                for s in range(birth, t + 1):
+                    chain[s - birth] = (chain[s - birth] - c * other[s - other_birth]) % p
+            nz = np.nonzero(red[:, 0])[0]
+            if nz.size == 0:
+                if chain:
+                    finished.append((birth, t, chain))
+                continue
+            prow = int(nz[0])
+            inv = pow(int(red[prow, 0]), -1, p)
+            if inv != 1:
+                red = (red * inv) % p
+                chain = [(v * inv) % p for v in chain]
+            chain.append(red)
+            accepted.append((prow, red))
+            live.append((birth, chain))
+    finished += [(birth, m.n, chain) for birth, chain in live]
+    gens = [Generator(GridInterval(birth, death), tuple(chain))
+            for birth, death, chain in finished]
+    gens.sort(key=lambda g: interval_sort_key(g.interval))
+    return PersistenceBasis(tuple(gens))

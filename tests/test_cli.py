@@ -747,6 +747,28 @@ def test_internal_invariant_failure_exits_6(ref_file, capsys, monkeypatch,
     assert err == f"internal error: {message}\n"
 
 
+def test_basis_count_failure_exits_6(tmp_path, capsys, monkeypatch):
+    # Two survivors claiming one leading row leave a row both unled and
+    # led, so one generator too many is born at t=3.
+    m = modules.PersistenceModule(3, (1, 2, 2, 3), [[[1], [0]], gf.identity(2),
+                                                    [[1, 0], [0, 1], [0, 0]]])
+    path = tmp_path / "count.json"
+    write_morphism(modules.Morphism.zero(m, m), path)
+    real = modules._reduce_images
+
+    def one_lead(x, eye, p):
+        lead, comb = real(x, eye, p)
+        first = next((r for r in lead if r >= 0), -1)
+        return [first if r >= 0 else r for r in lead], comb
+
+    monkeypatch.setattr(modules, "_reduce_images", one_lead)
+    code, out, err = run_cli(capsys, "barcode", str(path))
+    assert code == 6
+    assert out == ""
+    assert err == ("internal error: persistence basis: 3 generators alive at t=3,"
+                   " but dim V(3) = 2\n")
+
+
 # ---------------------------------------------------------------------------
 # process-level entry point
 

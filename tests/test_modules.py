@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import time
 
 import numpy as np
 import pytest
@@ -40,12 +41,13 @@ from indumatch import (
     v_plus,
     zero_module,
 )
+from indumatch import cli
 from indumatch.gf import Subspace
 from indumatch.modules import InvariantError, _basis_matrix, _BasisMatrix, _check_support
 from indumatch.oracle import naive_barcode
 
 import quotients
-from conftest import iv, mat, ref_frame, ref_shift_morphism
+from conftest import iv, mat, ref_frame, ref_persistence_basis, ref_shift_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +433,116 @@ def test_basis_counting_matches_operator_dims():
                 assert ker_p == sum(1 for i in alive if i.b <= d)
                 ker_m = ker_minus(m, iv(1, d), t).dim
                 assert ker_m == sum(1 for i in alive if i.b < d)
+
+
+# ---------------------------------------------------------------------------
+# the sweep, against the earlier sweep and the rank oracle
+
+
+def _module_with_maps(p, dims, kind, seed):
+    rng = np.random.default_rng(seed)
+    maps = []
+    for t in range(1, len(dims)):
+        shape = (dims[t], dims[t - 1])
+        if kind == "zero":
+            maps.append(gf.zeros(*shape))
+        elif kind == "identity":
+            maps.append(np.eye(*shape, dtype=np.int64))
+        else:
+            maps.append(rng.integers(0, p, shape))
+    return PersistenceModule(p, dims, maps)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A morphism whose modules the sweep decomposes: a random ladder, a
+    k-way direct sum of them, or the identity on a module with random, zero
+    or identity maps, or on one built from bars with its basis cleared."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["ladder", "sum", "random", "zero", "identity", "bars"]))
+    if kind == "ladder":
+        return random_ladder(n, draw(st.integers(0, 6)), p, seed)
+    if kind == "sum":
+        k = draw(st.integers(2, 4))
+        return direct_sum_morphism(*(random_ladder(n, 3, p, seed + i) for i in range(k)))
+    if kind == "bars":
+        bars = draw(st.lists(st.tuples(st.integers(1, n), st.integers(0, n)), max_size=8))
+        m = module_from_bars(n, p, [iv(a, min(a + length, n)) for a, length in bars])
+        m._basis = None
+    else:
+        dims = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        m = _module_with_maps(p, dims, kind, seed)
+    return Morphism.identity(m)
+
+
+def _with_bases(f, basis):
+    """A copy of f whose modules carry the bases basis(module) builds."""
+    source = PersistenceModule(f.p, f.source.dims, f.source.maps)
+    target = (source if f.target is f.source
+              else PersistenceModule(f.p, f.target.dims, f.target.maps))
+    for m in (source, target):
+        m._basis = basis(m)
+    return Morphism(source, target, f.comps)
+
+
+def _cli_tables(f):
+    """What the CLI reports on f, with and without the shift by one."""
+    out = [barcode(f.source), barcode(f.target), image_barcode(f)]
+    for eps in range(min(f.n, 2)):
+        g = shift_morphism(f, eps)
+        out += [cli._match_payload(g, method, eps) for method in ("m", "g", "chi")]
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(f=sweep_cases())
+def test_sweep_matches_the_earlier_sweep_and_the_rank_oracle(f):
+    for m in (f.source, f.target):
+        bc = persistence_basis(m).validate(m).interval_barcode()
+        assert bc == naive_barcode(m)
+        assert bc == ref_persistence_basis(m).validate(m).interval_barcode()
+    assert _cli_tables(_with_bases(f, persistence_basis)) == \
+        _cli_tables(_with_bases(f, ref_persistence_basis))
+
+
+def test_sweep_makes_one_image_product_per_step(monkeypatch):
+    # The earlier sweep made one product per live generator per step.
+    m = random_module(8, 4, 5, random.Random(7))
+    assert max(m.dims) >= 3
+    calls = {"matmul": 0, "rref": 0, "solve": 0}
+
+    def counting(name):
+        real = getattr(gf, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gf, name, counting(name))
+    persistence_basis(m)
+    assert calls["rref"] == calls["solve"] == 0
+    assert 0 < calls["matmul"] <= m.n - 1
+
+
+def test_dense_module_at_the_work_bound_decomposes_quickly():
+    # n + the sum of all dims at the work bound, with dense seeded GF(2)
+    # structure maps: every step reduces a full 255 x 255 image block, and
+    # the earlier sweep took about 15 s here.
+    n, d = 16, 255
+    assert n + n * d == gf.MAX_WORK
+    rng = np.random.default_rng(0)
+    m = PersistenceModule(2, [d] * n, [rng.integers(0, 2, (d, d)) for _ in range(n - 1)])
+    m.validate()
+    start = time.perf_counter()
+    bc = barcode(m)
+    assert time.perf_counter() - start < 7
+    assert all(bc.dim_at(t) == d for t in range(1, n + 1))
+    # The random maps are rank-deficient, so some generators close early.
+    assert len(bc.intervals()) > 1
 
 
 # ---------------------------------------------------------------------------
