@@ -8,7 +8,6 @@ from .gf import (
 )
 from .modules import (
     Barcode,
-    Generator,
     GridInterval,
     Morphism,
     PersistenceBasis,

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf
 from .matching import IndexedBar, RepMatching, m_matching, representation
 from .modules import (
@@ -137,34 +139,29 @@ def realize_as_m(f: Morphism) -> tuple[Morphism, RealizationCertificate]:
     beta = persistence_basis(u)
     sigma = chi(f)
 
-    # Indexed-bar labels in generator order (generators are already sorted
-    # by interval, so indices count occurrences of equal intervals).
+    # Indexed-bar labels in basis order: indices count occurrences of
+    # equal intervals.
     def labels(basis):
         seen: dict[GridInterval, int] = {}
         out = []
-        for gen in basis.generators:
-            seen[gen.interval] = seen.get(gen.interval, 0) + 1
-            out.append((gen.interval, seen[gen.interval]))
+        for a, b in zip(basis.starts.tolist(), basis.ends.tolist()):
+            iv = GridInterval(a, b)
+            seen[iv] = seen.get(iv, 0) + 1
+            out.append((iv, seen[iv]))
         return out
 
-    alpha_labels = labels(alpha)
-    beta_gen_by_label = dict(zip(labels(beta), beta.generators))
-
-    partner = []
-    for gen, label in zip(alpha.generators, alpha_labels):
-        dst = sigma.get(label)
-        partner.append(beta_gen_by_label[dst] if dst is not None else None)
+    beta_index = {label: h for h, label in enumerate(labels(beta))}
+    # Per source generator, its partner target generator, or -1.
+    partner = np.array([beta_index.get(sigma.get(label), -1) for label in labels(alpha)],
+                       dtype=np.int64)
 
     comps = []
     for t in range(1, f.n + 1):
-        _, _, a_t = alpha.alive_columns(t)
-        mates = [mate for gen, mate in zip(alpha.generators, partner)
-                 if gen.interval.contains(t)]
+        mates, tgt = partner[alpha._alive(t)], beta._alive(t)
+        routed = np.isin(mates, tgt)
         w_t = gf.zeros(u.dim(t), len(mates))
-        for k, mate in enumerate(mates):
-            if mate is not None and mate.interval.contains(t):
-                w_t[:, k : k + 1] = mate.vector_at(t)
-        comps.append(gf.matmul(w_t, gf.inverse(a_t, p), p))
+        w_t[:, routed] = beta.vectors[t - 1][:, np.searchsorted(tgt, mates[routed])]
+        comps.append(gf.matmul(w_t, gf.inverse(alpha.vectors[t - 1], p), p))
     g = Morphism(v, u, comps).validate()
 
     induced = m_matching(g)

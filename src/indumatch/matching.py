@@ -261,15 +261,16 @@ class GMatchingTable(MatchingTable):
     empty = Barcode()
 
 
-def _check_table_bounds(counts: dict, b_src: Barcode, b_dst: Barcode):
-    """Row and column sums of the counts stay within the multiplicities."""
+def _check_table_bounds(counts: dict, b_src: Barcode, b_dst: Barcode, error=ValueError):
+    """Row and column sums of the counts stay within the multiplicities;
+    error is raised otherwise: InvariantError for a table computed here."""
     for side, bars, k in (("row", b_src, 0), ("column", b_dst, 1)):
         sums: Counter = Counter()
         for pair, c in counts.items():
             sums[pair[k]] += c
         for iv, total in sums.items():
             if total > bars.mult(iv):
-                raise ValueError(f"{side} sum {total} exceeds multiplicity of {iv}")
+                raise error(f"{side} sum {total} exceeds multiplicity of {iv}")
 
 
 def _bars(starts: np.ndarray, ends: np.ndarray) -> list[GridInterval]:
@@ -318,7 +319,7 @@ def m_matching(f: Morphism) -> MMatchingTable:
     counts: Counter = Counter()
     for block in _basis_matrix(f).blocks():
         counts.update(_block_counts(block, functools.cache(block.at)))
-    _check_table_bounds(counts, barcode(f.source), barcode(f.target))
+    _check_table_bounds(counts, barcode(f.source), barcode(f.target), InvariantError)
     return MMatchingTable(counts)
 
 
@@ -349,7 +350,7 @@ def g_matching(f: Morphism) -> GMatchingTable:
             counts[(i, j)] += count
             bars = _overlap_bars(i.intersect(j), dims)
             entries[(i, j)] = entries.get((i, j), Barcode()).union(bars)
-    _check_table_bounds(counts, barcode(f.source), barcode(f.target))
+    _check_table_bounds(counts, barcode(f.source), barcode(f.target), InvariantError)
     return GMatchingTable(entries)
 
 

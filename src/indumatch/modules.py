@@ -8,7 +8,9 @@ API are 1-based, matching the usual way these diagrams are written.
 It reads the barcode and the subspace operators that carve out, at a
 single grid position, the part of the module belonging to an interval
 (im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus) off the
-persistence basis, the only thing a module caches.  A morphism f is
+persistence basis, the only thing a module caches: its generators'
+bars in birth order and, per grid position t, one matrix B_t of the
+vectors of those alive at t, as the sweep builds it.  A morphism f is
 read off the persistence bases of its two ends as one matrix M, the
 only thing a morphism caches; the image barcode and the shift functor
 are read off M.  The image factorization and the composite maps stay
@@ -20,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -322,6 +323,9 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
     the structure map V(t) -> V(t+1) keeps the bars that survive and
     drops the rest, a 0/1 selection.  The standard basis vectors are a
     persistence basis; it is seeded on the module, so no sweep runs on it.
+    Its generators are the bars in stable start order, as a basis must
+    be (see PersistenceBasis), so each B_t is a permutation matrix, the
+    identity when the bars come sorted by start.
     """
     bars = list(bars)
     for iv in bars:
@@ -332,17 +336,11 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
     alive = [np.nonzero((starts <= t) & (t <= ends))[0] for t in range(1, n + 1)]
     maps = [(alive[t][:, None] == alive[t - 1]).astype(np.int64) for t in range(1, n)]
     m = PersistenceModule(p, [len(k) for k in alive], maps)
-    gens = []
-    for k, iv in enumerate(bars):
-        vectors = []
-        for t in iv:
-            v = gf.zeros(m.dims[t - 1], 1)
-            v[np.searchsorted(alive[t - 1], k), 0] = 1
-            v.setflags(write=False)
-            vectors.append(v)
-        gens.append(Generator(iv, tuple(vectors)))
-    gens.sort(key=lambda g: interval_sort_key(g.interval))
-    m._basis = PersistenceBasis(tuple(gens))
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], ends[order]
+    vectors = [(k[:, None] == order[(starts <= t) & (t <= ends)]).astype(np.int64)
+               for t, k in enumerate(alive, start=1)]
+    m._basis = PersistenceBasis(starts, ends, tuple(vectors))
     return m
 
 
@@ -528,21 +526,21 @@ def _check_support(bm: _BasisMatrix) -> _BasisMatrix:
 def _basis_matrix(f: Morphism) -> _BasisMatrix:
     """f's M, cached on f: one gf.solve per distinct source birth s, for
     the columns of the generators born at s against the target generators
-    alive at s, which include every h that column can reach."""
+    alive at s, which include every h that column can reach.  In birth
+    order the generators born at s are the last columns of B_s."""
     if f._matrix is None:
         p = f.p
         alpha, beta = persistence_basis(f.source), persistence_basis(f.target)
-        (src_a, src_b), (tgt_a, tgt_b) = alpha._endpoints, beta._endpoints
-        m = gf.zeros(len(tgt_a), len(src_a))
-        for s in sorted(set(src_a.tolist())):
-            cols = np.nonzero(src_a == s)[0]
-            src = np.hstack([alpha.generators[g].vector_at(s) for g in cols])
-            _, _, tgt = beta.alive_columns(s)
-            coords = gf.solve(tgt, gf.matmul(f.comp(s), src, p), p)
-            if coords is None:  # cannot happen: tgt is a basis of W(s)
+        m = gf.zeros(len(beta.starts), len(alpha.starts))
+        for s in sorted(set(alpha.starts.tolist())):
+            cols = np.nonzero(alpha.starts == s)[0]
+            src = alpha.vectors[s - 1][:, -len(cols):]
+            coords = gf.solve(beta.vectors[s - 1], gf.matmul(f.comp(s), src, p), p)
+            if coords is None:  # cannot happen: B_s of the target is a basis of W(s)
                 raise InvariantError(f"target basis at t={s} does not span f_{s}")
             m[beta._alive(s)[:, None], cols] = coords
-        f._matrix = _check_support(_BasisMatrix(p, src_a, src_b, tgt_a, tgt_b, m))
+        f._matrix = _check_support(_BasisMatrix(p, alpha.starts, alpha.ends,
+                                                beta.starts, beta.ends, m))
     return f._matrix
 
 
@@ -550,77 +548,62 @@ def _basis_matrix(f: Morphism) -> _BasisMatrix:
 # Persistence bases.
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A bar with explicit vectors: one per grid position it spans."""
+@dataclass(frozen=True, eq=False)
+class PersistenceBasis:
+    """An interval decomposition of a module, as its generators' bars and
+    one matrix per grid position.
 
-    interval: GridInterval
+    The k-th generator has the bar [starts[k], ends[k]]; they are in
+    birth order, so starts is nondecreasing.  vectors[t - 1] is B_t,
+    whose columns are the vectors at t of the generators alive at t, in
+    that same order: those born by t - 1 that survive it, then those born
+    at t.  All arrays are read-only.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
     vectors: tuple[np.ndarray, ...]
 
-    def vector_at(self, t: int) -> np.ndarray:
-        if not self.interval.contains(t):
-            raise IndexError(f"t={t} outside {self.interval}")
-        return self.vectors[t - self.interval.a]
-
-
-@dataclass(frozen=True)
-class PersistenceBasis:
-    generators: tuple[Generator, ...]
+    def __post_init__(self):
+        for a in (self.starts, self.ends, *self.vectors):
+            a.setflags(write=False)
 
     def interval_barcode(self) -> Barcode:
-        entries: dict[GridInterval, int] = {}
-        for g in self.generators:
-            entries[g.interval] = entries.get(g.interval, 0) + 1
-        return Barcode(entries)
-
-    @cached_property
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Starts and ends of the generators, in basis order."""
-        return (np.array([g.interval.a for g in self.generators], dtype=np.int64),
-                np.array([g.interval.b for g in self.generators], dtype=np.int64))
+        bars = Counter(zip(self.starts.tolist(), self.ends.tolist()))
+        return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
 
     def _alive(self, t: int) -> np.ndarray:
-        starts, ends = self._endpoints
-        return np.nonzero((starts <= t) & (t <= ends))[0]
-
-    def alive_at(self, t: int) -> list[Generator]:
-        return [self.generators[k] for k in self._alive(t)]
+        return np.nonzero((self.starts <= t) & (t <= self.ends))[0]
 
     def alive_columns(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Starts, ends and vectors (as columns) of the generators alive at t."""
+        """Starts and ends of the generators alive at t, and B_t."""
         alive = self._alive(t)
-        cols = (np.hstack([self.generators[k].vector_at(t) for k in alive])
-                if alive.size else gf.zeros(0, 0))
-        starts, ends = self._endpoints
-        return starts[alive], ends[alive], cols
+        return self.starts[alive], self.ends[alive], self.vectors[t - 1]
 
     def validate(self, m: PersistenceModule) -> "PersistenceBasis":
-        for g in self.generators:
-            iv = g.interval
-            if iv.b > m.n:
-                raise ValidationError(f"generator interval {iv} exceeds grid")
-            if len(g.vectors) != iv.b - iv.a + 1:
-                raise ValidationError(f"generator {iv} has wrong vector count")
-            for t in iv:
-                v = g.vector_at(t)
-                if v.shape != (m.dim(t), 1):
-                    raise ValidationError(f"generator {iv} vector shape at t={t}")
-                if not np.any(v):
-                    raise ValidationError(f"generator {iv} vanishes at t={t}")
-            for t in range(iv.a, iv.b):
-                pushed = gf.matmul(m.map(t), g.vector_at(t), m.p)
-                if not np.array_equal(pushed, g.vector_at(t + 1)):
-                    raise ValidationError(f"generator {iv} chain breaks at t={t}")
-            if iv.b < m.n:
-                dead = gf.matmul(m.map(iv.b), g.vector_at(iv.b), m.p)
-                if np.any(dead):
-                    raise ValidationError(f"generator {iv} survives its end")
+        starts, ends = self.starts, self.ends
+        if len(self.vectors) != m.n or len(starts) != len(ends):
+            raise ValidationError(f"{len(starts)} starts, {len(ends)} ends and"
+                                  f" {len(self.vectors)} matrices on a grid of length {m.n}")
+        if not np.all((1 <= starts) & (starts <= ends) & (ends <= m.n)):
+            raise ValidationError(f"a generator's bar is not inside 1..{m.n}")
+        if np.any(np.diff(starts) < 0):
+            raise ValidationError("generators are not in birth order")
         for t in range(1, m.n + 1):
-            _, _, cols = self.alive_columns(t)
-            if cols.shape[1] != m.dim(t):
-                raise ValidationError(f"basis count at t={t}")
-            if gf.rank(cols, m.p) != m.dim(t):
+            b, alive = self.vectors[t - 1], self._alive(t)
+            if b.shape != (m.dim(t), len(alive)) or len(alive) != m.dim(t):
+                raise ValidationError(f"B_{t} has shape {b.shape} for {len(alive)}"
+                                      f" generators alive in dim V({t}) = {m.dim(t)}")
+            if gf.rank(b, m.p) != m.dim(t):
                 raise ValidationError(f"basis vectors dependent at t={t}")
+            if t < m.n:
+                pushed = gf.matmul(m.map(t), b, m.p)
+                dies = ends[alive] == t
+                if np.any(pushed[:, dies]):
+                    raise ValidationError(f"a generator ending at t={t} survives it")
+                kept = pushed[:, ~dies]
+                if not np.array_equal(kept, self.vectors[t][:, : kept.shape[1]]):
+                    raise ValidationError(f"a generator's chain breaks at t={t}")
         return self
 
 
@@ -672,9 +655,10 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
          reduced column kept as a combination comb of the raw ones.
       3. A survivor, a column that keeps a lead, takes its raw image as
          its vector at t+1; its past is never touched.
-      4. A column that reduces to 0 dies at t.  Its chain is corrected
-         once, over [birth, t], by its comb over the older survivors,
-         whose chains cover that range; its vector at t then maps to 0.
+      4. A column that reduces to 0 dies at t.  Its vectors in B_s for
+         s in [birth, t] are corrected once, by its comb over the older
+         survivors, which are alive over that range; its vector at t
+         then maps to 0.
       5. The newborns at t+1 are the unit vectors e_i of the rows i that
          no reduced survivor leads.  They need no reduction.
     Why this is exact:
@@ -689,15 +673,19 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
         older images.  This is the elder rule, so the barcode is the
         module's own; the basis, and so M, depends on the sweep, but
         every table and chi are basis-invariant.
+    The generators are numbered as they are born, survivors keep their order
+    and newborns come last, so each B_t is already in birth order and is
+    kept as built: the basis is the births, the deaths and the B_t.
     After the sweep the generators alive at each t must number dim V(t);
     InvariantError names the first t where they do not.  The basis is
-    cached on the module, with read-only vectors like the structure maps.
+    cached on the module, read-only like the structure maps.
     """
     if m._basis is not None:
         return m._basis
     p = m.p
     eye = gf.identity(max(m.dims))
     births = [1] * m.dims[0]  # per generator, numbered as they are born
+    deaths = [m.n] * m.dims[0]
     # cols[s - 1] is B_s and ids[s - 1] its generators' numbers, ascending,
     # so oldest first.
     cols = [eye[: m.dims[0], : m.dims[0]].copy()]
@@ -707,8 +695,11 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
         lead, comb = _reduce_images(x, eye, p)
         alive = ids[-1]
         # A column that reduces to 0 dies at t; if its image was 0 already,
-        # its chain needs no correction.
-        fix = [j for j, r in enumerate(lead) if r < 0 and x[:, j].any()]
+        # its past needs no correction.
+        dead = [j for j, r in enumerate(lead) if r < 0]
+        for j in dead:
+            deaths[alive[j]] = t
+        fix = [j for j in dead if x[:, j].any()]
         if fix:
             alive_births = [births[g] for g in alive]  # nondecreasing
             for s in range(alive_births[fix[0]], t + 1):
@@ -728,26 +719,20 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
         ids.append([alive[j] for j in survive]
                    + list(range(len(births), len(births) + len(newborn))))
         births += [t + 1] * len(newborn)
+        deaths += [m.n] * len(newborn)
 
-    vectors: list[list[np.ndarray]] = [[] for _ in births]
-    for b, gens in zip(cols, ids):
-        b.setflags(write=False)
-        for c, g in enumerate(gens):
-            vectors[g].append(b[:, c : c + 1])
-    gens = [Generator(GridInterval(a, a + len(vecs) - 1), tuple(vecs))
-            for a, vecs in zip(births, vectors)]
-    _check_alive_counts(m, gens)
-    gens.sort(key=lambda g: interval_sort_key(g.interval))
-    m._basis = PersistenceBasis(tuple(gens))
+    _check_alive_counts(m, births, deaths)
+    m._basis = PersistenceBasis(np.array(births, dtype=np.int64),
+                                np.array(deaths, dtype=np.int64), tuple(cols))
     return m._basis
 
 
-def _check_alive_counts(m: PersistenceModule, gens: list[Generator]):
+def _check_alive_counts(m: PersistenceModule, births: list[int], deaths: list[int]):
     """Raise InvariantError unless dim V(t) generators are alive at each t."""
     change = [0] * (m.n + 2)
-    for g in gens:
-        change[g.interval.a] += 1
-        change[g.interval.b + 1] -= 1
+    for a, b in zip(births, deaths):
+        change[a] += 1
+        change[b + 1] -= 1
     for t, (alive, dim) in enumerate(zip(accumulate(change[1:]), m.dims), start=1):
         if alive != dim:
             raise InvariantError(f"persistence basis: {alive} generators alive at"
@@ -780,9 +765,10 @@ def image_barcode(f: Morphism) -> Barcode:
 
     The rank r(s, t) of Im(s) -> Im(t) is that of f_t on the source
     generators alive at t that start by s: a prefix of the columns of F_t,
-    which are sorted by start.  So one rref of F_t gives every s at once,
-    since the pivots in a prefix count its rank: the pivots that start at
-    s number r(s, t) - r(s-1, t).  Inclusion-exclusion, as in
+    as a basis keeps its generators in birth order (module_from_bars
+    sorts its bars by start for this).  So one rref of F_t gives every s
+    at once, since the pivots in a prefix count its rank: the pivots that
+    start at s number r(s, t) - r(s-1, t).  Inclusion-exclusion, as in
     oracle.naive_barcode, makes [a, b]'s multiplicity the count at (a, b)
     less the count at (a, b+1).
     """

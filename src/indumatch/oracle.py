@@ -51,7 +51,8 @@ def naive_barcode(m: PersistenceModule) -> Barcode:
 
 def count_generators(basis: PersistenceBasis, predicate) -> int:
     """Number of basis generators whose interval satisfies the predicate."""
-    return sum(1 for g in basis.generators if predicate(g.interval))
+    bars = zip(basis.starts.tolist(), basis.ends.tolist())
+    return sum(1 for a, b in bars if predicate(GridInterval(a, b)))
 
 
 # Predicate families matching the four interval operators: a generator is

@@ -186,4 +186,6 @@ def read_morphism(path) -> Morphism:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, an integer too long
+        raise ParseError(f"cannot decode {path}: {exc}") from exc
     return morphism_from_dict(obj)

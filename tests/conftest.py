@@ -14,7 +14,7 @@ from indumatch import (
     one_eps_morphism,
     persistence_basis,
 )
-from indumatch.modules import Generator, PersistenceBasis, interval_sort_key
+from indumatch.modules import PersistenceBasis
 
 
 def mat(rows):
@@ -165,7 +165,10 @@ def ref_persistence_basis(m):
             accepted.append((prow, red))
             live.append((birth, chain))
     finished += [(birth, m.n, chain) for birth, chain in live]
-    gens = [Generator(GridInterval(birth, death), tuple(chain))
-            for birth, death, chain in finished]
-    gens.sort(key=lambda g: interval_sort_key(g.interval))
-    return PersistenceBasis(tuple(gens))
+    finished.sort(key=lambda gen: gen[0])  # birth order
+    vectors = [np.hstack([chain[t - birth] for birth, death, chain in finished
+                          if birth <= t <= death] or [gf.zeros(m.dim(t), 0)])
+               for t in range(1, m.n + 1)]
+    return PersistenceBasis(np.array([gen[0] for gen in finished], dtype=np.int64),
+                            np.array([gen[1] for gen in finished], dtype=np.int64),
+                            tuple(vectors))

@@ -101,6 +101,28 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+DEEP_JSON = "[" * 200_000
+LONG_INT_LADDER = json.dumps({
+    "format": "indumatch-ladder", "version": 1, "p": 2, "n": 1,
+    "source": {"dims": [1], "maps": []}, "target": {"dims": [1], "maps": []},
+    "morphism": [[1]],
+}).replace("[[1]]", "[[" + "1" * 5000 + "]]")
+
+
+@pytest.mark.parametrize("text", [DEEP_JSON, LONG_INT_LADDER], ids=["deep", "long-int"])
+@pytest.mark.parametrize("command", ["barcode", "sum"])
+def test_undecodable_json_exits_2(tmp_path, capsys, text, command):
+    # json.loads raises RecursionError on deep nesting and a plain
+    # ValueError past the int digit limit, not JSONDecodeError.
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)] + ([str(path)] if command == "sum" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "barcode", str(tmp_path / "absent.json"))
     assert code == 2
@@ -737,6 +759,10 @@ def _no_dims(frame, i, j):
      "target basis at t=2 does not span f_2"),
     (matching, "_comparison_dims", _no_dims, ["match", "--method", "g"],
      "bar count 0 of ([2,2],[1,2]) disagrees with m = 1"),
+    (matching, "_entry_count", lambda *args: 5, ["match", "--method", "m"],
+     "row sum 5 exceeds multiplicity of [2,2]"),
+    (matching, "barcode", lambda m: modules.Barcode(), ["match", "--method", "g"],
+     "row sum 1 exceeds multiplicity of [2,2]"),
 ])
 def test_internal_invariant_failure_exits_6(ref_file, capsys, monkeypatch,
                                             owner, attr, fake, argv, message):

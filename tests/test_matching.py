@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import os
@@ -639,6 +640,15 @@ def test_table_bounds_raise_under_python_O():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.stdout == "raised\n", result.stderr
+
+
+def test_package_has_no_assert_statement():
+    # Every invariant in the package is an explicit raise, as -O strips asserts.
+    package = Path(indumatch.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_representation_realizes_counts_randomly():

@@ -43,7 +43,14 @@ from indumatch import (
 )
 from indumatch import cli
 from indumatch.gf import Subspace
-from indumatch.modules import InvariantError, _basis_matrix, _BasisMatrix, _check_support
+from indumatch.matching import MMatchingTable, m_matching
+from indumatch.modules import (
+    InvariantError,
+    PersistenceBasis,
+    _basis_matrix,
+    _BasisMatrix,
+    _check_support,
+)
 from indumatch.oracle import naive_barcode
 
 import quotients
@@ -392,10 +399,8 @@ def test_multiplicity_constant_along_interval():
 def test_basis_of_interval_module_is_all_ones():
     m = interval_module(4, 2, iv(2, 4))
     pb = persistence_basis(m).validate(m)
-    assert len(pb.generators) == 1
-    gen = pb.generators[0]
-    assert gen.interval == iv(2, 4)
-    assert all(np.array_equal(vec, mat([[1]])) for vec in gen.vectors)
+    assert pb.starts.tolist() == [2] and pb.ends.tolist() == [4]
+    assert [b.tolist() for b in pb.vectors] == [[], [[1]], [[1]], [[1]]]
 
 
 def test_basis_of_reference_source(reference_ladder):
@@ -421,14 +426,14 @@ def test_basis_counting_matches_operator_dims():
         pb = persistence_basis(m).validate(m)
         n = m.n
         for t in range(1, n + 1):
+            starts, ends, _ = pb.alive_columns(t)
+            alive = list(map(iv, starts.tolist(), ends.tolist()))
             for c in range(1, t + 1):
-                alive = [g.interval for g in pb.alive_at(t)]
                 im_p = im_plus(m, iv(c, n), t).dim
                 assert im_p == sum(1 for i in alive if i.a <= c)
                 im_m = im_minus(m, iv(c, n), t).dim
                 assert im_m == sum(1 for i in alive if i.a < c)
             for d in range(t, n + 1):
-                alive = [g.interval for g in pb.alive_at(t)]
                 ker_p = ker_plus(m, iv(1, d), t).dim
                 assert ker_p == sum(1 for i in alive if i.b <= d)
                 ker_m = ker_minus(m, iv(1, d), t).dim
@@ -667,10 +672,56 @@ def test_module_from_bars_seeds_a_valid_basis():
     m = module_from_bars(4, 3, bars).validate()
     assert m.dims == (2, 3, 4, 3)
     pb = persistence_basis(m).validate(m)
-    assert [g.interval for g in pb.generators] == sorted(bars, key=lambda i: (i.a, -i.b))
+    assert list(map(iv, pb.starts.tolist(), pb.ends.tolist())) == \
+        sorted(bars, key=lambda i: i.a)
     assert barcode(m) == naive_barcode(m)
     with pytest.raises(ValueError):
         module_from_bars(3, 2, [iv(2, 4)])
+
+
+def test_image_barcode_reads_bars_given_out_of_start_order():
+    # V(t) keeps the given order, [2,3] before [1,3], but the seeded basis
+    # is in start order, so F_t's columns sorted by start are a prefix;
+    # a basis seeded in the given order reads the image as {[1,1], [2,3]}.
+    source = module_from_bars(3, 2, [iv(2, 3), iv(1, 3)])
+    target = module_from_bars(3, 2, [iv(1, 3)])
+    f = Morphism(source, target, [mat([[1]]), mat([[1, 1]]), mat([[1, 1]])]).validate()
+    assert image_barcode(f) == naive_barcode(image_module(f)[0]) == \
+        Barcode.from_pairs([(1, 3, 1)])
+    assert m_matching(f) == m_matching(_with_bases(f, ref_persistence_basis)) == \
+        MMatchingTable({(iv(1, 3), iv(1, 3)): 1})
+
+
+def test_basis_validate_rejects_each_corruption(chain_module):
+    m = chain_module
+    pb = persistence_basis(m).validate(m)
+    assert pb.starts.tolist() == [1, 1, 2] and pb.ends.tolist() == [2, 2, 3]
+    b1, b2, b3 = pb.vectors
+    broken = b2.copy()
+    broken[:, 0] = (b2[:, 0] + b2[:, 2]) % 2  # no longer V_1 of its vector at t=1
+
+    def with_b2(cols):
+        return dataclasses.replace(pb, vectors=(b1, cols, b3))
+
+    cases = [
+        ("B_2 has shape", with_b2(b2[:, :2])),
+        ("dependent at t=2", with_b2(b2[:, [0, 1, 0]])),
+        ("dependent at t=2", with_b2(np.hstack([b2[:, :2], gf.zeros(3, 1)]))),
+        ("chain breaks at t=1", with_b2(broken)),
+        ("not inside 1..3", dataclasses.replace(pb, ends=np.array([2, 2, 4]))),
+        ("birth order", dataclasses.replace(
+            pb, starts=np.array([1, 2, 1]), ends=np.array([2, 3, 2]),
+            vectors=(b1, b2[:, [0, 2, 1]], b3))),
+    ]
+    for message, basis in cases:
+        with pytest.raises(ValidationError, match=message):
+            basis.validate(m)
+    # Two bars [1,1], [2,2] on k -> k: counts and ranks hold, but the
+    # vector of [1,1] maps to a nonzero vector at t=2.
+    k = PersistenceModule(2, (1, 1), [mat([[1]])])
+    survivor = PersistenceBasis(np.array([1, 2]), np.array([1, 2]), (mat([[1]]), mat([[1]])))
+    with pytest.raises(ValidationError, match="ending at t=1 survives it"):
+        survivor.validate(k)
 
 
 def _basis_matrix_cases(n, max_dim, p, seed, other, eps):
