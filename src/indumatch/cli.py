@@ -132,7 +132,10 @@ def _render_barcode_panel(title: str, bc: Barcode, n: int) -> list[str]:
 
 
 def cmd_barcode(f: Morphism, fmt: str) -> int:
-    b_src, b_dst, b_img = barcode(f.source), barcode(f.target), image_barcode(f)
+    # M first: building it sweeps the target and caches its basis, so the
+    # target's barcode reuses that sweep.
+    b_img = image_barcode(f)
+    b_src, b_dst = barcode(f.source), barcode(f.target)
     if fmt == "ascii":
         lines = (
             _render_barcode_panel("source", b_src, f.n)

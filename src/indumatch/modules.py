@@ -458,6 +458,21 @@ def _require_in_interval(iv: GridInterval, t: int):
 # columns the source ones, F_t = M[alive at t, alive at t], and M[h, g] can
 # be read at t = g.a.  A nonzero M[h, g] is a nonzero map from g's interval
 # module to h's, so hom_exists(g.interval, h.interval) holds.
+#
+# M is built inside the target's sweep, which fixes each B_t only at the
+# end: a death at a later step rewrites the dying generators' vectors over
+# their whole past.  Such a rewrite is B_s -> B_s (I + C) at every s it
+# touches, where column j of C holds the older survivors added to dying
+# generator j (they are alive over j's whole past), restricted at each s
+# to the generators alive there; C^2 = 0, as its rows are survivors and
+# its columns dying generators.  As
+# f_s S_s = B_s F_s = B_s (I + C)(I - C) F_s, the coordinates become
+# F_s -> (I - C) F_s: one row operation on M, M[older] -= C M[dying],
+# which leaves the columns read before the dying generator's birth alone,
+# since its row is zero there.  The source basis is finished before the
+# target's sweep starts, so no column operation is ever needed, and as
+# coordinates in a basis are unique, M is the same matrix as solving
+# f_{g.a} g = B_{g.a} x for every g against the final target basis.
 
 
 @dataclass(frozen=True)
@@ -524,24 +539,41 @@ def _check_support(bm: _BasisMatrix) -> _BasisMatrix:
 
 
 def _basis_matrix(f: Morphism) -> _BasisMatrix:
-    """f's M, cached on f: one gf.solve per distinct source birth s, for
-    the columns of the generators born at s against the target generators
-    alive at s, which include every h that column can reach.  In birth
-    order the generators born at s are the last columns of B_s."""
+    """f's M, cached on f, built by the target's own sweep.
+
+    The source basis comes first.  In birth order the generators born at
+    s are the last columns of its B_s, and f_s of them are the images
+    that ride along the target's sweep (_sweep): each column of M is
+    read at its generator's birth, in the target basis as the sweep
+    leaves it, with no solve.  The target's basis is cached on it; if it
+    carries one already, the sweep must rebuild it exactly, or M would be
+    in other coordinates, and InvariantError names the first t where it
+    does not.
+    """
     if f._matrix is None:
         p = f.p
-        alpha, beta = persistence_basis(f.source), persistence_basis(f.target)
-        m = gf.zeros(len(beta.starts), len(alpha.starts))
-        for s in sorted(set(alpha.starts.tolist())):
-            cols = np.nonzero(alpha.starts == s)[0]
-            src = alpha.vectors[s - 1][:, -len(cols):]
-            coords = gf.solve(beta.vectors[s - 1], gf.matmul(f.comp(s), src, p), p)
-            if coords is None:  # cannot happen: B_s of the target is a basis of W(s)
-                raise InvariantError(f"target basis at t={s} does not span f_{s}")
-            m[beta._alive(s)[:, None], cols] = coords
+        alpha = persistence_basis(f.source)
+        born = np.bincount(alpha.starts, minlength=f.n + 1)[1:].tolist()
+        images = [gf.matmul(f.comp(s), alpha.vectors[s - 1][:, -k:], p) if k
+                  else gf.zeros(f.target.dims[s - 1], 0)
+                  for s, k in enumerate(born, start=1)]
+        beta, m = _sweep(f.target, images)
+        if f.target._basis is None:
+            f.target._basis = beta
+        else:
+            _check_same_basis(f.target._basis, beta)
         f._matrix = _check_support(_BasisMatrix(p, alpha.starts, alpha.ends,
                                                 beta.starts, beta.ends, m))
     return f._matrix
+
+
+def _check_same_basis(cached: PersistenceBasis, built: PersistenceBasis):
+    """Raise InvariantError at the first t where the two bases differ."""
+    for t, (old, new) in enumerate(zip(cached.vectors, built.vectors), start=1):
+        a, b = cached._alive(t), built._alive(t)
+        if not (np.array_equal(old, new) and np.array_equal(cached.starts[a], built.starts[b])
+                and np.array_equal(cached.ends[a], built.ends[b])):
+            raise InvariantError(f"target basis at t={t} is not the one its sweep builds")
 
 
 # ---------------------------------------------------------------------------
@@ -607,21 +639,33 @@ class PersistenceBasis:
         return self
 
 
-def _reduce_images(x: np.ndarray, eye: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Reduce a copy of the columns of x, oldest (leftmost) first.
+def _reduce_images(x: np.ndarray, y: np.ndarray, eye: np.ndarray,
+                   p: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Reduce a copy of the columns of x, oldest (leftmost) first, and the
+    columns of y against them.
 
-    Returns (lead, comb).  lead[j] is the leading row of reduced column j,
-    or -1 when it reduces to 0.  Column j of comb writes reduced column j
-    as a combination of the raw ones (x @ comb is the reduced copy); comb
-    is unit upper triangular, and only columns with a lead are ever
-    subtracted, so a column that reduces to 0 is its raw column plus
-    older survivors.  Nothing is rescaled: each pivot's 1/lead scales its
-    coefficients instead.  eye is an identity at least as wide as x.
+    Returns (lead, comb, rest).  lead[j] is the leading row of reduced
+    column j of x, or -1 when it reduces to 0.  Column j of comb writes
+    reduced column j as a combination of the raw ones (x @ comb is the
+    reduced copy); comb is unit upper triangular, and only columns with a
+    lead are ever subtracted, so a column that reduces to 0 is its raw
+    column plus older survivors.  Nothing is rescaled: each pivot's
+    1/lead scales its coefficients instead.
+    The columns of y are reduced against the columns with a lead but never
+    lead themselves.  Row k of rest is y[:, k] less a combination of the
+    reduced columns, then minus that combination of the raw ones, so
+    y[:, k] = rest[k, :d] - x @ rest[k, d:] (mod p): the residual
+    rest[k, :d] is zero on every leading row, and rest[k, d:] on every
+    column without a lead.  eye is an identity at least as wide as x.
     """
     d, width = x.shape
     # Row j of work is column j of x, then its combination: rows make the
     # per-pivot updates contiguous, and only rows that need one are read.
-    work = np.concatenate((x.T, eye[:width, :width]), axis=1)
+    # The columns of y follow, with empty combinations.
+    work = np.zeros((width + y.shape[1], d + width), dtype=np.int64)
+    work[:width, :d] = x.T
+    work[:width, d:] = eye[:width, :width]
+    work[width:, :d] = y.T
     lead = []
     for j in range(width):
         # Row j is reduced mod p only once every older pivot is out of it.
@@ -642,11 +686,26 @@ def _reduce_images(x: np.ndarray, eye: np.ndarray, p: int) -> tuple[list[int], n
         if later.size:
             c = c[later] * pow(int(vec[r]), -1, p) % p
             work[j + 1 + later, : d + j + 1] -= c[:, None] * vec
-    return lead, work[:, d:].T
+    return lead, work[:width, d:].T, work[width:] % p
 
 
 def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
-    """Explicit interval decomposition by a left-to-right sweep.
+    """Explicit interval decomposition by a left-to-right sweep, cached on
+    the module, read-only like the structure maps.
+
+    The sweep is _sweep, whose docstring sets out its steps and why they
+    are exact.  _basis_matrix runs the same sweep on a morphism's target
+    with the images of f riding along, so a target's basis is the same
+    whichever of the two builds it.
+    """
+    if m._basis is None:
+        m._basis = _sweep(m)[0]
+    return m._basis
+
+
+def _sweep(m: PersistenceModule,
+           images: list[np.ndarray] | None = None) -> tuple[PersistenceBasis, np.ndarray]:
+    """A persistence basis of m, and the coordinates of images in it.
 
     The vectors at t of the generators alive at t, oldest first, are the
     columns of one matrix B_t.  The step from V(t) to V(t+1):
@@ -677,11 +736,23 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
     and newborns come last, so each B_t is already in birth order and is
     kept as built: the basis is the births, the deaths and the B_t.
     After the sweep the generators alive at each t must number dim V(t);
-    InvariantError names the first t where they do not.  The basis is
-    cached on the module, read-only like the structure maps.
+    InvariantError names the first t where they do not.
+
+    images, if given, holds per position t a matrix whose columns are
+    vectors of V(t); the second result has their coordinates in the final
+    basis, one row per generator in birth order and one column per image
+    column, positions in order (else it is None).  They ride along:
+      - At t = 1, B_1 is the identity, so the coordinates are the images.
+      - The images at t+1 are reduced against the survivors' leads in
+        step 2 (they never lead), so each is a combination of the raw
+        survivors plus a residual on the unled rows: the coordinates on
+        the raw survivors and on the newborns e_i of B_{t+1}, as rest
+        gives them.
+      - A later death rewrites B_s as B_s (I + C), C the dying columns'
+        combs less their diagonal, so the coordinates F become (I - C) F:
+        one row operation, the dying generators' rows times C off the
+        survivors' rows (the proof is in the block above _BasisMatrix).
     """
-    if m._basis is not None:
-        return m._basis
     p = m.p
     eye = gf.identity(max(m.dims))
     births = [1] * m.dims[0]  # per generator, numbered as they are born
@@ -690,9 +761,15 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
     # so oldest first.
     cols = [eye[: m.dims[0], : m.dims[0]].copy()]
     ids = [list(range(m.dims[0]))]
+    coords = None
+    if images is not None:
+        coords = gf.zeros(sum(m.dims), sum(y.shape[1] for y in images))
+        done = images[0].shape[1]  # columns of coords filled so far
+        coords[: m.dims[0], :done] = images[0]
     for t in range(1, m.n):
         x = gf.matmul(m.map(t), cols[-1], p)
-        lead, comb = _reduce_images(x, eye, p)
+        y = x[:, :0] if images is None else images[t]
+        lead, comb, rest = _reduce_images(x, y, eye, p)
         alive = ids[-1]
         # A column that reduces to 0 dies at t; if its image was 0 already,
         # its past needs no correction.
@@ -709,6 +786,13 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
                 here = [j for j in fix if j < k]
                 b = cols[s - 1]
                 b[:, [pos[j] for j in here]] = b[:, pos] @ comb[:k, here] % p
+            if coords is not None:  # B_s (I + C) has coordinates (I - C) F
+                c = comb[:, fix]
+                c[fix, np.arange(len(fix))] = 0
+                hit = c.any(1).nonzero()[0]
+                rows = np.array(alive)
+                coords[rows[hit], :done] = (coords[rows[hit], :done] - gf.matmul(
+                    c[hit], coords[rows[fix], :done], p)) % p
         survive = [j for j, r in enumerate(lead) if r >= 0]
         led = set(lead)
         newborn = [i for i in range(m.dims[t]) if i not in led]
@@ -720,11 +804,17 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
                    + list(range(len(births), len(births) + len(newborn))))
         births += [t + 1] * len(newborn)
         deaths += [m.n] * len(newborn)
+        if y.shape[1]:
+            # Coordinates on the raw survivors, then on the unit vectors.
+            block = rest[:, [m.dims[t] + j for j in survive] + newborn].T
+            block[: len(survive)] = -block[: len(survive)] % p
+            coords[ids[-1], done : done + y.shape[1]] = block
+            done += y.shape[1]
 
     _check_alive_counts(m, births, deaths)
-    m._basis = PersistenceBasis(np.array(births, dtype=np.int64),
-                                np.array(deaths, dtype=np.int64), tuple(cols))
-    return m._basis
+    basis = PersistenceBasis(np.array(births, dtype=np.int64),
+                             np.array(deaths, dtype=np.int64), tuple(cols))
+    return basis, None if coords is None else coords[: len(births)]
 
 
 def _check_alive_counts(m: PersistenceModule, births: list[int], deaths: list[int]):
@@ -747,7 +837,7 @@ def barcode(m: PersistenceModule) -> Barcode:
     module's own whatever basis it builds.  Each step makes one image
     product, reduces a copy of it oldest first, takes the unit vectors
     of the unled rows as newborns and rewrites only a dying generator's
-    past (the steps and why they are exact are in its docstring).  Since
+    past (the steps and why they are exact are in _sweep's docstring).  Since
     v_plus and v_minus of [a, b] are spanned by basis vectors and differ
     by exactly the generators with interval [a, b], dim v_plus - dim
     v_minus at any t in [a, b] is the multiplicity of [a, b], which is
@@ -761,32 +851,51 @@ def barcode(m: PersistenceModule) -> Barcode:
 
 
 def image_barcode(f: Morphism) -> Barcode:
-    """Barcode of the image of f, read off M without building the image.
+    """Barcode of the image of f, read off one reduction of M.
 
-    The rank r(s, t) of Im(s) -> Im(t) is that of f_t on the source
-    generators alive at t that start by s: a prefix of the columns of F_t,
-    as a basis keeps its generators in birth order (module_from_bars
-    sorts its bars by start for this).  So one rref of F_t gives every s
-    at once, since the pivots in a prefix count its rank: the pivots that
-    start at s number r(s, t) - r(s-1, t).  Inclusion-exclusion, as in
-    oracle.naive_barcode, makes [a, b]'s multiplicity the count at (a, b)
-    less the count at (a, b+1).
+    The rank r(s, t) of Im(s) -> Im(t), s <= t, is that of M on the rows
+    h with h.b >= t and the columns g with g.a <= s.  It is the rank of
+    f_t on the source generators alive at s and t, the columns of F_t
+    with g.a <= s <= t <= g.b; a nonzero M[h, g] has
+    h.a <= g.a <= h.b <= g.b, so the other columns with g.a <= s die
+    before t and are zero on those rows, and the rows alive at t are
+    those rows less ones born after t, which are zero on those columns.
+    With the rows sorted by death and the columns by birth (the order of
+    a basis), every such block is lower left, and by the pairing lemma
+    (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and Vineyards") one
+    left-to-right reduction that clears equal lowest nonzeros counts them
+    all: r(s, t) is the number of its pivot pairs (h, g), h the lowest row
+    of reduced column g, with g.a <= s and h.b >= t.  Inclusion-exclusion,
+    as in oracle.naive_barcode, then makes [a, b]'s multiplicity the
+    number of pairs with g.a = a and h.b = b.  A pair with g.a > h.b is
+    counted only by the r(s, t) with s > t, which are no ranks of the
+    image, so it is dropped.  This is the image-persistence reduction of
+    Cohen-Steiner, Edelsbrunner, Harer and Morozov.
     """
     bm = _basis_matrix(f)
-    born = []  # per t: start -> number of pivots of F_t with that start
-    for t in range(1, f.n + 1):
-        ft = bm.at(t)
-        _, pivots = gf.rref(ft.m, f.p)
-        born.append(Counter(ft.src_a[list(pivots)].tolist()))
-    born.append(Counter())
-    entries: dict[GridInterval, int] = {}
-    for b in range(1, f.n + 1):
-        for a, k in born[b - 1].items():
-            mult = k - born[b][a]
-            if mult < 0:
-                raise InvariantError(f"image barcode: multiplicity {mult} at [{a},{b}]")
-            entries[GridInterval(a, b)] = mult
-    return Barcode(entries)
+    p = f.p
+    order = np.argsort(bm.tgt_b, kind="stable")
+    death = bm.tgt_b[order].tolist()
+    birth = bm.src_a.tolist()
+    # Row g of work is column g of M, its entries ordered by death.
+    work = bm.m.T.take(order, 1)
+    owner: dict[int, int] = {}  # lowest row -> the reduced column it ends
+    bars: Counter = Counter()
+    for g in work.any(1).nonzero()[0].tolist():
+        col = work[g]
+        nz = col.nonzero()[0]
+        while nz.size:
+            low = int(nz[-1])
+            k = owner.get(low)
+            if k is None:
+                owner[low] = g
+                if birth[g] <= death[low]:
+                    bars[birth[g], death[low]] += 1
+                break
+            col -= col[low] * pow(int(work[k, low]), -1, p) % p * work[k]
+            col %= p
+            nz = col.nonzero()[0]
+    return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
 
 
 def image_factorization(

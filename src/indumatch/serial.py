@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,9 @@ def read_morphism(path) -> Morphism:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from exc
-    except (RecursionError, ValueError) as exc:  # nested too deep, an integer too long
+    except RecursionError as exc:  # nested too deep
         raise ParseError(f"cannot decode {path}: {exc}") from exc
+    except ValueError as exc:  # past the interpreter's limit on integer digits
+        raise ParseError(f"cannot decode {path}: an integer has more than"
+                         f" {sys.get_int_max_str_digits()} digits") from exc
     return morphism_from_dict(obj)

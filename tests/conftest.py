@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from indumatch import (
     one_eps_morphism,
     persistence_basis,
 )
-from indumatch.modules import PersistenceBasis
+from indumatch.modules import (
+    Barcode,
+    InvariantError,
+    PersistenceBasis,
+    _BasisMatrix,
+    _basis_matrix,
+    _check_support,
+)
 
 
 def mat(rows):
@@ -94,6 +103,43 @@ def ref_frame(f, t):
     coords = gf.solve(tgt, gf.matmul(f.comp(t), src, f.p), f.p)
     assert coords is not None, f"target basis at t={t} does not span f_{t}"
     return coords
+
+
+def ref_basis_matrix(f):
+    """f's M by one gf.solve per distinct source birth s, for the columns
+    of the generators born at s against the target generators alive at
+    s; not cached on f."""
+    p = f.p
+    alpha, beta = persistence_basis(f.source), persistence_basis(f.target)
+    m = gf.zeros(len(beta.starts), len(alpha.starts))
+    for s in sorted(set(alpha.starts.tolist())):
+        cols = np.nonzero(alpha.starts == s)[0]
+        src = alpha.vectors[s - 1][:, -len(cols):]
+        coords = gf.solve(beta.vectors[s - 1], gf.matmul(f.comp(s), src, p), p)
+        assert coords is not None, f"target basis at t={s} does not span f_{s}"
+        m[beta._alive(s)[:, None], cols] = coords
+    return _check_support(_BasisMatrix(p, alpha.starts, alpha.ends, beta.starts, beta.ends, m))
+
+
+def ref_image_barcode(f):
+    """The image barcode by one rref of F_t per t: the pivots in the prefix
+    of F_t's columns that start by s count r(s, t), and
+    inclusion-exclusion gives the multiplicities."""
+    bm = _basis_matrix(f)
+    born = []  # per t: start -> number of pivots of F_t with that start
+    for t in range(1, f.n + 1):
+        ft = bm.at(t)
+        _, pivots = gf.rref(ft.m, f.p)
+        born.append(Counter(ft.src_a[list(pivots)].tolist()))
+    born.append(Counter())
+    entries = {}
+    for b in range(1, f.n + 1):
+        for a, k in born[b - 1].items():
+            mult = k - born[b][a]
+            if mult < 0:
+                raise InvariantError(f"image barcode: multiplicity {mult} at [{a},{b}]")
+            entries[GridInterval(a, b)] = mult
+    return Barcode(entries)
 
 
 def ref_shift_morphism(f, eps):

@@ -13,6 +13,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +122,15 @@ def test_undecodable_json_exits_2(tmp_path, capsys, text, command):
     assert code == 2 and out == ""
     assert err.startswith("parse error:") and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["barcode", "sum"])
+def test_over_long_integer_names_the_digit_limit(tmp_path, capsys, command):
+    path = tmp_path / "long.json"
+    path.write_text(LONG_INT_LADDER, encoding="utf-8")
+    argv = [command, str(path)] + ([str(path)] if command == "sum" else [])
+    assert run_cli(capsys, *argv) == (
+        2, "", f"parse error: cannot decode {path}: an integer has more than 4300 digits\n")
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -395,6 +405,27 @@ def test_work_bound_loads_at_the_bound_and_exits_2_past_it_quickly(tmp_path, cap
     assert code == 2
     assert out == ""
     assert f"{gf.MAX_WORK + 1}, above the work bound of {gf.MAX_WORK}" in err
+
+
+def test_barcode_of_a_dense_morphism_at_the_work_bound_is_fast(tmp_path, capsys):
+    # n = 8 with dims 255 on both sides: the same dense GF(2) map A at
+    # every step of both modules and f_t = A + A^2, which commutes with it.
+    n, d = 8, 255
+    assert n + 2 * n * d <= gf.MAX_WORK
+    a = np.random.default_rng(0).integers(0, 2, (d, d))
+    comp = (a + gf.matmul(a, a, 2)) % 2
+    m = modules.PersistenceModule(2, [d] * n, [a] * (n - 1))
+    path = str(tmp_path / "dense.json")
+    write_morphism(modules.Morphism(m, m, [comp] * n), path)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "barcode", path)
+    assert time.perf_counter() - start < 7
+    assert code == 0
+    report = json.loads(out)
+    bars = [modules.GridInterval(*bar["interval"]) for bar in report["barcode_target"]
+            for _ in range(bar["multiplicity"])]
+    assert all(sum(iv.contains(t) for iv in bars) == d for t in range(1, n + 1))
+    assert report["barcode_image"]
 
 
 def _points_file(tmp_path, n):
@@ -750,13 +781,72 @@ def test_cli_reads_nothing_through_the_image_factorization(
     assert [run_cli(capsys, *argv) for argv in argvs] == want
 
 
+def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, capsys, monkeypatch):
+    # The shape of the wide-sum benchmark input: 16 GF(2) ladders summed.
+    # Every command sweeps each module once: M is built first, and its
+    # sweep of the target leaves the target's basis cached.
+    path = str(tmp_path / "wide-sum.json")
+    write_morphism(modules.direct_sum_morphism(
+        *(random_ladder(10, 4, 2, s) for s in range(16))), path)
+    calls = {"solve": 0, "rref": 0}
+    in_m = {"solve": 0, "rref": 0}
+    builds, sweeps = [], []
+    real_sweep = modules._sweep
+
+    def counted_sweep(m, images=None):
+        sweeps.append(m)
+        return real_sweep(m, images)
+
+    monkeypatch.setattr(modules, "_sweep", counted_sweep)
+
+    def counting(name):
+        real = getattr(gf, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gf, name, counting(name))
+    real_basis_matrix = modules._basis_matrix
+
+    def watched(f):
+        before = dict(calls)
+        bm = real_basis_matrix(f)
+        builds.append(f)
+        for name in calls:
+            in_m[name] += calls[name] - before[name]
+        return bm
+
+    monkeypatch.setattr(modules, "_basis_matrix", watched)
+    monkeypatch.setattr(matching, "_basis_matrix", watched)
+    for argv in (["barcode", path], ["match", path, "--method", "chi"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert calls == {"solve": 0, "rref": 0}
+    assert len(sweeps) == 4
+    for method in ("m", "g"):
+        for eps in ("0", "1"):
+            assert run_cli(capsys, "match", path, "--method", method, "--eps", eps)[0] == 0
+    assert builds and in_m == {"solve": 0, "rref": 0}
+    assert len(sweeps) == 12
+
+
 def _no_dims(frame, i, j):
     return [0] * (i.intersect(j).length + 1)
 
 
+def _load_onto_a_foreign_target_basis(path):
+    # M is read in the target basis the sweep builds, so a target that
+    # carries another one must be refused.
+    f = read_morphism(path)
+    f.target._basis = modules.persistence_basis(f.source)
+    return f
+
+
 @pytest.mark.parametrize("owner, attr, fake, argv, message", [
-    (gf, "solve", lambda *args: None, ["barcode"],
-     "target basis at t=2 does not span f_2"),
+    (cli, "_load", _load_onto_a_foreign_target_basis, ["barcode"],
+     "target basis at t=1 is not the one its sweep builds"),
     (matching, "_comparison_dims", _no_dims, ["match", "--method", "g"],
      "bar count 0 of ([2,2],[1,2]) disagrees with m = 1"),
     (matching, "_entry_count", lambda *args: 5, ["match", "--method", "m"],
@@ -782,10 +872,10 @@ def test_basis_count_failure_exits_6(tmp_path, capsys, monkeypatch):
     write_morphism(modules.Morphism.zero(m, m), path)
     real = modules._reduce_images
 
-    def one_lead(x, eye, p):
-        lead, comb = real(x, eye, p)
+    def one_lead(x, y, eye, p):
+        lead, comb, rest = real(x, y, eye, p)
         first = next((r for r in lead if r >= 0), -1)
-        return [first if r >= 0 else r for r in lead], comb
+        return [first if r >= 0 else r for r in lead], comb, rest
 
     monkeypatch.setattr(modules, "_reduce_images", one_lead)
     code, out, err = run_cli(capsys, "barcode", str(path))

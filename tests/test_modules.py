@@ -54,7 +54,15 @@ from indumatch.modules import (
 from indumatch.oracle import naive_barcode
 
 import quotients
-from conftest import iv, mat, ref_frame, ref_persistence_basis, ref_shift_morphism
+from conftest import (
+    iv,
+    mat,
+    ref_basis_matrix,
+    ref_frame,
+    ref_image_barcode,
+    ref_persistence_basis,
+    ref_shift_morphism,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +469,21 @@ def _module_with_maps(p, dims, kind, seed):
 @st.composite
 def sweep_cases(draw):
     """A morphism whose modules the sweep decomposes: a random ladder, a
-    k-way direct sum of them, or the identity on a module with random, zero
-    or identity maps, or on one built from bars with its basis cleared."""
+    k-way direct sum of them, the morphism between the shifted images of a
+    ladder's ends, or the identity on a module with random, zero or
+    identity maps, or on one built from bars with its basis cleared."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(1, 12))
     seed = draw(st.integers(0, 2**16))
-    kind = draw(st.sampled_from(["ladder", "sum", "random", "zero", "identity", "bars"]))
+    kind = draw(st.sampled_from(["ladder", "sum", "shift", "random", "zero", "identity",
+                                 "bars"]))
     if kind == "ladder":
         return random_ladder(n, draw(st.integers(0, 6)), p, seed)
     if kind == "sum":
         k = draw(st.integers(2, 4))
         return direct_sum_morphism(*(random_ladder(n, 3, p, seed + i) for i in range(k)))
+    if kind == "shift":
+        return ref_shift_morphism(random_ladder(n, 4, p, seed), draw(st.integers(0, n - 1)))
     if kind == "bars":
         bars = draw(st.lists(st.tuples(st.integers(1, n), st.integers(0, n)), max_size=8))
         m = module_from_bars(n, p, [iv(a, min(a + length, n)) for a, length in bars])
@@ -482,14 +494,22 @@ def sweep_cases(draw):
     return Morphism.identity(m)
 
 
-def _with_bases(f, basis):
-    """A copy of f whose modules carry the bases basis(module) builds."""
+def _fresh(f):
+    """A copy of f with nothing cached, keeping source is target."""
     source = PersistenceModule(f.p, f.source.dims, f.source.maps)
     target = (source if f.target is f.source
               else PersistenceModule(f.p, f.target.dims, f.target.maps))
-    for m in (source, target):
-        m._basis = basis(m)
     return Morphism(source, target, f.comps)
+
+
+def _with_bases(f, basis):
+    """A copy of f whose modules carry the bases basis(module) builds, and
+    whose M is in those bases: the target's sweep rebuilds only its own."""
+    g = _fresh(f)
+    for m in (g.source, g.target):
+        m._basis = basis(m)
+    g._matrix = ref_basis_matrix(g)
+    return g
 
 
 def _cli_tables(f):
@@ -510,6 +530,48 @@ def test_sweep_matches_the_earlier_sweep_and_the_rank_oracle(f):
         assert bc == ref_persistence_basis(m).validate(m).interval_barcode()
     assert _cli_tables(_with_bases(f, persistence_basis)) == \
         _cli_tables(_with_bases(f, ref_persistence_basis))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(f=sweep_cases())
+def test_basis_matrix_equals_the_solve_referee_byte_for_byte(f):
+    # The referee solves in the target basis persistence_basis builds
+    # alone; the sweep that carries the images must build the same one.
+    h, g = _fresh(f), _fresh(f)
+    ref, bm = ref_basis_matrix(h), _basis_matrix(g)
+    for name in ("src_a", "src_b", "tgt_a", "tgt_b", "m"):
+        a, b = getattr(bm, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert g.target._basis is not None
+    for a, b in zip(g.target._basis.vectors, persistence_basis(h.target).vectors):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), p=st.sampled_from([2, 3, 5, 7]),
+       bars=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 8)), max_size=10))
+def test_sweep_rebuilds_the_basis_module_from_bars_seeds(n, p, bars):
+    m = module_from_bars(n, p, [iv(min(a, n), min(a + length, n)) for a, length in bars])
+    seeded, m._basis = m._basis, None
+    built = persistence_basis(m)
+    assert np.array_equal(built.starts, seeded.starts)
+    assert np.array_equal(built.ends, seeded.ends)
+    for a, b in zip(built.vectors, seeded.vectors):
+        assert np.array_equal(a, b)
+
+
+def test_cached_target_basis_must_be_the_sweeps():
+    m = module_from_bars(4, 3, [iv(1, 4), iv(2, 3), iv(2, 4)])
+    assert _basis_matrix(Morphism.identity(m)).m.tolist() == gf.identity(3).tolist()
+    # Twice the vectors of [2,3] is a persistence basis too, but not the
+    # one the sweep builds, so M would be in other coordinates.
+    pb = persistence_basis(m)
+    twice = [b.copy() for b in pb.vectors]
+    for t in (2, 3):
+        twice[t - 1][:, 1] = 2 * twice[t - 1][:, 1] % 3
+    m._basis = PersistenceBasis(pb.starts, pb.ends, tuple(twice)).validate(m)
+    with pytest.raises(InvariantError, match=r"^target basis at t=2 is not the one"):
+        _basis_matrix(Morphism.identity(m))
 
 
 def test_sweep_makes_one_image_product_per_step(monkeypatch):
@@ -763,6 +825,12 @@ def test_basis_matrix_slices_match_frame_referee(n, max_dim, p, seed, other, eps
 def test_image_barcode_matches_rank_referee(n, max_dim, p, seed, other, eps):
     for f in _basis_matrix_cases(n, max_dim, p, seed, other, eps):
         assert image_barcode(f) == naive_barcode(image_module(f)[0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(f=sweep_cases())
+def test_image_barcode_matches_the_per_t_rref_referee(f):
+    assert image_barcode(f) == ref_image_barcode(f) == naive_barcode(image_module(f)[0])
 
 
 def _indexed_blocks(bm):
