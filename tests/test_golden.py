@@ -35,6 +35,8 @@ COMMANDS = {
     "g_eps2": ["match", "{}", "--method", "g", "--eps", "2"],
     "ascii_g": ["--format", "ascii", "match", "{}", "--method", "g"],
     "ascii_chi": ["--format", "ascii", "match", "{}", "--method", "chi"],
+    "chi_eps1": ["match", "{}", "--method", "chi", "--eps", "1"],
+    "ascii_m_eps1": ["--format", "ascii", "match", "{}", "--method", "m", "--eps", "1"],
 }
 
 # (n, max_dim, seed) of the random ladders drawn over every field.
@@ -52,6 +54,8 @@ DIGESTS = {
         "g_eps2": "d8606c5cd0b1fcbac089514a226494d3eaf08b0ac62fba534ed31368e90da6d3",
         "ascii_g": "010148b5a704e71a3a97f50779acb65f04a3e86f0ad69ff5fd086e84da444357",
         "ascii_chi": "3de8ec9b2a3d7937562363dfa0f472b3d1f4593c6b43da6e3e34052153c97247",
+        "chi_eps1": "5834902f559bd9f0e81b204cdff68bcac0bbb0ff1db739ecfb8b8d6f621c0212",
+        "ascii_m_eps1": "93feb7cf3c31d52d247f3017b9761df9de7c1fe4242559fe6cae068426b1c2c2",
     },
     "random_gf2": {
         "barcode": "ac1877cf03e5b8f23f2f454d1f5251f6e3e49247c6befb681c6387262dedfa31",
@@ -62,6 +66,8 @@ DIGESTS = {
         "g_eps2": "646367ce510c6922dff0f06e9adf62f1e44731975065becc9cdd7b651ae894da",
         "ascii_g": "3bbacefea7b354bda622df5b74b373cd27f0d98baa3b4adb9576e43f54cfd6ce",
         "ascii_chi": "e771c25daa6dfa7e63829f24a4fcb2f9fe425f3bc7c800f41b93f455a349d74f",
+        "chi_eps1": "0de76c443091e265197d9cf844a26eb6be8243cd38a045b3386c59272d8785cc",
+        "ascii_m_eps1": "64d742432483aa11d716561ed612c7954fff0b6d528794017bf9d3d071404399",
     },
     "random_gf3": {
         "barcode": "5edf0174674060b3906a3192f64967804c831641deb0b19dfa249a3806d2e5aa",
@@ -72,6 +78,8 @@ DIGESTS = {
         "g_eps2": "f03aedea97df8724de9b78d059a05b873fd0b1cd296db4f25e9ea498cbe666fe",
         "ascii_g": "34e647835c6e5742f3af1927754e0979a92757f46276b2da0a774f3d04582127",
         "ascii_chi": "aab5f32c388aa6d133041c3842eb17f5d29d43999fefaefd2b80f834727f10a9",
+        "chi_eps1": "d4e3109dc9af823b28f5568d34663e4b3446b247788cb3b39c0db89816c3be75",
+        "ascii_m_eps1": "2a594ab7946e999b052333ae432f3ea1f8b2727ad7afb25c4925f6e2ca0e8709",
     },
     "random_gf5": {
         "barcode": "360d83ba263c371885f617520a88011e4d575a1a100f044d68609de505535808",
@@ -82,6 +90,8 @@ DIGESTS = {
         "g_eps2": "b3cb51664414466090d7842fe5248625256ae010644f07d1ef5ed1169719dd69",
         "ascii_g": "29383077322d8e7ad7c105ceec17ff008980d8c92a33c7477f22b42e66a2559c",
         "ascii_chi": "16ac4d519d5f5e820c67b4788c1fbe66b4df21669bea9618891d793dfcc6c927",
+        "chi_eps1": "4d6b975237c86338b72baf0aa39c240df64c571a6a31bbc0198a9051114b0f52",
+        "ascii_m_eps1": "07206442035912dd33caf35b1a258c1c71a8d4d4f495646a7ee8bb57fd9eb387",
     },
     "random_gf7": {
         "barcode": "b67a191b9c479788033c57505ae13592e4ecc27dd1c60b59a1a3ad3ace7ffed1",
@@ -92,6 +102,8 @@ DIGESTS = {
         "g_eps2": "2ee138c0402e96e7b86835883878e7d1e4d483ba8f549046df5401c089b8ed9b",
         "ascii_g": "aa9f3a5765d01a38244399326d0142509e7b0a9b3bd1a2eb5d2900e78091478a",
         "ascii_chi": "446762e504f57da815850dd77fffe20aa9e450b01b4fd9e356d26076cee7e63a",
+        "chi_eps1": "e8b083735058430fc4c2951079c58543372842cb8eaca5309a89b5b03b8b3987",
+        "ascii_m_eps1": "4395653a225b73a20af8e84d09417bff404b33fde272014a67d54d072ae0a533",
     },
     "sums": {
         "barcode": "f0a561ae4cb4c7a22c8825931c13c5bc10c4287ba546b5e519f4a2ee4827429e",
@@ -102,6 +114,8 @@ DIGESTS = {
         "g_eps2": "15ec0bedb9ba2e63c33b296c14551919d5b381b848d8e8b8bd5189a8435c1182",
         "ascii_g": "fdc1eac75e2681b5b10f3ab1d06e9b3ec7043191da3340c7de550bfba9f58293",
         "ascii_chi": "7fed8d78d4e26cf06e9ded67d3b162bcf1cfc12239f052f4e23fef9952ac26d0",
+        "chi_eps1": "8b81d0bf34d35308eabb4c4a19a36fa08274556f38031ea6c7b7a5b7808801c6",
+        "ascii_m_eps1": "cdcb89ca7a8e9a1c389fc895b7bd7929e66b5543e841a8938d7c4adbc21432e8",
     },
 }
 
