@@ -4,10 +4,12 @@ An injective morphism matches bars that die together, longest first; a
 surjective one matches bars born together, longest first.  A general
 morphism factors through its image and composes the two, and the result
 depends only on the three barcodes involved: chi reads the source and
-target barcodes and the image barcode (modules.image_barcode, read off
-f's basis matrix) and never builds the image.  That is also why it
-fails to be additive over direct sums; realize_as_m builds a companion
-morphism whose counting table this matching represents.
+target barcodes and the image barcode, read off f's basis matrix M
+(modules._image_barcode), and never builds the image.  That is also why
+it fails to be additive over direct sums; realize_as_m builds a
+companion morphism whose counting table this matching represents.
+_chi takes M and the two barcodes alone, as the CLI's --eps path passes
+them for the shifted M.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from .modules import (
     InvariantError,
     Morphism,
     barcode,
-    image_barcode,
     persistence_basis,
+    _basis_matrix,
+    _BasisMatrix,
+    _image_barcode,
 )
 
 
@@ -77,9 +81,15 @@ def chi(f: Morphism) -> RepMatching:
     """lambda_ of the projection onto the image, then iota of its embedding,
     from the three barcodes: births from source to image, then deaths
     from image to target."""
-    b_img = image_barcode(f)
-    return _bucket_matching(barcode(f.source), b_img, "birth").then(
-        _bucket_matching(b_img, barcode(f.target), "death"))
+    return _chi(_basis_matrix(f), barcode(f.source), barcode(f.target))
+
+
+def _chi(bm: _BasisMatrix, b_src: Barcode, b_dst: Barcode) -> RepMatching:
+    """chi of the morphism whose M is bm, between the source and target
+    barcodes b_src and b_dst."""
+    b_img = _image_barcode(bm)
+    return _bucket_matching(b_src, b_img, "birth").then(
+        _bucket_matching(b_img, b_dst, "death"))
 
 
 def _validate_representation(sigma: RepMatching, b_src: Barcode, b_dst: Barcode):

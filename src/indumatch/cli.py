@@ -3,8 +3,10 @@
 Subcommands: barcode, match, sum, catalog, random.  Reports are JSON
 with sorted keys (byte-deterministic given the same file and flags) or
 an ASCII bar rendering.  Every report reads the morphism off one matrix
-between the persistence bases of its ends: the image barcode, the
-tables, chi and the --eps shift.  Exit codes: 0 ok, 2 parse error
+M between the persistence bases of its ends: the image barcode, the
+tables and chi.  match --eps shifts M alone (modules._shift_matrix) and
+reads the shifted barcodes off its rows and columns, so it builds no
+shifted module, morphism or basis.  Exit codes: 0 ok, 2 parse error
 (including a dimension above gf.MAX_DIM or a file past the work bound
 gf.MAX_WORK), 3 validation error, 4 usage error (including a catalog
 --dump DIR that cannot be written and random arguments whose output
@@ -21,10 +23,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import gf, serial
-from .bauer_lesnick import chi
+from . import gf, modules, serial
+from .bauer_lesnick import _chi, chi
 from .ladders import CATALOG_CODES, from_code, random_ladder
-from .matching import g_matching, m_matching
+from .matching import _g_table, _m_table, g_matching, m_matching
 from .modules import (
     Barcode,
     GridInterval,
@@ -34,7 +36,6 @@ from .modules import (
     barcode,
     direct_sum_morphism,
     image_barcode,
-    shift_morphism,
 )
 
 EXIT_OK = 0
@@ -70,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--method", default="m",
                          help="m (counts), g (bar-valued) or chi (greedy)")
     p_match.add_argument("--eps", type=int, default=0,
-                         help="apply the shift functor before matching")
+                         help="match the morphism the shift functor induces"
+                              " (shifts its basis matrix; grid length n - eps)")
 
     p_sum = sub.add_parser("sum", help="direct sum of ladder files")
     p_sum.add_argument("files", nargs="+")
@@ -154,39 +156,48 @@ def cmd_barcode(f: Morphism, fmt: str) -> int:
 
 
 def _match_payload(f: Morphism, method: str, eps: int) -> dict:
+    """The JSON payload of match --method method --eps eps on f.
+
+    The shift is one operation on f's M, whose rows and columns carry the
+    shifted bars, so with eps > 0 the report reads that M and its bars
+    alone and the shifted modules are never built.
+    """
+    if eps:
+        bm = modules._shift_matrix(modules._basis_matrix(f), eps)
+        b_src, b_dst = bm.barcodes()
+        report = {"m": _m_table, "g": _g_table, "chi": _chi}[method](bm, b_src, b_dst)
+    else:
+        report = {"m": m_matching, "g": g_matching, "chi": chi}[method](f)
+        b_src = barcode(f.source)
     if method == "m":
-        table = m_matching(f)
         entries = [
             {"I": _interval_json(i), "J": _interval_json(j), "count": c}
-            for (i, j), c in table.items()
+            for (i, j), c in report.items()
         ]
         return {"method": "m", "eps": eps, "entries": entries}
     if method == "g":
-        table = g_matching(f)
         entries = [
             {"I": _interval_json(i), "J": _interval_json(j),
              "bars": _barcode_json(bc)}
-            for (i, j), bc in table.items()
+            for (i, j), bc in report.items()
         ]
         return {"method": "g", "eps": eps, "entries": entries}
-    sigma = chi(f)
     pairs = [
         {"source": {"interval": _interval_json(i), "index": l},
          "target": {"interval": _interval_json(j), "index": m}}
-        for (i, l), (j, m) in sigma.items()
+        for (i, l), (j, m) in report.items()
     ]
-    matched = sigma.domain()
+    matched = report.domain()
     unmatched = [
         {"interval": _interval_json(iv), "index": l}
-        for iv, l in barcode(f.source).rep()
+        for iv, l in b_src.rep()
         if (iv, l) not in matched
     ]
     return {"method": "chi", "eps": eps, "pairs": pairs,
             "unmatched_source": unmatched}
 
 
-def _render_match_ascii(f: Morphism, payload: dict) -> str:
-    n = f.n
+def _render_match_ascii(n: int, payload: dict) -> str:
     lines = []
     if payload["method"] in ("m", "g"):
         for e in payload["entries"]:
@@ -226,13 +237,12 @@ def _render_match_ascii(f: Morphism, payload: dict) -> str:
 def cmd_match(f: Morphism, method: str, eps: int, fmt: str) -> int:
     if method not in ("m", "g", "chi"):
         raise UsageError(f"unknown method {method!r} (expected m, g or chi)")
-    if eps:
-        if not 0 <= eps <= f.n - 1:
-            raise UsageError(f"--eps must be in 0..{f.n - 1}")
-        f = shift_morphism(f, eps)
+    if not 0 <= eps <= f.n - 1:
+        raise UsageError(f"--eps must be in 0..{f.n - 1}")
     payload = _match_payload(f, method, eps)
     if fmt == "ascii":
-        sys.stdout.write(_render_match_ascii(f, payload))
+        # The shifted grid is 1..n - eps.
+        sys.stdout.write(_render_match_ascii(f.n - eps, payload))
         return EXIT_OK
     return _emit(payload)
 

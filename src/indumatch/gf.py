@@ -11,6 +11,7 @@ plain array comparison.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ MAX_DIM = 256
 # slowest input measured is a dense natural morphism: n = 8, dims 255 on
 # both sides, the same dense seeded GF(2) map A at every step of both
 # modules, and f_t = A or A + A^2.  On a 2-core x86 VM, barcode and
-# match chi take 1.1-1.2 s on it, match m 1.2 s and match g 4.3 s.  A
+# match chi take 1.1-1.2 s on it, match m 1.2 s and match g 2.4-3.2 s.  A
 # target with n = 16, dims 255 and dense seeded GF(2) structure maps over
 # an empty source takes 0.6-0.8 s for barcode; match g on n = 1365 with
 # dims 1 on both sides and 1,365 nonzero entries takes 0.4 s.
@@ -47,7 +48,9 @@ def field_error(p: int, max_dim: int) -> str | None:
     A dimension above MAX_DIM is refused for every p.  An int64 matrix
     product sums up to max_dim terms below (p-1)^2, so exactness needs
     max_dim * (p-1)^2 < 2^63.  That bound is checked before primality;
-    it caps p near 3e9, so is_prime's trial division stays short.
+    it caps p near 3e9, so is_prime's trial division stays short (about
+    7 ms at p = 2^31 - 1), and it runs once per p: a command asks again
+    for each module it validates and each file it reads.
     """
     if max_dim > MAX_DIM:
         return f"dimension {max_dim} is above the cap of {MAX_DIM}"
@@ -67,6 +70,7 @@ def work_error(n: int, total_dim: int) -> str | None:
     return None
 
 
+@functools.cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

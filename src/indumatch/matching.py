@@ -16,7 +16,11 @@ f is read off the persistence bases of its two ends as one matrix M
 alive at t, is a slice of M, and the y spaces are meets and sums of
 column sets of F_t and coordinate subspaces.  The target's structure
 maps are 0/1 selections of those generators, so each dimension of a
-comparison module is the rank count of an entry, on slices of M.
+comparison module is the rank count of an entry, on slices of M.  So
+the tables (_m_table, _g_table) take M and the two barcodes, and never
+the modules: m_matching and g_matching pass f's, and the CLI passes the
+M of f's shift (modules._shift_matrix) with the bars of its rows and
+columns.
 
 Both tables are read one block of M at a time (_BasisMatrix.blocks: the
 connected components of its nonzero entries), and this is exact by
@@ -66,10 +70,19 @@ def _meet(block: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     return gf.matmul(block, gf._null_basis(block[~rows], p), p)
 
 
+def _plus(ft: _BasisMatrix, i: GridInterval, j: GridInterval):
+    """The src_plus(I) columns of ft = F_t, and columns N spanning the null
+    space of F_t[~tgt_plus(J), src_plus]: y_plus is spanned by
+    F_t[:, src_plus] N in the target generators."""
+    src_plus = (ft.src_a <= i.a) & (ft.src_b <= i.b)
+    tgt_plus = (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b)
+    return src_plus, gf._null_basis(ft.m[~tgt_plus][:, src_plus], ft.p)
+
+
 def _upper(ft: _BasisMatrix, i: GridInterval, j: GridInterval) -> np.ndarray:
     """Columns spanning y_plus in the target generators, from ft = F_t."""
-    src_plus = (ft.src_a <= i.a) & (ft.src_b <= i.b)
-    return _meet(ft.m[:, src_plus], (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b), ft.p)
+    src_plus, null = _plus(ft, i, j)
+    return gf.matmul(ft.m[:, src_plus], null, ft.p)
 
 
 def _lower(ft: _BasisMatrix, i: GridInterval, j: GridInterval):
@@ -168,6 +181,21 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
         what a rank check on its maps would test, exactly when this
         containment holds, and the telescoping above rests on it too.
       - dims nondecreasing along K, as an injective module's are.
+    The containment is first checked with a witness, one product and no
+    solve.  upper_{t-1} = F_{t-1}[:, src_plus] N_{t-1} (_plus); let y be
+    the rows of N_{t-1} of the src_plus generators still alive at t,
+    which are src_plus at t (for t > K.a no generator born at t starts
+    by I.a).  pushed, the carried upper_{t-1}, is zero off tgt_plus, as
+    upper_{t-1} is and tgt_plus does not depend on t, and on the rows
+    born at t.  So if F_t[:, src_plus] y = pushed, then
+    F_t[~tgt_plus, src_plus] y = 0, y lies in the null space N_t spans,
+    and pushed lies in span upper_t.  By M's support the equation holds:
+    a column dying at t-1 is zero on every row alive at t (a nonzero
+    M[h, g] has h.b <= g.b), so only the rows of y reach the rows _carry
+    keeps, where F_t agrees with F_{t-1}; and a row born at t is zero on
+    src_plus (a nonzero M[h, g] has h.a <= g.a <= t - 1).  Only when the
+    witness fails does gf.solve decide, so a broken frame raises as
+    before.
     An injective module zero after K.b has all its bars die at K.b, and
     dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
     """
@@ -175,13 +203,18 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
     fk = frame(k.b)
     lower, rows = _lower(fk, i, j)
     dims: list[int] = []
-    prev = None  # F_{t-1} and upper_{t-1}
+    prev = None  # F_{t-1}, its src_plus, N_{t-1} and upper_{t-1}
     for t in k:
         ft = frame(t)
-        upper = _upper(ft, i, j)
-        if prev is not None and prev[1].any():
-            pushed = _carry(prev[1], prev[0], t - 1, ft, t)
-            if gf.solve(upper, pushed, ft.p) is None:
+        src_plus, null = _plus(ft, i, j)
+        plus = ft.m[:, src_plus]
+        upper = gf.matmul(plus, null, ft.p)
+        if prev is not None and prev[3].any():
+            fp, plus_p, null_p, upper_p = prev
+            pushed = _carry(upper_p, fp, t - 1, ft, t)
+            witness = gf.matmul(plus, null_p[fp.src_b[plus_p] >= t], ft.p)
+            if (not np.array_equal(witness, pushed)
+                    and gf.solve(upper, pushed, ft.p) is None):
                 raise InvariantError(f"W_{t - 1} carries y_plus of ({i},{j}) at"
                                      f" t={t - 1} out of y_plus at t={t}")
         d = _count(_carry(upper, ft, t, fk, k.b), lower, rows, ft.p) if upper.any() else 0
@@ -189,7 +222,7 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
                                  f" {dims[-1]} to {d} at t={t}")
         dims.append(d)
-        prev = ft, upper
+        prev = ft, src_plus, null, upper
     return dims
 
 
@@ -316,10 +349,16 @@ def m_matching(f: Morphism) -> MMatchingTable:
         im_plus n ker_minus, inside v_minus_tgt and so y_minus.
     In both cases y_plus lies in y_minus and the entry is 0.
     """
+    return _m_table(_basis_matrix(f), barcode(f.source), barcode(f.target))
+
+
+def _m_table(bm: _BasisMatrix, b_src: Barcode, b_dst: Barcode) -> MMatchingTable:
+    """The m table of the morphism whose M is bm, between the source and
+    target barcodes b_src and b_dst, which bound its rows and columns."""
     counts: Counter = Counter()
-    for block in _basis_matrix(f).blocks():
+    for block in bm.blocks():
         counts.update(_block_counts(block, functools.cache(block.at)))
-    _check_table_bounds(counts, barcode(f.source), barcode(f.target), InvariantError)
+    _check_table_bounds(counts, b_src, b_dst, InvariantError)
     return MMatchingTable(counts)
 
 
@@ -336,9 +375,15 @@ def g_matching(f: Morphism) -> GMatchingTable:
     each block's last dim must equal its count, and the summed counts
     must stay within the table bounds.
     """
+    return _g_table(_basis_matrix(f), barcode(f.source), barcode(f.target))
+
+
+def _g_table(bm: _BasisMatrix, b_src: Barcode, b_dst: Barcode) -> GMatchingTable:
+    """The g table of the morphism whose M is bm, between the source and
+    target barcodes b_src and b_dst, which bound its summed counts."""
     counts: Counter = Counter()
     entries: dict[tuple[GridInterval, GridInterval], Barcode] = {}
-    for block in _basis_matrix(f).blocks():
+    for block in bm.blocks():
         frame = functools.cache(block.at)
         for (i, j), count in _block_counts(block, frame).items():
             if not count:
@@ -350,7 +395,7 @@ def g_matching(f: Morphism) -> GMatchingTable:
             counts[(i, j)] += count
             bars = _overlap_bars(i.intersect(j), dims)
             entries[(i, j)] = entries.get((i, j), Barcode()).union(bars)
-    _check_table_bounds(counts, barcode(f.source), barcode(f.target), InvariantError)
+    _check_table_bounds(counts, b_src, b_dst, InvariantError)
     return GMatchingTable(entries)
 
 

@@ -12,9 +12,12 @@ persistence basis, the only thing a module caches: its generators'
 bars in birth order and, per grid position t, one matrix B_t of the
 vectors of those alive at t, as the sweep builds it.  A morphism f is
 read off the persistence bases of its two ends as one matrix M, the
-only thing a morphism caches; the image barcode and the shift functor
-are read off M.  The image factorization and the composite maps stay
-as public referees.
+only thing a morphism caches.  M carries the bars of its rows and
+columns, which are the target and source barcodes, so the image barcode
+is read off M alone, and the shift functor is one operation on M
+(_shift_matrix) that builds no module; shift_morphism builds the
+shifted modules around that same M.  The image factorization and the
+composite maps stay as public referees.
 """
 
 from __future__ import annotations
@@ -521,6 +524,17 @@ class _BasisMatrix:
                 group[x >= nr].append(x - nr if x >= nr else x)
         return [self.select(np.array(r), np.array(c)) for r, c in groups.values()]
 
+    def barcodes(self) -> tuple[Barcode, Barcode]:
+        """The source and target barcodes: the bars of M's columns and rows."""
+        return (_interval_barcode(self.src_a, self.src_b),
+                _interval_barcode(self.tgt_a, self.tgt_b))
+
+
+def _interval_barcode(starts: np.ndarray, ends: np.ndarray) -> Barcode:
+    """The barcode of generators with the bars [starts[k], ends[k]]."""
+    bars = Counter(zip(starts.tolist(), ends.tolist()))
+    return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
+
 
 def _check_support(bm: _BasisMatrix) -> _BasisMatrix:
     """bm, once every nonzero entry is known to sit on a hom_exists pair."""
@@ -601,8 +615,7 @@ class PersistenceBasis:
             a.setflags(write=False)
 
     def interval_barcode(self) -> Barcode:
-        bars = Counter(zip(self.starts.tolist(), self.ends.tolist()))
-        return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
+        return _interval_barcode(self.starts, self.ends)
 
     def _alive(self, t: int) -> np.ndarray:
         return np.nonzero((self.starts <= t) & (t <= self.ends))[0]
@@ -851,7 +864,13 @@ def barcode(m: PersistenceModule) -> Barcode:
 
 
 def image_barcode(f: Morphism) -> Barcode:
-    """Barcode of the image of f, read off one reduction of M.
+    """Barcode of the image of f, read off one reduction of its M."""
+    return _image_barcode(_basis_matrix(f))
+
+
+def _image_barcode(bm: _BasisMatrix) -> Barcode:
+    """Barcode of the image of the morphism whose M is bm, read off one
+    reduction of M.
 
     The rank r(s, t) of Im(s) -> Im(t), s <= t, is that of M on the rows
     h with h.b >= t and the columns g with g.a <= s.  It is the rank of
@@ -872,8 +891,7 @@ def image_barcode(f: Morphism) -> Barcode:
     image, so it is dropped.  This is the image-persistence reduction of
     Cohen-Steiner, Edelsbrunner, Harer and Morozov.
     """
-    bm = _basis_matrix(f)
-    p = f.p
+    p = bm.p
     order = np.argsort(bm.tgt_b, kind="stable")
     death = bm.tgt_b[order].tolist()
     birth = bm.src_a.tolist()
@@ -965,27 +983,45 @@ def shift_module(m: PersistenceModule, eps: int) -> PersistenceModule:
     return im
 
 
-def shift_morphism(f: Morphism, eps: int) -> Morphism:
-    """The morphism induced between the shifted source and target, read off M.
+def _shift_matrix(bm: _BasisMatrix, eps: int) -> _BasisMatrix:
+    """The M of f's eps-shift, given f's M; the shifted modules are never
+    built.
 
-    im(V(t) -> V(t+eps)) is spanned by the generators alive at t and
-    t+eps, so the shift keeps each bar [a, b] with b - a >= eps as
-    [a, b - eps].  Its two modules are built from those bars in
-    persistence coordinates, and its M is f's on the kept generators,
-    less the entries whose shortened bars no longer overlap; the support
-    check stands for "the shifted image stays in the target's".  The
-    result is isomorphic to the morphism between the shift_module images.
+    im(V(t) -> V(t+eps)) is spanned by the vectors at t+eps of the
+    generators alive at t and t+eps, so the shift keeps each bar [a, b]
+    with b - a >= eps as [a, b - eps], a persistence basis of the
+    shifted module in the same birth order.  f_{t+eps} sends such a
+    source generator to the sum of M[h, g] h over the target generators
+    alive at t+eps, and those kept and alive at t are the shifted
+    target's generators at t; one born after t has h.a > t >= g.a, so
+    M[h, g] = 0 by M's support.  So the shifted M is f's on the kept
+    generators, less the entries whose shortened bars no longer overlap
+    (g.a > h.b - eps, where no shifted F_t reads them).  The support
+    check stands for "the shifted image stays in the target's".  Its
+    rows and columns carry the bars of the shifted target and source.
     """
-    _check_eps(f.n, eps)
-    bm = _basis_matrix(f)
     kept = bm.select((bm.tgt_b - bm.tgt_a >= eps).nonzero()[0],
                      (bm.src_b - bm.src_a >= eps).nonzero()[0])
     src_b, tgt_b = kept.src_b - eps, kept.tgt_b - eps
     m = np.where(kept.src_a <= tgt_b[:, None], kept.m, 0)
-    shifted = _check_support(_BasisMatrix(f.p, kept.src_a, src_b, kept.tgt_a, tgt_b, m))
+    return _check_support(_BasisMatrix(bm.p, kept.src_a, src_b, kept.tgt_a, tgt_b, m))
+
+
+def shift_morphism(f: Morphism, eps: int) -> Morphism:
+    """The morphism induced between the shifted source and target.
+
+    Its M is _shift_matrix of f's, and its two modules are built around
+    that M from its bars in persistence coordinates, so each F_t is a
+    slice of it.  The result is isomorphic to the morphism between the
+    shift_module images.
+    """
+    _check_eps(f.n, eps)
+    shifted = _shift_matrix(_basis_matrix(f), eps)
     n = f.n - eps
-    source = module_from_bars(n, f.p, map(GridInterval, kept.src_a.tolist(), src_b.tolist()))
-    target = module_from_bars(n, f.p, map(GridInterval, kept.tgt_a.tolist(), tgt_b.tolist()))
+    source = module_from_bars(n, f.p, map(GridInterval, shifted.src_a.tolist(),
+                                          shifted.src_b.tolist()))
+    target = module_from_bars(n, f.p, map(GridInterval, shifted.tgt_a.tolist(),
+                                          shifted.tgt_b.tolist()))
     g = Morphism(source, target, [shifted.at(t).m for t in range(1, n + 1)])
     g._matrix = shifted
     return g

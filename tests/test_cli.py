@@ -780,6 +780,15 @@ def test_cli_reads_nothing_through_the_image_factorization(
     monkeypatch.setattr(modules.PersistenceModule, "composite", referee_only)
     assert [run_cli(capsys, *argv) for argv in argvs] == want
 
+    # --eps shifts M alone: no shifted module or morphism is built.
+    def builds_a_module(*args, **kwargs):
+        raise RuntimeError("the --eps path built a shifted module")
+
+    for owner in (cli, modules, matching):
+        for name in ("module_from_bars", "shift_morphism"):
+            monkeypatch.setattr(owner, name, builds_a_module, raising=False)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+
 
 def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, capsys, monkeypatch):
     # The shape of the wide-sum benchmark input: 16 GF(2) ladders summed.
@@ -830,6 +839,23 @@ def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, cap
             assert run_cli(capsys, "match", path, "--method", method, "--eps", eps)[0] == 0
     assert builds and in_m == {"solve": 0, "rref": 0}
     assert len(sweeps) == 12
+
+
+@pytest.mark.parametrize("command", [
+    ["barcode", "{a}"],
+    ["match", "{a}", "--method", "g", "--eps", "1"],
+    ["sum", "{a}", "{b}"],
+])
+def test_a_command_tests_its_prime_once(tmp_path, capsys, command):
+    # Trial division takes about 7 ms at p = 2^31 - 1, and the parser,
+    # each module's validate and the sum each ask about the same p.
+    paths = {}
+    for name, seed in (("a", 1), ("b", 2)):
+        paths[name] = tmp_path / f"{name}.json"
+        write_morphism(random_ladder(6, 3, 7, seed), paths[name])
+    gf.is_prime.cache_clear()
+    assert run_cli(capsys, *(arg.format(**paths) for arg in command))[0] == 0
+    assert gf.is_prime.cache_info().misses == 1
 
 
 def _no_dims(frame, i, j):

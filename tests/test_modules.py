@@ -42,14 +42,16 @@ from indumatch import (
     zero_module,
 )
 from indumatch import cli
+from indumatch.bauer_lesnick import _chi, chi
 from indumatch.gf import Subspace
-from indumatch.matching import MMatchingTable, m_matching
+from indumatch.matching import MMatchingTable, _g_table, _m_table, g_matching, m_matching
 from indumatch.modules import (
     InvariantError,
     PersistenceBasis,
     _basis_matrix,
     _BasisMatrix,
     _check_support,
+    _shift_matrix,
 )
 from indumatch.oracle import naive_barcode
 
@@ -516,8 +518,7 @@ def _cli_tables(f):
     """What the CLI reports on f, with and without the shift by one."""
     out = [barcode(f.source), barcode(f.target), image_barcode(f)]
     for eps in range(min(f.n, 2)):
-        g = shift_morphism(f, eps)
-        out += [cli._match_payload(g, method, eps) for method in ("m", "g", "chi")]
+        out += [cli._match_payload(f, method, eps) for method in ("m", "g", "chi")]
     return out
 
 
@@ -695,6 +696,32 @@ def test_shift_morphism_validates_and_shifts_tables(wide_ladder):
     g = shift_morphism(wide_ladder, 1).validate()
     assert g.source.dims == (1, 2, 1)
     assert g.target.dims == (2, 3, 1)
+
+
+@st.composite
+def shift_cases(draw):
+    """A random ladder or a k-way direct sum of them, over GF(2) to GF(7)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 8))
+    max_dim = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3))
+    return direct_sum_morphism(*(random_ladder(n, max_dim, p, s) for s in seeds))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(f=shift_cases())
+def test_shifted_matrix_reports_equal_those_on_the_shifted_modules(f):
+    # The CLI's --eps path: the m, g and chi reports read off the shifted
+    # M and the bars of its rows and columns alone.
+    for eps in range(f.n):
+        bm = _shift_matrix(_basis_matrix(f), eps)
+        b_src, b_dst = bm.barcodes()
+        assert b_src == barcode(shift_module(f.source, eps))
+        assert b_dst == barcode(shift_module(f.target, eps))
+        reports = (_m_table(bm, b_src, b_dst), _g_table(bm, b_src, b_dst),
+                   _chi(bm, b_src, b_dst))
+        for g in (shift_morphism(f, eps), ref_shift_morphism(f, eps)):
+            assert reports == (m_matching(g), g_matching(g), chi(g)), (eps, g)
 
 
 def test_shift_out_of_range(chain_module):
