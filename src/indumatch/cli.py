@@ -168,7 +168,7 @@ def _match_payload(f: Morphism, method: str, eps: int) -> dict:
         report = {"m": _m_table, "g": _g_table, "chi": _chi}[method](bm, b_src, b_dst)
     else:
         report = {"m": m_matching, "g": g_matching, "chi": chi}[method](f)
-        b_src = barcode(f.source)
+        b_src = barcode(f.source) if method == "chi" else None  # chi's unmatched bars
     if method == "m":
         entries = [
             {"I": _interval_json(i), "J": _interval_json(j), "count": c}
