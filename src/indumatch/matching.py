@@ -71,18 +71,19 @@ def _meet(block: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
 
 
 def _plus(ft: _BasisMatrix, i: GridInterval, j: GridInterval):
-    """The src_plus(I) columns of ft = F_t, and columns N spanning the null
-    space of F_t[~tgt_plus(J), src_plus]: y_plus is spanned by
-    F_t[:, src_plus] N in the target generators."""
+    """The src_plus(I) mask of ft = F_t, its columns P = F_t[:, src_plus],
+    and columns N spanning the null space of P off the tgt_plus(J) rows:
+    y_plus is spanned by P N in the target generators."""
     src_plus = (ft.src_a <= i.a) & (ft.src_b <= i.b)
+    plus = ft.m[:, src_plus]
     tgt_plus = (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b)
-    return src_plus, gf._null_basis(ft.m[~tgt_plus][:, src_plus], ft.p)
+    return src_plus, plus, gf._null_basis(plus[~tgt_plus], ft.p)
 
 
 def _upper(ft: _BasisMatrix, i: GridInterval, j: GridInterval) -> np.ndarray:
     """Columns spanning y_plus in the target generators, from ft = F_t."""
-    src_plus, null = _plus(ft, i, j)
-    return gf.matmul(ft.m[:, src_plus], null, ft.p)
+    _, plus, null = _plus(ft, i, j)
+    return gf.matmul(plus, null, ft.p)
 
 
 def _lower(ft: _BasisMatrix, i: GridInterval, j: GridInterval):
@@ -206,8 +207,7 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
     prev = None  # F_{t-1}, its src_plus, N_{t-1} and upper_{t-1}
     for t in k:
         ft = frame(t)
-        src_plus, null = _plus(ft, i, j)
-        plus = ft.m[:, src_plus]
+        src_plus, plus, null = _plus(ft, i, j)
         upper = gf.matmul(plus, null, ft.p)
         if prev is not None and prev[3].any():
             fp, plus_p, null_p, upper_p = prev
