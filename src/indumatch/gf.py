@@ -35,7 +35,7 @@ MAX_DIM = 256
 # slowest input measured is a dense natural morphism: n = 8, dims 255 on
 # both sides, the same dense seeded GF(2) map A at every step of both
 # modules, and f_t = A or A + A^2.  On a 2-core x86 VM, barcode and
-# match chi take 1.1-1.2 s on it, match m 1.2 s and match g 2.4-3.2 s.  A
+# match chi take 1.1-1.2 s on it, match m 1.2 s and match g 2.4-3.4 s.  A
 # target with n = 16, dims 255 and dense seeded GF(2) structure maps over
 # an empty source takes 0.6-0.8 s for barcode; match g on n = 1365 with
 # dims 1 on both sides and 1,365 nonzero entries takes 0.4 s.

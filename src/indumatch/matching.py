@@ -210,10 +210,10 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
         src_plus, plus, null = _plus(ft, i, j)
         upper = gf.matmul(plus, null, ft.p)
         if prev is not None and prev[3].any():
-            fp, plus_p, null_p, upper_p = prev
+            fp, src_plus_p, null_p, upper_p = prev
             pushed = _carry(upper_p, fp, t - 1, ft, t)
-            witness = gf.matmul(plus, null_p[fp.src_b[plus_p] >= t], ft.p)
-            if (not np.array_equal(witness, pushed)
+            y = null_p[fp.src_b[src_plus_p] >= t]  # the witness
+            if (not np.array_equal(gf.matmul(plus, y, ft.p), pushed)
                     and gf.solve(upper, pushed, ft.p) is None):
                 raise InvariantError(f"W_{t - 1} carries y_plus of ({i},{j}) at"
                                      f" t={t - 1} out of y_plus at t={t}")
