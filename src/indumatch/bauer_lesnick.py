@@ -4,12 +4,12 @@ An injective morphism matches bars that die together, longest first; a
 surjective one matches bars born together, longest first.  A general
 morphism factors through its image and composes the two, and the result
 depends only on the three barcodes involved: chi reads the source and
-target barcodes and the image barcode, read off f's basis matrix M
+target barcodes, which are the bars of the columns and rows of f's
+basis matrix M, and the image barcode, read off M too
 (modules._image_barcode), and never builds the image.  That is also why
 it fails to be additive over direct sums; realize_as_m builds a
 companion morphism whose counting table this matching represents.
-_chi takes M and the two barcodes alone, as the CLI's --eps path passes
-them for the shifted M.
+_chi takes M alone: the CLI passes f's, or that of f's shift.
 """
 
 from __future__ import annotations
@@ -81,12 +81,13 @@ def chi(f: Morphism) -> RepMatching:
     """lambda_ of the projection onto the image, then iota of its embedding,
     from the three barcodes: births from source to image, then deaths
     from image to target."""
-    return _chi(_basis_matrix(f), barcode(f.source), barcode(f.target))
+    return _chi(_basis_matrix(f))
 
 
-def _chi(bm: _BasisMatrix, b_src: Barcode, b_dst: Barcode) -> RepMatching:
-    """chi of the morphism whose M is bm, between the source and target
-    barcodes b_src and b_dst."""
+def _chi(bm: _BasisMatrix) -> RepMatching:
+    """chi of the morphism whose M is bm, between the barcodes of its
+    columns and rows."""
+    b_src, b_dst = bm.barcodes
     b_img = _image_barcode(bm)
     return _bucket_matching(b_src, b_img, "birth").then(
         _bucket_matching(b_img, b_dst, "death"))

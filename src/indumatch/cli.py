@@ -2,11 +2,11 @@
 
 Subcommands: barcode, match, sum, catalog, random.  Reports are JSON
 with sorted keys (byte-deterministic given the same file and flags) or
-an ASCII bar rendering.  Every report reads the morphism off one matrix
-M between the persistence bases of its ends: the image barcode, the
-tables and chi.  match --eps shifts M alone (modules._shift_matrix) and
-reads the shifted barcodes off its rows and columns, so it builds no
-shifted module, morphism or basis.  Exit codes: 0 ok, 2 parse error
+an ASCII bar rendering.  Every report (the three barcodes, the tables
+and chi) reads one matrix M between the persistence bases of the
+morphism's ends, whose columns and rows carry the source and target
+bars.  match --eps shifts M alone (modules._shift_matrix), so it builds
+no shifted module, morphism or basis.  Exit codes: 0 ok, 2 parse error
 (including a dimension above gf.MAX_DIM or a file past the work bound
 gf.MAX_WORK), 3 validation error, 4 usage error (including a catalog
 --dump DIR that cannot be written and random arguments whose output
@@ -24,18 +24,16 @@ import sys
 from pathlib import Path
 
 from . import gf, modules, serial
-from .bauer_lesnick import _chi, chi
+from .bauer_lesnick import _chi
 from .ladders import CATALOG_CODES, from_code, random_ladder
-from .matching import _g_table, _m_table, g_matching, m_matching
+from .matching import _g_table, _m_table
 from .modules import (
     Barcode,
     GridInterval,
     InvariantError,
     Morphism,
     ValidationError,
-    barcode,
     direct_sum_morphism,
-    image_barcode,
 )
 
 EXIT_OK = 0
@@ -68,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_match = sub.add_parser("match", help="matching induced by the morphism")
     p_match.add_argument("file")
-    p_match.add_argument("--method", default="m",
+    p_match.add_argument("--method", choices=["m", "g", "chi"], default="m",
                          help="m (counts), g (bar-valued) or chi (greedy)")
     p_match.add_argument("--eps", type=int, default=0,
                          help="match the morphism the shift functor induces"
@@ -134,10 +132,9 @@ def _render_barcode_panel(title: str, bc: Barcode, n: int) -> list[str]:
 
 
 def cmd_barcode(f: Morphism, fmt: str) -> int:
-    # M first: building it sweeps the target and caches its basis, so the
-    # target's barcode reuses that sweep.
-    b_img = image_barcode(f)
-    b_src, b_dst = barcode(f.source), barcode(f.target)
+    bm = modules._basis_matrix(f)
+    b_src, b_dst = bm.barcodes
+    b_img = modules._image_barcode(bm)
     if fmt == "ascii":
         lines = (
             _render_barcode_panel("source", b_src, f.n)
@@ -158,17 +155,14 @@ def cmd_barcode(f: Morphism, fmt: str) -> int:
 def _match_payload(f: Morphism, method: str, eps: int) -> dict:
     """The JSON payload of match --method method --eps eps on f.
 
-    The shift is one operation on f's M, whose rows and columns carry the
-    shifted bars, so with eps > 0 the report reads that M and its bars
-    alone and the shifted modules are never built.
+    Every report reads one M and the bars of its rows and columns: f's,
+    or with eps > 0 that of f's shift, one operation on f's M, so the
+    shifted modules are never built.
     """
+    bm = modules._basis_matrix(f)
     if eps:
-        bm = modules._shift_matrix(modules._basis_matrix(f), eps)
-        b_src, b_dst = bm.barcodes()
-        report = {"m": _m_table, "g": _g_table, "chi": _chi}[method](bm, b_src, b_dst)
-    else:
-        report = {"m": m_matching, "g": g_matching, "chi": chi}[method](f)
-        b_src = barcode(f.source) if method == "chi" else None  # chi's unmatched bars
+        bm = modules._shift_matrix(bm, eps)
+    report = {"m": _m_table, "g": _g_table, "chi": _chi}[method](bm)
     if method == "m":
         entries = [
             {"I": _interval_json(i), "J": _interval_json(j), "count": c}
@@ -190,7 +184,7 @@ def _match_payload(f: Morphism, method: str, eps: int) -> dict:
     matched = report.domain()
     unmatched = [
         {"interval": _interval_json(iv), "index": l}
-        for iv, l in b_src.rep()
+        for iv, l in bm.barcodes[0].rep()
         if (iv, l) not in matched
     ]
     return {"method": "chi", "eps": eps, "pairs": pairs,
@@ -235,8 +229,6 @@ def _render_match_ascii(n: int, payload: dict) -> str:
 
 
 def cmd_match(f: Morphism, method: str, eps: int, fmt: str) -> int:
-    if method not in ("m", "g", "chi"):
-        raise UsageError(f"unknown method {method!r} (expected m, g or chi)")
     if not 0 <= eps <= f.n - 1:
         raise UsageError(f"--eps must be in 0..{f.n - 1}")
     payload = _match_payload(f, method, eps)
@@ -275,7 +267,16 @@ def _code_slug(code) -> str:
     )
 
 
+def _check_prime(p: int, top: int):
+    """Refuse a --prime that is not exact at the largest dimension top a
+    command makes, or a top past the cap."""
+    problem = gf.field_error(p, top)
+    if problem:
+        raise UsageError(problem)
+
+
 def cmd_catalog(dump: str | None, p: int) -> int:
+    _check_prime(p, max(max(c.upper + c.lower) for c in CATALOG_CODES))
     if dump is None:
         return _emit(
             {"codes": [{"upper": list(c.upper), "lower": list(c.lower)}
@@ -292,10 +293,11 @@ def cmd_catalog(dump: str | None, p: int) -> int:
     return EXIT_OK
 
 
-def _check_random_args(n: int, max_dim: int):
-    """Refuse a grid or dimension random_ladder cannot draw, and any pair
-    whose output could pass the work bound: each module has at most
-    max_dim dimensions at each of its n positions."""
+def cmd_random(n: int, max_dim: int, seed: int | None, p: int) -> int:
+    _check_prime(p, max_dim)
+    # Refuse a grid or dimension random_ladder cannot draw, and any pair
+    # whose output could pass the work bound: each module has at most
+    # max_dim dimensions at each of its n positions.
     if n < 1:
         raise UsageError(f"--n must be at least 1, got {n}")
     if max_dim < 0:
@@ -304,9 +306,6 @@ def _check_random_args(n: int, max_dim: int):
     if problem:
         raise UsageError(f"--n {n} --max-dim {max_dim} could pass the work bound:"
                          f" {problem}")
-
-
-def cmd_random(n: int, max_dim: int, seed: int | None, p: int) -> int:
     if seed is None:
         env = os.environ.get("INDUMATCH_SEED", "0")
         try:
@@ -339,21 +338,9 @@ def main(argv=None) -> int:
             return cmd_match(_load(args.file), args.method, args.eps, args.format)
         if args.command == "sum":
             return cmd_sum(args.files)
-        if args.command in ("catalog", "random"):
-            # --prime must be exact at the largest dimension the command
-            # makes, which must also be within the cap.
-            top = (args.max_dim if args.command == "random"
-                   else max(max(c.upper + c.lower) for c in CATALOG_CODES))
-            problem = gf.field_error(args.prime, top)
-            if problem:
-                raise UsageError(problem)
-        if args.command == "random":
-            _check_random_args(args.n, args.max_dim)
         if args.command == "catalog":
             return cmd_catalog(args.dump, args.prime)
-        if args.command == "random":
-            return cmd_random(args.n, args.max_dim, args.seed, args.prime)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_random(args.n, args.max_dim, args.seed, args.prime)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

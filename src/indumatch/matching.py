@@ -17,10 +17,9 @@ alive at t, is a slice of M, and the y spaces are meets and sums of
 column sets of F_t and coordinate subspaces.  The target's structure
 maps are 0/1 selections of those generators, so each dimension of a
 comparison module is the rank count of an entry, on slices of M.  So
-the tables (_m_table, _g_table) take M and the two barcodes, and never
-the modules: m_matching and g_matching pass f's, and the CLI passes the
-M of f's shift (modules._shift_matrix) with the bars of its rows and
-columns.
+the tables (_m_table, _g_table) take M alone, and read the two barcodes
+off its rows and columns: m_matching and g_matching pass f's, and the
+CLI passes f's or that of its shift (modules._shift_matrix).
 
 Both tables are read one block of M at a time (_BasisMatrix.blocks: the
 connected components of its nonzero entries), and this is exact by
@@ -54,7 +53,6 @@ from .modules import (
     InvariantError,
     Morphism,
     PersistenceModule,
-    barcode,
     hom_exists,
     interval_sort_key,
     module_from_bars,
@@ -349,16 +347,16 @@ def m_matching(f: Morphism) -> MMatchingTable:
         im_plus n ker_minus, inside v_minus_tgt and so y_minus.
     In both cases y_plus lies in y_minus and the entry is 0.
     """
-    return _m_table(_basis_matrix(f), barcode(f.source), barcode(f.target))
+    return _m_table(_basis_matrix(f))
 
 
-def _m_table(bm: _BasisMatrix, b_src: Barcode, b_dst: Barcode) -> MMatchingTable:
-    """The m table of the morphism whose M is bm, between the source and
-    target barcodes b_src and b_dst, which bound its rows and columns."""
+def _m_table(bm: _BasisMatrix) -> MMatchingTable:
+    """The m table of the morphism whose M is bm; the barcodes of its
+    columns and rows bound the table's row and column sums."""
     counts: Counter = Counter()
     for block in bm.blocks():
         counts.update(_block_counts(block, functools.cache(block.at)))
-    _check_table_bounds(counts, b_src, b_dst, InvariantError)
+    _check_table_bounds(counts, *bm.barcodes, InvariantError)
     return MMatchingTable(counts)
 
 
@@ -375,12 +373,12 @@ def g_matching(f: Morphism) -> GMatchingTable:
     each block's last dim must equal its count, and the summed counts
     must stay within the table bounds.
     """
-    return _g_table(_basis_matrix(f), barcode(f.source), barcode(f.target))
+    return _g_table(_basis_matrix(f))
 
 
-def _g_table(bm: _BasisMatrix, b_src: Barcode, b_dst: Barcode) -> GMatchingTable:
-    """The g table of the morphism whose M is bm, between the source and
-    target barcodes b_src and b_dst, which bound its summed counts."""
+def _g_table(bm: _BasisMatrix) -> GMatchingTable:
+    """The g table of the morphism whose M is bm; the barcodes of its
+    columns and rows bound the summed counts."""
     counts: Counter = Counter()
     entries: dict[tuple[GridInterval, GridInterval], Barcode] = {}
     for block in bm.blocks():
@@ -395,7 +393,7 @@ def _g_table(bm: _BasisMatrix, b_src: Barcode, b_dst: Barcode) -> GMatchingTable
             counts[(i, j)] += count
             bars = _overlap_bars(i.intersect(j), dims)
             entries[(i, j)] = entries.get((i, j), Barcode()).union(bars)
-    _check_table_bounds(counts, b_src, b_dst, InvariantError)
+    _check_table_bounds(counts, *bm.barcodes, InvariantError)
     return GMatchingTable(entries)
 
 

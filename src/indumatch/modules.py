@@ -13,11 +13,11 @@ bars in birth order and, per grid position t, one matrix B_t of the
 vectors of those alive at t, as the sweep builds it.  A morphism f is
 read off the persistence bases of its two ends as one matrix M, the
 only thing a morphism caches.  M carries the bars of its rows and
-columns, which are the target and source barcodes, so the image barcode
-is read off M alone, and the shift functor is one operation on M
-(_shift_matrix) that builds no module; shift_morphism builds the
-shifted modules around that same M.  The image factorization and the
-composite maps stay as public referees.
+columns, which are the target and source barcodes (_BasisMatrix.barcodes,
+built once per M), so the image barcode is read off M alone, and the
+shift functor is one operation on M (_shift_matrix) that builds no
+module; shift_morphism builds the shifted modules around that same M.
+The image factorization and the composite maps stay as public referees.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -524,6 +525,7 @@ class _BasisMatrix:
                 group[x >= nr].append(x - nr if x >= nr else x)
         return [self.select(np.array(r), np.array(c)) for r, c in groups.values()]
 
+    @cached_property
     def barcodes(self) -> tuple[Barcode, Barcode]:
         """The source and target barcodes: the bars of M's columns and rows."""
         return (_interval_barcode(self.src_a, self.src_b),

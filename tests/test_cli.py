@@ -19,7 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indumatch
-from indumatch import LadderCode, cli, from_code, gf, matching, modules, random_ladder
+from indumatch import (
+    LadderCode,
+    bauer_lesnick,
+    cli,
+    from_code,
+    gf,
+    matching,
+    modules,
+    random_ladder,
+)
 from indumatch.cli import main
 from indumatch.serial import (
     dumps_canonical,
@@ -240,9 +249,11 @@ def test_match_ascii(ref_file, capsys):
 
 
 def test_unknown_method_exits_4(ref_file, capsys):
-    code, _, err = run_cli(capsys, "match", ref_file, "--method", "bogus")
-    assert code == 4
-    assert "method" in err
+    # The parser rejects the method before the file is read.
+    for path in (ref_file, "MISSING.json"):
+        code, _, err = run_cli(capsys, "match", path, "--method", "bogus")
+        assert code == 4
+        assert "method" in err
 
 
 def test_usage_error_exits_4(capsys):
@@ -768,6 +779,7 @@ def test_cli_reads_nothing_through_the_image_factorization(
     write_morphism(random_ladder(6, 4, 3, 11), rand)
     argvs = [argv for path in (ref_file, wide_file, thick_file, str(rand))
              for argv in (["barcode", path], ["match", path, "--method", "chi"],
+                          ["match", path, "--method", "m"], ["match", path, "--method", "g"],
                           ["match", path, "--method", "m", "--eps", "1"],
                           ["match", path, "--method", "g", "--eps", "1"])]
     want = [run_cli(capsys, *argv) for argv in argvs]
@@ -789,18 +801,41 @@ def test_cli_reads_nothing_through_the_image_factorization(
             monkeypatch.setattr(owner, name, builds_a_module, raising=False)
     assert [run_cli(capsys, *argv) for argv in argvs] == want
 
+    # One report path: every report reads M and the bars of its rows and
+    # columns, whatever eps, and never the f-taking wrappers.
+    def reads_f(*args, **kwargs):
+        raise RuntimeError("a report read f, not its M")
+
+    for owner in (indumatch, cli, modules, matching, bauer_lesnick):
+        for name in ("barcode", "image_barcode", "m_matching", "g_matching", "chi"):
+            monkeypatch.setattr(owner, name, reads_f, raising=False)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+
 
 def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, capsys, monkeypatch):
     # The shape of the wide-sum benchmark input: 16 GF(2) ladders summed.
     # Every command sweeps each module once: M is built first, and its
-    # sweep of the target leaves the target's basis cached.
+    # sweep of the target leaves the target's basis cached.  Every report
+    # builds its two barcodes once, off the rows and columns of its M.
     path = str(tmp_path / "wide-sum.json")
     write_morphism(modules.direct_sum_morphism(
         *(random_ladder(10, 4, 2, s) for s in range(16))), path)
     calls = {"solve": 0, "rref": 0}
     in_m = {"solve": 0, "rref": 0}
-    builds, sweeps = [], []
+    builds, sweeps, barcodes = [], [], []
     real_sweep = modules._sweep
+    real_interval_barcode = modules._interval_barcode
+
+    def counted_interval_barcode(starts, ends):
+        barcodes.append(len(starts))
+        return real_interval_barcode(starts, ends)
+
+    monkeypatch.setattr(modules, "_interval_barcode", counted_interval_barcode)
+
+    def report(*argv):
+        before = len(barcodes)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(barcodes) - before == 2, argv
 
     def counted_sweep(m, images=None):
         sweeps.append(m)
@@ -831,12 +866,12 @@ def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, cap
     monkeypatch.setattr(modules, "_basis_matrix", watched)
     monkeypatch.setattr(matching, "_basis_matrix", watched)
     for argv in (["barcode", path], ["match", path, "--method", "chi"]):
-        assert run_cli(capsys, *argv)[0] == 0
+        report(*argv)
     assert calls == {"solve": 0, "rref": 0}
     assert len(sweeps) == 4
     for method in ("m", "g"):
         for eps in ("0", "1"):
-            assert run_cli(capsys, "match", path, "--method", method, "--eps", eps)[0] == 0
+            report("match", path, "--method", method, "--eps", eps)
     assert builds and in_m == {"solve": 0, "rref": 0}
     assert len(sweeps) == 12
 
@@ -877,8 +912,9 @@ def _load_onto_a_foreign_target_basis(path):
      "bar count 0 of ([2,2],[1,2]) disagrees with m = 1"),
     (matching, "_entry_count", lambda *args: 5, ["match", "--method", "m"],
      "row sum 5 exceeds multiplicity of [2,2]"),
-    (matching, "barcode", lambda m: modules.Barcode(), ["match", "--method", "g"],
-     "row sum 1 exceeds multiplicity of [2,2]"),
+    pytest.param(modules._BasisMatrix, "barcodes",
+                 property(lambda bm: (modules.Barcode(),) * 2), ["match", "--method", "g"],
+                 "row sum 1 exceeds multiplicity of [2,2]", id="_BasisMatrix.barcodes-empty"),
 ])
 def test_internal_invariant_failure_exits_6(ref_file, capsys, monkeypatch,
                                             owner, attr, fake, argv, message):

@@ -546,6 +546,7 @@ def test_basis_matrix_equals_the_solve_referee_byte_for_byte(f):
     assert g.target._basis is not None
     for a, b in zip(g.target._basis.vectors, persistence_basis(h.target).vectors):
         assert np.array_equal(a, b)
+    assert bm.barcodes == (barcode(h.source), barcode(h.target))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -715,11 +716,10 @@ def test_shifted_matrix_reports_equal_those_on_the_shifted_modules(f):
     # M and the bars of its rows and columns alone.
     for eps in range(f.n):
         bm = _shift_matrix(_basis_matrix(f), eps)
-        b_src, b_dst = bm.barcodes()
+        b_src, b_dst = bm.barcodes
         assert b_src == barcode(shift_module(f.source, eps))
         assert b_dst == barcode(shift_module(f.target, eps))
-        reports = (_m_table(bm, b_src, b_dst), _g_table(bm, b_src, b_dst),
-                   _chi(bm, b_src, b_dst))
+        reports = (_m_table(bm), _g_table(bm), _chi(bm))
         for g in (shift_morphism(f, eps), ref_shift_morphism(f, eps)):
             assert reports == (m_matching(g), g_matching(g), chi(g)), (eps, g)
 
