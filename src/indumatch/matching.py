@@ -180,7 +180,7 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
         what a rank check on its maps would test, exactly when this
         containment holds, and the telescoping above rests on it too.
       - dims nondecreasing along K, as an injective module's are.
-    The containment is first checked with a witness, one product and no
+    The containment is checked with a witness, one product and no
     solve.  upper_{t-1} = F_{t-1}[:, src_plus] N_{t-1} (_plus); let y be
     the rows of N_{t-1} of the src_plus generators still alive at t,
     which are src_plus at t (for t > K.a no generator born at t starts
@@ -192,9 +192,9 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
     a column dying at t-1 is zero on every row alive at t (a nonzero
     M[h, g] has h.b <= g.b), so only the rows of y reach the rows _carry
     keeps, where F_t agrees with F_{t-1}; and a row born at t is zero on
-    src_plus (a nonzero M[h, g] has h.a <= g.a <= t - 1).  Only when the
-    witness fails does gf.solve decide, so a broken frame raises as
-    before.
+    src_plus (a nonzero M[h, g] has h.a <= g.a <= t - 1).  _check_support
+    enforces that support on every M, so a failing witness means a broken
+    frame, and it raises.
     An injective module zero after K.b has all its bars die at K.b, and
     dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
     """
@@ -211,8 +211,7 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
             fp, src_plus_p, null_p, upper_p = prev
             pushed = _carry(upper_p, fp, t - 1, ft, t)
             y = null_p[fp.src_b[src_plus_p] >= t]  # the witness
-            if (not np.array_equal(gf.matmul(plus, y, ft.p), pushed)
-                    and gf.solve(upper, pushed, ft.p) is None):
+            if not np.array_equal(gf.matmul(plus, y, ft.p), pushed):
                 raise InvariantError(f"W_{t - 1} carries y_plus of ({i},{j}) at"
                                      f" t={t - 1} out of y_plus at t={t}")
         d = _count(_carry(upper, ft, t, fk, k.b), lower, rows, ft.p) if upper.any() else 0

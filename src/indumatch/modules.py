@@ -10,14 +10,17 @@ single grid position, the part of the module belonging to an interval
 (im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus) off the
 persistence basis, the only thing a module caches: its generators'
 bars in birth order and, per grid position t, one matrix B_t of the
-vectors of those alive at t, as the sweep builds it.  A morphism f is
-read off the persistence bases of its two ends as one matrix M, the
-only thing a morphism caches.  M carries the bars of its rows and
-columns, which are the target and source barcodes (_BasisMatrix.barcodes,
-built once per M), so the image barcode is read off M alone, and the
-shift functor is one operation on M (_shift_matrix) that builds no
-module; shift_morphism builds the shifted modules around that same M.
-The image factorization and the composite maps stay as public referees.
+vectors of those alive at t.  A morphism f is read off the persistence
+bases of its two ends as one matrix M, the only thing a morphism
+caches.  Each has one producer: the sweep (_sweep) builds every basis,
+and _basis_matrix every M, inside the sweep of f's target.  M carries
+the bars of its rows and columns, which are the target and source
+barcodes (_BasisMatrix.barcodes, built once per M), so the image
+barcode is read off M alone, and the shift functor is one operation on
+M (_shift_matrix) that builds no module; shift_morphism builds the
+shifted modules from the shortened bars, and their M is swept like any
+other.  The image factorization and the composite maps stay as public
+referees.
 """
 
 from __future__ import annotations
@@ -325,11 +328,11 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
 
     V(t) has one coordinate per bar alive at t, in the order given, and
     the structure map V(t) -> V(t+1) keeps the bars that survive and
-    drops the rest, a 0/1 selection.  The standard basis vectors are a
-    persistence basis; it is seeded on the module, so no sweep runs on it.
-    Its generators are the bars in stable start order, as a basis must
-    be (see PersistenceBasis), so each B_t is a permutation matrix, the
-    identity when the bars come sorted by start.
+    drops the rest, a 0/1 selection.  No basis is cached: the sweep
+    builds one when it is read.  Every image of a standard basis vector
+    is another one or 0, so the sweep takes the standard basis vectors,
+    the bars in stable start order, and each B_t is a permutation
+    matrix, the identity when the bars come sorted by start.
     """
     bars = list(bars)
     for iv in bars:
@@ -339,13 +342,7 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
     ends = np.array([iv.b for iv in bars], dtype=np.int64)
     alive = [np.nonzero((starts <= t) & (t <= ends))[0] for t in range(1, n + 1)]
     maps = [(alive[t][:, None] == alive[t - 1]).astype(np.int64) for t in range(1, n)]
-    m = PersistenceModule(p, [len(k) for k in alive], maps)
-    order = np.argsort(starts, kind="stable")
-    starts, ends = starts[order], ends[order]
-    vectors = [(k[:, None] == order[(starts <= t) & (t <= ends)]).astype(np.int64)
-               for t, k in enumerate(alive, start=1)]
-    m._basis = PersistenceBasis(starts, ends, tuple(vectors))
-    return m
+    return PersistenceModule(p, [len(k) for k in alive], maps)
 
 
 def zero_module(n: int, p: int) -> PersistenceModule:
@@ -561,10 +558,10 @@ def _basis_matrix(f: Morphism) -> _BasisMatrix:
     s are the last columns of its B_s, and f_s of them are the images
     that ride along the target's sweep (_sweep): each column of M is
     read at its generator's birth, in the target basis as the sweep
-    leaves it, with no solve.  The target's basis is cached on it; if it
-    carries one already, the sweep must rebuild it exactly, or M would be
-    in other coordinates, and InvariantError names the first t where it
-    does not.
+    leaves it, with no solve.  The target's basis is cached on it, unless
+    persistence_basis cached one first; that one is the same, as the
+    sweep builds every basis and carrying the images changes none of
+    its steps.
     """
     if f._matrix is None:
         p = f.p
@@ -576,20 +573,9 @@ def _basis_matrix(f: Morphism) -> _BasisMatrix:
         beta, m = _sweep(f.target, images)
         if f.target._basis is None:
             f.target._basis = beta
-        else:
-            _check_same_basis(f.target._basis, beta)
         f._matrix = _check_support(_BasisMatrix(p, alpha.starts, alpha.ends,
                                                 beta.starts, beta.ends, m))
     return f._matrix
-
-
-def _check_same_basis(cached: PersistenceBasis, built: PersistenceBasis):
-    """Raise InvariantError at the first t where the two bases differ."""
-    for t, (old, new) in enumerate(zip(cached.vectors, built.vectors), start=1):
-        a, b = cached._alive(t), built._alive(t)
-        if not (np.array_equal(old, new) and np.array_equal(cached.starts[a], built.starts[b])
-                and np.array_equal(cached.ends[a], built.ends[b])):
-            raise InvariantError(f"target basis at t={t} is not the one its sweep builds")
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +694,10 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
     """Explicit interval decomposition by a left-to-right sweep, cached on
     the module, read-only like the structure maps.
 
-    The sweep is _sweep, whose docstring sets out its steps and why they
-    are exact.  _basis_matrix runs the same sweep on a morphism's target
-    with the images of f riding along, so a target's basis is the same
+    The sweep is _sweep, the one producer of a basis, whose docstring
+    sets out its steps and why they are exact.  _basis_matrix runs the
+    same sweep on a morphism's target with the images of f riding along;
+    they change none of its steps, so a target's basis is the same
     whichever of the two builds it.
     """
     if m._basis is None:
@@ -1012,10 +999,13 @@ def _shift_matrix(bm: _BasisMatrix, eps: int) -> _BasisMatrix:
 def shift_morphism(f: Morphism, eps: int) -> Morphism:
     """The morphism induced between the shifted source and target.
 
-    Its M is _shift_matrix of f's, and its two modules are built around
-    that M from its bars in persistence coordinates, so each F_t is a
-    slice of it.  The result is isomorphic to the morphism between the
-    shift_module images.
+    Its two modules are module_from_bars of the rows' and columns' bars
+    of _shift_matrix of f's M, in birth order, and each component f_t is
+    that matrix's F_t.  On those modules the sweep takes the standard
+    basis vectors in the same order, so the result's own M, built by
+    _basis_matrix when a report reads it, is the shifted matrix again.
+    The result is isomorphic to the morphism between the shift_module
+    images.
     """
     _check_eps(f.n, eps)
     shifted = _shift_matrix(_basis_matrix(f), eps)
@@ -1024,9 +1014,7 @@ def shift_morphism(f: Morphism, eps: int) -> Morphism:
                                           shifted.src_b.tolist()))
     target = module_from_bars(n, f.p, map(GridInterval, shifted.tgt_a.tolist(),
                                           shifted.tgt_b.tolist()))
-    g = Morphism(source, target, [shifted.at(t).m for t in range(1, n + 1)])
-    g._matrix = shifted
-    return g
+    return Morphism(source, target, [shifted.at(t).m for t in range(1, n + 1)])
 
 
 def _check_eps(n: int, eps: int):

@@ -156,6 +156,21 @@ def ref_shift_morphism(f, eps):
     return Morphism(src_embed.source, dst_embed.source, comps)
 
 
+def ref_bars_basis(n, bars):
+    """The persistence basis of module_from_bars(n, p, bars) by hand: the
+    standard basis vectors, generators the bars in stable start order, so
+    each B_t is a 0/1 matrix, columns in that order, rows V(t)'s
+    coordinates in the given order; not cached on anything."""
+    starts = np.array([b.a for b in bars], dtype=np.int64)
+    ends = np.array([b.b for b in bars], dtype=np.int64)
+    alive = [np.nonzero((starts <= t) & (t <= ends))[0] for t in range(1, n + 1)]
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], ends[order]
+    vectors = [(k[:, None] == order[(starts <= t) & (t <= ends)]).astype(np.int64)
+               for t, k in enumerate(alive, start=1)]
+    return PersistenceBasis(starts, ends, tuple(vectors))
+
+
 # ---------------------------------------------------------------------------
 # Referee for the persistence-basis sweep: the earlier sweep, which reduces
 # every image and every unit-vector candidate one at a time, rescales each

@@ -296,6 +296,13 @@ def test_sum_single_input_passthrough(ref_file, capsys):
         assert out == fh.read()
 
 
+def test_sum_ignores_the_format_flag(ref_file, capsys):
+    # Only barcode and match read --format; sum always writes JSON.
+    want = run_cli(capsys, "sum", ref_file)
+    assert want[0] == 0
+    assert run_cli(capsys, "--format", "ascii", "sum", ref_file) == want
+
+
 def test_sum_of_many_files_equals_pairwise_fold(tmp_path, capsys):
     fs = [random_ladder(5, d, 3, 40 + d) for d in (0, 3, 1, 4, 2)]
     paths = []
@@ -897,17 +904,7 @@ def _no_dims(frame, i, j):
     return [0] * (i.intersect(j).length + 1)
 
 
-def _load_onto_a_foreign_target_basis(path):
-    # M is read in the target basis the sweep builds, so a target that
-    # carries another one must be refused.
-    f = read_morphism(path)
-    f.target._basis = modules.persistence_basis(f.source)
-    return f
-
-
 @pytest.mark.parametrize("owner, attr, fake, argv, message", [
-    (cli, "_load", _load_onto_a_foreign_target_basis, ["barcode"],
-     "target basis at t=1 is not the one its sweep builds"),
     (matching, "_comparison_dims", _no_dims, ["match", "--method", "g"],
      "bar count 0 of ([2,2],[1,2]) disagrees with m = 1"),
     (matching, "_entry_count", lambda *args: 5, ["match", "--method", "m"],

@@ -59,6 +59,7 @@ import quotients
 from conftest import (
     iv,
     mat,
+    ref_bars_basis,
     ref_basis_matrix,
     ref_frame,
     ref_image_barcode,
@@ -473,7 +474,7 @@ def sweep_cases(draw):
     """A morphism whose modules the sweep decomposes: a random ladder, a
     k-way direct sum of them, the morphism between the shifted images of a
     ladder's ends, or the identity on a module with random, zero or
-    identity maps, or on one built from bars with its basis cleared."""
+    identity maps, or on one built from bars."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(1, 12))
     seed = draw(st.integers(0, 2**16))
@@ -489,7 +490,6 @@ def sweep_cases(draw):
     if kind == "bars":
         bars = draw(st.lists(st.tuples(st.integers(1, n), st.integers(0, n)), max_size=8))
         m = module_from_bars(n, p, [iv(a, min(a + length, n)) for a, length in bars])
-        m._basis = None
     else:
         dims = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
         m = _module_with_maps(p, dims, kind, seed)
@@ -553,27 +553,29 @@ def test_basis_matrix_equals_the_solve_referee_byte_for_byte(f):
 @given(n=st.integers(1, 8), p=st.sampled_from([2, 3, 5, 7]),
        bars=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 8)), max_size=10))
 def test_sweep_rebuilds_the_basis_module_from_bars_seeds(n, p, bars):
-    m = module_from_bars(n, p, [iv(min(a, n), min(a + length, n)) for a, length in bars])
-    seeded, m._basis = m._basis, None
-    built = persistence_basis(m)
-    assert np.array_equal(built.starts, seeded.starts)
-    assert np.array_equal(built.ends, seeded.ends)
-    for a, b in zip(built.vectors, seeded.vectors):
-        assert np.array_equal(a, b)
+    # The standard basis vectors in stable start order, seeded by hand.
+    bars = [iv(min(a, n), min(a + length, n)) for a, length in bars]
+    built, want = persistence_basis(module_from_bars(n, p, bars)), ref_bars_basis(n, bars)
+    for name in ("starts", "ends"):
+        a, b = getattr(built, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len(built.vectors) == len(want.vectors) == n
+    for a, b in zip(built.vectors, want.vectors):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_cached_target_basis_must_be_the_sweeps():
+def test_only_the_sweep_builds_bases_and_m(wide_ladder):
     m = module_from_bars(4, 3, [iv(1, 4), iv(2, 3), iv(2, 4)])
-    assert _basis_matrix(Morphism.identity(m)).m.tolist() == gf.identity(3).tolist()
-    # Twice the vectors of [2,3] is a persistence basis too, but not the
-    # one the sweep builds, so M would be in other coordinates.
+    assert m._basis is None
+    g = shift_morphism(wide_ladder, 1)
+    assert g._matrix is None and g.target._basis is None
+    m_matching(g)  # a report reads M, which sweeps g's target
+    assert g._matrix is not None and g.target._basis is not None
+    # A basis persistence_basis built first stays the cached object when
+    # M's sweep of the same module follows.
     pb = persistence_basis(m)
-    twice = [b.copy() for b in pb.vectors]
-    for t in (2, 3):
-        twice[t - 1][:, 1] = 2 * twice[t - 1][:, 1] % 3
-    m._basis = PersistenceBasis(pb.starts, pb.ends, tuple(twice)).validate(m)
-    with pytest.raises(InvariantError, match=r"^target basis at t=2 is not the one"):
-        _basis_matrix(Morphism.identity(m))
+    assert _basis_matrix(Morphism.identity(m)).m.tolist() == gf.identity(3).tolist()
+    assert persistence_basis(m) is pb
 
 
 def test_sweep_makes_one_image_product_per_step(monkeypatch):
@@ -713,9 +715,15 @@ def shift_cases(draw):
 @given(f=shift_cases())
 def test_shifted_matrix_reports_equal_those_on_the_shifted_modules(f):
     # The CLI's --eps path: the m, g and chi reports read off the shifted
-    # M and the bars of its rows and columns alone.
+    # M and the bars of its rows and columns alone.  shift_morphism's own
+    # M is built by the sweep of its modules, independently of the shift.
     for eps in range(f.n):
         bm = _shift_matrix(_basis_matrix(f), eps)
+        swept = _basis_matrix(shift_morphism(f, eps))
+        assert swept.p == bm.p
+        for name in ("src_a", "src_b", "tgt_a", "tgt_b", "m"):
+            a, b = getattr(swept, name), getattr(bm, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (eps, name)
         b_src, b_dst = bm.barcodes
         assert b_src == barcode(shift_module(f.source, eps))
         assert b_dst == barcode(shift_module(f.target, eps))
@@ -769,9 +777,10 @@ def test_module_from_bars_seeds_a_valid_basis():
 
 
 def test_image_barcode_reads_bars_given_out_of_start_order():
-    # V(t) keeps the given order, [2,3] before [1,3], but the seeded basis
-    # is in start order, so F_t's columns sorted by start are a prefix;
-    # a basis seeded in the given order reads the image as {[1,1], [2,3]}.
+    # V(t) keeps the given order, [2,3] before [1,3], but the sweep's
+    # basis is in start order, so F_t's columns sorted by start are a
+    # prefix; a basis in the given order would read the image as
+    # {[1,1], [2,3]}.
     source = module_from_bars(3, 2, [iv(2, 3), iv(1, 3)])
     target = module_from_bars(3, 2, [iv(1, 3)])
     f = Morphism(source, target, [mat([[1]]), mat([[1, 1]]), mat([[1, 1]])]).validate()
