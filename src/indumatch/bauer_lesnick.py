@@ -6,10 +6,10 @@ morphism factors through its image and composes the two, and the result
 depends only on the three barcodes involved: chi reads the source and
 target barcodes, which are the bars of the columns and rows of f's
 basis matrix M, and the image barcode, read off M too
-(modules._image_barcode), and never builds the image.  That is also why
-it fails to be additive over direct sums; realize_as_m builds a
+(BasisMatrix.image_barcode), and never builds the image.  That is also
+why it fails to be additive over direct sums; realize_as_m builds a
 companion morphism whose counting table this matching represents.
-_chi takes M alone: the CLI passes f's, or that of f's shift.
+chi_table takes M alone: the CLI passes f's, or that of f's shift.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from . import gf
 from .matching import IndexedBar, RepMatching, m_matching, representation
 from .modules import (
     Barcode,
+    BasisMatrix,
     GridInterval,
     InvariantError,
     Morphism,
     barcode,
+    basis_matrix,
     persistence_basis,
-    _basis_matrix,
-    _BasisMatrix,
-    _image_barcode,
 )
 
 
@@ -78,17 +77,17 @@ def lambda_(h: Morphism) -> RepMatching:
 
 
 def chi(f: Morphism) -> RepMatching:
-    """lambda_ of the projection onto the image, then iota of its embedding,
-    from the three barcodes: births from source to image, then deaths
-    from image to target."""
-    return _chi(_basis_matrix(f))
+    """The Bauer-Lesnick matching of f: chi_table of its M."""
+    return chi_table(basis_matrix(f))
 
 
-def _chi(bm: _BasisMatrix) -> RepMatching:
-    """chi of the morphism whose M is bm, between the barcodes of its
-    columns and rows."""
+def chi_table(bm: BasisMatrix) -> RepMatching:
+    """The Bauer-Lesnick matching of the morphism whose M is bm, between
+    the barcodes of M's columns and rows: lambda_ of the projection onto
+    the image, then iota of its embedding, from the three barcodes:
+    births from source to image, then deaths from image to target."""
     b_src, b_dst = bm.barcodes
-    b_img = _image_barcode(bm)
+    b_img = bm.image_barcode()
     return _bucket_matching(b_src, b_img, "birth").then(
         _bucket_matching(b_img, b_dst, "death"))
 
@@ -146,8 +145,7 @@ def realize_as_m(f: Morphism) -> tuple[Morphism, RealizationCertificate]:
     """
     v, u = f.source, f.target
     p = f.p
-    alpha = persistence_basis(v)
-    beta = persistence_basis(u)
+    alpha, beta = persistence_basis(v), persistence_basis(u)
     sigma = chi(f)
 
     # Indexed-bar labels in basis order: indices count occurrences of
@@ -168,7 +166,7 @@ def realize_as_m(f: Morphism) -> tuple[Morphism, RealizationCertificate]:
 
     comps = []
     for t in range(1, f.n + 1):
-        mates, tgt = partner[alpha._alive(t)], beta._alive(t)
+        mates, tgt = partner[alpha.alive(t)], beta.alive(t)
         routed = np.isin(mates, tgt)
         w_t = gf.zeros(u.dim(t), len(mates))
         w_t[:, routed] = beta.vectors[t - 1][:, np.searchsorted(tgt, mates[routed])]

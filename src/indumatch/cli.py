@@ -5,7 +5,7 @@ with sorted keys (byte-deterministic given the same file and flags) or
 an ASCII bar rendering.  Every report (the three barcodes, the tables
 and chi) reads one matrix M between the persistence bases of the
 morphism's ends, whose columns and rows carry the source and target
-bars.  match --eps shifts M alone (modules._shift_matrix), so it builds
+bars.  match --eps shifts M alone (BasisMatrix.shift), so it builds
 no shifted module, morphism or basis.  Exit codes: 0 ok, 2 parse error
 (including a dimension above gf.MAX_DIM or a file past the work bound
 gf.MAX_WORK), 3 validation error, 4 usage error (including a catalog
@@ -24,9 +24,9 @@ import sys
 from pathlib import Path
 
 from . import gf, modules, serial
-from .bauer_lesnick import _chi
+from .bauer_lesnick import chi_table
 from .ladders import CATALOG_CODES, from_code, random_ladder
-from .matching import _g_table, _m_table
+from .matching import g_table, m_table
 from .modules import (
     Barcode,
     GridInterval,
@@ -132,9 +132,9 @@ def _render_barcode_panel(title: str, bc: Barcode, n: int) -> list[str]:
 
 
 def cmd_barcode(f: Morphism, fmt: str) -> int:
-    bm = modules._basis_matrix(f)
+    bm = modules.basis_matrix(f)
     b_src, b_dst = bm.barcodes
-    b_img = modules._image_barcode(bm)
+    b_img = bm.image_barcode()
     if fmt == "ascii":
         lines = (
             _render_barcode_panel("source", b_src, f.n)
@@ -155,14 +155,13 @@ def cmd_barcode(f: Morphism, fmt: str) -> int:
 def _match_payload(f: Morphism, method: str, eps: int) -> dict:
     """The JSON payload of match --method method --eps eps on f.
 
-    Every report reads one M and the bars of its rows and columns: f's,
-    or with eps > 0 that of f's shift, one operation on f's M, so the
+    Every report takes one M, f's or with eps > 0 its shift, so the
     shifted modules are never built.
     """
-    bm = modules._basis_matrix(f)
+    bm = modules.basis_matrix(f)
     if eps:
-        bm = modules._shift_matrix(bm, eps)
-    report = {"m": _m_table, "g": _g_table, "chi": _chi}[method](bm)
+        bm = bm.shift(eps)
+    report = {"m": m_table, "g": g_table, "chi": chi_table}[method](bm)
     if method == "m":
         entries = [
             {"I": _interval_json(i), "J": _interval_json(j), "count": c}

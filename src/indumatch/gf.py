@@ -182,10 +182,10 @@ def inverse(a, p: int) -> np.ndarray:
     return x
 
 
-def _null_basis(m: np.ndarray, p: int) -> np.ndarray:
-    # One column per free variable of rref(m): a basis of the null space,
-    # not canonical.  Callers that only take an image of it skip the
-    # second rref that canonicalizing would cost.
+def null_basis(m: np.ndarray, p: int) -> np.ndarray:
+    """One column per free variable of rref(m): a basis of the null space,
+    not canonical.  Callers that only take an image of it skip the
+    second rref that canonicalizing would cost."""
     # Free column fc gives e_fc - sum_row R[row, fc] e_pivot(row): column
     # fc of the identity with its pivot rows replaced by those of -R.
     r, pivots = rref(m, p)
@@ -226,7 +226,7 @@ class Subspace:
     def kernel(cls, m, p: int) -> "Subspace":
         """Null space of m, with the canonical basis of every Subspace."""
         m = normalize(m, p)
-        return cls(m.shape[1], p, _canonical_columns(_null_basis(m, p), p))
+        return cls(m.shape[1], p, _canonical_columns(null_basis(m, p), p))
 
     @classmethod
     def zero(cls, ambient: int, p: int) -> "Subspace":
@@ -288,5 +288,5 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if b.dim == 0 or a.is_full():
         return b
     # x with A x = -B y for some y, i.e. the A-part of ker [A | B].
-    k = _null_basis(np.hstack([a.basis, b.basis]), a.p)
+    k = null_basis(np.hstack([a.basis, b.basis]), a.p)
     return Subspace.image(matmul(a.basis, k[: a.dim], a.p), a.p)

@@ -17,19 +17,19 @@ alive at t, is a slice of M, and the y spaces are meets and sums of
 column sets of F_t and coordinate subspaces.  The target's structure
 maps are 0/1 selections of those generators, so each dimension of a
 comparison module is the rank count of an entry, on slices of M.  So
-the tables (_m_table, _g_table) take M alone, and read the two barcodes
+the tables (m_table, g_table) take M alone, and read the two barcodes
 off its rows and columns: m_matching and g_matching pass f's, and the
-CLI passes f's or that of its shift (modules._shift_matrix).
+CLI passes f's or that of its shift (BasisMatrix.shift).
 
-Both tables are read one block of M at a time (_BasisMatrix.blocks: the
+Both tables are read one block of M at a time (BasisMatrix.blocks: the
 connected components of its nonzero entries), and this is exact by
 elementary linear algebra, with no appeal to linearity of the tables.
 Every space an entry uses is a span of M-columns, a coordinate subspace,
-or a meet or sum of these (_upper, _lower, _carry).  Under the partition
-of the generators into blocks, with the generators of an all-zero row or
-column as summands of their own, M is block diagonal, so each such space
-is the direct sum of its parts in the blocks, and so are the quotients
-by coordinate rows that _count takes: pivot counts add over the blocks.
+or a meet or sum of these.  Under the partition of the generators into
+blocks, with the generators of an all-zero row or column as summands of
+their own, M is block diagonal, so each such space is the direct sum of
+its parts in the blocks, and so are the quotients by coordinate rows
+that a count takes: pivot counts add over the blocks.
 A block with no I-generator counts 0 for (I, J), as its src_minus is its
 src_plus, so lower spans upper; so does one with no J-generator, as its
 tgt_minus is its tgt_plus, which holds upper.  So an entry is the sum of
@@ -49,6 +49,7 @@ from . import gf
 from .gf import Subspace
 from .modules import (
     Barcode,
+    BasisMatrix,
     GridInterval,
     InvariantError,
     Morphism,
@@ -57,34 +58,33 @@ from .modules import (
     interval_sort_key,
     module_from_bars,
     persistence_basis,
+    basis_matrix,
     zero_module,
-    _basis_matrix,
-    _BasisMatrix,
 )
 
 
 def _meet(block: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     """Columns spanning the part of block's span that is zero off rows."""
-    return gf.matmul(block, gf._null_basis(block[~rows], p), p)
+    return gf.matmul(block, gf.null_basis(block[~rows], p), p)
 
 
-def _plus(ft: _BasisMatrix, i: GridInterval, j: GridInterval):
+def _plus(ft: BasisMatrix, i: GridInterval, j: GridInterval):
     """The src_plus(I) mask of ft = F_t, its columns P = F_t[:, src_plus],
     and columns N spanning the null space of P off the tgt_plus(J) rows:
     y_plus is spanned by P N in the target generators."""
     src_plus = (ft.src_a <= i.a) & (ft.src_b <= i.b)
     plus = ft.m[:, src_plus]
     tgt_plus = (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b)
-    return src_plus, plus, gf._null_basis(plus[~tgt_plus], ft.p)
+    return src_plus, plus, gf.null_basis(plus[~tgt_plus], ft.p)
 
 
-def _upper(ft: _BasisMatrix, i: GridInterval, j: GridInterval) -> np.ndarray:
+def _upper(ft: BasisMatrix, i: GridInterval, j: GridInterval) -> np.ndarray:
     """Columns spanning y_plus in the target generators, from ft = F_t."""
     _, plus, null = _plus(ft, i, j)
     return gf.matmul(plus, null, ft.p)
 
 
-def _lower(ft: _BasisMatrix, i: GridInterval, j: GridInterval):
+def _lower(ft: BasisMatrix, i: GridInterval, j: GridInterval):
     """Columns spanning y_minus off the v_minus_tgt(J) rows, and those rows."""
     tgt_plus = (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b)
     early = _meet(ft.m[:, ft.src_a < i.a], tgt_plus, ft.p)
@@ -100,7 +100,7 @@ def y_plus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
     if k is None or not k.contains(t):
         return Subspace.zero(f.target.dim(t), f.p)
     tgt = persistence_basis(f.target).alive_columns(t)[2]
-    upper = _upper(_basis_matrix(f).at(t), i, j)
+    upper = _upper(basis_matrix(f).at(t), i, j)
     return Subspace.image(gf.matmul(tgt, upper, f.p), f.p)
 
 
@@ -119,7 +119,7 @@ def y_minus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
     if k is None or not k.contains(t):
         return Subspace.zero(f.target.dim(t), f.p)
     tgt = persistence_basis(f.target).alive_columns(t)[2]
-    lower, rows = _lower(_basis_matrix(f).at(t), i, j)
+    lower, rows = _lower(basis_matrix(f).at(t), i, j)
     return Subspace.image(np.hstack([gf.matmul(tgt, lower, f.p), tgt[:, rows]]), f.p)
 
 
@@ -131,7 +131,7 @@ def _count(upper: np.ndarray, lower: np.ndarray, rows: np.ndarray, p: int) -> in
     return sum(c >= lower.shape[1] for c in pivots)
 
 
-def _entry_count(ft: _BasisMatrix, i: GridInterval, j: GridInterval) -> int:
+def _entry_count(ft: BasisMatrix, i: GridInterval, j: GridInterval) -> int:
     """Bar count of the comparison module of (I, J): its dimension at the
     shared death t = min(I.b, J.b), read off ft = F_t.
 
@@ -143,7 +143,7 @@ def _entry_count(ft: _BasisMatrix, i: GridInterval, j: GridInterval) -> int:
     return _count(upper, *_lower(ft, i, j), ft.p) if upper.any() else 0
 
 
-def _carry(cols: np.ndarray, fs: _BasisMatrix, s: int, fu: _BasisMatrix, u: int):
+def _carry(cols: np.ndarray, fs: BasisMatrix, s: int, fu: BasisMatrix, u: int):
     """The composite W(s) -> W(u), s <= u, on cols in the target generators
     alive at s (fs = F_s, fu = F_u): a generator alive at u keeps its
     coordinate if it was alive at s, and one born after s gets 0."""
@@ -242,7 +242,7 @@ def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
     support = i.intersect(j)
     if support is None:
         return XModule(None, zero_module(f.n, f.p))
-    bars = _overlap_bars(support, _comparison_dims(_basis_matrix(f).at, i, j))
+    bars = _overlap_bars(support, _comparison_dims(basis_matrix(f).at, i, j))
     return XModule(support, module_from_bars(f.n, f.p, [iv for iv, _ in bars.rep()]))
 
 
@@ -308,7 +308,7 @@ def _bars(starts: np.ndarray, ends: np.ndarray) -> list[GridInterval]:
     return [GridInterval(a, b) for a, b in dict.fromkeys(zip(starts.tolist(), ends.tolist()))]
 
 
-def _block_counts(block: _BasisMatrix, frame) -> dict:
+def _block_counts(block: BasisMatrix, frame) -> dict:
     """The counts of block's hom_exists pairs, off its frames frame(t).
 
     A hom pair overlaps and J ends first, so the shared death is J.b.
@@ -323,7 +323,13 @@ def _block_counts(block: _BasisMatrix, frame) -> dict:
 
 
 def m_matching(f: Morphism) -> MMatchingTable:
-    """Counting matching: entry (I, J) is the number of comparison bars.
+    """Counting matching of f: m_table of its M."""
+    return m_table(basis_matrix(f))
+
+
+def m_table(bm: BasisMatrix) -> MMatchingTable:
+    """Counting matching of the morphism whose M is bm: entry (I, J) is
+    the number of comparison bars; M's bars bound its row and column sums.
 
     Read one block of M at a time and summed (see the module docstring):
     within a block only the pairs of its own bars are counted.
@@ -346,12 +352,6 @@ def m_matching(f: Morphism) -> MMatchingTable:
         im_plus n ker_minus, inside v_minus_tgt and so y_minus.
     In both cases y_plus lies in y_minus and the entry is 0.
     """
-    return _m_table(_basis_matrix(f))
-
-
-def _m_table(bm: _BasisMatrix) -> MMatchingTable:
-    """The m table of the morphism whose M is bm; the barcodes of its
-    columns and rows bound the table's row and column sums."""
     counts: Counter = Counter()
     for block in bm.blocks():
         counts.update(_block_counts(block, functools.cache(block.at)))
@@ -360,8 +360,14 @@ def _m_table(bm: _BasisMatrix) -> MMatchingTable:
 
 
 def g_matching(f: Morphism) -> GMatchingTable:
-    """Barcode-valued matching: entry (I, J) is the barcode of the
-    comparison module, every bar of which dies at the right end of I n J.
+    """Barcode-valued matching of f: g_table of its M."""
+    return g_table(basis_matrix(f))
+
+
+def g_table(bm: BasisMatrix) -> GMatchingTable:
+    """Barcode-valued matching of the morphism whose M is bm: entry (I, J)
+    is the barcode of the comparison module, every bar of which dies at
+    the right end of I n J.
 
     Read one block of M at a time (see the module docstring): the
     comparison module of (I, J) is the direct sum of those of the blocks
@@ -369,15 +375,9 @@ def g_matching(f: Morphism) -> GMatchingTable:
     block, the module's dimensions are nondecreasing toward the shared
     death, so a zero count there forces the whole module to zero, and
     only the nonzero counts are read, off their dims along the overlap;
-    each block's last dim must equal its count, and the summed counts
-    must stay within the table bounds.
+    each block's last dim must equal its count, and M's bars bound the
+    summed counts.
     """
-    return _g_table(_basis_matrix(f))
-
-
-def _g_table(bm: _BasisMatrix) -> GMatchingTable:
-    """The g table of the morphism whose M is bm; the barcodes of its
-    columns and rows bound the summed counts."""
     counts: Counter = Counter()
     entries: dict[tuple[GridInterval, GridInterval], Barcode] = {}
     for block in bm.blocks():

@@ -11,16 +11,16 @@ single grid position, the part of the module belonging to an interval
 persistence basis, the only thing a module caches: its generators'
 bars in birth order and, per grid position t, one matrix B_t of the
 vectors of those alive at t.  A morphism f is read off the persistence
-bases of its two ends as one matrix M, the only thing a morphism
-caches.  Each has one producer: the sweep (_sweep) builds every basis,
-and _basis_matrix every M, inside the sweep of f's target.  M carries
-the bars of its rows and columns, which are the target and source
-barcodes (_BasisMatrix.barcodes, built once per M), so the image
-barcode is read off M alone, and the shift functor is one operation on
-M (_shift_matrix) that builds no module; shift_morphism builds the
-shifted modules from the shortened bars, and their M is swept like any
-other.  The image factorization and the composite maps stay as public
-referees.
+bases of its two ends as one matrix M, a BasisMatrix, the only thing a
+morphism caches and what every report takes.  Each has one producer:
+the sweep builds every basis, and basis_matrix every M, inside the
+sweep of f's target.  M carries the bars of its rows and columns, the
+target and source barcodes (M.barcodes, built once per M), so the image
+barcode is read off M alone (M.image_barcode()), and the shift functor
+is one operation on M (M.shift(eps)) that builds no module;
+shift_morphism builds the shifted modules from the shortened bars, and
+their M is swept like any other.  The image factorization and the
+composite maps stay as public referees.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ class Morphism:
         self.comps = tuple(gf.normalize(c, source.p) for c in comps)
         for c in self.comps:
             c.setflags(write=False)
-        self._matrix: "_BasisMatrix | None" = None  # filled by _basis_matrix
+        self._matrix: "BasisMatrix | None" = None  # filled by basis_matrix
 
     @property
     def n(self) -> int:
@@ -323,6 +323,11 @@ class Morphism:
         )
 
 
+def _alive(starts: np.ndarray, ends: np.ndarray, t: int) -> np.ndarray:
+    """Indices of the generators with bars [starts[k], ends[k]] alive at t."""
+    return ((starts <= t) & (t <= ends)).nonzero()[0]
+
+
 def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
     """The direct sum of the interval modules of bars, in their order.
 
@@ -340,7 +345,7 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
             raise ValueError(f"interval {iv} does not fit grid of length {n}")
     starts = np.array([iv.a for iv in bars], dtype=np.int64)
     ends = np.array([iv.b for iv in bars], dtype=np.int64)
-    alive = [np.nonzero((starts <= t) & (t <= ends))[0] for t in range(1, n + 1)]
+    alive = [_alive(starts, ends, t) for t in range(1, n + 1)]
     maps = [(alive[t][:, None] == alive[t - 1]).astype(np.int64) for t in range(1, n)]
     return PersistenceModule(p, [len(k) for k in alive], maps)
 
@@ -477,7 +482,7 @@ def _require_in_interval(iv: GridInterval, t: int):
 
 
 @dataclass(frozen=True)
-class _BasisMatrix:
+class BasisMatrix:
     """M with the starts and ends of its columns (source generators) and
     rows (target generators), in basis order; at(t) is F_t."""
 
@@ -488,17 +493,17 @@ class _BasisMatrix:
     tgt_b: np.ndarray
     m: np.ndarray
 
-    def at(self, t: int) -> "_BasisMatrix":
+    def at(self, t: int) -> "BasisMatrix":
         """F_t: f_t from the source generators alive at t to the target ones."""
-        return self.select(((self.tgt_a <= t) & (t <= self.tgt_b)).nonzero()[0],
-                           ((self.src_a <= t) & (t <= self.src_b)).nonzero()[0])
+        return self.select(_alive(self.tgt_a, self.tgt_b, t),
+                           _alive(self.src_a, self.src_b, t))
 
-    def select(self, rows: np.ndarray, cols: np.ndarray) -> "_BasisMatrix":
+    def select(self, rows: np.ndarray, cols: np.ndarray) -> "BasisMatrix":
         """The rows and columns of M at the index arrays rows and cols."""
-        return _BasisMatrix(self.p, self.src_a[cols], self.src_b[cols], self.tgt_a[rows],
-                            self.tgt_b[rows], self.m.take(rows, 0).take(cols, 1))
+        return BasisMatrix(self.p, self.src_a[cols], self.src_b[cols], self.tgt_a[rows],
+                           self.tgt_b[rows], self.m.take(rows, 0).take(cols, 1))
 
-    def blocks(self) -> list["_BasisMatrix"]:
+    def blocks(self) -> list["BasisMatrix"]:
         """The connected components of M's bipartite graph, as selects:
         rows (target generators) and columns (source generators) joined by
         the nonzero entries, in the order of their first nonzero.  An
@@ -528,6 +533,76 @@ class _BasisMatrix:
         return (_interval_barcode(self.src_a, self.src_b),
                 _interval_barcode(self.tgt_a, self.tgt_b))
 
+    def shift(self, eps: int) -> "BasisMatrix":
+        """The M of the eps-shift of the morphism whose M this is; the shifted
+        modules are never built.
+
+        im(V(t) -> V(t+eps)) is spanned by the vectors at t+eps of the
+        generators alive at t and t+eps, so the shift keeps each bar [a, b]
+        with b - a >= eps as [a, b - eps], a persistence basis of the
+        shifted module in the same birth order.  f_{t+eps} sends such a
+        source generator to the sum of M[h, g] h over the target generators
+        alive at t+eps, and those kept and alive at t are the shifted
+        target's generators at t; one born after t has h.a > t >= g.a, so
+        M[h, g] = 0 by M's support.  So the shifted M is f's on the kept
+        generators, less the entries whose shortened bars no longer overlap
+        (g.a > h.b - eps, where no shifted F_t reads them).  The support
+        check stands for "the shifted image stays in the target's".  Its
+        rows and columns carry the bars of the shifted target and source.
+        """
+        kept = self.select((self.tgt_b - self.tgt_a >= eps).nonzero()[0],
+                           (self.src_b - self.src_a >= eps).nonzero()[0])
+        src_b, tgt_b = kept.src_b - eps, kept.tgt_b - eps
+        m = np.where(kept.src_a <= tgt_b[:, None], kept.m, 0)
+        return _check_support(BasisMatrix(self.p, kept.src_a, src_b, kept.tgt_a, tgt_b, m))
+
+    def image_barcode(self) -> Barcode:
+        """Barcode of the image of the morphism whose M this is, read off one
+        reduction of M.
+
+        The rank r(s, t) of Im(s) -> Im(t), s <= t, is that of M on the rows
+        h with h.b >= t and the columns g with g.a <= s.  It is the rank of
+        f_t on the source generators alive at s and t, the columns of F_t
+        with g.a <= s <= t <= g.b; a nonzero M[h, g] has
+        h.a <= g.a <= h.b <= g.b, so the other columns with g.a <= s die
+        before t and are zero on those rows, and the rows alive at t are
+        those rows less ones born after t, which are zero on those columns.
+        With the rows sorted by death and the columns by birth (the order of
+        a basis), every such block is lower left, and by the pairing lemma
+        (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and Vineyards") one
+        left-to-right reduction that clears equal lowest nonzeros counts them
+        all: r(s, t) is the number of its pivot pairs (h, g), h the lowest row
+        of reduced column g, with g.a <= s and h.b >= t.  Inclusion-exclusion,
+        as in oracle.naive_barcode, then makes [a, b]'s multiplicity the
+        number of pairs with g.a = a and h.b = b.  A pair with g.a > h.b is
+        counted only by the r(s, t) with s > t, which are no ranks of the
+        image, so it is dropped.  This is the image-persistence reduction of
+        Cohen-Steiner, Edelsbrunner, Harer and Morozov.
+        """
+        p = self.p
+        order = np.argsort(self.tgt_b, kind="stable")
+        death = self.tgt_b[order].tolist()
+        birth = self.src_a.tolist()
+        # Row g of work is column g of M, its entries ordered by death.
+        work = self.m.T.take(order, 1)
+        owner: dict[int, int] = {}  # lowest row -> the reduced column it ends
+        bars: Counter = Counter()
+        for g in work.any(1).nonzero()[0].tolist():
+            col = work[g]
+            nz = col.nonzero()[0]
+            while nz.size:
+                low = int(nz[-1])
+                k = owner.get(low)
+                if k is None:
+                    owner[low] = g
+                    if birth[g] <= death[low]:
+                        bars[birth[g], death[low]] += 1
+                    break
+                col -= col[low] * pow(int(work[k, low]), -1, p) % p * work[k]
+                col %= p
+                nz = col.nonzero()[0]
+        return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
+
 
 def _interval_barcode(starts: np.ndarray, ends: np.ndarray) -> Barcode:
     """The barcode of generators with the bars [starts[k], ends[k]]."""
@@ -535,7 +610,7 @@ def _interval_barcode(starts: np.ndarray, ends: np.ndarray) -> Barcode:
     return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
 
 
-def _check_support(bm: _BasisMatrix) -> _BasisMatrix:
+def _check_support(bm: BasisMatrix) -> BasisMatrix:
     """bm, once every nonzero entry is known to sit on a hom_exists pair."""
     hom = ((bm.tgt_a[:, None] <= bm.src_a) & (bm.src_a <= bm.tgt_b[:, None])
            & (bm.tgt_b[:, None] <= bm.src_b))
@@ -551,7 +626,7 @@ def _check_support(bm: _BasisMatrix) -> _BasisMatrix:
     return bm
 
 
-def _basis_matrix(f: Morphism) -> _BasisMatrix:
+def basis_matrix(f: Morphism) -> BasisMatrix:
     """f's M, cached on f, built by the target's own sweep.
 
     The source basis comes first.  In birth order the generators born at
@@ -573,8 +648,8 @@ def _basis_matrix(f: Morphism) -> _BasisMatrix:
         beta, m = _sweep(f.target, images)
         if f.target._basis is None:
             f.target._basis = beta
-        f._matrix = _check_support(_BasisMatrix(p, alpha.starts, alpha.ends,
-                                                beta.starts, beta.ends, m))
+        f._matrix = _check_support(BasisMatrix(p, alpha.starts, alpha.ends,
+                                               beta.starts, beta.ends, m))
     return f._matrix
 
 
@@ -605,12 +680,12 @@ class PersistenceBasis:
     def interval_barcode(self) -> Barcode:
         return _interval_barcode(self.starts, self.ends)
 
-    def _alive(self, t: int) -> np.ndarray:
-        return np.nonzero((self.starts <= t) & (t <= self.ends))[0]
+    def alive(self, t: int) -> np.ndarray:
+        return _alive(self.starts, self.ends, t)
 
     def alive_columns(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Starts and ends of the generators alive at t, and B_t."""
-        alive = self._alive(t)
+        alive = self.alive(t)
         return self.starts[alive], self.ends[alive], self.vectors[t - 1]
 
     def validate(self, m: PersistenceModule) -> "PersistenceBasis":
@@ -623,7 +698,7 @@ class PersistenceBasis:
         if np.any(np.diff(starts) < 0):
             raise ValidationError("generators are not in birth order")
         for t in range(1, m.n + 1):
-            b, alive = self.vectors[t - 1], self._alive(t)
+            b, alive = self.vectors[t - 1], self.alive(t)
             if b.shape != (m.dim(t), len(alive)) or len(alive) != m.dim(t):
                 raise ValidationError(f"B_{t} has shape {b.shape} for {len(alive)}"
                                       f" generators alive in dim V({t}) = {m.dim(t)}")
@@ -695,7 +770,7 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
     the module, read-only like the structure maps.
 
     The sweep is _sweep, the one producer of a basis, whose docstring
-    sets out its steps and why they are exact.  _basis_matrix runs the
+    sets out its steps and why they are exact.  basis_matrix runs the
     same sweep on a morphism's target with the images of f riding along;
     they change none of its steps, so a target's basis is the same
     whichever of the two builds it.
@@ -753,7 +828,7 @@ def _sweep(m: PersistenceModule,
       - A later death rewrites B_s as B_s (I + C), C the dying columns'
         combs less their diagonal, so the coordinates F become (I - C) F:
         one row operation, the dying generators' rows times C off the
-        survivors' rows (the proof is in the block above _BasisMatrix).
+        survivors' rows (the proof is in the block above BasisMatrix).
     """
     p = m.p
     eye = gf.identity(max(m.dims))
@@ -853,56 +928,8 @@ def barcode(m: PersistenceModule) -> Barcode:
 
 
 def image_barcode(f: Morphism) -> Barcode:
-    """Barcode of the image of f, read off one reduction of its M."""
-    return _image_barcode(_basis_matrix(f))
-
-
-def _image_barcode(bm: _BasisMatrix) -> Barcode:
-    """Barcode of the image of the morphism whose M is bm, read off one
-    reduction of M.
-
-    The rank r(s, t) of Im(s) -> Im(t), s <= t, is that of M on the rows
-    h with h.b >= t and the columns g with g.a <= s.  It is the rank of
-    f_t on the source generators alive at s and t, the columns of F_t
-    with g.a <= s <= t <= g.b; a nonzero M[h, g] has
-    h.a <= g.a <= h.b <= g.b, so the other columns with g.a <= s die
-    before t and are zero on those rows, and the rows alive at t are
-    those rows less ones born after t, which are zero on those columns.
-    With the rows sorted by death and the columns by birth (the order of
-    a basis), every such block is lower left, and by the pairing lemma
-    (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and Vineyards") one
-    left-to-right reduction that clears equal lowest nonzeros counts them
-    all: r(s, t) is the number of its pivot pairs (h, g), h the lowest row
-    of reduced column g, with g.a <= s and h.b >= t.  Inclusion-exclusion,
-    as in oracle.naive_barcode, then makes [a, b]'s multiplicity the
-    number of pairs with g.a = a and h.b = b.  A pair with g.a > h.b is
-    counted only by the r(s, t) with s > t, which are no ranks of the
-    image, so it is dropped.  This is the image-persistence reduction of
-    Cohen-Steiner, Edelsbrunner, Harer and Morozov.
-    """
-    p = bm.p
-    order = np.argsort(bm.tgt_b, kind="stable")
-    death = bm.tgt_b[order].tolist()
-    birth = bm.src_a.tolist()
-    # Row g of work is column g of M, its entries ordered by death.
-    work = bm.m.T.take(order, 1)
-    owner: dict[int, int] = {}  # lowest row -> the reduced column it ends
-    bars: Counter = Counter()
-    for g in work.any(1).nonzero()[0].tolist():
-        col = work[g]
-        nz = col.nonzero()[0]
-        while nz.size:
-            low = int(nz[-1])
-            k = owner.get(low)
-            if k is None:
-                owner[low] = g
-                if birth[g] <= death[low]:
-                    bars[birth[g], death[low]] += 1
-                break
-            col -= col[low] * pow(int(work[k, low]), -1, p) % p * work[k]
-            col %= p
-            nz = col.nonzero()[0]
-    return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
+    """Barcode of the image of f, read off its M."""
+    return basis_matrix(f).image_barcode()
 
 
 def image_factorization(
@@ -972,43 +999,19 @@ def shift_module(m: PersistenceModule, eps: int) -> PersistenceModule:
     return im
 
 
-def _shift_matrix(bm: _BasisMatrix, eps: int) -> _BasisMatrix:
-    """The M of f's eps-shift, given f's M; the shifted modules are never
-    built.
-
-    im(V(t) -> V(t+eps)) is spanned by the vectors at t+eps of the
-    generators alive at t and t+eps, so the shift keeps each bar [a, b]
-    with b - a >= eps as [a, b - eps], a persistence basis of the
-    shifted module in the same birth order.  f_{t+eps} sends such a
-    source generator to the sum of M[h, g] h over the target generators
-    alive at t+eps, and those kept and alive at t are the shifted
-    target's generators at t; one born after t has h.a > t >= g.a, so
-    M[h, g] = 0 by M's support.  So the shifted M is f's on the kept
-    generators, less the entries whose shortened bars no longer overlap
-    (g.a > h.b - eps, where no shifted F_t reads them).  The support
-    check stands for "the shifted image stays in the target's".  Its
-    rows and columns carry the bars of the shifted target and source.
-    """
-    kept = bm.select((bm.tgt_b - bm.tgt_a >= eps).nonzero()[0],
-                     (bm.src_b - bm.src_a >= eps).nonzero()[0])
-    src_b, tgt_b = kept.src_b - eps, kept.tgt_b - eps
-    m = np.where(kept.src_a <= tgt_b[:, None], kept.m, 0)
-    return _check_support(_BasisMatrix(bm.p, kept.src_a, src_b, kept.tgt_a, tgt_b, m))
-
-
 def shift_morphism(f: Morphism, eps: int) -> Morphism:
     """The morphism induced between the shifted source and target.
 
     Its two modules are module_from_bars of the rows' and columns' bars
-    of _shift_matrix of f's M, in birth order, and each component f_t is
-    that matrix's F_t.  On those modules the sweep takes the standard
+    of f's shifted M, in birth order, and each component f_t is that
+    matrix's F_t.  On those modules the sweep takes the standard
     basis vectors in the same order, so the result's own M, built by
-    _basis_matrix when a report reads it, is the shifted matrix again.
+    basis_matrix when a report reads it, is the shifted matrix again.
     The result is isomorphic to the morphism between the shift_module
     images.
     """
     _check_eps(f.n, eps)
-    shifted = _shift_matrix(_basis_matrix(f), eps)
+    shifted = basis_matrix(f).shift(eps)
     n = f.n - eps
     source = module_from_bars(n, f.p, map(GridInterval, shifted.src_a.tolist(),
                                           shifted.src_b.tolist()))

@@ -18,11 +18,11 @@ from indumatch import (
 )
 from indumatch.modules import (
     Barcode,
+    BasisMatrix,
     InvariantError,
     PersistenceBasis,
-    _BasisMatrix,
-    _basis_matrix,
     _check_support,
+    basis_matrix,
 )
 
 
@@ -117,15 +117,15 @@ def ref_basis_matrix(f):
         src = alpha.vectors[s - 1][:, -len(cols):]
         coords = gf.solve(beta.vectors[s - 1], gf.matmul(f.comp(s), src, p), p)
         assert coords is not None, f"target basis at t={s} does not span f_{s}"
-        m[beta._alive(s)[:, None], cols] = coords
-    return _check_support(_BasisMatrix(p, alpha.starts, alpha.ends, beta.starts, beta.ends, m))
+        m[beta.alive(s)[:, None], cols] = coords
+    return _check_support(BasisMatrix(p, alpha.starts, alpha.ends, beta.starts, beta.ends, m))
 
 
 def ref_image_barcode(f):
     """The image barcode by one rref of F_t per t: the pivots in the prefix
     of F_t's columns that start by s count r(s, t), and
     inclusion-exclusion gives the multiplicities."""
-    bm = _basis_matrix(f)
+    bm = basis_matrix(f)
     born = []  # per t: start -> number of pivots of F_t with that start
     for t in range(1, f.n + 1):
         ft = bm.at(t)

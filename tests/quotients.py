@@ -48,7 +48,7 @@ def preimage(m, s: Subspace, p: int) -> Subspace:
         )
     if s.dim == s.ambient:
         return Subspace.full(m.shape[1], p)
-    k = gf._null_basis(np.hstack([m, s.basis]), p)
+    k = gf.null_basis(np.hstack([m, s.basis]), p)
     return Subspace.image(k[: m.shape[1]], p)
 
 

@@ -818,6 +818,32 @@ def test_cli_reads_nothing_through_the_image_factorization(
             monkeypatch.setattr(owner, name, reads_f, raising=False)
     assert [run_cli(capsys, *argv) for argv in argvs] == want
 
+    # Each command builds f's M once and hands it, shifted when eps > 0,
+    # to the one public entry of its report that takes M.
+    took = []
+
+    def watch(owner, name):
+        real = getattr(owner, name)
+
+        def watched(*args):
+            took.append(name)
+            return real(*args)
+        monkeypatch.setattr(owner, name, watched)
+
+    for owner, name in ((modules, "basis_matrix"), (modules.BasisMatrix, "shift"),
+                        (modules.BasisMatrix, "image_barcode"), (cli, "m_table"),
+                        (cli, "g_table"), (cli, "chi_table")):
+        watch(owner, name)
+    for argv, out in zip(argvs, want):
+        took.clear()
+        assert run_cli(capsys, *argv) == out
+        if argv[0] == "barcode":
+            assert took == ["basis_matrix", "image_barcode"]
+            continue
+        method = argv[argv.index("--method") + 1]
+        assert took == (["basis_matrix"] + ["shift"] * ("--eps" in argv)
+                        + [f"{method}_table"] + ["image_barcode"] * (method == "chi")), argv
+
 
 def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, capsys, monkeypatch):
     # The shape of the wide-sum benchmark input: 16 GF(2) ladders summed.
@@ -860,7 +886,7 @@ def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, cap
 
     for name in calls:
         monkeypatch.setattr(gf, name, counting(name))
-    real_basis_matrix = modules._basis_matrix
+    real_basis_matrix = modules.basis_matrix
 
     def watched(f):
         before = dict(calls)
@@ -870,8 +896,8 @@ def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, cap
             in_m[name] += calls[name] - before[name]
         return bm
 
-    monkeypatch.setattr(modules, "_basis_matrix", watched)
-    monkeypatch.setattr(matching, "_basis_matrix", watched)
+    monkeypatch.setattr(modules, "basis_matrix", watched)
+    monkeypatch.setattr(matching, "basis_matrix", watched)
     for argv in (["barcode", path], ["match", path, "--method", "chi"]):
         report(*argv)
     assert calls == {"solve": 0, "rref": 0}
@@ -909,9 +935,9 @@ def _no_dims(frame, i, j):
      "bar count 0 of ([2,2],[1,2]) disagrees with m = 1"),
     (matching, "_entry_count", lambda *args: 5, ["match", "--method", "m"],
      "row sum 5 exceeds multiplicity of [2,2]"),
-    pytest.param(modules._BasisMatrix, "barcodes",
+    pytest.param(modules.BasisMatrix, "barcodes",
                  property(lambda bm: (modules.Barcode(),) * 2), ["match", "--method", "g"],
-                 "row sum 1 exceeds multiplicity of [2,2]", id="_BasisMatrix.barcodes-empty"),
+                 "row sum 1 exceeds multiplicity of [2,2]", id="BasisMatrix.barcodes-empty"),
 ])
 def test_internal_invariant_failure_exits_6(ref_file, capsys, monkeypatch,
                                             owner, attr, fake, argv, message):

@@ -441,7 +441,7 @@ def test_null_basis_spans_the_kernel():
             rows, cols = rng.randint(0, 5), rng.randint(0, 6)
             m = mat([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
             m = m.reshape(rows, cols)
-            k = gf._null_basis(m, p)
+            k = gf.null_basis(m, p)
             assert k.shape == (cols, cols - gf.rank(m, p))
             assert not gf.matmul(m, k, p).any()
             assert Subspace.image(k, p) == Subspace.kernel(m, p)
@@ -449,7 +449,7 @@ def test_null_basis_spans_the_kernel():
 
 def null_basis_by_scalar_writes(m, p):
     """The null basis written one entry at a time, free column by free
-    column: the loop gf._null_basis replaced with one indexed assignment."""
+    column: the loop gf.null_basis replaced with one indexed assignment."""
     cols = m.shape[1]
     r, pivots = gf.rref(m, p)
     free = [c for c in range(cols) if c not in pivots]
@@ -468,7 +468,7 @@ def test_null_basis_equals_scalar_write_referee(p, rows, cols, data):
     entries = data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=rows * cols,
                                  max_size=rows * cols))
     m = np.array(entries, dtype=np.int64).reshape(rows, cols)
-    got = gf._null_basis(m, p)
+    got = gf.null_basis(m, p)
     want = null_basis_by_scalar_writes(m, p)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)

@@ -44,7 +44,7 @@ from indumatch import (
 from indumatch.gf import Subspace
 from indumatch import matching
 from indumatch.matching import GMatchingTable, MMatchingTable, _entry_count
-from indumatch.modules import InvariantError, _basis_matrix
+from indumatch.modules import InvariantError, basis_matrix
 
 import quotients
 from conftest import iv, mat, ref_shift_morphism
@@ -129,7 +129,7 @@ def assert_y_spaces_match_referee(f):
                 assert y_minus(f, i, j, t) == ym, ("y_minus", i, j, t)
             # t is now the shared death, where the entry is counted.
             count = quotients.sum_subspaces(ym, yp).dim - ym.dim
-            ft = _basis_matrix(f).at(t)
+            ft = basis_matrix(f).at(t)
             assert _entry_count(ft, i, j) == count, ("count", i, j)
 
 
@@ -211,7 +211,7 @@ def _zeroed_at(frame, t0):
 
 def assert_comparison_modules_match_referee(f):
     table = g_matching(f)
-    frame = _basis_matrix(f).at
+    frame = basis_matrix(f).at
     for i in barcode(f.source).intervals():
         for j in barcode(f.target).intervals():
             k = i.intersect(j)
@@ -324,7 +324,7 @@ def full_scan_counts(f):
             yp = y_plus(f, i, j, k.b)
             ym = y_minus(f, i, j, k.b)
             c = yp.dim - gf.intersect(ym, yp).dim
-            assert _entry_count(_basis_matrix(f).at(k.b), i, j) == c
+            assert _entry_count(basis_matrix(f).at(k.b), i, j) == c
             if not hom_exists(i, j):
                 assert c == 0, (i, j)
             if c:
@@ -348,7 +348,7 @@ def _bar_set(starts, ends):
 def test_entry_counts_only_for_hom_pairs(monkeypatch):
     # Each block of M counts the hom pairs of its own bars, and only those.
     f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
-    blocks = _basis_matrix(f).blocks()
+    blocks = basis_matrix(f).blocks()
     hom_pairs = sum(
         hom_exists(i, j)
         for b in blocks
@@ -384,7 +384,7 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
 
 
 def unsplit_tables(f):
-    bm = _basis_matrix(f)
+    bm = basis_matrix(f)
     frame = functools.cache(bm.at)
     m, g = {}, {}
     for i in barcode(f.source).intervals():

@@ -42,16 +42,15 @@ from indumatch import (
     zero_module,
 )
 from indumatch import cli
-from indumatch.bauer_lesnick import _chi, chi
+from indumatch.bauer_lesnick import chi, chi_table
 from indumatch.gf import Subspace
-from indumatch.matching import MMatchingTable, _g_table, _m_table, g_matching, m_matching
+from indumatch.matching import MMatchingTable, g_matching, g_table, m_matching, m_table
 from indumatch.modules import (
+    BasisMatrix,
     InvariantError,
     PersistenceBasis,
-    _basis_matrix,
-    _BasisMatrix,
     _check_support,
-    _shift_matrix,
+    basis_matrix,
 )
 from indumatch.oracle import naive_barcode
 
@@ -539,7 +538,7 @@ def test_basis_matrix_equals_the_solve_referee_byte_for_byte(f):
     # The referee solves in the target basis persistence_basis builds
     # alone; the sweep that carries the images must build the same one.
     h, g = _fresh(f), _fresh(f)
-    ref, bm = ref_basis_matrix(h), _basis_matrix(g)
+    ref, bm = ref_basis_matrix(h), basis_matrix(g)
     for name in ("src_a", "src_b", "tgt_a", "tgt_b", "m"):
         a, b = getattr(bm, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -574,7 +573,7 @@ def test_only_the_sweep_builds_bases_and_m(wide_ladder):
     # A basis persistence_basis built first stays the cached object when
     # M's sweep of the same module follows.
     pb = persistence_basis(m)
-    assert _basis_matrix(Morphism.identity(m)).m.tolist() == gf.identity(3).tolist()
+    assert basis_matrix(Morphism.identity(m)).m.tolist() == gf.identity(3).tolist()
     assert persistence_basis(m) is pb
 
 
@@ -718,8 +717,8 @@ def test_shifted_matrix_reports_equal_those_on_the_shifted_modules(f):
     # M and the bars of its rows and columns alone.  shift_morphism's own
     # M is built by the sweep of its modules, independently of the shift.
     for eps in range(f.n):
-        bm = _shift_matrix(_basis_matrix(f), eps)
-        swept = _basis_matrix(shift_morphism(f, eps))
+        bm = basis_matrix(f).shift(eps)
+        swept = basis_matrix(shift_morphism(f, eps))
         assert swept.p == bm.p
         for name in ("src_a", "src_b", "tgt_a", "tgt_b", "m"):
             a, b = getattr(swept, name), getattr(bm, name)
@@ -727,7 +726,7 @@ def test_shifted_matrix_reports_equal_those_on_the_shifted_modules(f):
         b_src, b_dst = bm.barcodes
         assert b_src == barcode(shift_module(f.source, eps))
         assert b_dst == barcode(shift_module(f.target, eps))
-        reports = (_m_table(bm), _g_table(bm), _chi(bm))
+        reports = (m_table(bm), g_table(bm), chi_table(bm))
         for g in (shift_morphism(f, eps), ref_shift_morphism(f, eps)):
             assert reports == (m_matching(g), g_matching(g), chi(g)), (eps, g)
 
@@ -742,22 +741,22 @@ def test_shift_out_of_range(chain_module):
 
 
 def test_basis_matrix_of_thick_ladder(thick_ladder):
-    bm = _basis_matrix(thick_ladder)
+    bm = basis_matrix(thick_ladder)
     assert bm.src_a.tolist() == [2] and bm.src_b.tolist() == [3]
     assert list(zip(bm.tgt_a.tolist(), bm.tgt_b.tolist())) == [(1, 2), (2, 3)]
     # f_2 sends the source generator to (1, 1), the sum of both target ones.
     assert bm.m.tolist() == [[1], [1]]
-    assert _basis_matrix(thick_ladder) is bm  # cached on the morphism
+    assert basis_matrix(thick_ladder) is bm  # cached on the morphism
 
 
 def test_support_check_names_t_and_the_generator_pair():
     # Target generator [2,5] outlives source generator [3,4]: no map exists.
-    bm = _BasisMatrix(2, np.array([3]), np.array([4]), np.array([2]), np.array([5]),
-                      mat([[1]]))
+    bm = BasisMatrix(2, np.array([3]), np.array([4]), np.array([2]), np.array([5]),
+                     mat([[1]]))
     with pytest.raises(InvariantError, match=r"t=3 .*\[3,4\].*\[2,5\]"):
         _check_support(bm)
-    assert _check_support(_BasisMatrix(2, bm.src_a, bm.src_b, bm.tgt_a, bm.tgt_a + 1,
-                                       bm.m)) is not None
+    assert _check_support(BasisMatrix(2, bm.src_a, bm.src_b, bm.tgt_a, bm.tgt_a + 1,
+                                      bm.m)) is not None
 
 
 def test_image_barcode_of_reference(reference_ladder):
@@ -844,7 +843,7 @@ CASES = dict(
 @given(**CASES)
 def test_basis_matrix_slices_match_frame_referee(n, max_dim, p, seed, other, eps):
     for f in _basis_matrix_cases(n, max_dim, p, seed, other, eps):
-        bm = _basis_matrix(f)
+        bm = basis_matrix(f)
         for t in range(1, f.n + 1):
             ft = bm.at(t)
             src_a, src_b, _ = persistence_basis(f.source).alive_columns(t)
@@ -898,17 +897,17 @@ def test_blocks_of_a_path_and_a_lone_entry():
     # a path through rows 0, 1 and a separate entry.
     m = mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
     ends = np.array([1, 1, 1, 1])
-    bm = _BasisMatrix(2, ends, ends, ends, ends, m)
+    bm = BasisMatrix(2, ends, ends, ends, ends, m)
     assert [b.m.tolist() for b in _indexed_blocks(bm)] == [[[1, 1], [0, 1]], [[1]]]
     assert_blocks_partition_m(bm)
-    assert _BasisMatrix(2, ends, ends, ends, ends, gf.zeros(4, 4)).blocks() == []
+    assert BasisMatrix(2, ends, ends, ends, ends, gf.zeros(4, 4)).blocks() == []
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(**CASES)
 def test_blocks_partition_the_nonzeros_of_m(n, max_dim, p, seed, other, eps):
     for f in _basis_matrix_cases(n, max_dim, p, seed, other, eps):
-        assert_blocks_partition_m(_basis_matrix(f))
+        assert_blocks_partition_m(basis_matrix(f))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -916,5 +915,5 @@ def test_blocks_partition_the_nonzeros_of_m(n, max_dim, p, seed, other, eps):
        seed=st.integers(0, 2**16), k=st.integers(2, 4))
 def test_k_copies_have_k_times_the_blocks(n, max_dim, p, seed, k):
     f = random_ladder(n, max_dim, p, seed)
-    one = len(_basis_matrix(f).blocks())
-    assert len(_basis_matrix(direct_sum_morphism(*[f] * k)).blocks()) == k * one
+    one = len(basis_matrix(f).blocks())
+    assert len(basis_matrix(direct_sum_morphism(*[f] * k)).blocks()) == k * one
