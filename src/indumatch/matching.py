@@ -21,6 +21,14 @@ the tables (m_table, g_table) take M alone, and read the two barcodes
 off its rows and columns: m_matching and g_matching pass f's, and the
 CLI passes f's or that of its shift (BasisMatrix.shift).
 
+One walk computes a comparison module's dimensions: it starts at K.b
+and steps leftward along K, so its first value is the m entry and the
+rest make up the g entry.  The m table takes that first value of each
+pair; the g table also takes the rest, for the pairs whose first value
+is nonzero (a zero there forces the whole module to zero); x_module
+takes the whole walk.  The walk is lazy, so the checks between t and
+t+1 run exactly on the steps a table consumes.
+
 Both tables are read one block of M at a time (BasisMatrix.blocks: the
 connected components of its nonzero entries), and this is exact by
 elementary linear algebra, with no appeal to linearity of the tables.
@@ -78,12 +86,6 @@ def _plus(ft: BasisMatrix, i: GridInterval, j: GridInterval):
     return src_plus, plus, gf.null_basis(plus[~tgt_plus], ft.p)
 
 
-def _upper(ft: BasisMatrix, i: GridInterval, j: GridInterval) -> np.ndarray:
-    """Columns spanning y_plus in the target generators, from ft = F_t."""
-    _, plus, null = _plus(ft, i, j)
-    return gf.matmul(plus, null, ft.p)
-
-
 def _lower(ft: BasisMatrix, i: GridInterval, j: GridInterval):
     """Columns spanning y_minus off the v_minus_tgt(J) rows, and those rows."""
     tgt_plus = (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b)
@@ -100,8 +102,8 @@ def y_plus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
     if k is None or not k.contains(t):
         return Subspace.zero(f.target.dim(t), f.p)
     tgt = persistence_basis(f.target).alive_columns(t)[2]
-    upper = _upper(basis_matrix(f).at(t), i, j)
-    return Subspace.image(gf.matmul(tgt, upper, f.p), f.p)
+    _, plus, null = _plus(basis_matrix(f).at(t), i, j)
+    return Subspace.image(gf.matmul(tgt, gf.matmul(plus, null, f.p), f.p), f.p)
 
 
 def y_minus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
@@ -131,30 +133,21 @@ def _count(upper: np.ndarray, lower: np.ndarray, rows: np.ndarray, p: int) -> in
     return sum(c >= lower.shape[1] for c in pivots)
 
 
-def _entry_count(ft: BasisMatrix, i: GridInterval, j: GridInterval) -> int:
-    """Bar count of the comparison module of (I, J): its dimension at the
-    shared death t = min(I.b, J.b), read off ft = F_t.
-
-    That is dim (y_minus + y_plus) - dim y_minus in the target generators
-    alive at t, modulo the v_minus_tgt(J) rows (y_minus holds those
-    coordinate vectors).
-    """
-    upper = _upper(ft, i, j)
-    return _count(upper, *_lower(ft, i, j), ft.p) if upper.any() else 0
-
-
 def _carry(cols: np.ndarray, fs: BasisMatrix, s: int, fu: BasisMatrix, u: int):
     """The composite W(s) -> W(u), s <= u, on cols in the target generators
     alive at s (fs = F_s, fu = F_u): a generator alive at u keeps its
     coordinate if it was alive at s, and one born after s gets 0."""
+    if s == u:
+        return cols
     out = gf.zeros(len(fu.tgt_a), cols.shape[1])
     out[fu.tgt_a <= s] = cols[fs.tgt_b >= u]
     return out
 
 
-def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
-    """Dimensions of the comparison module of (I, J) at each t of the
-    overlap K = I n J, read off the frames frame(t) = F_t.
+def _comparison_dims(frame, i: GridInterval, j: GridInterval):
+    """The dimensions of the comparison module of (I, J) along the overlap
+    K = I n J, read off the frames frame(t) = F_t: a generator that yields
+    them from t = K.b leftward to K.a, so its first value is the m entry.
 
     The module is big_t / small_t with the maps W_t induces, where
     big_t = y_plus(t), small at K.b is big n y_minus(K.b), and walking
@@ -167,11 +160,15 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
 
     In the target generators, C_t is a 0/1 selection (_carry): the rows of
     the generators alive at t and at K.b are kept, and rows born after t
-    are 0.  So dims[t] is _count on [lower | C_t upper_t] with the
-    v_minus_tgt(J) rows dropped, the form of _entry_count, and dims at K.b
-    is the m entry.
+    are 0.  y_minus at K.b is spanned by the columns of _lower and the
+    coordinate vectors of the v_minus_tgt(J) rows, so dims[t] is _count on
+    [lower | C_t upper_t] with those rows dropped, and at K.b, where C_t
+    is the identity, that is the m entry.  lower is built on first need:
+    a zero upper_t counts 0 without it.
 
-    Checks, each naming the pair and t (InvariantError):
+    Checks, each naming the pair and t (InvariantError), made on the step
+    left to t-1 from t, so a consumer that stops after the first value
+    makes none and one that reads the whole walk makes all of them:
       - W_t(span upper_t) lies in span upper_{t+1}.  The induced map
         big_t / small_t -> big_{t+1} / small_{t+1} is well defined when W_t
         carries big into big and small into small; the second holds by the
@@ -198,34 +195,37 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval) -> list[int]:
     An injective module zero after K.b has all its bars die at K.b, and
     dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
     """
-    k = i.intersect(j)
-    fk = frame(k.b)
-    lower, rows = _lower(fk, i, j)
-    dims: list[int] = []
-    prev = None  # F_{t-1}, its src_plus, N_{t-1} and upper_{t-1}
-    for t in k:
+    ka, kb = max(i.a, j.a), min(i.b, j.b)
+    fk = frame(kb)
+    lower = None  # _lower at K.b, built on first need
+    fl = plus_l = d_l = None  # F_{t+1}, F_{t+1}[:, src_plus] and dims[t+1]
+    for t in range(kb, ka - 1, -1):
         ft = frame(t)
         src_plus, plus, null = _plus(ft, i, j)
         upper = gf.matmul(plus, null, ft.p)
-        if prev is not None and prev[3].any():
-            fp, src_plus_p, null_p, upper_p = prev
-            pushed = _carry(upper_p, fp, t - 1, ft, t)
-            y = null_p[fp.src_b[src_plus_p] >= t]  # the witness
-            if not np.array_equal(gf.matmul(plus, y, ft.p), pushed):
-                raise InvariantError(f"W_{t - 1} carries y_plus of ({i},{j}) at"
-                                     f" t={t - 1} out of y_plus at t={t}")
-        d = _count(_carry(upper, ft, t, fk, k.b), lower, rows, ft.p) if upper.any() else 0
-        if dims and d < dims[-1]:
+        d = 0
+        if upper.any():
+            if fl is not None:
+                y = null[ft.src_b[src_plus] > t]  # the witness
+                if not np.array_equal(gf.matmul(plus_l, y, ft.p),
+                                      _carry(upper, ft, t, fl, t + 1)):
+                    raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
+                                         f" t={t} out of y_plus at t={t + 1}")
+            if lower is None:
+                lower = _lower(fk, i, j)
+            d = _count(_carry(upper, ft, t, fk, kb), *lower, ft.p)
+        if fl is not None and d > d_l:
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
-                                 f" {dims[-1]} to {d} at t={t}")
-        dims.append(d)
-        prev = ft, src_plus, null, upper
-    return dims
+                                 f" {d} to {d_l} at t={t + 1}")
+        yield d
+        fl, plus_l, d_l = ft, plus, d
 
 
 def _overlap_bars(k: GridInterval, dims: list[int]) -> Barcode:
-    """dims[s] - dims[s-1] bars [s, K.b] at each s of K, with dims[K.a - 1] = 0."""
-    return Barcode({GridInterval(s, k.b): d - e for s, d, e in zip(k, dims, [0] + dims)})
+    """d_s - d_{s-1} bars [s, K.b] at each s of K, with d_{K.a - 1} = 0, off
+    dims = [d_{K.b}, ..., d_{K.a}], as _comparison_dims yields them."""
+    return Barcode({GridInterval(k.b - s, k.b): d - e
+                    for s, (d, e) in enumerate(zip(dims, dims[1:] + [0]))})
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
     support = i.intersect(j)
     if support is None:
         return XModule(None, zero_module(f.n, f.p))
-    bars = _overlap_bars(support, _comparison_dims(basis_matrix(f).at, i, j))
+    bars = _overlap_bars(support, list(_comparison_dims(basis_matrix(f).at, i, j)))
     return XModule(support, module_from_bars(f.n, f.p, [iv for iv, _ in bars.rep()]))
 
 
@@ -308,18 +308,19 @@ def _bars(starts: np.ndarray, ends: np.ndarray) -> list[GridInterval]:
     return [GridInterval(a, b) for a, b in dict.fromkeys(zip(starts.tolist(), ends.tolist()))]
 
 
-def _block_counts(block: BasisMatrix, frame) -> dict:
-    """The counts of block's hom_exists pairs, off its frames frame(t).
+def _walks(bm: BasisMatrix):
+    """(I, J, walk) for the hom_exists pairs of each block of bm, walk the
+    _comparison_dims of the block's part of the pair, off its frames.
 
-    A hom pair overlaps and J ends first, so the shared death is J.b.
+    A hom pair overlaps and J ends first, so each walk starts at J.b.
     """
-    targets = _bars(block.tgt_a, block.tgt_b)
-    return {
-        (i, j): _entry_count(frame(j.b), i, j)
-        for i in _bars(block.src_a, block.src_b)
-        for j in targets
-        if hom_exists(i, j)
-    }
+    for block in bm.blocks():
+        frame = functools.cache(block.at)
+        targets = _bars(block.tgt_a, block.tgt_b)
+        for i in _bars(block.src_a, block.src_b):
+            for j in targets:
+                if hom_exists(i, j):
+                    yield i, j, _comparison_dims(frame, i, j)
 
 
 def m_matching(f: Morphism) -> MMatchingTable:
@@ -353,8 +354,8 @@ def m_table(bm: BasisMatrix) -> MMatchingTable:
     In both cases y_plus lies in y_minus and the entry is 0.
     """
     counts: Counter = Counter()
-    for block in bm.blocks():
-        counts.update(_block_counts(block, functools.cache(block.at)))
+    for i, j, walk in _walks(bm):
+        counts[(i, j)] += next(walk)
     _check_table_bounds(counts, *bm.barcodes, InvariantError)
     return MMatchingTable(counts)
 
@@ -373,23 +374,17 @@ def g_table(bm: BasisMatrix) -> GMatchingTable:
     comparison module of (I, J) is the direct sum of those of the blocks
     holding both bars, so its barcode is the union of theirs.  Within a
     block, the module's dimensions are nondecreasing toward the shared
-    death, so a zero count there forces the whole module to zero, and
-    only the nonzero counts are read, off their dims along the overlap;
-    each block's last dim must equal its count, and M's bars bound the
-    summed counts.
+    death, so a zero first value of the walk, the count at K.b, forces
+    the whole module to zero, and only the nonzero ones walk on along
+    the overlap; M's bars bound the summed counts.
     """
     counts: Counter = Counter()
     entries: dict[tuple[GridInterval, GridInterval], Barcode] = {}
-    for block in bm.blocks():
-        frame = functools.cache(block.at)
-        for (i, j), count in _block_counts(block, frame).items():
-            if not count:
-                continue
-            dims = _comparison_dims(frame, i, j)
-            if dims[-1] != count:
-                raise InvariantError(f"bar count {dims[-1]} of ({i},{j}) disagrees"
-                                     f" with m = {count}")
-            counts[(i, j)] += count
+    for i, j, walk in _walks(bm):
+        dims = [next(walk)]
+        if dims[0]:
+            dims += walk
+            counts[(i, j)] += dims[0]
             bars = _overlap_bars(i.intersect(j), dims)
             entries[(i, j)] = entries.get((i, j), Barcode()).union(bars)
     _check_table_bounds(counts, *bm.barcodes, InvariantError)

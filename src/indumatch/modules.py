@@ -549,7 +549,10 @@ class BasisMatrix:
         (g.a > h.b - eps, where no shifted F_t reads them).  The support
         check stands for "the shifted image stays in the target's".  Its
         rows and columns carry the bars of the shifted target and source.
+        A negative eps would lengthen bars past the grid, so it is refused.
         """
+        if eps < 0:
+            raise ValueError(f"shift amount {eps} is negative")
         kept = self.select((self.tgt_b - self.tgt_a >= eps).nonzero()[0],
                            (self.src_b - self.src_a >= eps).nonzero()[0])
         src_b, tgt_b = kept.src_b - eps, kept.tgt_b - eps

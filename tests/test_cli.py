@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -926,23 +927,49 @@ def test_a_command_tests_its_prime_once(tmp_path, capsys, command):
     assert gf.is_prime.cache_info().misses == 1
 
 
-def _no_dims(frame, i, j):
-    return [0] * (i.intersect(j).length + 1)
+@pytest.fixture
+def pair_file(tmp_path):
+    """k[2,3]^2 -> k[1,3] + k[2,3] over GF(2), with the source generators
+    sent to the sum of both target ones and to the [1,3] one: the pairs
+    ([2,3], [1,3]) and ([2,3], [2,3]) each count 1, along K = [2,3]."""
+    source = modules.PersistenceModule(2, (0, 2, 2), [gf.zeros(2, 0), gf.identity(2)])
+    target = modules.PersistenceModule(2, (1, 2, 2), [[[1], [0]], gf.identity(2)])
+    f_t = [[1, 1], [1, 0]]
+    f = modules.Morphism(source, target, [gf.zeros(1, 0), f_t, f_t]).validate()
+    path = tmp_path / "pair.json"
+    write_morphism(f, path)
+    return str(path)
 
 
-@pytest.mark.parametrize("owner, attr, fake, argv, message", [
-    (matching, "_comparison_dims", _no_dims, ["match", "--method", "g"],
-     "bar count 0 of ([2,2],[1,2]) disagrees with m = 1"),
-    (matching, "_entry_count", lambda *args: 5, ["match", "--method", "m"],
-     "row sum 5 exceeds multiplicity of [2,2]"),
-    pytest.param(modules.BasisMatrix, "barcodes",
+_real_at = modules.BasisMatrix.at
+
+
+def _born_early_at_2(bm, t):
+    """F_t, but at t = 2 every target generator claims to be born at 1: the
+    [2,3] row joins the J = [1,3] part of F_2 and not of F_3, so the
+    comparison module of ([2,3], [1,3]) is 2 at t = 2 and 1 at t = 3,
+    though each step's witness holds."""
+    ft = _real_at(bm, t)
+    return dataclasses.replace(ft, tgt_a=np.ones_like(ft.tgt_a)) if t == 2 else ft
+
+
+@pytest.mark.parametrize("file, owner, attr, fake, argv, message", [
+    pytest.param("pair_file", modules.BasisMatrix, "at", _born_early_at_2,
+                 ["match", "--method", "g"],
+                 "comparison module of ([2,3],[1,3]) shrinks from 2 to 1 at t=3",
+                 id="BasisMatrix.at-born-early"),
+    pytest.param("ref_file", matching, "_comparison_dims", lambda *args: iter([5]),
+                 ["match", "--method", "m"], "row sum 5 exceeds multiplicity of [2,2]",
+                 id="_comparison_dims-yields-5"),
+    pytest.param("ref_file", modules.BasisMatrix, "barcodes",
                  property(lambda bm: (modules.Barcode(),) * 2), ["match", "--method", "g"],
                  "row sum 1 exceeds multiplicity of [2,2]", id="BasisMatrix.barcodes-empty"),
 ])
-def test_internal_invariant_failure_exits_6(ref_file, capsys, monkeypatch,
-                                            owner, attr, fake, argv, message):
+def test_internal_invariant_failure_exits_6(request, capsys, monkeypatch,
+                                            file, owner, attr, fake, argv, message):
+    path = request.getfixturevalue(file)
     monkeypatch.setattr(owner, attr, fake)
-    code, out, err = run_cli(capsys, argv[0], ref_file, *argv[1:])
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
     assert code == 6
     assert out == ""
     assert err == f"internal error: {message}\n"

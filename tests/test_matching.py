@@ -43,7 +43,7 @@ from indumatch import (
 )
 from indumatch.gf import Subspace
 from indumatch import matching
-from indumatch.matching import GMatchingTable, MMatchingTable, _entry_count
+from indumatch.matching import GMatchingTable, MMatchingTable
 from indumatch.modules import InvariantError, basis_matrix
 
 import quotients
@@ -129,8 +129,8 @@ def assert_y_spaces_match_referee(f):
                 assert y_minus(f, i, j, t) == ym, ("y_minus", i, j, t)
             # t is now the shared death, where the entry is counted.
             count = quotients.sum_subspaces(ym, yp).dim - ym.dim
-            ft = basis_matrix(f).at(t)
-            assert _entry_count(ft, i, j) == count, ("count", i, j)
+            walk = matching._comparison_dims(basis_matrix(f).at, i, j)
+            assert next(walk) == count, ("count", i, j)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -223,7 +223,7 @@ def assert_comparison_modules_match_referee(f):
             if k.a < k.b and ref.module.dim(k.b - 1):
                 with pytest.raises(InvariantError,
                                    match=rf"t={k.b - 1} out of y_plus at t={k.b}$"):
-                    matching._comparison_dims(_zeroed_at(frame, k.b), i, j)
+                    list(matching._comparison_dims(_zeroed_at(frame, k.b), i, j))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -324,7 +324,7 @@ def full_scan_counts(f):
             yp = y_plus(f, i, j, k.b)
             ym = y_minus(f, i, j, k.b)
             c = yp.dim - gf.intersect(ym, yp).dim
-            assert _entry_count(basis_matrix(f).at(k.b), i, j) == c
+            assert next(matching._comparison_dims(basis_matrix(f).at, i, j)) == c
             if not hom_exists(i, j):
                 assert c == 0, (i, j)
             if c:
@@ -346,7 +346,7 @@ def _bar_set(starts, ends):
 
 
 def test_entry_counts_only_for_hom_pairs(monkeypatch):
-    # Each block of M counts the hom pairs of its own bars, and only those.
+    # Each block of M walks the hom pairs of its own bars, and only those.
     f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
     blocks = basis_matrix(f).blocks()
     hom_pairs = sum(
@@ -355,29 +355,60 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
         for i in matching._bars(b.src_a, b.src_b)
         for j in matching._bars(b.tgt_a, b.tgt_b)
     )
-    visited = []
-    block_counts = matching._block_counts
+    visited = {}  # id of a block -> the block and the pairs it walked
+    walk = matching._comparison_dims
 
-    def per_block(block, frame):
-        visited.append((block, []))
-        return block_counts(block, frame)
+    def counting(frame, i, j):
+        block = frame.__wrapped__.__self__  # frame is the cached block.at
+        visited.setdefault(id(block), (block, []))[1].append((i, j))
+        return walk(frame, i, j)
 
-    def counting(ft, i, j):
-        visited[-1][1].append((i, j))
-        return _entry_count(ft, i, j)
-
-    monkeypatch.setattr(matching, "_block_counts", per_block)
-    monkeypatch.setattr(matching, "_entry_count", counting)
+    monkeypatch.setattr(matching, "_comparison_dims", counting)
     m_matching(f)
     assert len(visited) == len(blocks) > 1
-    pairs = [(block, i, j) for block, seen in visited for i, j in seen]
+    pairs = [(block, i, j) for block, seen in visited.values() for i, j in seen]
     assert 0 < len(pairs) == hom_pairs
     for block, i, j in pairs:
         assert hom_exists(i, j)
         assert (i.a, i.b) in _bar_set(block.src_a, block.src_b), (i, j)
         assert (j.a, j.b) in _bar_set(block.tgt_a, block.tgt_b), (i, j)
-    for _, seen in visited:
+    for _, seen in visited.values():
         assert len(set(seen)) == len(seen)  # no pair twice in one block
+
+
+def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
+    # A walk reads F_t once per step (_plus), from K.b leftward.  m stops
+    # after the first step of each hom pair; g walks on along K, |K| - 1
+    # steps more, only where that first value is nonzero.
+    f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
+    plus = matching._plus
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return plus(*args)
+
+    for eps in (0, 1):
+        bm = basis_matrix(f).shift(eps)
+        hom_pairs = more = 0
+        for block in bm.blocks():
+            counts = matching.m_table(block)
+            for i in matching._bars(block.src_a, block.src_b):
+                for j in matching._bars(block.tgt_a, block.tgt_b):
+                    if hom_exists(i, j):
+                        hom_pairs += 1
+                        if counts.get(i, j):
+                            more += i.intersect(j).length
+        assert more > 0, eps
+        with monkeypatch.context() as patch:
+            patch.setattr(matching, "_plus", counting)
+            calls = 0
+            matching.m_table(bm)
+            assert calls == hom_pairs, eps
+            calls = 0
+            matching.g_table(bm)
+            assert calls == hom_pairs + more, eps
 
 
 # Referee: both tables on the whole M, with no block split.
@@ -391,10 +422,10 @@ def unsplit_tables(f):
         for j in barcode(f.target).intervals():
             if not hom_exists(i, j):
                 continue
-            count = _entry_count(frame(j.b), i, j)
+            count = next(matching._comparison_dims(frame, i, j))
             if count:
-                dims = matching._comparison_dims(frame, i, j)
-                assert dims[-1] == count, (i, j)
+                dims = list(matching._comparison_dims(frame, i, j))
+                assert dims[0] == count, (i, j)
                 m[(i, j)] = count
                 g[(i, j)] = matching._overlap_bars(i.intersect(j), dims)
     return MMatchingTable(m), GMatchingTable(g)

@@ -734,6 +734,9 @@ def test_shifted_matrix_reports_equal_those_on_the_shifted_modules(f):
 def test_shift_out_of_range(chain_module):
     with pytest.raises(ValueError):
         shift_module(chain_module, 3)
+    # M does not know n, but a negative shift would stretch its bars past it.
+    with pytest.raises(ValueError, match="shift amount -1 "):
+        basis_matrix(random_ladder(4, 2, 2, 3)).shift(-1)
 
 
 # ---------------------------------------------------------------------------
