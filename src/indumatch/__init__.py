@@ -17,22 +17,12 @@ from .modules import (
     direct_sum,
     direct_sum_morphism,
     hom_exists,
-    im_minus,
-    im_plus,
     image_barcode,
     image_factorization,
     image_module,
     interval_module,
-    ker_minus,
-    ker_plus,
     module_from_bars,
-    one_eps_morphism,
     persistence_basis,
-    restrict,
-    shift_module,
-    shift_morphism,
-    v_minus,
-    v_plus,
     zero_module,
 )
 from .matching import (
@@ -44,17 +34,8 @@ from .matching import (
     m_matching,
     representation,
     x_module,
-    y_minus,
-    y_plus,
 )
-from .bauer_lesnick import (
-    RealizationCertificate,
-    chi,
-    iota,
-    is_eps_matching,
-    lambda_,
-    realize_as_m,
-)
+from .bauer_lesnick import chi
 from .ladders import (
     CATALOG_CODES,
     THICK_CODES,
@@ -65,4 +46,24 @@ from .ladders import (
     random_ladder,
     random_module,
 )
-from .oracle import count_generators, naive_barcode
+from .oracle import (
+    RealizationCertificate,
+    count_generators,
+    im_minus,
+    im_plus,
+    iota,
+    is_eps_matching,
+    ker_minus,
+    ker_plus,
+    lambda_,
+    naive_barcode,
+    one_eps_morphism,
+    realize_as_m,
+    restrict,
+    shift_module,
+    shift_morphism,
+    v_minus,
+    v_plus,
+    y_minus,
+    y_plus,
+)

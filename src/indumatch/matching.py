@@ -19,7 +19,8 @@ maps are 0/1 selections of those generators, so each dimension of a
 comparison module is the rank count of an entry, on slices of M.  So
 the tables (m_table, g_table) take M alone, and read the two barcodes
 off its rows and columns: m_matching and g_matching pass f's, and the
-CLI passes f's or that of its shift (BasisMatrix.shift).
+CLI passes f's or that of its shift (BasisMatrix.shift).  Their referee,
+the y spaces as pushed subspaces of W(t), is in oracle.py.
 
 One walk computes a comparison module's dimensions: it starts at K.b
 and steps leftward along K, so its first value is the m entry and the
@@ -54,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .gf import Subspace
 from .modules import (
     Barcode,
     BasisMatrix,
@@ -65,7 +65,6 @@ from .modules import (
     hom_exists,
     interval_sort_key,
     module_from_bars,
-    persistence_basis,
     basis_matrix,
     zero_module,
 )
@@ -94,35 +93,6 @@ def _lower(ft: BasisMatrix, i: GridInterval, j: GridInterval):
                  & ((ft.src_a < i.a) | (ft.src_b < i.b)))
     tgt_minus = tgt_plus & ((ft.tgt_a < j.a) | (ft.tgt_b < j.b))
     return np.hstack([ft.m[:, src_minus], early]), tgt_minus
-
-
-def y_plus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
-    """f(v_plus of source at I) intersected with v_plus of target at J."""
-    k = i.intersect(j)
-    if k is None or not k.contains(t):
-        return Subspace.zero(f.target.dim(t), f.p)
-    tgt = persistence_basis(f.target).alive_columns(t)[2]
-    _, plus, null = _plus(basis_matrix(f).at(t), i, j)
-    return Subspace.image(gf.matmul(tgt, gf.matmul(plus, null, f.p), f.p), f.p)
-
-
-def y_minus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
-    """The part of the target at (J, t) already explained by longer bars.
-
-    Three sources of absorption: the image of the source's own lower
-    space, the target's lower space, and the image of anything arriving
-    strictly before I's start that lands in the J-part.  The last term
-    is the image-level counterpart of the early-arrival term inside the
-    source's lower space; without it, two source bars with different
-    births and deaths whose images collide in the target would both
-    claim the same target bar, breaking the matching inequalities.
-    """
-    k = i.intersect(j)
-    if k is None or not k.contains(t):
-        return Subspace.zero(f.target.dim(t), f.p)
-    tgt = persistence_basis(f.target).alive_columns(t)[2]
-    lower, rows = _lower(basis_matrix(f).at(t), i, j)
-    return Subspace.image(np.hstack([gf.matmul(tgt, lower, f.p), tgt[:, rows]]), f.p)
 
 
 def _count(upper: np.ndarray, lower: np.ndarray, rows: np.ndarray, p: int) -> int:

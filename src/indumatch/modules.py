@@ -5,22 +5,20 @@ structure matrices V(t) -> V(t+1); a morphism is a grid of component
 matrices making every square commute.  All grid positions in the public
 API are 1-based, matching the usual way these diagrams are written.
 
-It reads the barcode and the subspace operators that carve out, at a
-single grid position, the part of the module belonging to an interval
-(im_plus/im_minus/ker_plus/ker_minus and v_plus/v_minus) off the
-persistence basis, the only thing a module caches: its generators'
-bars in birth order and, per grid position t, one matrix B_t of the
-vectors of those alive at t.  A morphism f is read off the persistence
-bases of its two ends as one matrix M, a BasisMatrix, the only thing a
-morphism caches and what every report takes.  Each has one producer:
+It reads the barcode off the persistence basis, the only thing a
+module caches: its generators' bars in birth order and, per grid
+position t, one matrix B_t of the vectors of those alive at t.  A
+morphism f is read off the persistence bases of its two ends as one
+matrix M, a BasisMatrix, the only thing a morphism caches and what
+every report takes.  Each has one producer:
 the sweep builds every basis, and basis_matrix every M, inside the
 sweep of f's target.  M carries the bars of its rows and columns, the
 target and source barcodes (M.barcodes, built once per M), so the image
 barcode is read off M alone (M.image_barcode()), and the shift functor
-is one operation on M (M.shift(eps)) that builds no module;
-shift_morphism builds the shifted modules from the shortened bars, and
-their M is swept like any other.  The image factorization and the
-composite maps stay as public referees.
+is one operation on M (M.shift(eps)) that builds no module.  The
+image factorization and the composite maps are referees that no command
+runs; the other referees, the interval operators and the shifted
+modules among them, are in oracle.py.
 """
 
 from __future__ import annotations
@@ -283,18 +281,6 @@ class Morphism:
                     f" but W_{t} @ f_{t} = {rhs.tolist()}")
         return self
 
-    def is_injective(self) -> bool:
-        return all(
-            gf.rank(self.comp(t), self.p) == self.source.dim(t)
-            for t in range(1, self.n + 1)
-        )
-
-    def is_surjective(self) -> bool:
-        return all(
-            gf.rank(self.comp(t), self.p) == self.target.dim(t)
-            for t in range(1, self.n + 1)
-        )
-
     @classmethod
     def identity(cls, m: PersistenceModule) -> "Morphism":
         return cls(m, m, [gf.identity(d) for d in m.dims])
@@ -382,73 +368,6 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
     target = direct_sum(*(f.target for f in morphisms))
     comps = [gf.block_diag(*cs) for cs in zip(*(f.comps for f in morphisms))]
     return Morphism(source, target, comps)
-
-
-# ---------------------------------------------------------------------------
-# Interval subspace operators.
-#
-# For I = [a, b] and t in I, the operators pick out, inside V(t), what
-# arrives from the start of the interval and what survives to its end:
-#   im_plus  = image of V(a) -> V(t)        (arrived by a)
-#   im_minus = image of V(a-1) -> V(t)      (arrived strictly before a; 0 at a = 1)
-#   ker_plus = kernel of V(t) -> V(b+1)     (dead just after b; V(t) at b = n)
-#   ker_minus= kernel of V(t) -> V(b)       (dead strictly before b's end)
-#   v_plus   = im_plus n ker_plus;  v_minus = im_minus n ker_plus + im_plus n ker_minus
-#
-# All six are spans of persistence-basis generators.  The generators alive
-# at t are a basis of V(t), and for s <= t the composite V(s) -> V(t) sends
-# a generator g alive at s to its vector at t if g.b >= t, else to 0.  Each
-# composite is thus diagonal: its image is spanned by the g alive at t with
-# g.a <= s, its kernel by the g alive at s with g.b < t.  So the four keep
-# g.a <= a, g.a < a, g.b <= b, g.b < b (no g has g.a < 1, all have g.b <= n),
-# and as spans of one basis meet and add like index sets, v_plus keeps
-# g.a <= a and g.b <= b, and v_minus the same less the generators of I.
-
-
-def _span(m: PersistenceModule, t: int, keep) -> Subspace:
-    """Span of the basis vectors alive at t whose starts and ends pass keep."""
-    starts, ends, cols = persistence_basis(m).alive_columns(t)
-    return Subspace.image(cols[:, keep(starts, ends)], m.p)
-
-
-def im_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
-    _require_in_interval(iv, t)
-    return _span(m, t, lambda a, b: a <= iv.a)
-
-
-def im_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
-    _require_in_interval(iv, t)
-    return _span(m, t, lambda a, b: a < iv.a)
-
-
-def ker_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
-    _require_in_interval(iv, t)
-    return _span(m, t, lambda a, b: b <= iv.b)
-
-
-def ker_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
-    _require_in_interval(iv, t)
-    return _span(m, t, lambda a, b: b < iv.b)
-
-
-def v_plus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
-    """Largest subspace of V(t) supported exactly along I; zero off I."""
-    if not iv.contains(t):
-        return Subspace.zero(m.dim(t), m.p)
-    return _span(m, t, lambda a, b: (a <= iv.a) & (b <= iv.b))
-
-
-def v_minus(m: PersistenceModule, iv: GridInterval, t: int) -> Subspace:
-    """The part of v_plus already accounted for by longer intervals."""
-    if not iv.contains(t):
-        return Subspace.zero(m.dim(t), m.p)
-    return _span(m, t, lambda a, b: (a <= iv.a) & (b <= iv.b)
-                 & ((a != iv.a) | (b != iv.b)))
-
-
-def _require_in_interval(iv: GridInterval, t: int):
-    if not iv.contains(t):
-        raise ValueError(f"t={t} not in interval {iv}")
 
 
 # ---------------------------------------------------------------------------
@@ -686,11 +605,6 @@ class PersistenceBasis:
     def alive(self, t: int) -> np.ndarray:
         return _alive(self.starts, self.ends, t)
 
-    def alive_columns(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Starts and ends of the generators alive at t, and B_t."""
-        alive = self.alive(t)
-        return self.starts[alive], self.ends[alive], self.vectors[t - 1]
-
     def validate(self, m: PersistenceModule) -> "PersistenceBasis":
         starts, ends = self.starts, self.ends
         if len(self.vectors) != m.n or len(starts) != len(ends):
@@ -918,16 +832,16 @@ def barcode(m: PersistenceModule) -> Barcode:
     product, reduces a copy of it oldest first, takes the unit vectors
     of the unled rows as newborns and rewrites only a dying generator's
     past (the steps and why they are exact are in _sweep's docstring).  Since
-    v_plus and v_minus of [a, b] are spanned by basis vectors and differ
-    by exactly the generators with interval [a, b], dim v_plus - dim
-    v_minus at any t in [a, b] is the multiplicity of [a, b], which is
-    the fact the matching relies on.
+    v_plus and v_minus of [a, b] (oracle.py) are spanned by basis vectors
+    and differ by exactly the generators with interval [a, b], dim v_plus
+    - dim v_minus at any t in [a, b] is the multiplicity of [a, b], which
+    is the fact the matching relies on.
     """
     return persistence_basis(m).interval_barcode()
 
 
 # ---------------------------------------------------------------------------
-# Image modules and the shift functor.
+# Image modules.
 
 
 def image_barcode(f: Morphism) -> Barcode:
@@ -943,7 +857,7 @@ def image_factorization(
     Returns (image module, projection source ->> image, embedding
     image >-> target).  The image value at t is the column space of the
     component f_t inside the target, in canonical basis.  No production
-    path calls it: it referees image_barcode, chi and shift_morphism.
+    path calls it: it referees image_barcode, chi and oracle.shift_morphism.
     """
     p = f.p
     bases = [Subspace.image(f.comp(t), p).basis for t in range(1, f.n + 1)]
@@ -971,58 +885,3 @@ def image_module(f: Morphism) -> tuple[PersistenceModule, Morphism]:
     """The image of a morphism together with its embedding into the target."""
     im, _, embed = image_factorization(f)
     return im, embed
-
-
-def restrict(m: PersistenceModule, a: int, b: int) -> PersistenceModule:
-    """The module evaluated on grid positions a..b, reindexed from 1."""
-    m._check_t(a)
-    m._check_t(b)
-    if a > b:
-        raise IndexError(f"empty restriction {a}..{b}")
-    return PersistenceModule(m.p, m.dims[a - 1 : b], m.maps[a - 1 : b - 1])
-
-
-def one_eps_morphism(m: PersistenceModule, eps: int) -> Morphism:
-    """The canonical comparison map from the module to its eps-translate.
-
-    Domain is the module cut to {1..n-eps}; codomain is the translate
-    (value V(t+eps)); components are the composites V(t) -> V(t+eps).
-    """
-    _check_eps(m.n, eps)
-    top = m.n - eps
-    source = restrict(m, 1, top)
-    target = restrict(m, 1 + eps, m.n)
-    comps = [m.composite(t, t + eps) for t in range(1, top + 1)]
-    return Morphism(source, target, comps)
-
-
-def shift_module(m: PersistenceModule, eps: int) -> PersistenceModule:
-    """Image of the comparison map: value at t is im(V(t) -> V(t+eps))."""
-    im, _ = image_module(one_eps_morphism(m, eps))
-    return im
-
-
-def shift_morphism(f: Morphism, eps: int) -> Morphism:
-    """The morphism induced between the shifted source and target.
-
-    Its two modules are module_from_bars of the rows' and columns' bars
-    of f's shifted M, in birth order, and each component f_t is that
-    matrix's F_t.  On those modules the sweep takes the standard
-    basis vectors in the same order, so the result's own M, built by
-    basis_matrix when a report reads it, is the shifted matrix again.
-    The result is isomorphic to the morphism between the shift_module
-    images.
-    """
-    _check_eps(f.n, eps)
-    shifted = basis_matrix(f).shift(eps)
-    n = f.n - eps
-    source = module_from_bars(n, f.p, map(GridInterval, shifted.src_a.tolist(),
-                                          shifted.src_b.tolist()))
-    target = module_from_bars(n, f.p, map(GridInterval, shifted.tgt_a.tolist(),
-                                          shifted.tgt_b.tolist()))
-    return Morphism(source, target, [shifted.at(t).m for t in range(1, n + 1)])
-
-
-def _check_eps(n: int, eps: int):
-    if not 0 <= eps <= n - 1:
-        raise ValueError(f"shift amount {eps} out of range 0..{n - 1}")

@@ -98,8 +98,8 @@ def iv(a, b):
 def ref_frame(f, t):
     """F_t by its definition, T_t F_t = f_t S_t, for the matrices S_t and
     T_t of the source and target generators alive at t."""
-    _, _, src = persistence_basis(f.source).alive_columns(t)
-    _, _, tgt = persistence_basis(f.target).alive_columns(t)
+    src = persistence_basis(f.source).vectors[t - 1]
+    tgt = persistence_basis(f.target).vectors[t - 1]
     coords = gf.solve(tgt, gf.matmul(f.comp(t), src, f.p), f.p)
     assert coords is not None, f"target basis at t={t} does not span f_{t}"
     return coords

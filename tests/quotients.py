@@ -2,19 +2,20 @@
 
 The library reads the comparison modules off the persistence bases and
 no longer walks quotients of subspaces of W(t).  These are the old
-definitions, kept as referees: preimages, sums, complements and the
-map a linear map induces between two quotients, and ref_x_module, the
-subspace walk that built each comparison module with them.
+definitions, kept as referees: preimages, complements, the map a linear
+map induces between two quotients, and ref_x_module, the subspace walk
+on oracle's y spaces that built each comparison module with them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from indumatch import gf, y_minus, y_plus, zero_module
+from indumatch import gf, zero_module
 from indumatch.gf import DimensionMismatch, Subspace
 from indumatch.matching import XModule
 from indumatch.modules import InvariantError, PersistenceModule
+from indumatch.oracle import y_minus, y_plus
 
 
 class ContainmentError(ValueError):
@@ -23,15 +24,6 @@ class ContainmentError(ValueError):
 
 class WellDefinednessError(ValueError):
     """A map does not respect the given filtrations."""
-
-
-def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    a._check_compatible(b)
-    if b.dim == 0 or a.is_full():
-        return a
-    if a.dim == 0 or b.is_full():
-        return b
-    return Subspace.image(np.hstack([a.basis, b.basis]), a.p)
 
 
 def preimage(m, s: Subspace, p: int) -> Subspace:

@@ -230,6 +230,10 @@ def test_rejects_foreign_bars(chain_module):
     sigma = RepMatching({(iv(1, 3), 1): (iv(1, 2), 1)})
     with pytest.raises(ValueError):
         is_eps_matching(sigma, bc, bc, 0)
+    # A negative eps is refused, not read as a looser coverage threshold.
+    f = random_ladder(5, 3, 2, 7)
+    with pytest.raises(ValueError, match="eps >= 0, got -1"):
+        is_eps_matching(chi(f), barcode(f.source), barcode(f.target), -1)
 
 
 def test_chi_of_shift_comparison_is_2eps_matching():

@@ -4,7 +4,8 @@ Every module under src/indumatch is parsed with ast.  A module may import
 and read only the public names of its siblings: no ``from .x import _y``
 (or its absolute form) and no ``x._y`` on a name bound to a sibling
 module.  Dunders are public.  Attribute reads on objects (``self._cache``,
-``m._basis``) are not module reads and are not checked here.
+``m._basis``) are not module reads and are not checked here.  Only
+__init__ imports the referee module oracle, to re-export its names.
 """
 
 from __future__ import annotations
@@ -28,20 +29,27 @@ def _from_package(node: ast.ImportFrom) -> bool:
     return node.level == 1 or (node.module or "").split(".")[0] == "indumatch"
 
 
-def private_reads(source: str) -> list[str]:
-    """Each private name of a sibling module that source imports or reads."""
+def private_reads(source: str, may_import_oracle: bool = False) -> list[str]:
+    """Each private name of a sibling module that source imports or reads,
+    and each import of oracle unless may_import_oracle."""
     tree = ast.parse(source)
     modules: set[str] = set()  # local names bound to sibling modules
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and _from_package(node):
+            sibling = (node.module or "").removeprefix("indumatch").lstrip(".")
+            named = [sibling] if sibling else [alias.name for alias in node.names]
+            if "oracle" in named and not may_import_oracle:
+                found.append(f"line {node.lineno}: imports oracle")
             for alias in node.names:
                 if _private(alias.name):
                     found.append(f"line {node.lineno}: imports {alias.name}")
-                elif node.module in (None, "indumatch") and alias.name in SIBLINGS:
+                elif not sibling and alias.name in SIBLINGS:
                     modules.add(alias.asname or alias.name)  # from . import gf
         elif isinstance(node, ast.Import):
             for alias in node.names:
+                if alias.name == "indumatch.oracle" and not may_import_oracle:
+                    found.append(f"line {node.lineno}: imports oracle")
                 if alias.name.startswith("indumatch.") and alias.asname:
                     modules.add(alias.asname)  # import indumatch.gf as gf
     for node in ast.walk(tree):
@@ -53,7 +61,8 @@ def private_reads(source: str) -> list[str]:
 
 @pytest.mark.parametrize("name", SIBLINGS)
 def test_no_module_reads_a_private_name_of_another(name):
-    assert private_reads((PACKAGE / f"{name}.py").read_text()) == []
+    source = (PACKAGE / f"{name}.py").read_text()
+    assert private_reads(source, may_import_oracle=name == "__init__") == []
 
 
 @pytest.mark.parametrize("source, want", [
@@ -70,6 +79,13 @@ def test_no_module_reads_a_private_name_of_another(name):
     ("from . import modules\nmodules.__name__", []),
     ("from . import gf\nself._cache = gf\nm._basis", []),
     ("from dataclasses import _private_helper", []),
+    # Only __init__ may import oracle, in any of its forms.
+    ("from .oracle import y_plus", ["line 1: imports oracle"]),
+    ("from . import gf, oracle", ["line 1: imports oracle"]),
+    ("from indumatch.oracle import naive_barcode", ["line 1: imports oracle"]),
+    ("from indumatch import oracle as o", ["line 1: imports oracle"]),
+    ("import indumatch.oracle", ["line 1: imports oracle"]),
+    ("import indumatch.oracle as o\no.y_plus", ["line 1: imports oracle"]),
 ])
 def test_private_reads_flags_imports_and_module_attributes(source, want):
     assert private_reads(source) == want
