@@ -34,8 +34,11 @@ def bucket_matching(b_src: Barcode, b_dst: Barcode, by: str) -> RepMatching:
     """Bars born together (by="birth") or dying together (by="death")
     matched longest first.  A surjection adds no births, so at a birth
     every target bar needs a partner; an injection loses no deaths, so
-    at a death every source bar does.  A shortfall raises InvariantError.
+    at a death every source bar does.  A shortfall raises InvariantError,
+    and any other by ValueError.
     """
+    if by not in ("birth", "death"):
+        raise ValueError(f'bucket_matching by {by!r}: expected "birth" or "death"')
     end = (lambda iv: iv.a) if by == "birth" else (lambda iv: iv.b)
     src, dst = _buckets(b_src, end), _buckets(b_dst, end)
     pairs: dict[IndexedBar, IndexedBar] = {}

@@ -5,7 +5,8 @@ written as a 2x3 dimension code (upper row = target, lower row =
 source).  Twenty-seven catalog entries are thin (all dimensions 0/1,
 maps identity where both ends are nonzero): the row intervals [a,b] on
 top and [c,d] below joined whenever a <= c <= b <= d, plus the single-row
-ones.  The remaining two carry a 2-dimensional middle space and are
+ones, each morphism_from_bars of its 0 or 1 bar per row with weight 1.
+The remaining two carry a 2-dimensional middle space and are
 hard-coded.
 """
 
@@ -14,15 +15,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf
 from .modules import (
     GridInterval,
     Morphism,
     PersistenceModule,
     hom_exists,
-    interval_module,
     module_from_bars,
-    zero_module,
+    morphism_from_bars,
 )
 
 
@@ -62,23 +64,15 @@ THICK_CODES: tuple[LadderCode, ...] = (
 CATALOG_CODES: tuple[LadderCode, ...] = THIN_CODES + THICK_CODES
 
 
-def _thin_row(bits: tuple[int, int, int], p: int) -> PersistenceModule:
-    support = [t for t in (1, 2, 3) if bits[t - 1]]
-    if not support:
-        return zero_module(3, p)
-    return interval_module(3, p, GridInterval(min(support), max(support)))
-
-
 def _thin_morphism(code: LadderCode, p: int) -> Morphism:
-    source = _thin_row(code.lower, p)
-    target = _thin_row(code.upper, p)
-    comps = []
-    for t in (1, 2, 3):
-        if code.upper[t - 1] and code.lower[t - 1]:
-            comps.append(gf.identity(1))
-        else:
-            comps.append(gf.zeros(code.upper[t - 1], code.lower[t - 1]))
-    return Morphism(source, target, comps)
+    """A thin code's rows, 0 or 1 bar each, joined with weight 1."""
+    lower, upper = _row_bars(code.lower), _row_bars(code.upper)
+    return morphism_from_bars(3, p, lower, upper, np.ones((len(upper), len(lower)), np.int64))
+
+
+def _row_bars(bits: tuple[int, int, int]) -> list[GridInterval]:
+    support = [t for t in (1, 2, 3) if bits[t - 1]]
+    return [GridInterval(min(support), max(support))] if support else []
 
 
 def _thick_morphism(code: LadderCode, p: int) -> Morphism:
@@ -112,26 +106,18 @@ def enumerate_catalog(p: int = 2) -> list[Morphism]:
 # Random generators for the property suites.
 
 
-def _random_invertible(d: int, p: int, rng: random.Random):
-    if d == 0:
-        return gf.zeros(0, 0)
+def _random_change(d: int, p: int, rng: random.Random):
+    """A random invertible d x d matrix, drawn row by row, and its inverse."""
     while True:
-        m = _random_matrix(d, d, p, rng)
-        if gf.rank(m, p) == d:
-            return m
+        m = np.array([rng.randrange(p) for _ in range(d * d)], np.int64).reshape(d, d)
+        inv = gf.solve(m, gf.identity(d), p)
+        if inv is not None:
+            return m, inv
 
 
-def _random_matrix(rows: int, cols: int, p: int, rng: random.Random):
-    m = gf.zeros(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            m[i, j] = rng.randrange(p)
-    return m
-
-
-def _random_decomposition(n: int, max_dim: int, p: int, rng: random.Random):
-    """Random interval multiset below the dimension cap, plus a random
-    basis change per grid position.  Returns (intervals, changes, module)."""
+def _random_bars(n: int, max_dim: int, p: int, rng: random.Random):
+    """A random interval multiset below the dimension cap, and a random
+    basis change, with its inverse, per grid position."""
     dims = [0] * n
     intervals: list[GridInterval] = []
     for _ in range(rng.randrange(0, 2 * n + 1)):
@@ -142,54 +128,42 @@ def _random_decomposition(n: int, max_dim: int, p: int, rng: random.Random):
         for t in range(a, b + 1):
             dims[t - 1] += 1
         intervals.append(GridInterval(a, b))
-    acc = module_from_bars(n, p, intervals)
-    changes = [_random_invertible(d, p, rng) for d in acc.dims]
-    maps = []
-    for t in range(1, n):
-        conj = gf.matmul(
-            changes[t], gf.matmul(acc.map(t), gf.inverse(changes[t - 1], p), p), p
-        )
-        maps.append(conj)
-    return intervals, changes, PersistenceModule(p, acc.dims, maps)
+    return intervals, [_random_change(d, p, rng) for d in dims]
+
+
+def _hide(m: PersistenceModule, changes) -> PersistenceModule:
+    """m behind the basis changes: each map V(t) -> V(t+1) is conjugated."""
+    return PersistenceModule(m.p, m.dims, [
+        gf.matmul(changes[t][0], gf.matmul(m.map(t), changes[t - 1][1], m.p), m.p)
+        for t in range(1, m.n)])
 
 
 def random_module(
     n: int, max_dim: int, p: int, rng: random.Random
 ) -> PersistenceModule:
     """Direct sum of random intervals hidden behind a random basis change."""
-    return _random_decomposition(n, max_dim, p, rng)[2]
+    intervals, changes = _random_bars(n, max_dim, p, rng)
+    return _hide(module_from_bars(n, p, intervals), changes)
 
 
 def random_ladder(n: int, max_dim: int, p: int, seed: int) -> Morphism:
     """Deterministic random morphism between random modules.
 
     Both sides are random interval sums behind random basis changes; the
-    morphism is a random scalar on every pair of summands that admits a
-    nonzero map (identity along the overlap), conjugated to the hidden
-    bases.  Every morphism between the two modules has this form, so the
-    draw covers the whole Hom space and commutation holds exactly.
+    morphism is morphism_from_bars of a random scalar on every pair of
+    summands that admits a nonzero map, conjugated to the hidden bases.
+    Every morphism between the two modules has this form, so the draw
+    covers the whole Hom space and commutation holds exactly.
     """
     rng = random.Random(seed)
-    src_ivs, src_chg, v = _random_decomposition(n, max_dim, p, rng)
-    dst_ivs, dst_chg, u = _random_decomposition(n, max_dim, p, rng)
-    weights = {
-        (si, di): rng.randrange(p)
-        for si, iv in enumerate(src_ivs)
-        for di, jv in enumerate(dst_ivs)
-        if hom_exists(iv, jv)
-    }
-    comps = []
-    for t in range(1, n + 1):
-        src_alive = [k for k, iv in enumerate(src_ivs) if iv.contains(t)]
-        dst_alive = [k for k, jv in enumerate(dst_ivs) if jv.contains(t)]
-        src_pos = {k: c for c, k in enumerate(src_alive)}
-        dst_pos = {k: r for r, k in enumerate(dst_alive)}
-        block = gf.zeros(len(dst_alive), len(src_alive))
-        for (si, di), w in weights.items():
-            if w and si in src_pos and di in dst_pos:
-                block[dst_pos[di], src_pos[si]] = w
-        conj = gf.matmul(
-            dst_chg[t - 1], gf.matmul(block, gf.inverse(src_chg[t - 1], p), p), p
-        )
-        comps.append(conj)
-    return Morphism(v, u, comps).validate()
+    src_ivs, src_chg = _random_bars(n, max_dim, p, rng)
+    dst_ivs, dst_chg = _random_bars(n, max_dim, p, rng)
+    weights = gf.zeros(len(dst_ivs), len(src_ivs))
+    for si, iv in enumerate(src_ivs):
+        for di, jv in enumerate(dst_ivs):
+            if hom_exists(iv, jv):
+                weights[di, si] = rng.randrange(p)
+    f = morphism_from_bars(n, p, src_ivs, dst_ivs, weights)
+    comps = [gf.matmul(dst[0], gf.matmul(f.comp(t), src[1], p), p)
+             for t, (src, dst) in enumerate(zip(src_chg, dst_chg), start=1)]
+    return Morphism(_hide(f.source, src_chg), _hide(f.target, dst_chg), comps).validate()

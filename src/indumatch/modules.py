@@ -325,15 +325,39 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
     the bars in stable start order, and each B_t is a permutation
     matrix, the identity when the bars come sorted by start.
     """
+    starts, ends = _bar_ends(n, bars)
+    alive = [_alive(starts, ends, t) for t in range(1, n + 1)]
+    maps = [(alive[t][:, None] == alive[t - 1]).astype(np.int64) for t in range(1, n)]
+    return PersistenceModule(p, [len(k) for k in alive], maps)
+
+
+def _bar_ends(n: int, bars) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and ends of bars, each checked to fit the grid {1..n}."""
     bars = list(bars)
     for iv in bars:
         if iv.b > n:
             raise ValueError(f"interval {iv} does not fit grid of length {n}")
-    starts = np.array([iv.a for iv in bars], dtype=np.int64)
-    ends = np.array([iv.b for iv in bars], dtype=np.int64)
-    alive = [_alive(starts, ends, t) for t in range(1, n + 1)]
-    maps = [(alive[t][:, None] == alive[t - 1]).astype(np.int64) for t in range(1, n)]
-    return PersistenceModule(p, [len(k) for k in alive], maps)
+    return (np.array([iv.a for iv in bars], dtype=np.int64),
+            np.array([iv.b for iv in bars], dtype=np.int64))
+
+
+def morphism_from_bars(n: int, p: int, src_bars, tgt_bars, m) -> Morphism:
+    """The morphism between module_from_bars of src_bars and of tgt_bars
+    whose component at t is m on the bars alive at t: m[h, g] is the
+    coefficient of target bar h in the image of source bar g.
+
+    It is natural when every nonzero m[h, g] has hom_exists(g, h).  With
+    the bars in birth order, basis_matrix of the result returns m
+    unchanged, as the sweep takes the standard basis vectors: this is
+    the inverse of basis_matrix.
+    """
+    src_bars, tgt_bars = list(src_bars), list(tgt_bars)
+    m = gf.normalize(m, p)
+    if m.shape != (len(tgt_bars), len(src_bars)):
+        raise ValueError(f"m has shape {m.shape}, not {(len(tgt_bars), len(src_bars))}")
+    bm = BasisMatrix(p, *_bar_ends(n, src_bars), *_bar_ends(n, tgt_bars), m)
+    return Morphism(module_from_bars(n, p, src_bars), module_from_bars(n, p, tgt_bars),
+                    [bm.at(t).m for t in range(1, n + 1)])
 
 
 def zero_module(n: int, p: int) -> PersistenceModule:

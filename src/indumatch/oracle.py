@@ -23,7 +23,8 @@ from .gf import Subspace
 from .bauer_lesnick import bucket_matching, chi
 from .matching import RepMatching, m_matching, representation
 from .modules import (Barcode, GridInterval, Morphism, PersistenceBasis, PersistenceModule,
-                      barcode, basis_matrix, image_module, module_from_bars, persistence_basis)
+                      barcode, basis_matrix, image_module, morphism_from_bars,
+                      persistence_basis)
 
 
 def _composite_rank(m: PersistenceModule, s: int, t: int) -> int:
@@ -233,24 +234,18 @@ def shift_module(m: PersistenceModule, eps: int) -> PersistenceModule:
 
 
 def shift_morphism(f: Morphism, eps: int) -> Morphism:
-    """The morphism induced between the shifted source and target.
-
-    Its two modules are module_from_bars of the rows' and columns' bars
-    of f's shifted M, in birth order, and each component f_t is that
-    matrix's F_t.  On those modules the sweep takes the standard
-    basis vectors in the same order, so the result's own M, built by
+    """The morphism induced between the shifted source and target:
+    morphism_from_bars of the columns' and rows' bars of f's shifted M,
+    in birth order, and of its matrix, so the result's own M, built by
     basis_matrix when a report reads it, is the shifted matrix again.
     The result is isomorphic to the morphism between the shift_module
     images.
     """
     _check_eps(f.n, eps)
-    shifted = basis_matrix(f).shift(eps)
-    n = f.n - eps
-    source = module_from_bars(n, f.p, map(GridInterval, shifted.src_a.tolist(),
-                                          shifted.src_b.tolist()))
-    target = module_from_bars(n, f.p, map(GridInterval, shifted.tgt_a.tolist(),
-                                          shifted.tgt_b.tolist()))
-    return Morphism(source, target, [shifted.at(t).m for t in range(1, n + 1)])
+    s = basis_matrix(f).shift(eps)
+    return morphism_from_bars(f.n - eps, f.p,
+                              map(GridInterval, s.src_a.tolist(), s.src_b.tolist()),
+                              map(GridInterval, s.tgt_a.tolist(), s.tgt_b.tolist()), s.m)
 
 
 def _check_eps(n: int, eps: int):

@@ -31,6 +31,7 @@ from indumatch import (
     shift_module,
     shift_morphism,
 )
+from indumatch.bauer_lesnick import bucket_matching
 from indumatch.matching import RepMatching
 
 from conftest import iv, mat, ref_shift_morphism
@@ -115,6 +116,13 @@ def test_lambda_prefers_longer_bar_born_together():
 def test_lambda_rejects_non_surjective(reference_ladder):
     with pytest.raises(ValueError):
         lambda_(reference_ladder)
+
+
+@pytest.mark.parametrize("by", ["bogus", "Birth", "", None])
+def test_bucket_matching_rejects_an_unknown_endpoint(by):
+    b = barcode(random_ladder(5, 3, 2, 7).source)
+    with pytest.raises(ValueError, match='"birth" or "death"'):
+        bucket_matching(b, b, by)
 
 
 # ---------------------------------------------------------------------------

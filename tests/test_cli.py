@@ -27,6 +27,7 @@ from indumatch import (
     cli,
     from_code,
     gf,
+    ladders,
     matching,
     modules,
     oracle,
@@ -810,8 +811,8 @@ def test_cli_reads_nothing_through_the_image_factorization(
     def builds_a_module(*args, **kwargs):
         raise RuntimeError("the --eps path built a shifted module")
 
-    for owner in (cli, modules, matching):
-        for name in ("module_from_bars", "shift_morphism"):
+    for owner in (indumatch, cli, modules, matching, ladders, oracle):
+        for name in ("module_from_bars", "morphism_from_bars", "shift_morphism"):
             monkeypatch.setattr(owner, name, builds_a_module, raising=False)
     assert [run_cli(capsys, *argv) for argv in argvs] == want
 

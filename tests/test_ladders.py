@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from indumatch import (
+    CATALOG_CODES,
     Barcode,
     GridInterval,
     LadderCode,
+    Morphism,
     PersistenceModule,
     THIN_CODES,
+    ValidationError,
     direct_sum,
     direct_sum_morphism,
     enumerate_catalog,
@@ -22,7 +26,10 @@ from indumatch import (
     m_matching,
     module_from_bars,
     random_ladder,
+    random_module,
 )
+from indumatch.ladders import ZERO_CODE
+from indumatch.serial import dumps_canonical, morphism_to_dict
 
 from conftest import iv, mat
 
@@ -166,3 +173,70 @@ def test_module_from_bars_equals_direct_sum_of_interval_modules():
         for bar in bars:
             acc = direct_sum(acc, _ref_interval_module(n, p, bar))
         assert module_from_bars(n, p, bars) == acc
+
+
+# The generators' output, pinned beyond the golden files (n 6-8, the
+# catalog at GF(2)): the sha256 of the canonical JSON of every draw.
+# After a deliberate change, recompute them from tests/ with
+#   PYTHONPATH=../src python -c "import test_ladders as t; print(t.generator_digests())"
+LADDER_DRAWS = ([(40, 4, p, s) for p in (2, 5) for s in range(3)]
+                + [(1, 3, 7, s) for s in range(10)] + [(5, 0, 2, s) for s in range(5)]
+                + [(6, 4, 3, s) for s in range(20)])
+GENERATOR_DIGESTS = {
+    "random_ladder": "338042afd1561fb487b09c25068431eac72e8af125f1ca07c71b4e3b9b7d8dc9",
+    "random_module": "9a23ab57fdb110899eedd991857ffadc9fea067e9ffaea474e77ef07bb1068de",
+    "catalog_gf5": "4e27a599007458f5a82f441df5d80c14a56b6e1a04ba77cd3966509f68a2e85a",
+}
+
+
+def _sha(morphisms) -> str:
+    h = hashlib.sha256()
+    for f in morphisms:
+        h.update(dumps_canonical(morphism_to_dict(f)).encode("ascii") + b"\0")
+    return h.hexdigest()
+
+
+def generator_digests() -> dict[str, str]:
+    rng = random.Random(31)
+    modules = [random_module(n, d, p, rng) for n, d, p in
+               [(rng.randint(1, 12), rng.randint(0, 4), rng.choice([2, 3, 5]))
+                for _ in range(40)]]
+    return {
+        "random_ladder": _sha(random_ladder(*draw) for draw in LADDER_DRAWS),
+        "random_module": _sha(Morphism.identity(m) for m in modules),
+        "catalog_gf5": _sha(from_code(c, 5) for c in CATALOG_CODES + (ZERO_CODE,)),
+    }
+
+
+def test_generators_match_pinned_digests():
+    assert generator_digests() == GENERATOR_DIGESTS
+
+
+@pytest.mark.parametrize("max_dim", [0, 3])
+def test_random_ladder_on_an_empty_grid_is_rejected(max_dim):
+    with pytest.raises(ValidationError, match="at least one position"):
+        random_ladder(0, max_dim, 2, 1)
+
+
+def test_random_ladder_inverts_each_basis_change_once(monkeypatch):
+    # One solve per drawn matrix decides invertibility and gives the
+    # inverse: one basis change per position and side, 2n in all.
+    inverted = []
+    real_solve = gf.solve
+
+    def solve(a, b, p):
+        x = real_solve(a, b, p)
+        if x is not None:
+            inverted.append(a.shape)
+        return x
+
+    def refused(*args):
+        raise AssertionError("a second inversion or rank test")
+
+    monkeypatch.setattr(gf, "solve", solve)
+    monkeypatch.setattr(gf, "inverse", refused)
+    monkeypatch.setattr(gf, "rank", refused)
+    for n, max_dim, p, seed in [(1, 3, 7, 0), (6, 4, 2, 5), (40, 4, 5, 1)]:
+        inverted.clear()
+        f = random_ladder(n, max_dim, p, seed)
+        assert inverted == [(d, d) for d in f.source.dims + f.target.dims]

@@ -30,6 +30,7 @@ from indumatch import (
     ker_minus,
     ker_plus,
     module_from_bars,
+    morphism_from_bars,
     one_eps_morphism,
     persistence_basis,
     random_ladder,
@@ -717,17 +718,46 @@ def test_shifted_matrix_reports_equal_those_on_the_shifted_modules(f):
     # M is built by the sweep of its modules, independently of the shift.
     for eps in range(f.n):
         bm = basis_matrix(f).shift(eps)
-        swept = basis_matrix(shift_morphism(f, eps))
-        assert swept.p == bm.p
-        for name in ("src_a", "src_b", "tgt_a", "tgt_b", "m"):
-            a, b = getattr(swept, name), getattr(bm, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (eps, name)
+        _assert_same_matrix(basis_matrix(shift_morphism(f, eps)), bm, eps)
         b_src, b_dst = bm.barcodes
         assert b_src == barcode(shift_module(f.source, eps))
         assert b_dst == barcode(shift_module(f.target, eps))
         reports = (m_table(bm), g_table(bm), chi_table(bm))
         for g in (shift_morphism(f, eps), ref_shift_morphism(f, eps)):
             assert reports == (m_matching(g), g_matching(g), chi(g)), (eps, g)
+
+
+def _assert_same_matrix(got: BasisMatrix, want: BasisMatrix, *context):
+    """got equals want field for field, dtypes included."""
+    assert got.p == want.p, context
+    for field in dataclasses.fields(BasisMatrix)[1:]:
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (*context, field.name)
+
+
+def _bars(starts, ends):
+    return [iv(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 9), max_dim=st.integers(0, 5), p=st.sampled_from([2, 3, 5, 7]),
+       seed=st.integers(0, 2**16))
+def test_morphism_from_bars_inverts_basis_matrix(n, max_dim, p, seed):
+    # The contract of morphism_from_bars: on the bars of M's columns and
+    # rows, in birth order, the sweep of its modules reads M back.
+    f = random_ladder(n, max_dim, p, seed)
+    for eps in range(min(3, n)):
+        bm = basis_matrix(f).shift(eps)
+        g = morphism_from_bars(n - eps, p, _bars(bm.src_a, bm.src_b),
+                               _bars(bm.tgt_a, bm.tgt_b), bm.m).validate()
+        _assert_same_matrix(basis_matrix(g), bm, eps)
+
+
+def test_morphism_from_bars_rejects_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(1, 1\), not \(1, 2\)"):
+        morphism_from_bars(3, 2, [iv(1, 2), iv(2, 3)], [iv(1, 3)], [[1]])
+    with pytest.raises(ValueError, match="does not fit"):
+        morphism_from_bars(3, 2, [iv(1, 4)], [], gf.zeros(0, 1))
 
 
 def test_shift_out_of_range(chain_module):
