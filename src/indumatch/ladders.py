@@ -6,8 +6,9 @@ source).  Twenty-seven catalog entries are thin (all dimensions 0/1,
 maps identity where both ends are nonzero): the row intervals [a,b] on
 top and [c,d] below joined whenever a <= c <= b <= d, plus the single-row
 ones, each morphism_from_bars of its 0 or 1 bar per row with weight 1.
-The remaining two carry a 2-dimensional middle space and are
-hard-coded.
+The remaining two carry a 2-dimensional middle space: two bars, [1,2]
+and [2,3], on one row, both sent with weight 1 to or from the one bar of
+the other row.
 """
 
 from __future__ import annotations
@@ -57,10 +58,15 @@ def _thin_codes() -> list[LadderCode]:
 
 
 THIN_CODES: tuple[LadderCode, ...] = tuple(_thin_codes())
-THICK_CODES: tuple[LadderCode, ...] = (
-    LadderCode((1, 2, 1), (0, 1, 1)),
-    LadderCode((1, 1, 0), (1, 2, 1)),
-)
+
+# The source bars, target bars and M of each thick code.
+_THICK_BARS = {
+    LadderCode((1, 2, 1), (0, 1, 1)): ([GridInterval(2, 3)],
+                                       [GridInterval(1, 2), GridInterval(2, 3)], [[1], [1]]),
+    LadderCode((1, 1, 0), (1, 2, 1)): ([GridInterval(1, 2), GridInterval(2, 3)],
+                                       [GridInterval(1, 2)], [[1, 1]]),
+}
+THICK_CODES: tuple[LadderCode, ...] = tuple(_THICK_BARS)
 CATALOG_CODES: tuple[LadderCode, ...] = THIN_CODES + THICK_CODES
 
 
@@ -75,24 +81,12 @@ def _row_bars(bits: tuple[int, int, int]) -> list[GridInterval]:
     return [GridInterval(min(support), max(support))] if support else []
 
 
-def _thick_morphism(code: LadderCode, p: int) -> Morphism:
-    if code == THICK_CODES[0]:
-        source = PersistenceModule(p, (0, 1, 1), [gf.zeros(1, 0), [[1]]])
-        target = PersistenceModule(p, (1, 2, 1), [[[1], [0]], [[0, 1]]])
-        comps = [gf.zeros(1, 0), [[1], [1]], [[1]]]
-    else:
-        source = PersistenceModule(p, (1, 2, 1), [[[1], [0]], [[0, 1]]])
-        target = PersistenceModule(p, (1, 1, 0), [[[1]], gf.zeros(0, 1)])
-        comps = [[[1]], [[1, 1]], gf.zeros(0, 1)]
-    return Morphism(source, target, comps)
-
-
 ZERO_CODE = LadderCode((0, 0, 0), (0, 0, 0))
 
 
 def from_code(code: LadderCode, p: int = 2) -> Morphism:
     if code in THICK_CODES:
-        return _thick_morphism(code, p).validate()
+        return morphism_from_bars(3, p, *_THICK_BARS[code]).validate()
     if code in THIN_CODES or code == ZERO_CODE:
         return _thin_morphism(code, p).validate()
     raise ValueError(f"unknown ladder code {code}")

@@ -12,11 +12,14 @@ counting matching.  Both tables are linear under direct sums of
 morphisms.
 
 f is read off the persistence bases of its two ends as one matrix M
-(see the proof block in modules.py): F_t, f_t between the generators
-alive at t, is a slice of M, and the y spaces are meets and sums of
-column sets of F_t and coordinate subspaces.  The target's structure
-maps are 0/1 selections of those generators, so each dimension of a
-comparison module is the rank count of an entry, on slices of M.  So
+(see the proof block in modules.py): f_t between the generators alive
+at t is M on their rows and columns, so the y spaces at t are meets and
+sums of column sets of M and coordinate subspaces, read on the rows
+alive at t.  Every step reads M itself, masked by its generators' bars,
+in M's one generator index.  The target's structure maps are 0/1
+selections of those generators, so carrying a vector from t to a later
+position keeps its rows still alive there, and each dimension of a
+comparison module is the rank count of an entry, on columns of M.  So
 the tables (m_table, g_table) take M alone, and read the two barcodes
 off its rows and columns: m_matching and g_matching pass f's, and the
 CLI passes f's or that of its shift (BasisMatrix.shift).  Their referee,
@@ -48,7 +51,6 @@ module is the direct sum of theirs, its dims the sums of theirs.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -70,29 +72,34 @@ from .modules import (
 )
 
 
-def _meet(block: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning the part of block's span that is zero off rows."""
-    return gf.matmul(block, gf.null_basis(block[~rows], p), p)
+def _off_plus(bm: BasisMatrix, j: GridInterval, t: int) -> np.ndarray:
+    """The rows alive at t outside tgt_plus(J).  A row not dead by t stands
+    in for one alive at t: a row born after t is zero on every column
+    alive at t, as a nonzero M[h, g] has h.a <= g.a."""
+    return (bm.tgt_b >= t) & ((bm.tgt_a > j.a) | (bm.tgt_b > j.b))
 
 
-def _plus(ft: BasisMatrix, i: GridInterval, j: GridInterval):
-    """The src_plus(I) mask of ft = F_t, its columns P = F_t[:, src_plus],
-    and columns N spanning the null space of P off the tgt_plus(J) rows:
-    y_plus is spanned by P N in the target generators."""
-    src_plus = (ft.src_a <= i.a) & (ft.src_b <= i.b)
-    plus = ft.m[:, src_plus]
-    tgt_plus = (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b)
-    return src_plus, plus, gf.null_basis(plus[~tgt_plus], ft.p)
+def _plus(bm: BasisMatrix, i: GridInterval, j: GridInterval, t: int):
+    """The mask of the src_plus(I) generators alive at t, their columns P
+    of M, and columns N spanning the null space of P on _off_plus: y_plus
+    at t is spanned by P N on the rows alive at t."""
+    cols = (bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)
+    plus = bm.m[:, cols]
+    return cols, plus, gf.null_basis(plus[_off_plus(bm, j, t)], bm.p)
 
 
-def _lower(ft: BasisMatrix, i: GridInterval, j: GridInterval):
-    """Columns spanning y_minus off the v_minus_tgt(J) rows, and those rows."""
-    tgt_plus = (ft.tgt_a <= j.a) & (ft.tgt_b <= j.b)
-    early = _meet(ft.m[:, ft.src_a < i.a], tgt_plus, ft.p)
-    src_minus = ((ft.src_a <= i.a) & (ft.src_b <= i.b)
-                 & ((ft.src_a < i.a) | (ft.src_b < i.b)))
-    tgt_minus = tgt_plus & ((ft.tgt_a < j.a) | (ft.tgt_b < j.b))
-    return np.hstack([ft.m[:, src_minus], early]), tgt_minus
+def _lower(bm: BasisMatrix, i: GridInterval, j: GridInterval, t: int):
+    """Columns of M spanning y_minus at t off the v_minus_tgt(J) rows, and
+    the rows a count at t drops: all but _off_plus and J's own, so for
+    t <= J.b the v_minus_tgt(J) rows and the rows dead by t."""
+    alive = bm.src_b >= t  # every column read here has src_a <= I.a <= t
+    off = _off_plus(bm, j, t)
+    early = bm.m[:, alive & (bm.src_a < i.a)]
+    early = gf.matmul(early, gf.null_basis(early[off], bm.p), bm.p)
+    src_minus = (alive & (bm.src_a <= i.a) & (bm.src_b <= i.b)
+                 & ((bm.src_a < i.a) | (bm.src_b < i.b)))
+    own = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
+    return np.hstack([bm.m[:, src_minus], early]), ~(off | own)
 
 
 def _count(upper: np.ndarray, lower: np.ndarray, rows: np.ndarray, p: int) -> int:
@@ -103,21 +110,10 @@ def _count(upper: np.ndarray, lower: np.ndarray, rows: np.ndarray, p: int) -> in
     return sum(c >= lower.shape[1] for c in pivots)
 
 
-def _carry(cols: np.ndarray, fs: BasisMatrix, s: int, fu: BasisMatrix, u: int):
-    """The composite W(s) -> W(u), s <= u, on cols in the target generators
-    alive at s (fs = F_s, fu = F_u): a generator alive at u keeps its
-    coordinate if it was alive at s, and one born after s gets 0."""
-    if s == u:
-        return cols
-    out = gf.zeros(len(fu.tgt_a), cols.shape[1])
-    out[fu.tgt_a <= s] = cols[fs.tgt_b >= u]
-    return out
-
-
-def _comparison_dims(frame, i: GridInterval, j: GridInterval):
+def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval):
     """The dimensions of the comparison module of (I, J) along the overlap
-    K = I n J, read off the frames frame(t) = F_t: a generator that yields
-    them from t = K.b leftward to K.a, so its first value is the m entry.
+    K = I n J, read off M: a generator that yields them from t = K.b
+    leftward to K.a, so its first value is the m entry.
 
     The module is big_t / small_t with the maps W_t induces, where
     big_t = y_plus(t), small at K.b is big n y_minus(K.b), and walking
@@ -128,13 +124,17 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval):
     = big_t n C_t^-1(y_minus(K.b)), the kernel of big_t -> W(K.b) / y_minus.
     So dims[t] = dim (C_t big_t + y_minus) - dim y_minus at K.b.
 
-    In the target generators, C_t is a 0/1 selection (_carry): the rows of
-    the generators alive at t and at K.b are kept, and rows born after t
-    are 0.  y_minus at K.b is spanned by the columns of _lower and the
-    coordinate vectors of the v_minus_tgt(J) rows, so dims[t] is _count on
-    [lower | C_t upper_t] with those rows dropped, and at K.b, where C_t
-    is the identity, that is the m entry.  lower is built on first need:
-    a zero upper_t counts 0 without it.
+    Every space is a set of columns of M, read on the rows of the target
+    generators alive at its t (_plus, _lower): one generator index, so
+    C_t is row selection.  It keeps the rows alive at t and at K.b, and a
+    row born after t gets 0, which M already is on every column alive at
+    t (a nonzero M[h, g] has h.a <= g.a <= t).  So C_t upper_t is upper_t
+    on the rows not dead by K.b.  y_minus at K.b is spanned by the
+    columns of _lower and the coordinate vectors of the v_minus_tgt(J)
+    rows, and _lower also drops the rows dead by K.b, so dims[t] is
+    _count on [lower | upper_t] with the rows _lower names dropped, and
+    at K.b that is the m entry.  lower is built on first need: an
+    upper_t zero on the rows alive at t counts 0 without it.
 
     Checks, each naming the pair and t (InvariantError), made on the step
     left to t-1 from t, so a consumer that stops after the first value
@@ -146,49 +146,50 @@ def _comparison_dims(frame, i: GridInterval, j: GridInterval):
         map small_t / small_t = 0.  So the module is injective, which is
         what a rank check on its maps would test, exactly when this
         containment holds, and the telescoping above rests on it too.
-      - dims nondecreasing along K, as an injective module's are.
-    The containment is checked with a witness, one product and no
-    solve.  upper_{t-1} = F_{t-1}[:, src_plus] N_{t-1} (_plus); let y be
-    the rows of N_{t-1} of the src_plus generators still alive at t,
-    which are src_plus at t (for t > K.a no generator born at t starts
-    by I.a).  pushed, the carried upper_{t-1}, is zero off tgt_plus, as
-    upper_{t-1} is and tgt_plus does not depend on t, and on the rows
-    born at t.  So if F_t[:, src_plus] y = pushed, then
-    F_t[~tgt_plus, src_plus] y = 0, y lies in the null space N_t spans,
-    and pushed lies in span upper_t.  By M's support the equation holds:
-    a column dying at t-1 is zero on every row alive at t (a nonzero
-    M[h, g] has h.b <= g.b), so only the rows of y reach the rows _carry
-    keeps, where F_t agrees with F_{t-1}; and a row born at t is zero on
-    src_plus (a nonzero M[h, g] has h.a <= g.a <= t - 1).  _check_support
-    enforces that support on every M, so a failing witness means a broken
-    frame, and it raises.
+      - dims nondecreasing along K, as an injective module's are.  Given
+        the containment the carried spans are nested, so this guards
+        _count.
+    The containment is checked with a witness, one product and no solve.
+    upper_{t-1} = P_{t-1} N_{t-1} (_plus); the columns of P_t are those
+    of P_{t-1} still alive at t, so let y be their rows of N_{t-1} and D
+    the rest of P_{t-1}, the columns dying at t-1.  W_{t-1} carries
+    upper_{t-1} to its rows alive at t, those born at t being 0 in it as
+    above.  That carried upper_{t-1} is zero off tgt_plus: upper_{t-1} is
+    zero on _off_plus at t-1, which holds every row alive at t off
+    tgt_plus, since tgt_plus does not depend on t.  So if P_t y equals
+    upper_{t-1} on the rows alive at t, P_t y is zero on _off_plus at t,
+    y lies in the null space N_t spans, and the carried upper_{t-1} lies
+    in span upper_t.  By M's support the equation holds: the two sides
+    differ by D times the other rows of N_{t-1}, and a column dying at
+    t-1 is zero on every row alive at t (a nonzero M[h, g] has
+    h.b <= g.b).  _check_support enforces that support on every M built
+    from a morphism or a shift, so a failing witness means an M off its
+    support, and it raises.
     An injective module zero after K.b has all its bars die at K.b, and
     dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
     """
     ka, kb = max(i.a, j.a), min(i.b, j.b)
-    fk = frame(kb)
     lower = None  # _lower at K.b, built on first need
-    fl = plus_l = d_l = None  # F_{t+1}, F_{t+1}[:, src_plus] and dims[t+1]
+    plus_l = d_l = None  # P_{t+1} and dims[t+1]
     for t in range(kb, ka - 1, -1):
-        ft = frame(t)
-        src_plus, plus, null = _plus(ft, i, j)
-        upper = gf.matmul(plus, null, ft.p)
+        cols, plus, null = _plus(bm, i, j, t)
+        upper = gf.matmul(plus, null, bm.p)
         d = 0
-        if upper.any():
-            if fl is not None:
-                y = null[ft.src_b[src_plus] > t]  # the witness
-                if not np.array_equal(gf.matmul(plus_l, y, ft.p),
-                                      _carry(upper, ft, t, fl, t + 1)):
+        if upper[bm.tgt_b >= t].any():
+            if plus_l is not None:
+                y = null[bm.src_b[cols] > t]  # the witness
+                later = bm.tgt_b > t  # the rows alive at t+1
+                if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
                     raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
                                          f" t={t} out of y_plus at t={t + 1}")
             if lower is None:
-                lower = _lower(fk, i, j)
-            d = _count(_carry(upper, ft, t, fk, kb), *lower, ft.p)
-        if fl is not None and d > d_l:
+                lower = _lower(bm, i, j, kb)
+            d = _count(upper, *lower, bm.p)
+        if plus_l is not None and d > d_l:
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
                                  f" {d} to {d_l} at t={t + 1}")
         yield d
-        fl, plus_l, d_l = ft, plus, d
+        plus_l, d_l = plus, d
 
 
 def _overlap_bars(k: GridInterval, dims: list[int]) -> Barcode:
@@ -212,7 +213,7 @@ def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
     support = i.intersect(j)
     if support is None:
         return XModule(None, zero_module(f.n, f.p))
-    bars = _overlap_bars(support, list(_comparison_dims(basis_matrix(f).at, i, j)))
+    bars = _overlap_bars(support, list(_comparison_dims(basis_matrix(f), i, j)))
     return XModule(support, module_from_bars(f.n, f.p, [iv for iv, _ in bars.rep()]))
 
 
@@ -280,17 +281,16 @@ def _bars(starts: np.ndarray, ends: np.ndarray) -> list[GridInterval]:
 
 def _walks(bm: BasisMatrix):
     """(I, J, walk) for the hom_exists pairs of each block of bm, walk the
-    _comparison_dims of the block's part of the pair, off its frames.
+    _comparison_dims of the block's part of the pair.
 
     A hom pair overlaps and J ends first, so each walk starts at J.b.
     """
     for block in bm.blocks():
-        frame = functools.cache(block.at)
         targets = _bars(block.tgt_a, block.tgt_b)
         for i in _bars(block.src_a, block.src_b):
             for j in targets:
                 if hom_exists(i, j):
-                    yield i, j, _comparison_dims(frame, i, j)
+                    yield i, j, _comparison_dims(block, i, j)
 
 
 def m_matching(f: Morphism) -> MMatchingTable:

@@ -346,7 +346,8 @@ def morphism_from_bars(n: int, p: int, src_bars, tgt_bars, m) -> Morphism:
     whose component at t is m on the bars alive at t: m[h, g] is the
     coefficient of target bar h in the image of source bar g.
 
-    It is natural when every nonzero m[h, g] has hom_exists(g, h).  With
+    It is natural exactly when every nonzero m[h, g] has hom_exists(g, h),
+    and an m with a nonzero entry elsewhere is refused (ValueError).  With
     the bars in birth order, basis_matrix of the result returns m
     unchanged, as the sweep takes the standard basis vectors: this is
     the inverse of basis_matrix.
@@ -355,7 +356,8 @@ def morphism_from_bars(n: int, p: int, src_bars, tgt_bars, m) -> Morphism:
     m = gf.normalize(m, p)
     if m.shape != (len(tgt_bars), len(src_bars)):
         raise ValueError(f"m has shape {m.shape}, not {(len(tgt_bars), len(src_bars))}")
-    bm = BasisMatrix(p, *_bar_ends(n, src_bars), *_bar_ends(n, tgt_bars), m)
+    bm = _check_support(BasisMatrix(p, *_bar_ends(n, src_bars), *_bar_ends(n, tgt_bars), m),
+                        ValueError)
     return Morphism(module_from_bars(n, p, src_bars), module_from_bars(n, p, tgt_bars),
                     [bm.at(t).m for t in range(1, n + 1)])
 
@@ -556,8 +558,9 @@ def _interval_barcode(starts: np.ndarray, ends: np.ndarray) -> Barcode:
     return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
 
 
-def _check_support(bm: BasisMatrix) -> BasisMatrix:
-    """bm, once every nonzero entry is known to sit on a hom_exists pair."""
+def _check_support(bm: BasisMatrix, error=InvariantError) -> BasisMatrix:
+    """bm, once every nonzero entry is known to sit on a hom_exists pair;
+    error is raised otherwise: ValueError for an M a caller gave."""
     hom = ((bm.tgt_a[:, None] <= bm.src_a) & (bm.src_a <= bm.tgt_b[:, None])
            & (bm.tgt_b[:, None] <= bm.src_b))
     bad = np.argwhere((bm.m != 0) & ~hom)
@@ -565,7 +568,7 @@ def _check_support(bm: BasisMatrix) -> BasisMatrix:
         h, g = (int(x) for x in bad[0])
         src = GridInterval(int(bm.src_a[g]), int(bm.src_b[g]))
         tgt = GridInterval(int(bm.tgt_a[h]), int(bm.tgt_b[h]))
-        raise InvariantError(
+        raise error(
             f"f at t={src.a} sends source generator {src} onto target generator"
             f" {tgt} with coefficient {bm.m[h, g]}, but no nonzero map {src} -> {tgt}"
             " exists")

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import inspect
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -792,7 +792,8 @@ def test_cli_reads_nothing_through_the_image_factorization(
              for argv in (["barcode", path], ["match", path, "--method", "chi"],
                           ["match", path, "--method", "m"], ["match", path, "--method", "g"],
                           ["match", path, "--method", "m", "--eps", "1"],
-                          ["match", path, "--method", "g", "--eps", "1"])]
+                          ["match", path, "--method", "g", "--eps", "1"],
+                          ["match", path, "--method", "chi", "--eps", "1"])]
     want = [run_cli(capsys, *argv) for argv in argvs]
 
     def referee_only(*args, **kwargs):
@@ -824,6 +825,14 @@ def test_cli_reads_nothing_through_the_image_factorization(
     for owner in (indumatch, cli, modules, matching, bauer_lesnick):
         for name in ("barcode", "image_barcode", "m_matching", "g_matching", "chi"):
             monkeypatch.setattr(owner, name, reads_f, raising=False)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+
+    # The tables walk M itself, in its one generator index: no report
+    # slices a per-position F_t out of it.
+    def slices_f_t(*args, **kwargs):
+        raise RuntimeError("a report sliced F_t out of M")
+
+    monkeypatch.setattr(modules.BasisMatrix, "at", slices_f_t)
     assert [run_cli(capsys, *argv) for argv in argvs] == want
 
     # Each command builds f's M once and hands it, shifted when eps > 0,
@@ -948,34 +957,31 @@ def pair_file(tmp_path):
     return str(path)
 
 
-_real_at = modules.BasisMatrix.at
+def _count_grows_leftward():
+    """A fresh matching._count that counts one more at each call: the walk
+    of ([2,3], [1,3]), the pair file's first hom pair, counts 1 at t = 3
+    and then 2 at t = 2."""
+    calls = itertools.count(1)
+    return lambda *args: next(calls)
 
 
-def _born_early_at_2(bm, t):
-    """F_t, but at t = 2 every target generator claims to be born at 1: the
-    [2,3] row joins the J = [1,3] part of F_2 and not of F_3, so the
-    comparison module of ([2,3], [1,3]) is 2 at t = 2 and 1 at t = 3,
-    though each step's witness holds."""
-    ft = _real_at(bm, t)
-    return dataclasses.replace(ft, tgt_a=np.ones_like(ft.tgt_a)) if t == 2 else ft
-
-
-@pytest.mark.parametrize("file, owner, attr, fake, argv, message", [
-    pytest.param("pair_file", modules.BasisMatrix, "at", _born_early_at_2,
+@pytest.mark.parametrize("file, owner, attr, make_fake, argv, message", [
+    pytest.param("pair_file", matching, "_count", _count_grows_leftward,
                  ["match", "--method", "g"],
                  "comparison module of ([2,3],[1,3]) shrinks from 2 to 1 at t=3",
-                 id="BasisMatrix.at-born-early"),
-    pytest.param("ref_file", matching, "_comparison_dims", lambda *args: iter([5]),
+                 id="_count-grows-leftward"),
+    pytest.param("ref_file", matching, "_comparison_dims", lambda: lambda *args: iter([5]),
                  ["match", "--method", "m"], "row sum 5 exceeds multiplicity of [2,2]",
                  id="_comparison_dims-yields-5"),
     pytest.param("ref_file", modules.BasisMatrix, "barcodes",
-                 property(lambda bm: (modules.Barcode(),) * 2), ["match", "--method", "g"],
+                 lambda: property(lambda bm: (modules.Barcode(),) * 2),
+                 ["match", "--method", "g"],
                  "row sum 1 exceeds multiplicity of [2,2]", id="BasisMatrix.barcodes-empty"),
 ])
 def test_internal_invariant_failure_exits_6(request, capsys, monkeypatch,
-                                            file, owner, attr, fake, argv, message):
+                                            file, owner, attr, make_fake, argv, message):
     path = request.getfixturevalue(file)
-    monkeypatch.setattr(owner, attr, fake)
+    monkeypatch.setattr(owner, attr, make_fake())
     code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
     assert code == 6
     assert out == ""

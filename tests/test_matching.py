@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import functools
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ from indumatch import (
 from indumatch.gf import Subspace
 from indumatch import matching
 from indumatch.matching import GMatchingTable, MMatchingTable
-from indumatch.modules import InvariantError, basis_matrix
+from indumatch.modules import BasisMatrix, InvariantError, basis_matrix
 from indumatch.oracle import pushed, sum_subspaces
 
 import quotients
@@ -99,17 +99,19 @@ def test_y_spaces_zero_off_overlap(wide_ladder):
 
 # Referee: the y spaces as pushed subspaces (oracle.y_plus, oracle.y_minus),
 # f_t of the source operators met and summed with the target's in W(t),
-# against the columns matching._plus and matching._lower read off F_t,
+# against the columns matching._plus and matching._lower read off M at t,
 # mapped back to W(t) through the target generators alive at t.
 
 
 def lib_y_spaces(f, i, j, t):
-    ft, b = basis_matrix(f).at(t), persistence_basis(f.target).vectors[t - 1]
-    _, plus, null = matching._plus(ft, i, j)
-    lower, rows = matching._lower(ft, i, j)
-    upper = gf.matmul(b, gf.matmul(plus, null, f.p), f.p)
+    bm, b = basis_matrix(f), persistence_basis(f.target).vectors[t - 1]
+    alive = (bm.tgt_a <= t) & (bm.tgt_b >= t)
+    _, plus, null = matching._plus(bm, i, j, t)
+    lower, rows = matching._lower(bm, i, j, t)
+    upper = gf.matmul(b, gf.matmul(plus, null, f.p)[alive], f.p)
+    lower = gf.matmul(b, lower[alive], f.p)
     return (Subspace.image(upper, f.p),
-            Subspace.image(np.hstack([gf.matmul(b, lower, f.p), b[:, rows]]), f.p))
+            Subspace.image(np.hstack([lower, b[:, rows[alive]]]), f.p))
 
 
 def assert_y_spaces_match_referee(f):
@@ -123,7 +125,7 @@ def assert_y_spaces_match_referee(f):
                 assert lib_y_spaces(f, i, j, t) == (yp, ym), (i, j, t)
             # t is now the shared death, where the entry is counted.
             count = sum_subspaces(ym, yp).dim - ym.dim
-            walk = matching._comparison_dims(basis_matrix(f).at, i, j)
+            walk = matching._comparison_dims(basis_matrix(f), i, j)
             assert next(walk) == count, ("count", i, j)
 
 
@@ -190,22 +192,38 @@ def test_x_module_dims_nondecreasing_on_support():
                 assert dims == sorted(dims)
 
 
+def test_witness_trips_on_an_m_off_its_support():
+    # Source [1,1], [1,2], [2,2] and target [1,2], [2,2] over GF(2); M[0, 0]
+    # sends [1,1] onto [1,2], which no natural map does.  Along K = [1,2]
+    # of ([1,2], [1,2]) the walk reads column [1,1] at t = 1 only, and its
+    # image does not die with it, so y_plus at 1 is not carried into y_plus
+    # at 2.
+    bm = BasisMatrix(2, np.array([1, 1, 2]), np.array([1, 2, 2]), np.array([1, 2]),
+                     np.array([2, 2]), mat([[1, 1, 1], [0, 0, 1]]))
+    with pytest.raises(InvariantError, match=r"^W_1 carries y_plus of \(\[1,2\],\[1,2\]\)"
+                                             r" at t=1 out of y_plus at t=2$"):
+        matching.g_table(bm)
+
+
 # Referee: the comparison module by the subspace walk in W(t), against its
-# dims read off M.  A frame with M zeroed at the shared death K.b drops
-# y_plus there, so whatever the module holds at K.b - 1 must trip the
-# containment check at K.b.
+# dims read off M.  A walk that reads M as zero at the shared death K.b
+# drops y_plus there, so whatever the module holds at K.b - 1 must trip
+# the containment check at K.b.
 
 
-def _zeroed_at(frame, t0):
-    def broken(t):
-        ft = frame(t)
-        return dataclasses.replace(ft, m=np.zeros_like(ft.m)) if t == t0 else ft
+def _zeroed_at(t0):
+    """matching._plus, reading M as zero at t0."""
+    plus = matching._plus
+
+    def broken(bm, i, j, t):
+        return plus(dataclasses.replace(bm, m=np.zeros_like(bm.m)) if t == t0 else bm,
+                    i, j, t)
     return broken
 
 
 def assert_comparison_modules_match_referee(f):
     table = g_matching(f)
-    frame = basis_matrix(f).at
+    bm = basis_matrix(f)
     for i in barcode(f.source).intervals():
         for j in barcode(f.target).intervals():
             k = i.intersect(j)
@@ -215,9 +233,10 @@ def assert_comparison_modules_match_referee(f):
             assert x_module(f, i, j).module.dims == ref.module.dims, ("dims", i, j)
             assert table.get(i, j) == barcode(ref.module), ("g", i, j)
             if k.a < k.b and ref.module.dim(k.b - 1):
-                with pytest.raises(InvariantError,
-                                   match=rf"t={k.b - 1} out of y_plus at t={k.b}$"):
-                    list(matching._comparison_dims(_zeroed_at(frame, k.b), i, j))
+                with mock.patch.object(matching, "_plus", _zeroed_at(k.b)), \
+                        pytest.raises(InvariantError,
+                                      match=rf"t={k.b - 1} out of y_plus at t={k.b}$"):
+                    list(matching._comparison_dims(bm, i, j))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -318,7 +337,7 @@ def full_scan_counts(f):
             yp = y_plus(f, i, j, k.b)
             ym = y_minus(f, i, j, k.b)
             c = yp.dim - gf.intersect(ym, yp).dim
-            assert next(matching._comparison_dims(basis_matrix(f).at, i, j)) == c
+            assert next(matching._comparison_dims(basis_matrix(f), i, j)) == c
             if not hom_exists(i, j):
                 assert c == 0, (i, j)
             if c:
@@ -352,10 +371,9 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
     visited = {}  # id of a block -> the block and the pairs it walked
     walk = matching._comparison_dims
 
-    def counting(frame, i, j):
-        block = frame.__wrapped__.__self__  # frame is the cached block.at
+    def counting(block, i, j):
         visited.setdefault(id(block), (block, []))[1].append((i, j))
-        return walk(frame, i, j)
+        return walk(block, i, j)
 
     monkeypatch.setattr(matching, "_comparison_dims", counting)
     m_matching(f)
@@ -371,7 +389,7 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
 
 
 def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
-    # A walk reads F_t once per step (_plus), from K.b leftward.  m stops
+    # A walk reads M at t once per step (_plus), from K.b leftward.  m stops
     # after the first step of each hom pair; g walks on along K, |K| - 1
     # steps more, only where that first value is nonzero.
     f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
@@ -410,15 +428,14 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
 
 def unsplit_tables(f):
     bm = basis_matrix(f)
-    frame = functools.cache(bm.at)
     m, g = {}, {}
     for i in barcode(f.source).intervals():
         for j in barcode(f.target).intervals():
             if not hom_exists(i, j):
                 continue
-            count = next(matching._comparison_dims(frame, i, j))
+            count = next(matching._comparison_dims(bm, i, j))
             if count:
-                dims = list(matching._comparison_dims(frame, i, j))
+                dims = list(matching._comparison_dims(bm, i, j))
                 assert dims[0] == count, (i, j)
                 m[(i, j)] = count
                 g[(i, j)] = matching._overlap_bars(i.intersect(j), dims)

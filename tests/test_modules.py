@@ -760,6 +760,14 @@ def test_morphism_from_bars_rejects_a_matrix_of_the_wrong_shape():
         morphism_from_bars(3, 2, [iv(1, 4)], [], gf.zeros(0, 1))
 
 
+def test_morphism_from_bars_rejects_an_entry_off_the_hom_support():
+    # [1,3] outlives [1,2], so no nonzero map [1,2] -> [1,3] exists and the
+    # morphism would not be natural: a caller's mistake, named as such.
+    with pytest.raises(ValueError, match=r"source generator \[1,2\] onto target"
+                                         r" generator \[1,3\] with coefficient 1"):
+        morphism_from_bars(3, 2, [iv(1, 2)], [iv(1, 3)], [[1]])
+
+
 def test_shift_out_of_range(chain_module):
     with pytest.raises(ValueError):
         shift_module(chain_module, 3)
