@@ -32,13 +32,18 @@ MAX_DIM = 256
 # dim W(t).  MAX_DIM bounds the work per position, not per file: without
 # this bound the cost grows linearly in n (about 0.5 ms per input byte,
 # so a file of a few hundred KB runs for minutes).  At the bound, the
-# slowest input measured is a dense natural morphism: n = 8, dims 255 on
-# both sides, the same dense seeded GF(2) map A at every step of both
-# modules, and f_t = A or A + A^2.  On a 2-core x86 VM, barcode and
-# match chi take 1.1-1.2 s on it, match m 1.2 s and match g 2.4-3.4 s.  A
-# target with n = 16, dims 255 and dense seeded GF(2) structure maps over
-# an empty source takes 0.6-0.8 s for barcode; match g on n = 1365 with
-# dims 1 on both sides and 1,365 nonzero entries takes 0.4 s.
+# slowest input measured is a bar-pair morphism (bar_pair_morphism in
+# tests/conftest.py): random bars of a few lengths on both sides and a
+# random coefficient on every hom pair, so M is one block and the tables
+# walk every hom pair of it with three rrefs each.  Single CLI runs on a
+# shared 2-core x86 VM, GF(2): n = 16, 250 bars a side, lengths 5-10
+# (work 3,836, an 8.3 MB file) takes 39 s for match m, 46 s for match g,
+# 0.6 s for match chi and 0.8 s for barcode; n = 32, 110 bars, lengths
+# 9-18 (work 2,960) takes 7.6 s for match m, 8.4 s for match g and
+# 0.4 s for barcode.  The dense natural morphism (n = 8, dims 255 on both
+# sides, the same dense seeded GF(2) map A at every step of both modules,
+# f_t = A + A^2) takes 1.5 s for barcode, 1.3 s for match chi, 1.8 s for
+# match m and 2.9 s for match g.
 MAX_WORK = 4096
 
 

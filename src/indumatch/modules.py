@@ -5,17 +5,21 @@ structure matrices V(t) -> V(t+1); a morphism is a grid of component
 matrices making every square commute.  All grid positions in the public
 API are 1-based, matching the usual way these diagrams are written.
 
-It reads the barcode off the persistence basis, the only thing a
-module caches: its generators' bars in birth order and, per grid
-position t, one matrix B_t of the vectors of those alive at t.  A
-morphism f is read off the persistence bases of its two ends as one
-matrix M, a BasisMatrix, the only thing a morphism caches and what
-every report takes.  Each has one producer:
-the sweep builds every basis, and basis_matrix every M, inside the
-sweep of f's target.  M carries the bars of its rows and columns, the
-target and source barcodes (M.barcodes, built once per M), so the image
-barcode is read off M alone (M.image_barcode()), and the shift functor
-is one operation on M (M.shift(eps)) that builds no module.  The
+It reads the barcode off one left-to-right sweep (_sweep), which keeps
+only the current basis matrix B_t, of the vectors at t of the
+generators alive at t, and records what the bars need: their births
+and deaths, the rows of each newborn unit vector, and per death the
+older survivors added to the dying generators.  A morphism f is read
+off the persistence bases of its two ends as one matrix M, a
+BasisMatrix, the only thing a morphism caches and what every report
+takes.  basis_matrix builds every M from the records of the sweeps of
+f's two ends, and no command builds a basis: persistence_basis, which
+referees alone read, replays a sweep's record into B_1, ..., B_n and is
+the only thing a module caches.  M carries the bars of its rows and
+columns, the target and source barcodes (M.barcodes, built once per
+M), so the image barcode is read off M alone (M.image_barcode()), and
+the shift functor is one operation on M (M.shift(eps)) that builds no
+module.  The
 image factorization and the composite maps are referees that no command
 runs; the other referees, the interval operators and the shifted
 modules among them, are in oracle.py.
@@ -23,7 +27,6 @@ modules among them, are in oracle.py.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -319,8 +322,8 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
 
     V(t) has one coordinate per bar alive at t, in the order given, and
     the structure map V(t) -> V(t+1) keeps the bars that survive and
-    drops the rest, a 0/1 selection.  No basis is cached: the sweep
-    builds one when it is read.  Every image of a standard basis vector
+    drops the rest, a 0/1 selection.  No basis is cached: persistence_basis
+    replays one when a referee reads it.  Every image of a standard basis vector
     is another one or 0, so the sweep takes the standard basis vectors,
     the bars in stable start order, and each B_t is a permutation
     matrix, the identity when the bars come sorted by start.
@@ -410,20 +413,40 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
 # be read at t = g.a.  A nonzero M[h, g] is a nonzero map from g's interval
 # module to h's, so hom_exists(g.interval, h.interval) holds.
 #
-# M is built inside the target's sweep, which fixes each B_t only at the
-# end: a death at a later step rewrites the dying generators' vectors over
-# their whole past.  Such a rewrite is B_s -> B_s (I + C) at every s it
-# touches, where column j of C holds the older survivors added to dying
-# generator j (they are alive over j's whole past), restricted at each s
-# to the generators alive there; C^2 = 0, as its rows are survivors and
-# its columns dying generators.  As
-# f_s S_s = B_s F_s = B_s (I + C)(I - C) F_s, the coordinates become
-# F_s -> (I - C) F_s: one row operation on M, M[older] -= C M[dying],
-# which leaves the columns read before the dying generator's birth alone,
-# since its row is zero there.  The source basis is finished before the
-# target's sweep starts, so no column operation is ever needed, and as
-# coordinates in a basis are unique, M is the same matrix as solving
-# f_{g.a} g = B_{g.a} x for every g against the final target basis.
+# M is built from the records of the two sweeps, which keep no past B_s.
+# A sweep fixes each basis only at the end: a generator j that dies at t
+# with a nonzero image gets the older survivors k, sum_k C[k, j] k, added
+# to its vector at every s in [j.a, t] (they are alive over that range),
+# and the sweep records C instead of rewriting that past.  Until its own
+# death, a generator's vector is its raw one: the unit vector it was born
+# as, pushed forward.  Such a rewrite is B_s -> B_s (I + C) at every s it
+# touches, restricted at each s to the generators alive there; C^2 = 0,
+# as its rows are survivors and its columns dying generators.
+#   - A target death.  The images of f ride along the target's sweep.  As
+#     f_s S_s = B_s F_s = B_s (I + C)(I - C) F_s, the coordinates become
+#     F_s -> (I - C) F_s: one row operation on M, M[older] -= C M[dying],
+#     which leaves the columns read before the dying generator's birth
+#     alone, since its row is zero there.
+#   - A source death.  The raw vector of a generator j born at s is a unit
+#     vector e_i of V(s), so its image is column i of f_s, with no product:
+#     M's columns start as the coordinates of those raw images.  j's
+#     corrected vector at j.a is e_i + sum_k C[k, j] v_k(j.a), v_k(j.a) the
+#     raw vector of k at j.a.  While k lives, column k of M holds the
+#     coordinates of f_{k.a} v_k(k.a), and by the first paragraph
+#     f_{j.a} v_k(j.a) has the coordinates F_{j.a}[:, k]: M[h, k] on the
+#     rows h alive at j.a, which are the rows with h.b >= j.a, as a row
+#     born after j.a is zero there (a nonzero M[h, k] has h.a <= k.a <= j.a).
+#     So the death is one column operation on M:
+#       M[:, j] += sum_k C[k, j] M[h.b >= j.a, k].
+#     These run in death order: k survives j's death, so column k is then
+#     still k's own raw column, and a later death touches only its own
+#     column.
+#   - The row operations are a change of the target basis and the column
+#     operations one of the source basis, so they commute, and the column
+#     operations run after the target's sweep.
+# As coordinates in a basis are unique, M is the same matrix as solving
+# f_{g.a} g = B_{g.a} x for every g against the final bases, the ones
+# persistence_basis replays.
 
 
 @dataclass(frozen=True)
@@ -530,12 +553,14 @@ class BasisMatrix:
         p = self.p
         order = np.argsort(self.tgt_b, kind="stable")
         death = self.tgt_b[order].tolist()
-        birth = self.src_a.tolist()
-        # Row g of work is column g of M, its entries ordered by death.
-        work = self.m.T.take(order, 1)
+        cols = self.m.any(0).nonzero()[0]
+        birth = self.src_a[cols].tolist()
+        # Row g of work is the g-th nonzero column of M, its entries ordered
+        # by death; the zero columns are never copied.
+        work = self.m.T.take(cols, 0).take(order, 1)
         owner: dict[int, int] = {}  # lowest row -> the reduced column it ends
         bars: Counter = Counter()
-        for g in work.any(1).nonzero()[0].tolist():
+        for g in range(len(cols)):
             col = work[g]
             nz = col.nonzero()[0]
             while nz.size:
@@ -576,29 +601,30 @@ def _check_support(bm: BasisMatrix, error=InvariantError) -> BasisMatrix:
 
 
 def basis_matrix(f: Morphism) -> BasisMatrix:
-    """f's M, cached on f, built by the target's own sweep.
+    """f's M, cached on f, built from one sweep of each end and no basis.
 
-    The source basis comes first.  In birth order the generators born at
-    s are the last columns of its B_s, and f_s of them are the images
-    that ride along the target's sweep (_sweep): each column of M is
-    read at its generator's birth, in the target basis as the sweep
-    leaves it, with no solve.  The target's basis is cached on it, unless
-    persistence_basis cached one first; that one is the same, as the
-    sweep builds every basis and carrying the images changes none of
-    its steps.
+    The source is swept first.  A generator born at s starts as the unit
+    vector of a newborn row i of V(s), so column i of f_s is its raw
+    image; those columns ride along the target's sweep (_sweep), which
+    reads each column of M at its generator's birth in the target basis
+    as the sweep leaves it, with no solve and no product.  Then each
+    source death, in death order, is one column operation on M (the
+    proof is in the block above BasisMatrix).  Neither module's basis
+    is built or cached.
     """
     if f._matrix is None:
         p = f.p
-        alpha = persistence_basis(f.source)
-        born = np.bincount(alpha.starts, minlength=f.n + 1)[1:].tolist()
-        images = [gf.matmul(f.comp(s), alpha.vectors[s - 1][:, -k:], p) if k
-                  else gf.zeros(f.target.dims[s - 1], 0)
-                  for s, k in enumerate(born, start=1)]
-        beta, m = _sweep(f.target, images)
-        if f.target._basis is None:
-            f.target._basis = beta
-        f._matrix = _check_support(BasisMatrix(p, alpha.starts, alpha.ends,
-                                               beta.starts, beta.ends, m))
+        src = _sweep(f.source)
+        images = [f.comp(s)[:, rows] for s, rows in enumerate(src.newborn, start=1)]
+        tgt = _sweep(f.target, images)
+        m = tgt.coords
+        for dying, alive, c in src.deaths:
+            # M[:, j] += sum_k C[k, j] M[:, k], on the rows alive at j's birth.
+            added = np.where(tgt.ends[:, None] >= src.starts[dying],
+                             gf.matmul(m[:, alive], c, p), 0)
+            m[:, dying] = (m[:, dying] + added) % p
+        f._matrix = _check_support(BasisMatrix(p, src.starts, src.ends,
+                                               tgt.starts, tgt.ends, m))
     return f._matrix
 
 
@@ -710,23 +736,65 @@ def _reduce_images(x: np.ndarray, y: np.ndarray, eye: np.ndarray,
 
 
 def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
-    """Explicit interval decomposition by a left-to-right sweep, cached on
-    the module, read-only like the structure maps.
+    """A persistence basis of m, replayed from the record of its one sweep
+    (_sweep), cached on the module, read-only like the structure maps.
 
-    The sweep is _sweep, the one producer of a basis, whose docstring
-    sets out its steps and why they are exact.  basis_matrix runs the
-    same sweep on a morphism's target with the images of f riding along;
-    they change none of its steps, so a target's basis is the same
-    whichever of the two builds it.
+    Only referees read it: barcode and basis_matrix take the sweep's
+    record itself.  The replay runs no reduction.  B_1 is the identity,
+    and B_{t+1} is V_t of the survivors' columns of B_t, then the unit
+    vectors of the newborn rows of V(t+1): every generator's raw vectors.
+    Then each recorded death, in death order, adds the older survivors
+    to the dying generators' vectors over their whole past, B_s ->
+    B_s (I + C); a survivor is rewritten only at its own later death, so
+    it is still raw when it is added.
     """
     if m._basis is None:
-        m._basis = _sweep(m)[0]
+        p = m.p
+        sweep = _sweep(m)
+        starts, ends = sweep.starts, sweep.ends
+        eye = gf.identity(max(m.dims))
+        alive = [_alive(starts, ends, t) for t in range(1, m.n + 1)]
+        cols = [eye[: m.dims[0], : m.dims[0]].copy()]
+        for t in range(1, m.n):
+            kept = cols[-1][:, ends[alive[t - 1]] > t]
+            cols.append(np.concatenate((gf.matmul(m.map(t), kept, p),
+                                        eye[: m.dims[t], sweep.newborn[t]]), axis=1))
+        for dying, at_death, c in sweep.deaths:
+            for s in range(int(starts[dying[0]]), int(ends[dying[0]]) + 1):
+                # C's rows and columns born by s, and where B_s holds them.
+                rows, cols_s = starts[at_death] <= s, starts[dying] <= s
+                b, place = cols[s - 1], alive[s - 1]
+                j = np.searchsorted(place, dying[cols_s])
+                b[:, j] = (b[:, j] + b[:, np.searchsorted(place, at_death[rows])]
+                           @ c[rows][:, cols_s]) % p
+        m._basis = PersistenceBasis(starts, ends, tuple(cols))
     return m._basis
 
 
-def _sweep(m: PersistenceModule,
-           images: list[np.ndarray] | None = None) -> tuple[PersistenceBasis, np.ndarray]:
-    """A persistence basis of m, and the coordinates of images in it.
+@dataclass(frozen=True)
+class _Sweep:
+    """What one sweep of a module records, with no basis.
+
+    The generators have the bars [starts[k], ends[k]], in birth order;
+    newborn[t - 1] lists the rows of V(t) whose unit vectors are born at
+    t, in birth order.  deaths holds, per step that kills a generator
+    with a nonzero image, in order, (dying, alive, C): the dying
+    generators' numbers, those of all generators alive at that step, and
+    the matrix C whose column for dying generator j holds the older
+    survivors added to j, on the rows of alive.  coords is None, or the
+    coordinates of the images the sweep carried, one row per generator.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    newborn: list[list[int]]
+    deaths: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    coords: np.ndarray | None
+
+
+def _sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Sweep:
+    """One left-to-right reduction of m that keeps only the current B_t,
+    and the coordinates of images in the persistence basis it records.
 
     The vectors at t of the generators alive at t, oldest first, are the
     columns of one matrix B_t.  The step from V(t) to V(t+1):
@@ -734,11 +802,12 @@ def _sweep(m: PersistenceModule,
       2. A copy of X is reduced oldest first (_reduce_images), each
          reduced column kept as a combination comb of the raw ones.
       3. A survivor, a column that keeps a lead, takes its raw image as
-         its vector at t+1; its past is never touched.
-      4. A column that reduces to 0 dies at t.  Its vectors in B_s for
-         s in [birth, t] are corrected once, by its comb over the older
-         survivors, which are alive over that range; its vector at t
-         then maps to 0.
+         its vector at t+1.
+      4. A column that reduces to 0 dies at t.  Adding to it, at every s
+         in [birth, t], its comb over the older survivors, which are
+         alive over that range, makes its vector at t map to 0.  That
+         comb less its diagonal is recorded as the death's C; no past
+         B_s is kept or rewritten.
       5. The newborns at t+1 are the unit vectors e_i of the rows i that
          no reduced survivor leads.  They need no reduction.
     Why this is exact:
@@ -748,94 +817,85 @@ def _sweep(m: PersistenceModule,
         unitriangular change, so the raw survivors and the e_i are a
         basis of V(t+1) too.  A death adds older generators alive at
         every s in [birth, t] to the dying one, also unitriangular, so
-        every B_s stays a basis.
+        every B_s of the corrected basis (persistence_basis) is a basis.
       - A column dies exactly when its image lies in the span of the
         older images.  This is the elder rule, so the barcode is the
         module's own; the basis, and so M, depends on the sweep, but
         every table and chi are basis-invariant.
-    The generators are numbered as they are born, survivors keep their order
-    and newborns come last, so each B_t is already in birth order and is
-    kept as built: the basis is the births, the deaths and the B_t.
-    After the sweep the generators alive at each t must number dim V(t);
+    The generators are numbered as they are born, survivors keep their
+    order and newborns come last, so each B_t is in birth order.  After
+    the sweep the generators alive at each t must number dim V(t);
     InvariantError names the first t where they do not.
 
     images, if given, holds per position t a matrix whose columns are
-    vectors of V(t); the second result has their coordinates in the final
-    basis, one row per generator in birth order and one column per image
-    column, positions in order (else it is None).  They ride along:
+    vectors of V(t); coords has their coordinates in the corrected basis,
+    one row per generator in birth order and one column per image
+    column, positions in order.  They ride along:
       - At t = 1, B_1 is the identity, so the coordinates are the images.
       - The images at t+1 are reduced against the survivors' leads in
         step 2 (they never lead), so each is a combination of the raw
         survivors plus a residual on the unled rows: the coordinates on
         the raw survivors and on the newborns e_i of B_{t+1}, as rest
         gives them.
-      - A later death rewrites B_s as B_s (I + C), C the dying columns'
-        combs less their diagonal, so the coordinates F become (I - C) F:
-        one row operation, the dying generators' rows times C off the
-        survivors' rows (the proof is in the block above BasisMatrix).
+      - A later death rewrites B_s as B_s (I + C), so the coordinates F
+        become (I - C) F: one row operation, the dying generators' rows
+        times C off the survivors' rows (the proof is in the block above
+        BasisMatrix).
     """
     p = m.p
     eye = gf.identity(max(m.dims))
     births = [1] * m.dims[0]  # per generator, numbered as they are born
     deaths = [m.n] * m.dims[0]
-    # cols[s - 1] is B_s and ids[s - 1] its generators' numbers, ascending,
-    # so oldest first.
-    cols = [eye[: m.dims[0], : m.dims[0]].copy()]
-    ids = [list(range(m.dims[0]))]
+    # b is B_t, and alive its generators' numbers, ascending, so oldest first.
+    b = eye[: m.dims[0], : m.dims[0]]
+    alive = np.arange(m.dims[0])
+    newborn = [list(range(m.dims[0]))]
+    combs = []
     coords = None
     if images is not None:
         coords = gf.zeros(sum(m.dims), sum(y.shape[1] for y in images))
         done = images[0].shape[1]  # columns of coords filled so far
         coords[: m.dims[0], :done] = images[0]
     for t in range(1, m.n):
-        x = gf.matmul(m.map(t), cols[-1], p)
+        x = gf.matmul(m.map(t), b, p)
         y = x[:, :0] if images is None else images[t]
         lead, comb, rest = _reduce_images(x, y, eye, p)
-        alive = ids[-1]
         # A column that reduces to 0 dies at t; if its image was 0 already,
-        # its past needs no correction.
+        # nothing is added to it.
         dead = [j for j, r in enumerate(lead) if r < 0]
         for j in dead:
             deaths[alive[j]] = t
         fix = [j for j in dead if x[:, j].any()]
         if fix:
-            alive_births = [births[g] for g in alive]  # nondecreasing
-            for s in range(alive_births[fix[0]], t + 1):
-                k = bisect_right(alive_births, s)  # alive[:k] are born by s
-                place = {g: c for c, g in enumerate(ids[s - 1])}
-                pos = [place[g] for g in alive[:k]]
-                here = [j for j in fix if j < k]
-                b = cols[s - 1]
-                b[:, [pos[j] for j in here]] = b[:, pos] @ comb[:k, here] % p
+            c = comb[:, fix]
+            c[fix, np.arange(len(fix))] = 0
+            combs.append((alive[fix], alive, c))
             if coords is not None:  # B_s (I + C) has coordinates (I - C) F
-                c = comb[:, fix]
-                c[fix, np.arange(len(fix))] = 0
                 hit = c.any(1).nonzero()[0]
-                rows = np.array(alive)
-                coords[rows[hit], :done] = (coords[rows[hit], :done] - gf.matmul(
-                    c[hit], coords[rows[fix], :done], p)) % p
+                coords[alive[hit], :done] = (coords[alive[hit], :done] - gf.matmul(
+                    c[hit], coords[alive[fix], :done], p)) % p
         survive = [j for j, r in enumerate(lead) if r >= 0]
         led = set(lead)
-        newborn = [i for i in range(m.dims[t]) if i not in led]
+        rows = [i for i in range(m.dims[t]) if i not in led]
+        newborn.append(rows)
         # The survivors' raw images, then the unit vectors of the unled rows.
         width = len(lead)
-        cols.append(np.concatenate((x, eye[: m.dims[t]]), axis=1)[
-            :, survive + [width + i for i in newborn]])
-        ids.append([alive[j] for j in survive]
-                   + list(range(len(births), len(births) + len(newborn))))
-        births += [t + 1] * len(newborn)
-        deaths += [m.n] * len(newborn)
+        b = np.concatenate((x, eye[: m.dims[t]]), axis=1)[
+            :, survive + [width + i for i in rows]]
+        alive = np.concatenate((alive[survive],
+                                np.arange(len(births), len(births) + len(rows))))
+        births += [t + 1] * len(rows)
+        deaths += [m.n] * len(rows)
         if y.shape[1]:
             # Coordinates on the raw survivors, then on the unit vectors.
-            block = rest[:, [m.dims[t] + j for j in survive] + newborn].T
+            block = rest[:, [m.dims[t] + j for j in survive] + rows].T
             block[: len(survive)] = -block[: len(survive)] % p
-            coords[ids[-1], done : done + y.shape[1]] = block
+            coords[alive, done : done + y.shape[1]] = block
             done += y.shape[1]
 
     _check_alive_counts(m, births, deaths)
-    basis = PersistenceBasis(np.array(births, dtype=np.int64),
-                             np.array(deaths, dtype=np.int64), tuple(cols))
-    return basis, None if coords is None else coords[: len(births)]
+    return _Sweep(np.array(births, dtype=np.int64), np.array(deaths, dtype=np.int64),
+                  newborn, combs, None if coords is None else coords[: len(births)])
 
 
 def _check_alive_counts(m: PersistenceModule, births: list[int], deaths: list[int]):
@@ -851,20 +911,22 @@ def _check_alive_counts(m: PersistenceModule, births: list[int], deaths: list[in
 
 
 def barcode(m: PersistenceModule) -> Barcode:
-    """Interval decomposition multiplicities, read off the persistence basis.
+    """Interval decomposition multiplicities, read off the bars of m's sweep.
 
-    The sweep in persistence_basis is a left-to-right column reduction
-    that closes a generator by the elder rule, so the bars are the
-    module's own whatever basis it builds.  Each step makes one image
-    product, reduces a copy of it oldest first, takes the unit vectors
-    of the unled rows as newborns and rewrites only a dying generator's
-    past (the steps and why they are exact are in _sweep's docstring).  Since
-    v_plus and v_minus of [a, b] (oracle.py) are spanned by basis vectors
-    and differ by exactly the generators with interval [a, b], dim v_plus
-    - dim v_minus at any t in [a, b] is the multiplicity of [a, b], which
-    is the fact the matching relies on.
+    The sweep (_sweep) is a left-to-right column reduction that closes a
+    generator by the elder rule, so the bars are the module's own
+    whatever basis it records.  Each step makes one image product,
+    reduces a copy of it oldest first, takes the unit vectors of the
+    unled rows as newborns and records, for a dying generator, the older
+    survivors added to it (the steps and why they are exact are in
+    _sweep's docstring); no basis is built.  Since v_plus and v_minus of
+    [a, b] (oracle.py) are spanned by basis vectors and differ by exactly
+    the generators with interval [a, b], dim v_plus - dim v_minus at any
+    t in [a, b] is the multiplicity of [a, b], which is the fact the
+    matching relies on.
     """
-    return persistence_basis(m).interval_barcode()
+    sweep = _sweep(m)
+    return _interval_barcode(sweep.starts, sweep.ends)
 
 
 # ---------------------------------------------------------------------------

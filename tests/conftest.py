@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,9 @@ from indumatch import (
     Morphism,
     PersistenceModule,
     gf,
+    hom_exists,
     image_factorization,
+    morphism_from_bars,
     one_eps_morphism,
     persistence_basis,
 )
@@ -88,6 +91,31 @@ def chain_module():
 
 def iv(a, b):
     return GridInterval(a, b)
+
+
+def bar_pair_morphism(n, nbars, length, p, seed=1):
+    """The bar-pair worst case of the tables: nbars source bars, then nbars
+    target bars, each of L positions, L drawn from [length // 2, length]
+    and its start from those that fit, every list sorted by (a, b), and a
+    random coefficient on every hom pair (target bars outer), so M is one
+    dense block on which every hom pair is walked."""
+    rng = random.Random(seed)
+
+    def bars():
+        out = []
+        for _ in range(nbars):
+            length_ = rng.randint(max(1, length // 2), length)
+            a = rng.randint(1, n - length_ + 1)
+            out.append(iv(a, a + length_ - 1))
+        return sorted(out, key=lambda bar: (bar.a, bar.b))
+
+    src, tgt = bars(), bars()
+    m = gf.zeros(nbars, nbars)
+    for h, j in enumerate(tgt):
+        for g, i in enumerate(src):
+            if hom_exists(i, j):
+                m[h, g] = rng.randrange(p)
+    return morphism_from_bars(n, p, src, tgt, m)
 
 
 # ---------------------------------------------------------------------------

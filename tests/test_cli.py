@@ -862,10 +862,34 @@ def test_cli_reads_nothing_through_the_image_factorization(
                         + [f"{method}_table"] + ["image_barcode"] * (method == "chi")), argv
 
 
+def test_no_command_builds_or_caches_a_persistence_basis(wide_file, tmp_path, capsys,
+                                                         monkeypatch):
+    # M is built from the records of the two sweeps: no command replays a
+    # basis, and none is left cached on either module.
+    rand = tmp_path / "rand.json"
+    write_morphism(modules.direct_sum_morphism(random_ladder(12, 4, 5, 3),
+                                               random_ladder(12, 3, 5, 4)), rand)
+    f = read_morphism(rand)
+    modules.basis_matrix(f)
+    assert f.source._basis is None and f.target._basis is None
+    argvs = [[*fmt, "barcode", path] for fmt in ([], ["--format", "ascii"])
+             for path in (wide_file, str(rand))]
+    argvs += [[*fmt, "match", path, "--method", method, "--eps", eps]
+              for fmt in ([], ["--format", "ascii"]) for path in (wide_file, str(rand))
+              for method in ("m", "g", "chi") for eps in ("0", "1")]
+    want = [run_cli(capsys, *argv) for argv in argvs]
+
+    def builds_a_basis(*args, **kwargs):
+        raise RuntimeError("a command built a persistence basis")
+
+    for owner in (indumatch, modules, oracle):
+        monkeypatch.setattr(owner, "persistence_basis", builds_a_basis)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+
+
 def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, capsys, monkeypatch):
     # The shape of the wide-sum benchmark input: 16 GF(2) ladders summed.
-    # Every command sweeps each module once: M is built first, and its
-    # sweep of the target leaves the target's basis cached.  Every report
+    # Every command sweeps each module once, to build M.  Every report
     # builds its two barcodes once, off the rows and columns of its M.
     path = str(tmp_path / "wide-sum.json")
     write_morphism(modules.direct_sum_morphism(

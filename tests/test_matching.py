@@ -47,7 +47,7 @@ from indumatch.modules import BasisMatrix, InvariantError, basis_matrix
 from indumatch.oracle import pushed, sum_subspaces
 
 import quotients
-from conftest import iv, mat, ref_shift_morphism
+from conftest import bar_pair_morphism, iv, mat, ref_shift_morphism
 
 
 def interval_hom(n, p, src, dst):
@@ -460,6 +460,19 @@ def test_block_sums_match_unsplit_referee(n, max_dim, p, seed, other, eps):
         m_table, g_table = unsplit_tables(h)
         assert m_matching(h) == m_table
         assert g_matching(h) == g_table
+
+
+def test_bar_pair_worst_case_matches_unsplit_referee():
+    # The slowest input known at the work bound, at a reduced size: random
+    # bars and a coefficient on every hom pair, so M is one block and the
+    # walk visits every hom pair of it (gf.MAX_WORK's comment has the
+    # full-size times).
+    f = bar_pair_morphism(20, 50, 10, 2)
+    assert len(basis_matrix(f).blocks()) == 1
+    m_table, g_table = unsplit_tables(f)
+    assert m_table.as_dict()
+    assert m_matching(f) == m_table
+    assert g_matching(f) == g_table
 
 
 def test_table_inequalities_small_suite():
