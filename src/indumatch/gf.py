@@ -34,16 +34,17 @@ MAX_DIM = 256
 # so a file of a few hundred KB runs for minutes).  At the bound, the
 # slowest input measured is a bar-pair morphism (bar_pair_morphism in
 # tests/conftest.py): random bars of a few lengths on both sides and a
-# random coefficient on every hom pair, so M is one block and the tables
-# walk every hom pair of it with three rrefs each.  Single CLI runs on a
-# shared 2-core x86 VM, GF(2): n = 16, 250 bars a side, lengths 5-10
-# (work 3,836, an 8.3 MB file) takes 39 s for match m, 46 s for match g,
-# 0.6 s for match chi and 0.8 s for barcode; n = 32, 110 bars, lengths
-# 9-18 (work 2,960) takes 7.6 s for match m, 8.4 s for match g and
-# 0.4 s for barcode.  The dense natural morphism (n = 8, dims 255 on both
-# sides, the same dense seeded GF(2) map A at every step of both modules,
-# f_t = A + A^2) takes 1.5 s for barcode, 1.3 s for match chi, 1.8 s for
-# match m and 2.9 s for match g.
+# random coefficient on every hom pair, so M is one block, and the
+# tables reduce one bordered matrix per (target bar, source start) of it
+# and match g walks each nonzero pair along its overlap.  Single CLI runs
+# on a shared 2-core x86 VM, GF(2): n = 16, 250 bars a side, lengths
+# 5-10 (work 3,836, an 8.3 MB file) takes 2.9 s for match m, 5.4 s for
+# match g, 0.5 s for match chi and 0.6 s for barcode; n = 32, 110 bars,
+# lengths 9-18 (work 2,960) takes 1.5 s for match m, 1.7 s for match g,
+# 0.3 s for match chi and 0.4 s for barcode.  The dense natural morphism
+# (n = 8, dims 255 on both sides, the same dense seeded GF(2) map A at
+# every step of both modules, f_t = A + A^2) takes 1.5 s for barcode,
+# 1.1 s for match chi, 1.2 s for match m and 1.8 s for match g.
 MAX_WORK = 4096
 
 
@@ -152,6 +153,40 @@ def rref(m, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         pr += 1
     return r, tuple(pivots)
+
+
+def low_reduce(w: np.ndarray, p: int) -> np.ndarray:
+    """The lowest-pivot column reduction over GF(p) of the matrix m whose
+    transpose is w, an int64 array with entries in [0, p) and one row per
+    column of m, which it reduces in place.
+
+    Each column in turn, left to right, takes its lowest nonzero row as
+    its low.  A low an earlier column already took is first cleared, by
+    adding multiples of that column, from this and every later column, so
+    each row is cleared at most once.  Returns each column's low, or -1 if
+    the column reduced to zero.  The reduced matrix is m V, V upper
+    unitriangular, with distinct lows, so by the pairing lemma
+    (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and Vineyards") the
+    rank of m on its first k columns and its rows from r down is the
+    number of lows >= r among the first k columns.
+    """
+    lows = np.full(len(w), -1, dtype=np.int64)
+    owner: dict[int, int] = {}  # low -> the column that took it
+    for c, col in enumerate(w):
+        nz = col.nonzero()[0]
+        while nz.size:
+            low = int(nz[-1])
+            k = owner.get(low)
+            if k is None:
+                owner[low], lows[c] = c, low
+                break
+            hit = w[c:, low].nonzero()[0] + c
+            later = w[hit]
+            later -= np.outer(later[:, low] * pow(int(w[k, low]), -1, p) % p, w[k])
+            later %= p
+            w[hit] = later
+            nz = col.nonzero()[0]
+    return lows
 
 
 def rank(m, p: int) -> int:

@@ -31,7 +31,42 @@ rest make up the g entry.  The m table takes that first value of each
 pair; the g table also takes the rest, for the pairs whose first value
 is nonzero (a zero there forces the whole module to zero); x_module
 takes the whole walk.  The walk is lazy, so the checks between t and
-t+1 run exactly on the steps a table consumes.
+t+1 run exactly on the steps a table consumes.  The first values come
+from one reduction per (J, I.a), shared by every I of that start.
+
+The counts are ranks, read off one lowest-pivot reduction (gf.low_reduce).
+Fix (I, J) and t in K, and let own be the rows of J's own generators and
+off = _off_plus(J, t).  The rows alive at t but those in R = own + off
+are the v_minus_tgt(J) rows, whose coordinate vectors y_minus holds, so
+a count drops them (and off's rows born after t are zero on every
+column read at t).  Take the columns alive at t: P the
+src_plus(I) ones, S those of P but I's own (src_minus), E those with
+g.a < I.a; A_own and A_off are a column set A on own and on off.  Then
+on R, y_plus is spanned by P ker P_off, which is zero on off, and
+y_minus by S and E ker E_off, which is zero on off too.
+  - dim A(ker B) = rk [A; B] - rk B for A and B on the same columns: the
+    image of x -> (Ax, Bx) projects onto im B with kernel A(ker B).
+  - For a column set A and a space W of vectors zero on off,
+    dim (span A + W) = rk A_off + dim (W + A_own ker A_off): project onto
+    the off rows; the image is im A_off and the kernel is the rest.  So
+    with L_A = E_own ker E_off + A_own ker A_off, on J's own rows,
+    dim y_minus = rk S_off + dim L_S and, as S lies in P,
+    dim (y_minus + y_plus) = rk S_off + dim L_P: the entry is
+    dim L_P - dim L_S.
+  - Let Q_A = [[E_own, A_own], [E_off, 0], [0, A_off]].  By the first
+    item, dim L_A = rk Q_A - rk E_off - rk A_off.
+  - Let X be the columns alive at t with g.a <= I.a, ordered by g.b with
+    the g.a = I.a ones last among equal g.b.  S and P are then prefixes of
+    X (g.b <= I.b, with I's own columns ending P), so with E's columns
+    first, Q_S and Q_P are prefixes of Q = Q_X, and their off rows are
+    all of Q's rows below own.  By the pairing lemma on one reduction of
+    Q, rk Q_A counts the nonzero columns of its prefix and
+    rk E_off + rk A_off the lows below own there, so dim L_A counts its
+    columns whose low is an own row, and the entry counts I's own columns
+    whose low is an own row.  E, own and off do not depend on I.b, so one
+    reduction of Q (_reduce) counts every I of the start I.a against J.
+Away from K.b the comparison module's dims take y_minus at K.b and
+y_plus at t (see _comparison_dims), and they count the same way.
 
 Both tables are read one block of M at a time (BasisMatrix.blocks: the
 connected components of its nonzero entries), and this is exact by
@@ -79,41 +114,66 @@ def _off_plus(bm: BasisMatrix, j: GridInterval, t: int) -> np.ndarray:
     return (bm.tgt_b >= t) & ((bm.tgt_a > j.a) | (bm.tgt_b > j.b))
 
 
-def _plus(bm: BasisMatrix, i: GridInterval, j: GridInterval, t: int):
-    """The mask of the src_plus(I) generators alive at t, their columns P
-    of M, and columns N spanning the null space of P on _off_plus: y_plus
-    at t is spanned by P N on the rows alive at t."""
+def _src_plus(bm: BasisMatrix, i: GridInterval, t: int):
+    """The mask of the src_plus(I) generators alive at t, and their columns
+    P of M."""
     cols = (bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)
-    plus = bm.m[:, cols]
+    return cols, bm.m[:, cols]
+
+
+def _plus(bm: BasisMatrix, i: GridInterval, j: GridInterval, t: int):
+    """_src_plus at t, and columns N spanning the null space of P on
+    _off_plus: y_plus at t is spanned by P N on the rows alive at t."""
+    cols, plus = _src_plus(bm, i, t)
     return cols, plus, gf.null_basis(plus[_off_plus(bm, j, t)], bm.p)
 
 
-def _lower(bm: BasisMatrix, i: GridInterval, j: GridInterval, t: int):
-    """Columns of M spanning y_minus at t off the v_minus_tgt(J) rows, and
-    the rows a count at t drops: all but _off_plus and J's own, so for
-    t <= J.b the v_minus_tgt(J) rows and the rows dead by t."""
-    alive = bm.src_b >= t  # every column read here has src_a <= I.a <= t
-    off = _off_plus(bm, j, t)
-    early = bm.m[:, alive & (bm.src_a < i.a)]
-    early = gf.matmul(early, gf.null_basis(early[off], bm.p), bm.p)
-    src_minus = (alive & (bm.src_a <= i.a) & (bm.src_b <= i.b)
-                 & ((bm.src_a < i.a) | (bm.src_b < i.b)))
-    own = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
-    return np.hstack([bm.m[:, src_minus], early]), ~(off | own)
+def _reduce(bm: BasisMatrix, j: GridInterval, a: int, t: int):
+    """Q of the sources starting at a against J at t (see the module
+    docstring), reduced by gf.low_reduce: the range of Q columns of each
+    source bar [a, b] at t, by b; which Q columns have their low on J's
+    own rows; and the transpose of Q's reduced columns on those rows."""
+    alive = bm.src_b >= t
+    e = (alive & (bm.src_a < a)).nonzero()[0]
+    x = (alive & (bm.src_a <= a)).nonzero()[0]
+    x = x[np.lexsort((bm.src_a[x] == a, bm.src_b[x]))]
+    own = bm.m.T[:, (bm.tgt_a == j.a) & (bm.tgt_b == j.b)]
+    off = bm.m.T[:, _off_plus(bm, j, t)]
+    no, nf, ne = own.shape[1], off.shape[1], len(e)
+    qt = gf.zeros(ne + len(x), no + 2 * nf)  # one row per column of Q
+    qt[:ne, :no], qt[ne:, :no] = own[e], own[x]
+    qt[:ne, no : no + nf], qt[ne:, no + nf :] = off[e], off[x]
+    lows = gf.low_reduce(qt, bm.p)
+    spans: dict[int, tuple[int, int]] = {}
+    for k, (ga, gb) in enumerate(zip(bm.src_a[x].tolist(), bm.src_b[x].tolist()), ne):
+        if ga == a:
+            spans[gb] = (spans.get(gb, (k,))[0], k + 1)
+    return spans, (lows >= 0) & (lows < no), qt[:, :no].copy()
 
 
-def _count(upper: np.ndarray, lower: np.ndarray, rows: np.ndarray, p: int) -> int:
-    """dim (span lower + span upper) - dim span lower, modulo the coordinate
-    vectors of rows: the pivots of one rref of [lower | upper] off rows
-    that fall in upper."""
-    _, pivots = gf.rref(np.hstack([lower, upper])[~rows], p)
-    return sum(c >= lower.shape[1] for c in pivots)
+def _entry(reduced, i: GridInterval) -> tuple[int, np.ndarray]:
+    """The m entry of I off the _reduce of its group, and the transpose of
+    that reduction's columns spanning lower on J's own rows."""
+    spans, in_own, own = reduced
+    start, end = spans[i.b]
+    return int(in_own[start:end].sum()), own[:start][in_own[:start]]
 
 
-def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval):
+def _step_count(lower: np.ndarray, own: np.ndarray, off: np.ndarray, p: int) -> int:
+    """dims[t] off [[lower^T, P_t own], [0, P_t off]]: the number of P_t
+    columns whose low is an own row."""
+    k, no = lower.shape
+    qt = gf.zeros(k + own.shape[1], no + off.shape[0])
+    qt[:k, :no], qt[k:, :no], qt[k:, no:] = lower, own.T, off.T
+    lows = gf.low_reduce(qt, p)[k:]
+    return int(((lows >= 0) & (lows < no)).sum())
+
+
+def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=None):
     """The dimensions of the comparison module of (I, J) along the overlap
     K = I n J, read off M: a generator that yields them from t = K.b
-    leftward to K.a, so its first value is the m entry.
+    leftward to K.a, so its first value is the m entry.  reduced is
+    _reduce(bm, J, I.a, K.b), made here if not given.
 
     The module is big_t / small_t with the maps W_t induces, where
     big_t = y_plus(t), small at K.b is big n y_minus(K.b), and walking
@@ -125,16 +185,31 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval):
     So dims[t] = dim (C_t big_t + y_minus) - dim y_minus at K.b.
 
     Every space is a set of columns of M, read on the rows of the target
-    generators alive at its t (_plus, _lower): one generator index, so
-    C_t is row selection.  It keeps the rows alive at t and at K.b, and a
-    row born after t gets 0, which M already is on every column alive at
-    t (a nonzero M[h, g] has h.a <= g.a <= t).  So C_t upper_t is upper_t
-    on the rows not dead by K.b.  y_minus at K.b is spanned by the
-    columns of _lower and the coordinate vectors of the v_minus_tgt(J)
-    rows, and _lower also drops the rows dead by K.b, so dims[t] is
-    _count on [lower | upper_t] with the rows _lower names dropped, and
-    at K.b that is the m entry.  lower is built on first need: an
-    upper_t zero on the rows alive at t counts 0 without it.
+    generators alive at its t: one generator index, so C_t is row
+    selection.  It keeps the rows alive at t and at K.b, and a row born
+    after t gets 0, which M already is on every column alive at t (a
+    nonzero M[h, g] has h.a <= g.a <= t).  So C_t big_t is upper_t on the
+    rows not dead by K.b, where upper_t = P_t N_t (_plus) is y_plus at t.
+    The counts then follow the module docstring, with own, off, E and S
+    at K.b and R the rows a count at K.b keeps:
+      - dims[K.b], the m entry, counts I's own columns of Q whose low is
+        an own row (_entry).
+      - For t < K.b, let P_t be the src_plus(I) columns alive at t and
+        P_t off their rows in _off_plus at t, which holds off at K.b.
+        upper_t is zero there, so on R it is P_t own ker P_t off on own,
+        and by the second item of the module docstring
+        dims[t] = dim (L_S + P_t own ker P_t off) - dim L_S.  The reduced
+        columns of Q's prefix [E, S] whose low is an own row are zero off
+        own, so they lie in L_S, and they are independent and as many as
+        dim L_S: they are a basis, lower.  By the first item and the
+        pairing lemma on [[lower, P_t own], [0, P_t off]] (_step_count),
+        dims[t] counts the P_t columns whose low is an own row.  That is
+        the reduction of [[E_own, S_own, P_t own],
+        diag(E_off, S_off, P_t off)] with its [E, S] prefix reduced by
+        _reduce: a prefix column with its low below own is never added to
+        a P_t column, which is zero on E's and S's off rows.
+    A step whose upper_t is zero on the rows alive at t counts 0 with no
+    reduction.
 
     Checks, each naming the pair and t (InvariantError), made on the step
     left to t-1 from t, so a consumer that stops after the first value
@@ -148,20 +223,20 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval):
         containment holds, and the telescoping above rests on it too.
       - dims nondecreasing along K, as an injective module's are.  Given
         the containment the carried spans are nested, so this guards
-        _count.
+        _step_count.
     The containment is checked with a witness, one product and no solve.
-    upper_{t-1} = P_{t-1} N_{t-1} (_plus); the columns of P_t are those
-    of P_{t-1} still alive at t, so let y be their rows of N_{t-1} and D
-    the rest of P_{t-1}, the columns dying at t-1.  W_{t-1} carries
-    upper_{t-1} to its rows alive at t, those born at t being 0 in it as
-    above.  That carried upper_{t-1} is zero off tgt_plus: upper_{t-1} is
-    zero on _off_plus at t-1, which holds every row alive at t off
-    tgt_plus, since tgt_plus does not depend on t.  So if P_t y equals
-    upper_{t-1} on the rows alive at t, P_t y is zero on _off_plus at t,
-    y lies in the null space N_t spans, and the carried upper_{t-1} lies
-    in span upper_t.  By M's support the equation holds: the two sides
-    differ by D times the other rows of N_{t-1}, and a column dying at
-    t-1 is zero on every row alive at t (a nonzero M[h, g] has
+    upper_{t-1} = P_{t-1} N_{t-1} (_plus); the columns of P_t (_src_plus)
+    are those of P_{t-1} still alive at t, so let y be their rows of
+    N_{t-1} and D the rest of P_{t-1}, the columns dying at t-1.  W_{t-1}
+    carries upper_{t-1} to its rows alive at t, those born at t being 0 in
+    it as above.  That carried upper_{t-1} is zero off tgt_plus:
+    upper_{t-1} is zero on _off_plus at t-1, which holds every row alive
+    at t off tgt_plus, since tgt_plus does not depend on t.  So if P_t y
+    equals upper_{t-1} on the rows alive at t, P_t y is zero on _off_plus
+    at t, y lies in the null space N_t spans, and the carried upper_{t-1}
+    lies in span upper_t.  By M's support the equation holds: the two
+    sides differ by D times the other rows of N_{t-1}, and a column dying
+    at t-1 is zero on every row alive at t (a nonzero M[h, g] has
     h.b <= g.b).  _check_support enforces that support on every M built
     from a morphism or a shift, so a failing witness means an M off its
     support, and it raises.
@@ -169,23 +244,22 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval):
     dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
     """
     ka, kb = max(i.a, j.a), min(i.b, j.b)
-    lower = None  # _lower at K.b, built on first need
-    plus_l = d_l = None  # P_{t+1} and dims[t+1]
-    for t in range(kb, ka - 1, -1):
+    d_l, lower = _entry(_reduce(bm, j, i.a, kb) if reduced is None else reduced, i)
+    yield d_l
+    own_rows = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
+    plus_l = _src_plus(bm, i, kb)[1]  # P_{t+1}
+    for t in range(kb - 1, ka - 1, -1):
         cols, plus, null = _plus(bm, i, j, t)
         upper = gf.matmul(plus, null, bm.p)
         d = 0
         if upper[bm.tgt_b >= t].any():
-            if plus_l is not None:
-                y = null[bm.src_b[cols] > t]  # the witness
-                later = bm.tgt_b > t  # the rows alive at t+1
-                if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
-                    raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
-                                         f" t={t} out of y_plus at t={t + 1}")
-            if lower is None:
-                lower = _lower(bm, i, j, kb)
-            d = _count(upper, *lower, bm.p)
-        if plus_l is not None and d > d_l:
+            y = null[bm.src_b[cols] > t]  # the witness
+            later = bm.tgt_b > t  # the rows alive at t+1
+            if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
+                raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
+                                     f" t={t} out of y_plus at t={t + 1}")
+            d = _step_count(lower, plus[own_rows], plus[_off_plus(bm, j, t)], bm.p)
+        if d > d_l:
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
                                  f" {d} to {d_l} at t={t + 1}")
         yield d
@@ -281,16 +355,20 @@ def _bars(starts: np.ndarray, ends: np.ndarray) -> list[GridInterval]:
 
 def _walks(bm: BasisMatrix):
     """(I, J, walk) for the hom_exists pairs of each block of bm, walk the
-    _comparison_dims of the block's part of the pair.
+    _comparison_dims of the block's part of the pair, given one _reduce
+    per (J, I.a) of the block.
 
     A hom pair overlaps and J ends first, so each walk starts at J.b.
     """
     for block in bm.blocks():
         targets = _bars(block.tgt_a, block.tgt_b)
+        reductions = {}
         for i in _bars(block.src_a, block.src_b):
             for j in targets:
                 if hom_exists(i, j):
-                    yield i, j, _comparison_dims(block, i, j)
+                    if (j, i.a) not in reductions:
+                        reductions[j, i.a] = _reduce(block, j, i.a, j.b)
+                    yield i, j, _comparison_dims(block, i, j, reductions[j, i.a])
 
 
 def m_matching(f: Morphism) -> MMatchingTable:

@@ -541,16 +541,15 @@ class BasisMatrix:
         With the rows sorted by death and the columns by birth (the order of
         a basis), every such block is lower left, and by the pairing lemma
         (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and Vineyards") one
-        left-to-right reduction that clears equal lowest nonzeros counts them
-        all: r(s, t) is the number of its pivot pairs (h, g), h the lowest row
-        of reduced column g, with g.a <= s and h.b >= t.  Inclusion-exclusion,
+        lowest-pivot column reduction (gf.low_reduce) counts them all:
+        r(s, t) is the number of its pivot pairs (h, g), h the low of reduced
+        column g, with g.a <= s and h.b >= t.  Inclusion-exclusion,
         as in oracle.naive_barcode, then makes [a, b]'s multiplicity the
         number of pairs with g.a = a and h.b = b.  A pair with g.a > h.b is
         counted only by the r(s, t) with s > t, which are no ranks of the
         image, so it is dropped.  This is the image-persistence reduction of
         Cohen-Steiner, Edelsbrunner, Harer and Morozov.
         """
-        p = self.p
         order = np.argsort(self.tgt_b, kind="stable")
         death = self.tgt_b[order].tolist()
         cols = self.m.any(0).nonzero()[0]
@@ -558,22 +557,9 @@ class BasisMatrix:
         # Row g of work is the g-th nonzero column of M, its entries ordered
         # by death; the zero columns are never copied.
         work = self.m.T.take(cols, 0).take(order, 1)
-        owner: dict[int, int] = {}  # lowest row -> the reduced column it ends
-        bars: Counter = Counter()
-        for g in range(len(cols)):
-            col = work[g]
-            nz = col.nonzero()[0]
-            while nz.size:
-                low = int(nz[-1])
-                k = owner.get(low)
-                if k is None:
-                    owner[low] = g
-                    if birth[g] <= death[low]:
-                        bars[birth[g], death[low]] += 1
-                    break
-                col -= col[low] * pow(int(work[k, low]), -1, p) % p * work[k]
-                col %= p
-                nz = col.nonzero()[0]
+        lows = gf.low_reduce(work, self.p).tolist()
+        bars = Counter((birth[g], death[low]) for g, low in enumerate(lows)
+                       if low >= 0 and birth[g] <= death[low])
         return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
 
 

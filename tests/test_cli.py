@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import inspect
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -981,19 +980,18 @@ def pair_file(tmp_path):
     return str(path)
 
 
-def _count_grows_leftward():
-    """A fresh matching._count that counts one more at each call: the walk
+def _step_count_grows_leftward():
+    """A matching._step_count that counts 2 at every step t < K.b: the walk
     of ([2,3], [1,3]), the pair file's first hom pair, counts 1 at t = 3
-    and then 2 at t = 2."""
-    calls = itertools.count(1)
-    return lambda *args: next(calls)
+    off its reduction, and then 2 at t = 2."""
+    return lambda *args: 2
 
 
 @pytest.mark.parametrize("file, owner, attr, make_fake, argv, message", [
-    pytest.param("pair_file", matching, "_count", _count_grows_leftward,
+    pytest.param("pair_file", matching, "_step_count", _step_count_grows_leftward,
                  ["match", "--method", "g"],
                  "comparison module of ([2,3],[1,3]) shrinks from 2 to 1 at t=3",
-                 id="_count-grows-leftward"),
+                 id="_step_count-grows-leftward"),
     pytest.param("ref_file", matching, "_comparison_dims", lambda: lambda *args: iter([5]),
                  ["match", "--method", "m"], "row sum 5 exceeds multiplicity of [2,2]",
                  id="_comparison_dims-yields-5"),

@@ -475,6 +475,30 @@ def test_null_basis_equals_scalar_write_referee(p, rows, cols, data):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), rows=st.integers(0, 7),
+       cols=st.integers(0, 8), data=st.data())
+def test_low_reduce_counts_the_rank_of_every_lower_left_block(p, rows, cols, data):
+    # The pairing lemma, against gf.rank: m on its first k columns and its
+    # rows from r down has rank the number of lows >= r among the first k
+    # columns.  Each low is the last nonzero row of its reduced column, and
+    # the reduced columns span m's, prefix by prefix.
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                 max_size=rows * cols))
+    m = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    w = m.T.copy()
+    lows = gf.low_reduce(w, p)
+    assert lows.dtype == np.int64 and lows.shape == (cols,)
+    for c, low in enumerate(lows.tolist()):
+        nz = w[c].nonzero()[0]
+        assert low == (nz[-1] if nz.size else -1), c
+    assert len(set(lows[lows >= 0].tolist())) == int((lows >= 0).sum())
+    for k in range(cols + 1):
+        for r in range(rows + 1):
+            assert gf.rank(m[r:, :k], p) == int((lows[:k] >= r).sum()), (k, r)
+        assert gf.rank(np.hstack([m[:, :k], w.T[:, :k]]), p) == gf.rank(w.T[:, :k], p)
+
+
 def test_intersect_and_preimage_match_canonical_kernel_referees():
     rng = random.Random(61)
     for p in (2, 5):

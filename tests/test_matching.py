@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -99,22 +100,36 @@ def test_y_spaces_zero_off_overlap(wide_ladder):
 
 # Referee: the y spaces as pushed subspaces (oracle.y_plus, oracle.y_minus),
 # f_t of the source operators met and summed with the target's in W(t),
-# against the columns matching._plus and matching._lower read off M at t,
-# mapped back to W(t) through the target generators alive at t.
+# against what the library reads off M at t, mapped back to W(t) through
+# the target generators alive at t: the columns matching._plus reads for
+# y_plus, and the lower columns on J's own rows and the count of
+# matching._reduce at t.  The lower columns span y_minus met with J's own
+# rows, since y_minus holds the coordinates of every other row alive at t
+# in tgt_plus(J).  The referee walk's ref_lower is held to all of
+# y_minus at every t too.
 
 
 def lib_y_spaces(f, i, j, t):
     bm, b = basis_matrix(f), persistence_basis(f.target).vectors[t - 1]
     alive = (bm.tgt_a <= t) & (bm.tgt_b >= t)
+    own = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
     _, plus, null = matching._plus(bm, i, j, t)
-    lower, rows = matching._lower(bm, i, j, t)
+    count, lower = matching._entry(matching._reduce(bm, j, i.a, t), i)
     upper = gf.matmul(b, gf.matmul(plus, null, f.p)[alive], f.p)
-    lower = gf.matmul(b, lower[alive], f.p)
     return (Subspace.image(upper, f.p),
-            Subspace.image(np.hstack([lower, b[:, rows[alive]]]), f.p))
+            Subspace.image(gf.matmul(b[:, own[alive]], lower.T, f.p), f.p), count)
+
+
+def ref_y_minus(f, i, j, t):
+    bm, b = basis_matrix(f), persistence_basis(f.target).vectors[t - 1]
+    alive = (bm.tgt_a <= t) & (bm.tgt_b >= t)
+    lower, rows = ref_lower(bm, i, j, t)
+    lower = gf.matmul(b, lower[alive], f.p)
+    return Subspace.image(np.hstack([lower, b[:, rows[alive]]]), f.p)
 
 
 def assert_y_spaces_match_referee(f):
+    bm = basis_matrix(f)
     for i in barcode(f.source).intervals():
         for j in barcode(f.target).intervals():
             k = i.intersect(j)
@@ -122,10 +137,14 @@ def assert_y_spaces_match_referee(f):
                 continue
             for t in k:
                 yp, ym = y_plus(f, i, j, t), y_minus(f, i, j, t)
-                assert lib_y_spaces(f, i, j, t) == (yp, ym), (i, j, t)
+                b = persistence_basis(f.target).vectors[t - 1]
+                alive = (bm.tgt_a <= t) & (bm.tgt_b >= t)
+                own = Subspace.image(b[:, ((bm.tgt_a == j.a) & (bm.tgt_b == j.b))[alive]], f.p)
+                count = sum_subspaces(ym, yp).dim - ym.dim
+                assert lib_y_spaces(f, i, j, t) == (yp, gf.intersect(ym, own), count), (i, j, t)
+                assert ref_y_minus(f, i, j, t) == ym, (i, j, t)
             # t is now the shared death, where the entry is counted.
-            count = sum_subspaces(ym, yp).dim - ym.dim
-            walk = matching._comparison_dims(basis_matrix(f), i, j)
+            walk = matching._comparison_dims(bm, i, j)
             assert next(walk) == count, ("count", i, j)
 
 
@@ -206,18 +225,18 @@ def test_witness_trips_on_an_m_off_its_support():
 
 
 # Referee: the comparison module by the subspace walk in W(t), against its
-# dims read off M.  A walk that reads M as zero at the shared death K.b
-# drops y_plus there, so whatever the module holds at K.b - 1 must trip
-# the containment check at K.b.
+# dims read off M.  A walk that reads M's src_plus columns as zero at the
+# shared death K.b has a zero y_plus there to carry into, so whatever the
+# module holds at K.b - 1 must trip the containment check at K.b.
 
 
 def _zeroed_at(t0):
-    """matching._plus, reading M as zero at t0."""
-    plus = matching._plus
+    """matching._src_plus, reading M as zero at t0."""
+    src_plus = matching._src_plus
 
-    def broken(bm, i, j, t):
-        return plus(dataclasses.replace(bm, m=np.zeros_like(bm.m)) if t == t0 else bm,
-                    i, j, t)
+    def broken(bm, i, t):
+        return src_plus(dataclasses.replace(bm, m=np.zeros_like(bm.m)) if t == t0 else bm,
+                        i, t)
     return broken
 
 
@@ -233,7 +252,7 @@ def assert_comparison_modules_match_referee(f):
             assert x_module(f, i, j).module.dims == ref.module.dims, ("dims", i, j)
             assert table.get(i, j) == barcode(ref.module), ("g", i, j)
             if k.a < k.b and ref.module.dim(k.b - 1):
-                with mock.patch.object(matching, "_plus", _zeroed_at(k.b)), \
+                with mock.patch.object(matching, "_src_plus", _zeroed_at(k.b)), \
                         pytest.raises(InvariantError,
                                       match=rf"t={k.b - 1} out of y_plus at t={k.b}$"):
                     list(matching._comparison_dims(bm, i, j))
@@ -371,9 +390,9 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
     visited = {}  # id of a block -> the block and the pairs it walked
     walk = matching._comparison_dims
 
-    def counting(block, i, j):
+    def counting(block, i, j, reduced):
         visited.setdefault(id(block), (block, []))[1].append((i, j))
-        return walk(block, i, j)
+        return walk(block, i, j, reduced)
 
     monkeypatch.setattr(matching, "_comparison_dims", counting)
     m_matching(f)
@@ -389,38 +408,187 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
 
 
 def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
-    # A walk reads M at t once per step (_plus), from K.b leftward.  m stops
-    # after the first step of each hom pair; g walks on along K, |K| - 1
-    # steps more, only where that first value is nonzero.
+    # Each table reduces one Q per (block, J, I.a) of its hom pairs, which
+    # counts the pairs at K.b.  m stops there and reads M at no t (_plus);
+    # g walks on along K, |K| - 1 steps more, reading M once per step, only
+    # where the count at K.b is nonzero.
     f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
-    plus = matching._plus
-    calls = 0
+    calls = Counter()
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return plus(*args)
+    def counting(name):
+        real = getattr(matching, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
 
     for eps in (0, 1):
         bm = basis_matrix(f).shift(eps)
         hom_pairs = more = 0
-        for block in bm.blocks():
+        groups = set()
+        for k, block in enumerate(bm.blocks()):
             counts = matching.m_table(block)
             for i in matching._bars(block.src_a, block.src_b):
                 for j in matching._bars(block.tgt_a, block.tgt_b):
                     if hom_exists(i, j):
                         hom_pairs += 1
+                        groups.add((k, j, i.a))
                         if counts.get(i, j):
                             more += i.intersect(j).length
         assert more > 0, eps
         with monkeypatch.context() as patch:
-            patch.setattr(matching, "_plus", counting)
-            calls = 0
+            for name in ("_plus", "_reduce"):
+                patch.setattr(matching, name, counting(name))
+            calls.clear()
             matching.m_table(bm)
-            assert calls == hom_pairs, eps
-            calls = 0
+            assert calls == {"_reduce": len(groups)}, eps
+            calls.clear()
             matching.g_table(bm)
-            assert calls == hom_pairs + more, eps
+            assert calls == {"_reduce": len(groups), "_plus": more}, eps
+
+
+# Referee: the comparison walk as it was before the tables read their
+# counts off one reduction per (block, J, I.a).  It takes three rrefs per
+# step, two null bases, two products and two hstacks: y_plus at t as
+# P N with N the null space of P on the rows alive at t outside
+# tgt_plus(J), y_minus at K.b as the src_minus columns and the early
+# columns times their null space there, and each dim as the pivots of
+# one rref of [lower | upper] that fall in upper, on the rows outside
+# tgt_plus(J) and J's own rows.  The witness and shrink checks are kept.
+
+
+def ref_off_plus(bm, j, t):
+    """The rows alive at t outside tgt_plus(J); a row not dead by t stands
+    in for one alive at t, as M is zero on it at every column alive at t."""
+    return (bm.tgt_b >= t) & ((bm.tgt_a > j.a) | (bm.tgt_b > j.b))
+
+
+def ref_plus(bm, i, j, t):
+    """The mask of the src_plus(I) generators alive at t, their columns P,
+    and columns N spanning the null space of P on ref_off_plus."""
+    cols = (bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)
+    plus = bm.m[:, cols]
+    return cols, plus, gf.null_basis(plus[ref_off_plus(bm, j, t)], bm.p)
+
+
+def ref_lower(bm, i, j, t):
+    """Columns of M spanning y_minus at t off the v_minus_tgt(J) rows, and
+    the rows a count at t drops: all but ref_off_plus and J's own."""
+    alive = bm.src_b >= t
+    off = ref_off_plus(bm, j, t)
+    early = bm.m[:, alive & (bm.src_a < i.a)]
+    early = gf.matmul(early, gf.null_basis(early[off], bm.p), bm.p)
+    src_minus = (alive & (bm.src_a <= i.a) & (bm.src_b <= i.b)
+                 & ((bm.src_a < i.a) | (bm.src_b < i.b)))
+    own = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
+    return np.hstack([bm.m[:, src_minus], early]), ~(off | own)
+
+
+def ref_count(upper, lower, rows, p):
+    """dim (span lower + span upper) - dim span lower, modulo the coordinate
+    vectors of rows: the pivots of one rref of [lower | upper] off rows
+    that fall in upper."""
+    _, pivots = gf.rref(np.hstack([lower, upper])[~rows], p)
+    return sum(c >= lower.shape[1] for c in pivots)
+
+
+def ref_comparison_dims(bm, i, j):
+    """The dims of the comparison module of (I, J) from K.b leftward, each
+    dims[t] = dim (upper_t + y_minus) - dim y_minus at K.b on the rows
+    alive at K.b, with the containment and shrink checks between steps."""
+    ka, kb = max(i.a, j.a), min(i.b, j.b)
+    lower = None  # ref_lower at K.b, built on first need
+    plus_l = d_l = None  # P_{t+1} and dims[t+1]
+    for t in range(kb, ka - 1, -1):
+        cols, plus, null = ref_plus(bm, i, j, t)
+        upper = gf.matmul(plus, null, bm.p)
+        d = 0
+        if upper[bm.tgt_b >= t].any():
+            if plus_l is not None:
+                y = null[bm.src_b[cols] > t]  # the witness
+                later = bm.tgt_b > t  # the rows alive at t+1
+                if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
+                    raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
+                                         f" t={t} out of y_plus at t={t + 1}")
+            if lower is None:
+                lower = ref_lower(bm, i, j, kb)
+            d = ref_count(upper, *lower, bm.p)
+        if plus_l is not None and d > d_l:
+            raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
+                                 f" {d} to {d_l} at t={t + 1}")
+        yield d
+        plus_l, d_l = plus, d
+
+
+def assert_dims_match_walk_referee(bm):
+    """The dims each table's walks yield, summed over the blocks, and those
+    of matching._comparison_dims on the whole of bm, equal the referee
+    walk's at every t of every hom pair."""
+    by_blocks = {}
+    for i, j, walk in matching._walks(bm):
+        dims = list(walk)
+        have = by_blocks.setdefault((i, j), [0] * len(dims))
+        by_blocks[i, j] = [a + b for a, b in zip(have, dims)]
+    pairs = 0
+    for i in matching._bars(bm.src_a, bm.src_b):
+        for j in matching._bars(bm.tgt_a, bm.tgt_b):
+            if hom_exists(i, j):
+                pairs += 1
+                ref = list(ref_comparison_dims(bm, i, j))
+                assert list(matching._comparison_dims(bm, i, j)) == ref, (i, j)
+                assert by_blocks.pop((i, j), [0] * len(ref)) == ref, (i, j)
+    assert by_blocks == {}
+    return pairs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 8),
+    p=st.sampled_from([2, 3, 5, 7]),
+    parts=st.lists(st.tuples(st.booleans(), st.integers(1, 5), st.integers(0, 2**16)),
+                   min_size=1, max_size=3),
+    eps=st.integers(0, 2),
+    order=st.randoms(use_true_random=False),
+)
+def test_comparison_dims_match_the_walk_referee(n, p, parts, eps, order):
+    # A part is a seeded ladder of dims up to size, or a bar-pair morphism
+    # of 2 size bars a side on short bars, which repeats bars on both sides.
+    # The referee reads M by masks, so it holds for M's rows and columns in
+    # any order, not only the birth order basis_matrix gives them.
+    f = direct_sum_morphism(*(
+        bar_pair_morphism(n, 2 * size, min(n, 3), p, seed) if bars
+        else random_ladder(n, size, p, seed)
+        for bars, size, seed in parts))
+    bm = basis_matrix(f).shift(min(eps, n - 1))
+    assert_dims_match_walk_referee(bm)
+    rows, cols = list(range(bm.m.shape[0])), list(range(bm.m.shape[1]))
+    order.shuffle(rows)
+    order.shuffle(cols)
+    assert_dims_match_walk_referee(bm.select(np.array(rows, dtype=np.int64),
+                                             np.array(cols, dtype=np.int64)))
+
+
+def test_counts_read_columns_out_of_birth_order():
+    # Column [2,3] is I's own and [1,3], of S, comes after it in M.  On the
+    # own row [1,2] and the off row [1,3], P = both columns meets the off
+    # row's kernel in (1, 1), whose own part is 1, so the entry is 1; I's
+    # column alone, or with S after it, would count 0.
+    bm = BasisMatrix(2, np.array([2, 1]), np.array([3, 3]), np.array([1, 1]),
+                     np.array([2, 3]), mat([[1, 0], [1, 1]]))
+    assert matching.m_table(bm).as_dict() == {(iv(2, 3), iv(1, 2)): 1,
+                                              (iv(1, 3), iv(1, 3)): 1}
+    assert_dims_match_walk_referee(bm)
+
+
+def test_walk_referee_covers_repeated_bars_on_both_sides():
+    # The bar-pair parts of the property above repeat bars on both sides,
+    # and the reductions group several sources of one start.
+    bm = basis_matrix(bar_pair_morphism(5, 8, 3, 2, 3))
+    for starts, ends in ((bm.src_a, bm.src_b), (bm.tgt_a, bm.tgt_b)):
+        assert len(matching._bars(starts, ends)) < len(starts)
+    groups = {(j, i.a) for i, j, _ in matching._walks(bm)}
+    assert 0 < len(groups) < assert_dims_match_walk_referee(bm)
 
 
 # Referee: both tables on the whole M, with no block split.
@@ -473,6 +641,32 @@ def test_bar_pair_worst_case_matches_unsplit_referee():
     assert m_table.as_dict()
     assert m_matching(f) == m_table
     assert g_matching(f) == g_table
+
+
+def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
+    # m reduces one Q per (J, I.a) of the hom pairs of the one block, and
+    # makes no rref; g walks on, reading M (_plus, one null basis) once per
+    # step t < K.b of a nonzero pair, and counts each step it reads.
+    bm = basis_matrix(bar_pair_morphism(20, 50, 10, 2))
+    [block] = bm.blocks()
+    pairs = [(i, j) for i in matching._bars(block.src_a, block.src_b)
+             for j in matching._bars(block.tgt_a, block.tgt_b) if hom_exists(i, j)]
+    groups = {(j, i.a) for i, j in pairs}
+    assert len(groups) < len(pairs)
+    calls = Counter()
+    for owner, name in ((gf, "low_reduce"), (gf, "rref"), (gf, "null_basis"),
+                        (matching, "_plus")):
+        def count(*args, real=getattr(owner, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, count)
+    m_table = matching.m_table(bm)
+    assert calls == {"low_reduce": len(groups)}
+    calls.clear()
+    matching.g_table(bm)
+    steps = sum(i.intersect(j).length for (i, j), _ in m_table.items())
+    assert calls["_plus"] == calls["null_basis"] == calls["rref"] == steps > 0
+    assert len(groups) < calls["low_reduce"] <= len(groups) + steps
 
 
 def test_table_inequalities_small_suite():
