@@ -161,16 +161,15 @@ def low_reduce(w: np.ndarray, p: int) -> np.ndarray:
     column of m, which it reduces in place.
 
     Each column in turn, left to right, takes its lowest nonzero row as
-    its low.  A low an earlier column already took is first cleared, by
-    adding multiples of that column, from this and every later column, so
-    each row is cleared at most once.  Returns each column's low, or -1 if
-    the column reduced to zero.  The reduced matrix is m V, V upper
-    unitriangular, with distinct lows, so by the pairing lemma
-    (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and Vineyards") the
-    rank of m on its first k columns and its rows from r down is the
-    number of lows >= r among the first k columns.
+    its low; while an earlier column already took that low, a multiple of
+    that column clears it.  Returns each column's low, or -1 if the column
+    reduced to zero.  The reduced matrix is m V, V upper unitriangular,
+    with distinct lows, so by the pairing lemma (Cohen-Steiner, Edelsbrunner
+    and Morozov, "Vines and Vineyards") the rank of m on its first k
+    columns and its rows from r down is the number of lows >= r among the
+    first k columns.
     """
-    lows = np.full(len(w), -1, dtype=np.int64)
+    lows = [-1] * len(w)
     owner: dict[int, int] = {}  # low -> the column that took it
     for c, col in enumerate(w):
         nz = col.nonzero()[0]
@@ -180,13 +179,10 @@ def low_reduce(w: np.ndarray, p: int) -> np.ndarray:
             if k is None:
                 owner[low], lows[c] = c, low
                 break
-            hit = w[c:, low].nonzero()[0] + c
-            later = w[hit]
-            later -= np.outer(later[:, low] * pow(int(w[k, low]), -1, p) % p, w[k])
-            later %= p
-            w[hit] = later
+            col -= col[low] * pow(int(w[k, low]), -1, p) % p * w[k]
+            col %= p
             nz = col.nonzero()[0]
-    return lows
+    return np.array(lows, dtype=np.int64)
 
 
 def rank(m, p: int) -> int:
