@@ -38,13 +38,13 @@ MAX_DIM = 256
 # tables reduce one bordered matrix per (target bar, source start) of it
 # and match g walks each nonzero pair along its overlap.  Single CLI runs
 # on a shared 2-core x86 VM, GF(2): n = 16, 250 bars a side, lengths
-# 5-10 (work 3,836, an 8.3 MB file) takes 2.9 s for match m, 5.4 s for
+# 5-10 (work 3,836, an 8.3 MB file) takes 1.3 s for match m, 3.0 s for
 # match g, 0.5 s for match chi and 0.6 s for barcode; n = 32, 110 bars,
-# lengths 9-18 (work 2,960) takes 1.5 s for match m, 1.7 s for match g,
-# 0.3 s for match chi and 0.4 s for barcode.  The dense natural morphism
+# lengths 9-18 (work 2,960) takes 1.3 s for match m and for match g,
+# 0.3 s for match chi and for barcode.  The dense natural morphism
 # (n = 8, dims 255 on both sides, the same dense seeded GF(2) map A at
-# every step of both modules, f_t = A + A^2) takes 1.5 s for barcode,
-# 1.1 s for match chi, 1.2 s for match m and 1.8 s for match g.
+# every step of both modules, f_t = A + A^2) takes 1.3 s for barcode,
+# 1.1 s for match chi and for match m, and 1.9 s for match g.
 MAX_WORK = 4096
 
 
