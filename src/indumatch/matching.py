@@ -36,12 +36,12 @@ from one reduction per (J, I.a), shared by every I of that start.
 
 The counts are ranks, read off one lowest-pivot reduction (gf.low_reduce).
 Fix (I, J) and t in K, and let own be the rows of J's own generators and
-off = _off_plus(J, t).  The rows alive at t but those in R = own + off
-are the v_minus_tgt(J) rows, whose coordinate vectors y_minus holds, so
-a count drops them (and off's rows born after t are zero on every
-column read at t).  Take the columns alive at t: P the
-src_plus(I) ones, S those of P but I's own (src_minus), E those with
-g.a < I.a; A_own and A_off are a column set A on own and on off.  Then
+off = _off_plus(J, t).  The rows alive at t outside R = own + off are
+the v_minus_tgt(J) rows, whose coordinate vectors y_minus holds, so a
+count drops them (and off's rows born after t are zero on every column
+read at t).  Take the columns alive at t: P the src_plus(I) ones, S
+those of P but I's own (src_minus), E those with g.a < I.a; A_own and
+A_off are a column set A on own and on off.  Then
 on R, y_plus is spanned by P ker P_off, which is zero on off, and
 y_minus by S and E ker E_off, which is zero on off too.
   - dim A(ker B) = rk [A; B] - rk B for A and B on the same columns: the
@@ -76,7 +76,7 @@ or a meet or sum of these.  Under the partition of the generators into
 blocks, with the generators of an all-zero row or column as summands of
 their own, M is block diagonal, so each such space is the direct sum of
 its parts in the blocks, and so are the quotients by coordinate rows
-that a count takes: pivot counts add over the blocks.
+that a count takes: rank counts add over the blocks.
 A block with no I-generator counts 0 for (I, J), as its src_minus is its
 src_plus, so lower spans upper; so does one with no J-generator, as its
 tgt_minus is its tgt_plus, which holds upper.  So an entry is the sum of
