@@ -66,7 +66,20 @@ y_minus by S and E ker E_off, which is zero on off too.
     whose low is an own row.  E, own and off do not depend on I.b, so one
     reduction of Q (_reduce) counts every I of the start I.a against J.
 Away from K.b the comparison module's dims take y_minus at K.b and
-y_plus at t (see _comparison_dims), and they count the same way.
+y_plus at t, and they count the same way, each t off two more
+reductions per pair (_walk_reduce; the proof is in _comparison_dims).
+Order P, the src_plus(I) columns alive at K.a, by death with the latest
+first, and off, the rows of _off_plus at K.a, by death with the earliest
+first: the columns alive at t are a prefix P_t of P, and _off_plus at t
+is a suffix off_t of off.  Let lower be the k reduced columns of Q's
+prefix [E, S] whose low is an own row.  gf.low_reduce reduces
+A = [[0, P_off], [lower, P_own]] (rows off, then own) and
+B = [[1], [P_off]], and with rkA(t) the lows among A's first k + |P_t|
+columns in its rows from off_t down and rkB(t) those among B's first
+|P_t| columns inside off_t, dims[t] = rkA(t) - k - rkB(t).  The identity
+parts of B's first |P_t| columns whose low lies above off_t are a basis
+N_t of the null space of P_t on off_t, so y_plus at t is P_t N_t: the
+witness check of the walk reads N_t there, with no rref.
 
 Both tables are read one block of M at a time (BasisMatrix.blocks: the
 connected components of its nonzero entries), and this is exact by
@@ -88,6 +101,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,17 +129,12 @@ def _off_plus(bm: BasisMatrix, j: GridInterval, t: int) -> np.ndarray:
 
 
 def _src_plus(bm: BasisMatrix, i: GridInterval, t: int):
-    """The mask of the src_plus(I) generators alive at t, and their columns
-    P of M."""
-    cols = (bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)
+    """The src_plus(I) generators alive at t, latest death first, and their
+    columns P_t of M.  The sort is stable, so P_t at t is a prefix of P_s at
+    every s <= t, in the same order."""
+    cols = ((bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)).nonzero()[0]
+    cols = cols[np.argsort(-bm.src_b[cols], kind="stable")]
     return cols, bm.m[:, cols]
-
-
-def _plus(bm: BasisMatrix, i: GridInterval, j: GridInterval, t: int):
-    """_src_plus at t, and columns N spanning the null space of P on
-    _off_plus: y_plus at t is spanned by P N on the rows alive at t."""
-    cols, plus = _src_plus(bm, i, t)
-    return cols, plus, gf.null_basis(plus[_off_plus(bm, j, t)], bm.p)
 
 
 def _reduce(bm: BasisMatrix, j: GridInterval, a: int, t: int):
@@ -159,14 +168,56 @@ def _entry(reduced, i: GridInterval) -> tuple[int, np.ndarray]:
     return int(in_own[start:end].sum()), own[:start][in_own[:start]]
 
 
-def _step_count(lower: np.ndarray, own: np.ndarray, off: np.ndarray, p: int) -> int:
-    """dims[t] off [[lower^T, P_t own], [0, P_t off]]: the number of P_t
-    columns whose low is an own row."""
-    k, no = lower.shape
-    qt = gf.zeros(k + own.shape[1], no + off.shape[0])
-    qt[:k, :no], qt[k:, :no], qt[k:, no:] = lower, own.T, off.T
-    lows = gf.low_reduce(qt, p)[k:]
-    return int(((lows >= 0) & (lows < no)).sum())
+class _Walk(NamedTuple):
+    """The two reductions a walk of (I, J) reads every step t < K.b off
+    (_walk_reduce)."""
+
+    plus: np.ndarray  # P, the src_plus(I) columns alive at K.a, latest death first
+    dies: np.ndarray  # the deaths of P's columns
+    off_dies: np.ndarray  # the deaths of off's rows, earliest first
+    k: int  # the number of lower's columns
+    lows_a: np.ndarray  # A's lows
+    lows_b: np.ndarray  # B's lows
+    ident: np.ndarray  # B's reduced identity part, one row per column
+
+
+def _walk_reduce(bm: BasisMatrix, i: GridInterval, j: GridInterval, lower: np.ndarray) -> _Walk:
+    """The reductions of A = [[0, P_off], [lower, P_own]] (rows off, then
+    J's own) and B = [[1], [P_off]] by gf.low_reduce, lower the transpose of
+    a basis of L_S (_entry), P _src_plus at K.a and off the rows of
+    _off_plus at K.a, earliest death first: P_t is a prefix of P and
+    _off_plus at t a suffix of off (see _comparison_dims)."""
+    cols, plus = _src_plus(bm, i, max(i.a, j.a))
+    off = _off_plus(bm, j, max(i.a, j.a)).nonzero()[0]
+    off = off[np.argsort(bm.tgt_b[off], kind="stable")]
+    p_off = plus[off].T  # one row per column of P
+    p_own = plus[(bm.tgt_a == j.a) & (bm.tgt_b == j.b)].T
+    k, nf, n = len(lower), len(off), len(cols)
+    at = gf.zeros(k + n, nf + p_own.shape[1])  # one row per column of A
+    at[:k, nf:], at[k:, :nf], at[k:, nf:] = lower, p_off, p_own
+    bt = np.hstack([gf.identity(n), p_off])  # one row per column of B
+    return _Walk(plus, bm.src_b[cols], bm.tgt_b[off], k,
+                 gf.low_reduce(at, bm.p), gf.low_reduce(bt, bm.p), bt[:, :n])
+
+
+def _prefixes(walk: _Walk, t: int) -> tuple[int, int]:
+    """n = |P_t|, and f, the index in off where _off_plus at t starts."""
+    return int(np.count_nonzero(walk.dies >= t)), int(np.count_nonzero(walk.off_dies < t))
+
+
+def _null(walk: _Walk, n: int, f: int) -> np.ndarray:
+    """N_t (n and f from _prefixes), columns spanning the null space of P_t
+    on _off_plus at t: the identity parts of B's first n reduced columns
+    whose low lies above that suffix of off."""
+    return walk.ident[:n][walk.lows_b[:n] < len(walk.dies) + f, :n].T
+
+
+def _dim_at(walk: _Walk, n: int, f: int) -> int:
+    """dims[t] = rkA(t) - k - rkB(t) (n and f from _prefixes): the lows in
+    A's rows from _off_plus at t down among its first k + n columns, less
+    k, less the lows in that suffix of off among B's first n columns."""
+    return (int(np.count_nonzero(walk.lows_a[: walk.k + n] >= f)) - walk.k
+            - int(np.count_nonzero(walk.lows_b[:n] >= len(walk.dies) + f)))
 
 
 def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=None):
@@ -189,27 +240,37 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=
     selection.  It keeps the rows alive at t and at K.b, and a row born
     after t gets 0, which M already is on every column alive at t (a
     nonzero M[h, g] has h.a <= g.a <= t).  So C_t big_t is upper_t on the
-    rows not dead by K.b, where upper_t = P_t N_t (_plus) is y_plus at t.
-    The counts then follow the module docstring, with own, off, E and S
-    at K.b and R the rows a count at K.b keeps:
+    rows not dead by K.b, where upper_t = P_t N_t is y_plus at t: P_t the
+    src_plus(I) columns alive at t (_src_plus), and N_t a basis of the
+    null space of P_t off_t, their rows in off_t = _off_plus at t, which
+    holds off at K.b.  The counts then follow the module docstring, with
+    own, off, E and S at K.b and R the rows a count at K.b keeps:
       - dims[K.b], the m entry, counts I's own columns of Q whose low is
         an own row (_entry).
-      - For t < K.b, let P_t be the src_plus(I) columns alive at t and
-        P_t off their rows in _off_plus at t, which holds off at K.b.
-        upper_t is zero there, so on R it is P_t own ker P_t off on own,
-        and by the second item of the module docstring
-        dims[t] = dim (L_S + P_t own ker P_t off) - dim L_S.  The reduced
-        columns of Q's prefix [E, S] whose low is an own row are zero off
-        own, so they lie in L_S, and they are independent and as many as
-        dim L_S: they are a basis, lower.  By the first item and the
-        pairing lemma on [[lower, P_t own], [0, P_t off]] (_step_count),
-        dims[t] counts the P_t columns whose low is an own row.  That is
-        the reduction of [[E_own, S_own, P_t own],
-        diag(E_off, S_off, P_t off)] with its [E, S] prefix reduced by
-        _reduce: a prefix column with its low below own is never added to
-        a P_t column, which is zero on E's and S's off rows.
-    A step whose upper_t is zero on the rows alive at t counts 0 with no
-    reduction.
+      - For t < K.b, upper_t is zero on off_t, so on R it is
+        P_t own ker P_t off_t on own, and by the second item of the module
+        docstring dims[t] = dim (L_S + P_t own ker P_t off_t) - dim L_S.
+        The reduced columns of Q's prefix [E, S] whose low is an own row
+        are zero off own, so they lie in L_S, and they are independent and
+        as many as dim L_S: they are a basis, lower, of k columns.  By the
+        same item, with lower zero on off_t,
+        dims[t] = rk [[lower, P_t own], [0, P_t off_t]] - k - rk P_t off_t.
+    Two reductions per pair read these ranks at every t < K.b
+    (_walk_reduce).  Order P = P_{K.a} latest death first and off =
+    _off_plus at K.a earliest death first: P_t is a prefix of P and off_t
+    a suffix of off.  On A = [[0, P off], [lower, P own]], rows off then
+    own, the first rank is that of the lower-left block of A's first
+    k + |P_t| columns and its rows from off_t down; on B = [[1], [P off]],
+    the last is that of the block of B's first |P_t| columns on off_t.
+    By the pairing lemma each is the number of lows in its block after
+    one gf.low_reduce, rkA(t) and rkB(t), so dims[t] = rkA(t) - k - rkB(t)
+    (_dim_at).  B reduces to B V with V upper unitriangular, so the
+    identity part of its c-th reduced column is V's c-th column, zero past
+    row c.  Among its first |P_t| columns, the |P_t| - rkB(t) whose low
+    lies above off_t are zero on off_t, so their identity parts lie in
+    ker P_t off_t, and they are independent: they are N_t (_null).
+    A step whose upper_t is zero on the rows alive at t counts 0 and
+    checks no witness.
 
     Checks, each naming the pair and t (InvariantError), made on the step
     left to t-1 from t, so a consumer that stops after the first value
@@ -223,47 +284,51 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=
         containment holds, and the telescoping above rests on it too.
       - dims nondecreasing along K, as an injective module's are.  Given
         the containment the carried spans are nested, so this guards
-        _step_count.
+        _dim_at.
     The containment is checked with a witness, one product and no solve.
-    upper_{t-1} = P_{t-1} N_{t-1} (_plus); the columns of P_t (_src_plus)
-    are those of P_{t-1} still alive at t, so let y be their rows of
-    N_{t-1} and D the rest of P_{t-1}, the columns dying at t-1.  W_{t-1}
-    carries upper_{t-1} to its rows alive at t, those born at t being 0 in
-    it as above.  That carried upper_{t-1} is zero off tgt_plus:
-    upper_{t-1} is zero on _off_plus at t-1, which holds every row alive
-    at t off tgt_plus, since tgt_plus does not depend on t.  So if P_t y
-    equals upper_{t-1} on the rows alive at t, P_t y is zero on _off_plus
-    at t, y lies in the null space N_t spans, and the carried upper_{t-1}
-    lies in span upper_t.  By M's support the equation holds: the two
-    sides differ by D times the other rows of N_{t-1}, and a column dying
-    at t-1 is zero on every row alive at t (a nonzero M[h, g] has
-    h.b <= g.b).  _check_support enforces that support on every M built
-    from a morphism or a shift, so a failing witness means an M off its
-    support, and it raises.
+    upper_{t-1} = P_{t-1} N_{t-1}; P_t is the prefix of P_{t-1} of the
+    columns still alive at t (at K.b, read by _src_plus), so let y be the
+    first |P_t| rows of N_{t-1} and D the rest of P_{t-1}, the columns
+    dying at t-1.  W_{t-1} carries upper_{t-1} to its rows alive at t,
+    those born at t being 0 in it as above.  That carried upper_{t-1} is
+    zero off tgt_plus: upper_{t-1} is zero on _off_plus at t-1, which
+    holds every row alive at t off tgt_plus, since tgt_plus does not
+    depend on t.  So if P_t y equals upper_{t-1} on the rows alive at t,
+    P_t y is zero on _off_plus at t, y lies in the null space N_t spans,
+    and the carried upper_{t-1} lies in span upper_t.  By M's support the
+    equation holds: the two sides differ by D times the other rows of
+    N_{t-1}, and a column dying at t-1 is zero on every row alive at t (a
+    nonzero M[h, g] has h.b <= g.b).  _check_support enforces that
+    support on every M built from a morphism or a shift, so a failing
+    witness means an M off its support, and it raises.
     An injective module zero after K.b has all its bars die at K.b, and
     dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
     """
     ka, kb = max(i.a, j.a), min(i.b, j.b)
     d_l, lower = _entry(_reduce(bm, j, i.a, kb) if reduced is None else reduced, i)
     yield d_l
-    own_rows = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
+    if ka == kb:
+        return
+    walk = _walk_reduce(bm, i, j, lower)
+    plus = walk.plus
     plus_l = _src_plus(bm, i, kb)[1]  # P_{t+1}
     for t in range(kb - 1, ka - 1, -1):
-        cols, plus, null = _plus(bm, i, j, t)
-        upper = gf.matmul(plus, null, bm.p)
+        n, f = _prefixes(walk, t)
+        null = _null(walk, n, f)
+        upper = gf.matmul(plus[:, :n], null, bm.p)
         d = 0
         if upper[bm.tgt_b >= t].any():
-            y = null[bm.src_b[cols] > t]  # the witness
+            y = null[: plus_l.shape[1]]  # the witness
             later = bm.tgt_b > t  # the rows alive at t+1
             if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
                 raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
                                      f" t={t} out of y_plus at t={t + 1}")
-            d = _step_count(lower, plus[own_rows], plus[_off_plus(bm, j, t)], bm.p)
+            d = _dim_at(walk, n, f)
         if d > d_l:
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
                                  f" {d} to {d_l} at t={t + 1}")
         yield d
-        plus_l, d_l = plus, d
+        plus_l, d_l = plus[:, :n], d
 
 
 def _overlap_bars(k: GridInterval, dims: list[int]) -> Barcode:

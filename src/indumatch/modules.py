@@ -452,7 +452,9 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
 @dataclass(frozen=True)
 class BasisMatrix:
     """M with the starts and ends of its columns (source generators) and
-    rows (target generators), in basis order; at(t) is F_t."""
+    rows (target generators), in any order: every method reads them by
+    their bars (basis_matrix and shift give them in birth order); at(t)
+    is F_t."""
 
     p: int
     src_a: np.ndarray
@@ -538,10 +540,11 @@ class BasisMatrix:
         h.a <= g.a <= h.b <= g.b, so the other columns with g.a <= s die
         before t and are zero on those rows, and the rows alive at t are
         those rows less ones born after t, which are zero on those columns.
-        With the rows sorted by death and the columns by birth (the order of
-        a basis), every such block is lower left, and by the pairing lemma
-        (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and Vineyards") one
-        lowest-pivot column reduction (gf.low_reduce) counts them all:
+        With the rows sorted by death and the columns by birth (stable sorts
+        made here, so M may come in any order), every such block is lower
+        left, and by the pairing lemma (Cohen-Steiner, Edelsbrunner and
+        Morozov, "Vines and Vineyards") one lowest-pivot column reduction
+        (gf.low_reduce) counts them all:
         r(s, t) is the number of its pivot pairs (h, g), h the low of reduced
         column g, with g.a <= s and h.b >= t.  Inclusion-exclusion,
         as in oracle.naive_barcode, then makes [a, b]'s multiplicity the
@@ -553,9 +556,10 @@ class BasisMatrix:
         order = np.argsort(self.tgt_b, kind="stable")
         death = self.tgt_b[order].tolist()
         cols = self.m.any(0).nonzero()[0]
+        cols = cols[np.argsort(self.src_a[cols], kind="stable")]
         birth = self.src_a[cols].tolist()
-        # Row g of work is the g-th nonzero column of M, its entries ordered
-        # by death; the zero columns are never copied.
+        # Row g of work is the g-th nonzero column of M by birth, its
+        # entries ordered by death; the zero columns are never copied.
         work = self.m.T.take(cols, 0).take(order, 1)
         lows = gf.low_reduce(work, self.p).tolist()
         bars = Counter((birth[g], death[low]) for g, low in enumerate(lows)

@@ -40,6 +40,8 @@ from indumatch.serial import (
     write_morphism,
 )
 
+from conftest import bar_pair_morphism
+
 
 @pytest.fixture
 def ref_file(reference_ladder, tmp_path):
@@ -886,6 +888,42 @@ def test_no_command_builds_or_caches_a_persistence_basis(wide_file, tmp_path, ca
     assert [run_cli(capsys, *argv) for argv in argvs] == want
 
 
+def test_no_report_takes_an_rref_or_a_null_basis(tmp_path, capsys, monkeypatch):
+    # Every report reads its ranks off lowest-pivot reductions
+    # (gf.low_reduce): the sweeps, M, the m counts, every step of a g walk
+    # and the image barcode.  The bar-pair file walks nonzero pairs along
+    # overlaps longer than one position.
+    paths = []
+    for name, f in (("sum", modules.direct_sum_morphism(random_ladder(12, 4, 5, 3),
+                                                         random_ladder(12, 3, 5, 4))),
+                    ("pairs", bar_pair_morphism(8, 12, 4, 3))):
+        paths.append(str(tmp_path / f"{name}.json"))
+        write_morphism(f, paths[-1])
+    argvs = [[*fmt, "barcode", path] for fmt in ([], ["--format", "ascii"])
+             for path in paths]
+    argvs += [[*fmt, "match", path, "--method", method, "--eps", eps]
+              for fmt in ([], ["--format", "ascii"]) for path in paths
+              for method in ("m", "g", "chi") for eps in ("0", "1")]
+    want = [run_cli(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in want)
+
+    def refused(*args, **kwargs):
+        raise RuntimeError("a report took an rref or a null basis")
+
+    for name in ("rref", "null_basis"):
+        monkeypatch.setattr(gf, name, refused)
+    walks = []
+    real_walk_reduce = matching._walk_reduce
+
+    def counted_walk_reduce(*args):
+        walks.append(args)
+        return real_walk_reduce(*args)
+
+    monkeypatch.setattr(matching, "_walk_reduce", counted_walk_reduce)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+    assert walks
+
+
 def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, capsys, monkeypatch):
     # The shape of the wide-sum benchmark input: 16 GF(2) ladders summed.
     # Every command sweeps each module once, to build M.  Every report
@@ -980,18 +1018,18 @@ def pair_file(tmp_path):
     return str(path)
 
 
-def _step_count_grows_leftward():
-    """A matching._step_count that counts 2 at every step t < K.b: the walk
-    of ([2,3], [1,3]), the pair file's first hom pair, counts 1 at t = 3
-    off its reduction, and then 2 at t = 2."""
+def _dim_at_grows_leftward():
+    """A matching._dim_at that counts 2 at every step t < K.b: the walk of
+    ([2,3], [1,3]), the pair file's first hom pair, counts 1 at t = 3 off
+    its group's reduction, and then 2 at t = 2."""
     return lambda *args: 2
 
 
 @pytest.mark.parametrize("file, owner, attr, make_fake, argv, message", [
-    pytest.param("pair_file", matching, "_step_count", _step_count_grows_leftward,
+    pytest.param("pair_file", matching, "_dim_at", _dim_at_grows_leftward,
                  ["match", "--method", "g"],
                  "comparison module of ([2,3],[1,3]) shrinks from 2 to 1 at t=3",
-                 id="_step_count-grows-leftward"),
+                 id="_dim_at-grows-leftward"),
     pytest.param("ref_file", matching, "_comparison_dims", lambda: lambda *args: iter([5]),
                  ["match", "--method", "m"], "row sum 5 exceeds multiplicity of [2,2]",
                  id="_comparison_dims-yields-5"),

@@ -499,6 +499,30 @@ def test_low_reduce_counts_the_rank_of_every_lower_left_block(p, rows, cols, dat
         assert gf.rank(np.hstack([m[:, :k], w.T[:, :k]]), p) == gf.rank(w.T[:, :k], p)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), rows=st.integers(0, 7),
+       cols=st.integers(0, 8), data=st.data())
+def test_low_reduce_of_identity_over_m_reads_every_null_space(p, rows, cols, data):
+    # [1; m] reduces to [1; m] V, V upper unitriangular, so the identity
+    # part of reduced column c is V's column c, zero past row c.  Of the
+    # first k reduced columns, those whose low lies above m's rows from r
+    # down are zero on them, and their identity parts are a basis of the
+    # null space of m on its first k columns and rows from r down.
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                 max_size=rows * cols))
+    m = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    w = np.hstack([gf.identity(cols), m.T])
+    lows = gf.low_reduce(w, p)
+    ids = w[:, :cols]
+    assert not np.triu(ids, 1).any() and np.diagonal(ids).all()
+    for k in range(cols + 1):
+        for r in range(rows + 1):
+            null = ids[:k][lows[:k] < cols + r, :k].T
+            kernel = Subspace.kernel(m[r:, :k], p)
+            assert null.shape == (k, kernel.dim), (k, r)
+            assert Subspace.image(null, p) == kernel, (k, r)
+
+
 def test_intersect_and_preimage_match_canonical_kernel_referees():
     rng = random.Random(61)
     for p in (2, 5):

@@ -101,9 +101,9 @@ def test_y_spaces_zero_off_overlap(wide_ladder):
 # Referee: the y spaces as pushed subspaces (oracle.y_plus, oracle.y_minus),
 # f_t of the source operators met and summed with the target's in W(t),
 # against what the library reads off M at t, mapped back to W(t) through
-# the target generators alive at t: the columns matching._plus reads for
-# y_plus, and the lower columns on J's own rows and the count of
-# matching._reduce at t.  The lower columns span y_minus met with J's own
+# the target generators alive at t: y_plus as P_t N_t, with N_t read off
+# the reductions of matching._walk_reduce (matching._null), and the lower
+# columns on J's own rows and the count of matching._reduce at t.  The lower columns span y_minus met with J's own
 # rows, since y_minus holds the coordinates of every other row alive at t
 # in tgt_plus(J).  The referee walk's ref_lower is held to all of
 # y_minus at every t too.
@@ -113,9 +113,11 @@ def lib_y_spaces(f, i, j, t):
     bm, b = basis_matrix(f), persistence_basis(f.target).vectors[t - 1]
     alive = (bm.tgt_a <= t) & (bm.tgt_b >= t)
     own = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
-    _, plus, null = matching._plus(bm, i, j, t)
     count, lower = matching._entry(matching._reduce(bm, j, i.a, t), i)
-    upper = gf.matmul(b, gf.matmul(plus, null, f.p)[alive], f.p)
+    walk = matching._walk_reduce(bm, i, j, lower)
+    n, off = matching._prefixes(walk, t)
+    upper = gf.matmul(walk.plus[:, :n], matching._null(walk, n, off), f.p)
+    upper = gf.matmul(b, upper[alive], f.p)
     return (Subspace.image(upper, f.p),
             Subspace.image(gf.matmul(b[:, own[alive]], lower.T, f.p), f.p), count)
 
@@ -409,9 +411,10 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
 
 def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
     # Each table reduces one Q per (block, J, I.a) of its hom pairs, which
-    # counts the pairs at K.b.  m stops there and reads M at no t (_plus);
-    # g walks on along K, |K| - 1 steps more, reading M once per step, only
-    # where the count at K.b is nonzero.
+    # counts the pairs at K.b.  m stops there and makes no pair reduction
+    # (_walk_reduce); g walks on along K, |K| - 1 steps more, only where
+    # the count at K.b is nonzero, and reads every step off the two
+    # reductions of one _walk_reduce per such pair, not one per step.
     f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
     calls = Counter()
 
@@ -425,7 +428,7 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
 
     for eps in (0, 1):
         bm = basis_matrix(f).shift(eps)
-        hom_pairs = more = 0
+        hom_pairs = walked = more = 0
         groups = set()
         for k, block in enumerate(bm.blocks()):
             counts = matching.m_table(block)
@@ -435,17 +438,18 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
                         hom_pairs += 1
                         groups.add((k, j, i.a))
                         if counts.get(i, j):
+                            walked += i.intersect(j).length > 0
                             more += i.intersect(j).length
-        assert more > 0, eps
+        assert 0 < walked < more, eps
         with monkeypatch.context() as patch:
-            for name in ("_plus", "_reduce"):
+            for name in ("_walk_reduce", "_reduce"):
                 patch.setattr(matching, name, counting(name))
             calls.clear()
             matching.m_table(bm)
             assert calls == {"_reduce": len(groups)}, eps
             calls.clear()
             matching.g_table(bm)
-            assert calls == {"_reduce": len(groups), "_plus": more}, eps
+            assert calls == {"_reduce": len(groups), "_walk_reduce": walked}, eps
 
 
 # Referee: the comparison walk as it was before the tables read their
@@ -645,28 +649,32 @@ def test_bar_pair_worst_case_matches_unsplit_referee():
 
 def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     # m reduces one Q per (J, I.a) of the hom pairs of the one block, and
-    # makes no rref; g walks on, reading M (_plus, one null basis) once per
-    # step t < K.b of a nonzero pair, and counts each step it reads.
+    # makes no rref; g makes those reductions, then two more per nonzero
+    # pair with K.a < K.b, off which it reads every step t < K.b: no rref,
+    # no null basis, and at most two products per step (y_plus and the
+    # witness).
     bm = basis_matrix(bar_pair_morphism(20, 50, 10, 2))
     [block] = bm.blocks()
     pairs = [(i, j) for i in matching._bars(block.src_a, block.src_b)
              for j in matching._bars(block.tgt_a, block.tgt_b) if hom_exists(i, j)]
     groups = {(j, i.a) for i, j in pairs}
-    assert len(groups) < len(pairs)
+    assert (len(pairs), len(groups)) == (482, 200)
     calls = Counter()
-    for owner, name in ((gf, "low_reduce"), (gf, "rref"), (gf, "null_basis"),
-                        (matching, "_plus")):
-        def count(*args, real=getattr(owner, name), name=name):
+    for name in ("low_reduce", "rref", "null_basis", "matmul"):
+        def count(*args, real=getattr(gf, name), name=name):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(owner, name, count)
+        monkeypatch.setattr(gf, name, count)
     m_table = matching.m_table(bm)
-    assert calls == {"low_reduce": len(groups)}
+    assert calls == {"low_reduce": 200}
     calls.clear()
     matching.g_table(bm)
+    walked = sum(i.intersect(j).length > 0 for (i, j), _ in m_table.items())
     steps = sum(i.intersect(j).length for (i, j), _ in m_table.items())
-    assert calls["_plus"] == calls["null_basis"] == calls["rref"] == steps > 0
-    assert len(groups) < calls["low_reduce"] <= len(groups) + steps
+    assert (walked, steps) == (36, 215)
+    assert calls.keys() == {"low_reduce", "matmul"}
+    assert calls["low_reduce"] == 200 + 2 * walked
+    assert 0 < calls["matmul"] <= 2 * steps == 430
 
 
 def test_table_inequalities_small_suite():

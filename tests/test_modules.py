@@ -866,6 +866,21 @@ def test_image_barcode_reads_bars_given_out_of_start_order():
         MMatchingTable({(iv(1, 3), iv(1, 3)): 1})
 
 
+def test_image_barcode_reads_columns_given_out_of_birth_order():
+    # A hand-built M whose source columns, [2,3] then [1,3], are not in
+    # birth order (the M of test_counts_read_columns_out_of_birth_order),
+    # and the same M with them swapped: the image has dims 1, 2, 1 either
+    # way, so both give {[1,3], [2,2]}, and chi reads the same three
+    # barcodes.
+    given = BasisMatrix(2, np.array([2, 1]), np.array([3, 3]), np.array([1, 1]),
+                        np.array([2, 3]), mat([[1, 0], [1, 1]]))
+    swapped = given.select(np.arange(2), np.array([1, 0]))
+    assert list(swapped.src_a) == [1, 2]
+    want = Barcode.from_pairs([(1, 3, 1), (2, 2, 1)])
+    assert given.image_barcode() == swapped.image_barcode() == want
+    assert chi_table(given) == chi_table(swapped)
+
+
 def test_basis_validate_rejects_each_corruption(chain_module):
     m = chain_module
     pb = persistence_basis(m).validate(m)
