@@ -39,13 +39,13 @@ MAX_DIM = 256
 # and match g reads each nonzero pair's walk along its overlap off two
 # more.  CLI runs on a shared 2-core x86 VM (medians of 3), GF(2):
 # n = 16, 250 bars a side, lengths 5-10 (work 3,836, an 8.3 MB file)
-# takes 0.9 s for match m, 1.7 s for match g, 0.3 s for match chi and
+# takes 0.9 s for match m, 1.4 s for match g, 0.3 s for match chi and
 # for barcode; n = 32, 110 bars, lengths 9-18 (work 2,960) takes 0.6 s
-# for match m, 0.7 s for match g, 0.2 s for match chi and for barcode.
+# for match m and for match g, 0.2 s for match chi and for barcode.
 # The dense natural morphism (n = 8, dims 255 on both sides, the same
 # dense seeded GF(2) map A at every step of both modules, f_t = A + A^2)
-# takes 0.7 s for barcode and for match chi, 0.8 s for match m and 0.9 s
-# for match g.
+# takes 0.7 s for barcode, for match chi and for match m, and 0.8 s for
+# match g.
 MAX_WORK = 4096
 
 
@@ -54,13 +54,16 @@ def field_error(p: int, max_dim: int) -> str | None:
 
     A dimension above MAX_DIM is refused for every p.  An int64 matrix
     product sums up to max_dim terms below (p-1)^2, so exactness needs
-    max_dim * (p-1)^2 < 2^63.  That bound is checked before primality;
-    it caps p near 3e9, so is_prime's trial division stays short (about
+    max_dim * (p-1)^2 < 2^63.  A p below 2 is not prime, whatever its
+    size, so it is refused first.  The int64 bound is checked before
+    trial division; it caps p near 3e9, so is_prime stays short (about
     7 ms at p = 2^31 - 1), and it runs once per p: a command asks again
     for each module it validates and each file it reads.
     """
     if max_dim > MAX_DIM:
         return f"dimension {max_dim} is above the cap of {MAX_DIM}"
+    if p < 2:
+        return f"p={p} is not prime"
     if max(max_dim, 1) * (p - 1) ** 2 >= 2**63:
         return f"p={p} is too large for exact int64 arithmetic at dimension {max_dim}"
     if not is_prime(p):

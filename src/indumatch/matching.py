@@ -78,8 +78,13 @@ B = [[1], [P_off]], and with rkA(t) the lows among A's first k + |P_t|
 columns in its rows from off_t down and rkB(t) those among B's first
 |P_t| columns inside off_t, dims[t] = rkA(t) - k - rkB(t).  The identity
 parts of B's first |P_t| columns whose low lies above off_t are a basis
-N_t of the null space of P_t on off_t, so y_plus at t is P_t N_t: the
-witness check of the walk reads N_t there, with no rref.
+N_t of the null space of P_t on off_t, so y_plus at t is P_t N_t.  Each
+of those identity parts is zero past its own index, so P_t N_t is a
+column selection of one product U = P V per pair, V the reduced
+identity part of B (kept transposed, one row per column): every step
+reads y_plus off U, with no rref and no product.  The witness check of the walk makes one product, and only at
+K.b - 1 and where a column of P dies; at every other step it compares
+a block with itself.
 
 Both tables are read one block of M at a time (BasisMatrix.blocks: the
 connected components of its nonzero entries), and this is exact by
@@ -205,11 +210,11 @@ def _prefixes(walk: _Walk, t: int) -> tuple[int, int]:
     return int(np.count_nonzero(walk.dies >= t)), int(np.count_nonzero(walk.off_dies < t))
 
 
-def _null(walk: _Walk, n: int, f: int) -> np.ndarray:
-    """N_t (n and f from _prefixes), columns spanning the null space of P_t
-    on _off_plus at t: the identity parts of B's first n reduced columns
-    whose low lies above that suffix of off."""
-    return walk.ident[:n][walk.lows_b[:n] < len(walk.dies) + f, :n].T
+def _null_cols(walk: _Walk, n: int, f: int) -> np.ndarray:
+    """The indices of B's first n reduced columns whose low lies above
+    _off_plus at t (n and f from _prefixes): their identity parts span
+    N_t, the null space of P_t on that suffix of off."""
+    return (walk.lows_b[:n] < len(walk.dies) + f).nonzero()[0]
 
 
 def _dim_at(walk: _Walk, n: int, f: int) -> int:
@@ -268,7 +273,11 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=
     identity part of its c-th reduced column is V's c-th column, zero past
     row c.  Among its first |P_t| columns, the |P_t| - rkB(t) whose low
     lies above off_t are zero on off_t, so their identity parts lie in
-    ker P_t off_t, and they are independent: they are N_t (_null).
+    ker P_t off_t, and they are independent: they are N_t (_null_cols).
+    Each of them, V's c-th column for some c < |P_t|, is zero past row c,
+    so P_t times it is P times it: upper_t is the columns _null_cols of
+    one product U = P V, made once per pair (_Walk.ident holds V's
+    columns as rows).
     A step whose upper_t is zero on the rows alive at t counts 0 and
     checks no witness.
 
@@ -301,6 +310,11 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=
     nonzero M[h, g] has h.b <= g.b).  _check_support enforces that
     support on every M built from a morphism or a shift, so a failing
     witness means an M off its support, and it raises.
+    The witness is made only where it can fail: on the step from K.b,
+    where P_t at t = K.b is read on its own (_src_plus), and where a
+    column dies at t-1, |P_t| < |P_{t-1}|.  On every other step
+    P_t = P_{t-1}, so y is all of N_{t-1} and P_t y = upper_{t-1}: the
+    product is the block it is compared with.
     An injective module zero after K.b has all its bars die at K.b, and
     dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
     """
@@ -310,25 +324,26 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=
     if ka == kb:
         return
     walk = _walk_reduce(bm, i, j, lower)
-    plus = walk.plus
+    u = gf.matmul(walk.plus, walk.ident.T, bm.p)  # y_plus at t is columns of U
     plus_l = _src_plus(bm, i, kb)[1]  # P_{t+1}
     for t in range(kb - 1, ka - 1, -1):
         n, f = _prefixes(walk, t)
-        null = _null(walk, n, f)
-        upper = gf.matmul(plus[:, :n], null, bm.p)
+        cols = _null_cols(walk, n, f)
+        upper = u[:, cols]
         d = 0
         if upper[bm.tgt_b >= t].any():
-            y = null[: plus_l.shape[1]]  # the witness
-            later = bm.tgt_b > t  # the rows alive at t+1
-            if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
-                raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
-                                     f" t={t} out of y_plus at t={t + 1}")
+            if t == kb - 1 or plus_l.shape[1] < n:
+                y = walk.ident[cols, : plus_l.shape[1]].T  # the witness
+                later = bm.tgt_b > t  # the rows alive at t+1
+                if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
+                    raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
+                                         f" t={t} out of y_plus at t={t + 1}")
             d = _dim_at(walk, n, f)
         if d > d_l:
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
                                  f" {d} to {d_l} at t={t + 1}")
         yield d
-        plus_l, d_l = plus[:, :n], d
+        plus_l, d_l = walk.plus[:, :n], d
 
 
 def _overlap_bars(k: GridInterval, dims: list[int]) -> Barcode:

@@ -565,6 +565,14 @@ def test_nonprime_field_flag_exits_4(capsys):
     assert "prime" in err
 
 
+def test_negative_prime_flag_is_not_prime_and_exits_4(capsys):
+    # A p below 2 is refused as not prime before the int64 bound, which a
+    # large negative p also passes.
+    code, _, err = run_cli(capsys, "--prime", "-9999999999", "random")
+    assert code == 4
+    assert "p=-9999999999 is not prime" in err and "too large" not in err
+
+
 def test_prime_flag_bounded_by_generated_dims(capsys):
     p = str(2**31 - 1)
     code, _, _ = run_cli(capsys, "--prime", p, "random", "--max-dim", "2")
@@ -584,6 +592,16 @@ def test_prime_too_large_for_int64_exits_2_quickly(reference_ladder, tmp_path, c
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "too large" in err
+
+
+def test_negative_prime_in_a_file_is_not_prime_and_exits_2(reference_ladder, tmp_path, capsys):
+    obj = morphism_to_dict(reference_ladder)
+    obj["p"] = -9999999999
+    path = tmp_path / "negative_p.json"
+    path.write_text(dumps_canonical(obj), encoding="utf-8")
+    code, _, err = run_cli(capsys, "barcode", str(path))
+    assert code == 2
+    assert "p=-9999999999 is not prime" in err and "too large" not in err
 
 
 @pytest.mark.parametrize("argv, fragment", [

@@ -98,15 +98,32 @@ def test_y_spaces_zero_off_overlap(wide_ladder):
     assert y_plus(wide_ladder, iv(2, 4), iv(2, 3), 1).dim == 0
 
 
+# Referee: y_plus at t of a walk as P_t N_t, one product per step, with
+# N_t a matrix of its own: the identity parts of the first |P_t| reduced
+# columns of matching._walk_reduce's B whose low lies above _off_plus at
+# t.  The walk reads the same columns off one product U = P V per pair.
+
+
+def ref_null(walk, n, f):
+    """N_t (n and f from matching._prefixes), columns spanning the null
+    space of P_t on _off_plus at t."""
+    return walk.ident[:n][walk.lows_b[:n] < len(walk.dies) + f, :n].T
+
+
+def ref_upper(walk, n, f, p):
+    """y_plus at t, P_t N_t, by product."""
+    return gf.matmul(walk.plus[:, :n], ref_null(walk, n, f), p)
+
+
 # Referee: the y spaces as pushed subspaces (oracle.y_plus, oracle.y_minus),
 # f_t of the source operators met and summed with the target's in W(t),
 # against what the library reads off M at t, mapped back to W(t) through
-# the target generators alive at t: y_plus as P_t N_t, with N_t read off
-# the reductions of matching._walk_reduce (matching._null), and the lower
-# columns on J's own rows and the count of matching._reduce at t.  The lower columns span y_minus met with J's own
-# rows, since y_minus holds the coordinates of every other row alive at t
-# in tgt_plus(J).  The referee walk's ref_lower is held to all of
-# y_minus at every t too.
+# the target generators alive at t: y_plus as P_t N_t (ref_upper) off the
+# reductions of matching._walk_reduce, and the lower columns on J's own
+# rows and the count of matching._reduce at t.  The lower columns span
+# y_minus met with J's own rows, since y_minus holds the coordinates of
+# every other row alive at t in tgt_plus(J).  The referee walk's ref_lower
+# is held to all of y_minus at every t too.
 
 
 def lib_y_spaces(f, i, j, t):
@@ -116,7 +133,7 @@ def lib_y_spaces(f, i, j, t):
     count, lower = matching._entry(matching._reduce(bm, j, i.a, t), i)
     walk = matching._walk_reduce(bm, i, j, lower)
     n, off = matching._prefixes(walk, t)
-    upper = gf.matmul(walk.plus[:, :n], matching._null(walk, n, off), f.p)
+    upper = ref_upper(walk, n, off, f.p)
     upper = gf.matmul(b, upper[alive], f.p)
     return (Subspace.image(upper, f.p),
             Subspace.image(gf.matmul(b[:, own[alive]], lower.T, f.p), f.p), count)
@@ -222,6 +239,19 @@ def test_witness_trips_on_an_m_off_its_support():
     bm = BasisMatrix(2, np.array([1, 1, 2]), np.array([1, 2, 2]), np.array([1, 2]),
                      np.array([2, 2]), mat([[1, 1, 1], [0, 0, 1]]))
     with pytest.raises(InvariantError, match=r"^W_1 carries y_plus of \(\[1,2\],\[1,2\]\)"
+                                             r" at t=1 out of y_plus at t=2$"):
+        matching.g_table(bm)
+
+
+def test_witness_trips_where_a_column_dies_below_the_shared_death():
+    # Source [1,1], [1,3] and target [1,3] over GF(2); M[0, 0] sends [1,1]
+    # onto [1,3], which no natural map does.  Along K = [1,3] of
+    # ([1,3], [1,3]) P keeps its one column from t = 3 down to t = 2, and
+    # [1,1] joins it at t = 1, below K.b - 1: its image does not die with
+    # it, so y_plus at 1 is not carried into y_plus at 2.
+    bm = BasisMatrix(3, np.array([1, 1]), np.array([1, 3]), np.array([1]),
+                     np.array([3]), mat([[1, 1]]))
+    with pytest.raises(InvariantError, match=r"^W_1 carries y_plus of \(\[1,3\],\[1,3\]\)"
                                              r" at t=1 out of y_plus at t=2$"):
         matching.g_table(bm)
 
@@ -595,6 +625,92 @@ def test_walk_referee_covers_repeated_bars_on_both_sides():
     assert 0 < len(groups) < assert_dims_match_walk_referee(bm)
 
 
+# Referee: the walk as it was before it read y_plus off U, with the gate
+# and the witness on P_t N_t by product (ref_upper) at every step.
+
+
+def ref_product_dims(bm, i, j):
+    """The dims of matching._comparison_dims, y_plus at t by ref_upper."""
+    ka, kb = max(i.a, j.a), min(i.b, j.b)
+    d_l, lower = matching._entry(matching._reduce(bm, j, i.a, kb), i)
+    yield d_l
+    if ka == kb:
+        return
+    walk = matching._walk_reduce(bm, i, j, lower)
+    plus_l = matching._src_plus(bm, i, kb)[1]  # P_{t+1}
+    for t in range(kb - 1, ka - 1, -1):
+        n, f = matching._prefixes(walk, t)
+        null = ref_null(walk, n, f)
+        upper = gf.matmul(walk.plus[:, :n], null, bm.p)
+        d = 0
+        if upper[bm.tgt_b >= t].any():
+            y = null[: plus_l.shape[1]]  # the witness
+            later = bm.tgt_b > t  # the rows alive at t+1
+            if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
+                raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
+                                     f" t={t} out of y_plus at t={t + 1}")
+            d = matching._dim_at(walk, n, f)
+        if d > d_l:
+            raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
+                                 f" {d} to {d_l} at t={t + 1}")
+        yield d
+        plus_l, d_l = walk.plus[:, :n], d
+
+
+def assert_upper_matches_product_referee(bm):
+    """On every block of bm: every hom pair's dims equal ref_product_dims',
+    and for every walked pair and t < K.b, the columns matching._null_cols
+    of U = P V are P_t N_t.  Returns the steps read and how many of them
+    lose a column of P."""
+    steps = dying = 0
+    for block in bm.blocks():
+        for i in matching._bars(block.src_a, block.src_b):
+            for j in matching._bars(block.tgt_a, block.tgt_b):
+                if not hom_exists(i, j):
+                    continue
+                dims = list(matching._comparison_dims(block, i, j))
+                assert dims == list(ref_product_dims(block, i, j)), (i, j)
+                ka, kb = max(i.a, j.a), min(i.b, j.b)
+                if not dims[0] or ka == kb:
+                    continue
+                lower = matching._entry(matching._reduce(block, j, i.a, kb), i)[1]
+                walk = matching._walk_reduce(block, i, j, lower)
+                u = gf.matmul(walk.plus, walk.ident.T, bm.p)
+                n_l = matching._prefixes(walk, kb)[0]
+                for t in range(kb - 1, ka - 1, -1):
+                    n, f = matching._prefixes(walk, t)
+                    upper = u[:, matching._null_cols(walk, n, f)]
+                    assert np.array_equal(upper, ref_upper(walk, n, f, bm.p)), (i, j, t)
+                    steps, dying, n_l = steps + 1, dying + (n > n_l), n
+    return steps, dying
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 8),
+    p=st.sampled_from([2, 3, 5, 7]),
+    parts=st.lists(st.tuples(st.booleans(), st.integers(1, 5), st.integers(0, 2**16)),
+                   min_size=1, max_size=3),
+    eps=st.integers(0, 2),
+)
+def test_walk_reads_y_plus_off_one_product_per_pair(n, p, parts, eps):
+    # A part is a seeded ladder of dims up to size, or a bar-pair morphism
+    # of 2 size bars a side, of up to 5 positions.
+    f = direct_sum_morphism(*(
+        bar_pair_morphism(n, 2 * size, min(n, 5), p, seed) if bars
+        else random_ladder(n, size, p, seed)
+        for bars, size, seed in parts))
+    assert_upper_matches_product_referee(basis_matrix(f).shift(min(eps, n - 1)))
+
+
+def test_product_referee_covers_steps_that_lose_a_column():
+    # The referee reads steps that keep P and steps that lose a column of
+    # it, so U is compared on both kinds of step the witness tells apart.
+    steps, dying = assert_upper_matches_product_referee(
+        basis_matrix(bar_pair_morphism(6, 10, 4, 2, 3)))
+    assert 0 < dying < steps
+
+
 # Referee: both tables on the whole M, with no block split.
 
 
@@ -650,9 +766,11 @@ def test_bar_pair_worst_case_matches_unsplit_referee():
 def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     # m reduces one Q per (J, I.a) of the hom pairs of the one block, and
     # makes no rref; g makes those reductions, then two more per nonzero
-    # pair with K.a < K.b, off which it reads every step t < K.b: no rref,
-    # no null basis, and at most two products per step (y_plus and the
-    # witness).
+    # pair with K.a < K.b, off which it reads every step t < K.b: no rref
+    # and no null basis.  Its products are one U per such pair, off which
+    # every step reads y_plus, and a witness at K.b - 1 and at each step
+    # that loses a column of P, where y_plus is nonzero: 212 in all, not
+    # one per step or more.
     bm = basis_matrix(bar_pair_morphism(20, 50, 10, 2))
     [block] = bm.blocks()
     pairs = [(i, j) for i in matching._bars(block.src_a, block.src_b)
@@ -674,7 +792,7 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     assert (walked, steps) == (36, 215)
     assert calls.keys() == {"low_reduce", "matmul"}
     assert calls["low_reduce"] == 200 + 2 * walked
-    assert 0 < calls["matmul"] <= 2 * steps == 430
+    assert calls["matmul"] == 212 < steps
 
 
 def test_table_inequalities_small_suite():
