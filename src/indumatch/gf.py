@@ -37,15 +37,16 @@ MAX_DIM = 256
 # random coefficient on every hom pair, so M is one block, and the
 # tables reduce one bordered matrix per (target bar, source start) of it,
 # and match g reads each nonzero pair's walk along its overlap off two
-# more.  CLI runs on a shared 2-core x86 VM (medians of 3), GF(2):
-# n = 16, 250 bars a side, lengths 5-10 (work 3,836, an 8.3 MB file)
-# takes 0.9 s for match m, 1.4 s for match g, 0.3 s for match chi and
-# for barcode; n = 32, 110 bars, lengths 9-18 (work 2,960) takes 0.6 s
-# for match m and for match g, 0.2 s for match chi and for barcode.
-# The dense natural morphism (n = 8, dims 255 on both sides, the same
-# dense seeded GF(2) map A at every step of both modules, f_t = A + A^2)
-# takes 0.7 s for barcode, for match chi and for match m, and 0.8 s for
-# match g.
+# more.  CLI runs on a shared 2-core x86 VM (medians of 3): n = 16,
+# 250 bars a side, lengths 5-10 (work 3,836, an 8.3 MB file) takes
+# 1.1 s for match m and 1.5 s for match g over GF(7), the slowest
+# measured, and 0.8 s and 1.3 s over GF(2); match chi and barcode take
+# 0.3 s over either field.  Over GF(2), n = 32, 110 bars, lengths 9-18
+# (work 2,960) takes 0.5 s for match m, 0.6 s for match g and 0.2 s for
+# match chi and for barcode.  The dense natural morphism (n = 8, dims
+# 255 on both sides, the same dense seeded GF(2) map A at every step of
+# both modules, f_t = A + A^2) takes 0.7 s for barcode, for match chi
+# and for match m, and 0.8 s for match g.
 MAX_WORK = 4096
 
 

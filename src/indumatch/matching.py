@@ -29,10 +29,11 @@ One walk computes a comparison module's dimensions: it starts at K.b
 and steps leftward along K, so its first value is the m entry and the
 rest make up the g entry.  The m table takes that first value of each
 pair; the g table also takes the rest, for the pairs whose first value
-is nonzero (a zero there forces the whole module to zero); x_module
-takes the whole walk.  The walk is lazy, so the checks between t and
-t+1 run exactly on the steps a table consumes.  The first values come
-from one reduction per (J, I.a), shared by every I of that start.
+is nonzero (a zero there forces the whole module to zero), and the
+referee oracle.x_module builds the module from its g entry.  The walk
+is lazy, so the checks between t and t+1 run exactly on the steps a
+table consumes.  The first values come from one reduction per (J, I.a),
+shared by every I of that start.
 
 The counts are ranks, read off one lowest-pivot reduction (gf.low_reduce).
 Fix (I, J) and t in K, and let own be the rows of J's own generators and
@@ -105,7 +106,6 @@ module is the direct sum of theirs, its dims the sums of theirs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -117,12 +117,9 @@ from .modules import (
     GridInterval,
     InvariantError,
     Morphism,
-    PersistenceModule,
+    basis_matrix,
     hom_exists,
     interval_sort_key,
-    module_from_bars,
-    basis_matrix,
-    zero_module,
 )
 
 
@@ -351,24 +348,6 @@ def _overlap_bars(k: GridInterval, dims: list[int]) -> Barcode:
     dims = [d_{K.b}, ..., d_{K.a}], as _comparison_dims yields them."""
     return Barcode({GridInterval(k.b - s, k.b): d - e
                     for s, (d, e) in enumerate(zip(dims, dims[1:] + [0]))})
-
-
-@dataclass(frozen=True)
-class XModule:
-    """Comparison module for a bar pair; zero off the overlap."""
-
-    support: GridInterval | None
-    module: PersistenceModule
-
-
-def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
-    """The comparison module of (I, J) on the full grid, as the direct sum
-    of its bars, which all die at the right end of the overlap."""
-    support = i.intersect(j)
-    if support is None:
-        return XModule(None, zero_module(f.n, f.p))
-    bars = _overlap_bars(support, list(_comparison_dims(basis_matrix(f), i, j)))
-    return XModule(support, module_from_bars(f.n, f.p, [iv for iv, _ in bars.rep()]))
 
 
 class MatchingTable:

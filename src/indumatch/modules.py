@@ -5,24 +5,24 @@ structure matrices V(t) -> V(t+1); a morphism is a grid of component
 matrices making every square commute.  All grid positions in the public
 API are 1-based, matching the usual way these diagrams are written.
 
-It reads the barcode off one left-to-right sweep (_sweep), which keeps
-only the current basis matrix B_t, of the vectors at t of the
-generators alive at t, and records what the bars need: their births
-and deaths, the rows of each newborn unit vector, and per death the
-older survivors added to the dying generators.  A morphism f is read
+It reads the barcode off one left-to-right sweep (the function sweep),
+which keeps only the current basis matrix B_t, of the vectors at t of
+the generators alive at t, and records what the bars need: their
+births and deaths, the rows of each newborn unit vector, and per death
+the older survivors added to the dying generators.  A morphism f is read
 off the persistence bases of its two ends as one matrix M, a
 BasisMatrix, the only thing a morphism caches and what every report
-takes.  basis_matrix builds every M from the records of the sweeps of
-f's two ends, and no command builds a basis: persistence_basis, which
-referees alone read, replays a sweep's record into B_1, ..., B_n and is
-the only thing a module caches.  M carries the bars of its rows and
-columns, the target and source barcodes (M.barcodes, built once per
-M), so the image barcode is read off M alone (M.image_barcode()), and
-the shift functor is one operation on M (M.shift(eps)) that builds no
-module.  The
-image factorization and the composite maps are referees that no command
-runs; the other referees, the interval operators and the shifted
-modules among them, are in oracle.py.
+takes; a module caches nothing.  basis_matrix builds every M from the
+records of the sweeps of f's two ends, and no basis is built: the
+replay of a sweep's record into B_1, ..., B_n (oracle.persistence_basis)
+is a referee.  M carries the bars of its rows and columns, the target
+and source barcodes (M.barcodes, built once per M), so the image
+barcode is read off M alone (M.image_barcode()), and the shift functor
+is one operation on M (M.shift(eps)) that builds no module.  The image
+factorization and the composite maps are referees that no command runs,
+kept here because the benchmark reads them here; the other referees,
+the basis replay, the interval operators and the shifted modules among
+them, are in oracle.py.
 """
 
 from __future__ import annotations
@@ -168,7 +168,6 @@ class PersistenceModule:
         self.maps = tuple(gf.normalize(m, self.p) for m in maps)
         for m in self.maps:
             m.setflags(write=False)
-        self._basis: "PersistenceBasis | None" = None
 
     def dim(self, t: int) -> int:
         self._check_t(t)
@@ -322,8 +321,7 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
 
     V(t) has one coordinate per bar alive at t, in the order given, and
     the structure map V(t) -> V(t+1) keeps the bars that survive and
-    drops the rest, a 0/1 selection.  No basis is cached: persistence_basis
-    replays one when a referee reads it.  Every image of a standard basis vector
+    drops the rest, a 0/1 selection.  Every image of a standard basis vector
     is another one or 0, so the sweep takes the standard basis vectors,
     the bars in stable start order, and each B_t is a permutation
     matrix, the identity when the bars come sorted by start.
@@ -446,7 +444,7 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
 #     operations run after the target's sweep.
 # As coordinates in a basis are unique, M is the same matrix as solving
 # f_{g.a} g = B_{g.a} x for every g against the final bases, the ones
-# persistence_basis replays.
+# oracle.persistence_basis replays.
 
 
 @dataclass(frozen=True)
@@ -595,7 +593,7 @@ def basis_matrix(f: Morphism) -> BasisMatrix:
 
     The source is swept first.  A generator born at s starts as the unit
     vector of a newborn row i of V(s), so column i of f_s is its raw
-    image; those columns ride along the target's sweep (_sweep), which
+    image; those columns ride along the target's sweep (sweep), which
     reads each column of M at its generator's birth in the target basis
     as the sweep leaves it, with no solve and no product.  Then each
     source death, in death order, is one column operation on M (the
@@ -604,9 +602,9 @@ def basis_matrix(f: Morphism) -> BasisMatrix:
     """
     if f._matrix is None:
         p = f.p
-        src = _sweep(f.source)
+        src = sweep(f.source)
         images = [f.comp(s)[:, rows] for s, rows in enumerate(src.newborn, start=1)]
-        tgt = _sweep(f.target, images)
+        tgt = sweep(f.target, images)
         m = tgt.coords
         for dying, alive, c in src.deaths:
             # M[:, j] += sum_k C[k, j] M[:, k], on the rows alive at j's birth.
@@ -619,60 +617,7 @@ def basis_matrix(f: Morphism) -> BasisMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Persistence bases.
-
-
-@dataclass(frozen=True, eq=False)
-class PersistenceBasis:
-    """An interval decomposition of a module, as its generators' bars and
-    one matrix per grid position.
-
-    The k-th generator has the bar [starts[k], ends[k]]; they are in
-    birth order, so starts is nondecreasing.  vectors[t - 1] is B_t,
-    whose columns are the vectors at t of the generators alive at t, in
-    that same order: those born by t - 1 that survive it, then those born
-    at t.  All arrays are read-only.
-    """
-
-    starts: np.ndarray
-    ends: np.ndarray
-    vectors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        for a in (self.starts, self.ends, *self.vectors):
-            a.setflags(write=False)
-
-    def interval_barcode(self) -> Barcode:
-        return _interval_barcode(self.starts, self.ends)
-
-    def alive(self, t: int) -> np.ndarray:
-        return _alive(self.starts, self.ends, t)
-
-    def validate(self, m: PersistenceModule) -> "PersistenceBasis":
-        starts, ends = self.starts, self.ends
-        if len(self.vectors) != m.n or len(starts) != len(ends):
-            raise ValidationError(f"{len(starts)} starts, {len(ends)} ends and"
-                                  f" {len(self.vectors)} matrices on a grid of length {m.n}")
-        if not np.all((1 <= starts) & (starts <= ends) & (ends <= m.n)):
-            raise ValidationError(f"a generator's bar is not inside 1..{m.n}")
-        if np.any(np.diff(starts) < 0):
-            raise ValidationError("generators are not in birth order")
-        for t in range(1, m.n + 1):
-            b, alive = self.vectors[t - 1], self.alive(t)
-            if b.shape != (m.dim(t), len(alive)) or len(alive) != m.dim(t):
-                raise ValidationError(f"B_{t} has shape {b.shape} for {len(alive)}"
-                                      f" generators alive in dim V({t}) = {m.dim(t)}")
-            if gf.rank(b, m.p) != m.dim(t):
-                raise ValidationError(f"basis vectors dependent at t={t}")
-            if t < m.n:
-                pushed = gf.matmul(m.map(t), b, m.p)
-                dies = ends[alive] == t
-                if np.any(pushed[:, dies]):
-                    raise ValidationError(f"a generator ending at t={t} survives it")
-                kept = pushed[:, ~dies]
-                if not np.array_equal(kept, self.vectors[t][:, : kept.shape[1]]):
-                    raise ValidationError(f"a generator's chain breaks at t={t}")
-        return self
+# The sweep.
 
 
 def _reduce_images(x: np.ndarray, y: np.ndarray, eye: np.ndarray,
@@ -725,42 +670,6 @@ def _reduce_images(x: np.ndarray, y: np.ndarray, eye: np.ndarray,
     return lead, work[:width, d:].T, work[width:] % p
 
 
-def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
-    """A persistence basis of m, replayed from the record of its one sweep
-    (_sweep), cached on the module, read-only like the structure maps.
-
-    Only referees read it: barcode and basis_matrix take the sweep's
-    record itself.  The replay runs no reduction.  B_1 is the identity,
-    and B_{t+1} is V_t of the survivors' columns of B_t, then the unit
-    vectors of the newborn rows of V(t+1): every generator's raw vectors.
-    Then each recorded death, in death order, adds the older survivors
-    to the dying generators' vectors over their whole past, B_s ->
-    B_s (I + C); a survivor is rewritten only at its own later death, so
-    it is still raw when it is added.
-    """
-    if m._basis is None:
-        p = m.p
-        sweep = _sweep(m)
-        starts, ends = sweep.starts, sweep.ends
-        eye = gf.identity(max(m.dims))
-        alive = [_alive(starts, ends, t) for t in range(1, m.n + 1)]
-        cols = [eye[: m.dims[0], : m.dims[0]].copy()]
-        for t in range(1, m.n):
-            kept = cols[-1][:, ends[alive[t - 1]] > t]
-            cols.append(np.concatenate((gf.matmul(m.map(t), kept, p),
-                                        eye[: m.dims[t], sweep.newborn[t]]), axis=1))
-        for dying, at_death, c in sweep.deaths:
-            for s in range(int(starts[dying[0]]), int(ends[dying[0]]) + 1):
-                # C's rows and columns born by s, and where B_s holds them.
-                rows, cols_s = starts[at_death] <= s, starts[dying] <= s
-                b, place = cols[s - 1], alive[s - 1]
-                j = np.searchsorted(place, dying[cols_s])
-                b[:, j] = (b[:, j] + b[:, np.searchsorted(place, at_death[rows])]
-                           @ c[rows][:, cols_s]) % p
-        m._basis = PersistenceBasis(starts, ends, tuple(cols))
-    return m._basis
-
-
 @dataclass(frozen=True)
 class _Sweep:
     """What one sweep of a module records, with no basis.
@@ -782,7 +691,7 @@ class _Sweep:
     coords: np.ndarray | None
 
 
-def _sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Sweep:
+def sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Sweep:
     """One left-to-right reduction of m that keeps only the current B_t,
     and the coordinates of images in the persistence basis it records.
 
@@ -807,7 +716,8 @@ def _sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Swe
         unitriangular change, so the raw survivors and the e_i are a
         basis of V(t+1) too.  A death adds older generators alive at
         every s in [birth, t] to the dying one, also unitriangular, so
-        every B_s of the corrected basis (persistence_basis) is a basis.
+        every B_s of the corrected basis (oracle.persistence_basis) is a
+        basis.
       - A column dies exactly when its image lies in the span of the
         older images.  This is the elder rule, so the barcode is the
         module's own; the basis, and so M, depends on the sweep, but
@@ -903,20 +813,20 @@ def _check_alive_counts(m: PersistenceModule, births: list[int], deaths: list[in
 def barcode(m: PersistenceModule) -> Barcode:
     """Interval decomposition multiplicities, read off the bars of m's sweep.
 
-    The sweep (_sweep) is a left-to-right column reduction that closes a
+    The sweep (sweep) is a left-to-right column reduction that closes a
     generator by the elder rule, so the bars are the module's own
     whatever basis it records.  Each step makes one image product,
     reduces a copy of it oldest first, takes the unit vectors of the
     unled rows as newborns and records, for a dying generator, the older
     survivors added to it (the steps and why they are exact are in
-    _sweep's docstring); no basis is built.  Since v_plus and v_minus of
+    sweep's docstring); no basis is built.  Since v_plus and v_minus of
     [a, b] (oracle.py) are spanned by basis vectors and differ by exactly
     the generators with interval [a, b], dim v_plus - dim v_minus at any
     t in [a, b] is the multiplicity of [a, b], which is the fact the
     matching relies on.
     """
-    sweep = _sweep(m)
-    return _interval_barcode(sweep.starts, sweep.ends)
+    record = sweep(m)
+    return _interval_barcode(record.starts, record.ends)
 
 
 # ---------------------------------------------------------------------------

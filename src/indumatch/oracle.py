@@ -2,18 +2,22 @@
 
 Every CLI report reads a morphism's basis matrix M (modules.py); these
 are what the reports are checked against, and no module of the package
-but __init__ imports them.  naive_barcode reads multiplicities off
-composite ranks, independent of the basis sweep.  The interval
-operators are spans of basis generators, refereed in turn by the
-composite definitions in tests/test_modules.py.  y_plus and y_minus
-push the source's operators through f_t and meet and sum them with the
-target's in W(t), reading nothing of matching.  iota and lambda_ are the
-factors of the induced matching of Bauer and Lesnick ("Induced matchings
-of barcodes and the algebraic stability of persistence").
+but __init__ imports them.  persistence_basis replays a module's sweep
+into its persistence basis, which no command builds.  naive_barcode
+reads multiplicities off composite ranks, independent of the basis
+sweep.  The interval operators are spans of basis generators, refereed
+in turn by the composite definitions in tests/test_modules.py.  y_plus
+and y_minus push the source's operators through f_t and meet and sum
+them with the target's in W(t), reading nothing of matching.  x_module
+builds a comparison module from its g table entry.  iota and lambda_ are
+the factors of the induced matching of Bauer and Lesnick ("Induced
+matchings of barcodes and the algebraic stability of persistence").
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +25,120 @@ import numpy as np
 from . import gf
 from .gf import Subspace
 from .bauer_lesnick import bucket_matching, chi
-from .matching import RepMatching, m_matching, representation
-from .modules import (Barcode, GridInterval, Morphism, PersistenceBasis, PersistenceModule,
-                      barcode, basis_matrix, image_module, morphism_from_bars,
-                      persistence_basis)
+from .matching import RepMatching, g_table, m_matching, representation
+from .modules import (Barcode, GridInterval, Morphism, PersistenceModule, ValidationError,
+                      barcode, basis_matrix, image_module, module_from_bars,
+                      morphism_from_bars, sweep)
+
+
+# ---------------------------------------------------------------------------
+# Persistence bases.
+
+
+def _alive(starts: np.ndarray, ends: np.ndarray, t: int) -> np.ndarray:
+    """Indices of the generators with bars [starts[k], ends[k]] alive at t."""
+    return ((starts <= t) & (t <= ends)).nonzero()[0]
+
+
+@dataclass(frozen=True, eq=False)
+class PersistenceBasis:
+    """An interval decomposition of a module, as its generators' bars and
+    one matrix per grid position.
+
+    The k-th generator has the bar [starts[k], ends[k]]; they are in
+    birth order, so starts is nondecreasing.  vectors[t - 1] is B_t,
+    whose columns are the vectors at t of the generators alive at t, in
+    that same order: those born by t - 1 that survive it, then those born
+    at t.  All arrays are read-only.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    vectors: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for a in (self.starts, self.ends, *self.vectors):
+            a.setflags(write=False)
+
+    def interval_barcode(self) -> Barcode:
+        return Barcode(Counter(map(GridInterval, self.starts.tolist(), self.ends.tolist())))
+
+    def alive(self, t: int) -> np.ndarray:
+        return _alive(self.starts, self.ends, t)
+
+    def validate(self, m: PersistenceModule) -> "PersistenceBasis":
+        starts, ends = self.starts, self.ends
+        if len(self.vectors) != m.n or len(starts) != len(ends):
+            raise ValidationError(f"{len(starts)} starts, {len(ends)} ends and"
+                                  f" {len(self.vectors)} matrices on a grid of length {m.n}")
+        if not np.all((1 <= starts) & (starts <= ends) & (ends <= m.n)):
+            raise ValidationError(f"a generator's bar is not inside 1..{m.n}")
+        if np.any(np.diff(starts) < 0):
+            raise ValidationError("generators are not in birth order")
+        for t in range(1, m.n + 1):
+            b, alive = self.vectors[t - 1], self.alive(t)
+            if b.shape != (m.dim(t), len(alive)) or len(alive) != m.dim(t):
+                raise ValidationError(f"B_{t} has shape {b.shape} for {len(alive)}"
+                                      f" generators alive in dim V({t}) = {m.dim(t)}")
+            if gf.rank(b, m.p) != m.dim(t):
+                raise ValidationError(f"basis vectors dependent at t={t}")
+            if t < m.n:
+                pushed = gf.matmul(m.map(t), b, m.p)
+                dies = ends[alive] == t
+                if np.any(pushed[:, dies]):
+                    raise ValidationError(f"a generator ending at t={t} survives it")
+                kept = pushed[:, ~dies]
+                if not np.array_equal(kept, self.vectors[t][:, : kept.shape[1]]):
+                    raise ValidationError(f"a generator's chain breaks at t={t}")
+        return self
+
+
+# The basis persistence_basis replayed for each live module, by id; a
+# module's entry is dropped when the module is (weakref.finalize).
+_BASES: dict[int, PersistenceBasis] = {}
+
+
+def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
+    """A persistence basis of m, replayed from the record of its one sweep
+    (modules.sweep), read-only like the structure maps, and kept while m
+    lives.
+
+    No command builds one: barcode and basis_matrix take the sweep's
+    record itself.  The replay runs no reduction.  B_1 is the identity,
+    and B_{t+1} is V_t of the survivors' columns of B_t, then the unit
+    vectors of the newborn rows of V(t+1): every generator's raw vectors.
+    Then each recorded death, in death order, adds the older survivors
+    to the dying generators' vectors over their whole past, B_s ->
+    B_s (I + C); a survivor is rewritten only at its own later death, so
+    it is still raw when it is added.
+    """
+    basis = _BASES.get(id(m))
+    if basis is None:
+        p = m.p
+        record = sweep(m)
+        starts, ends = record.starts, record.ends
+        eye = gf.identity(max(m.dims))
+        alive = [_alive(starts, ends, t) for t in range(1, m.n + 1)]
+        cols = [eye[: m.dims[0], : m.dims[0]].copy()]
+        for t in range(1, m.n):
+            kept = cols[-1][:, ends[alive[t - 1]] > t]
+            cols.append(np.concatenate((gf.matmul(m.map(t), kept, p),
+                                        eye[: m.dims[t], record.newborn[t]]), axis=1))
+        for dying, at_death, c in record.deaths:
+            for s in range(int(starts[dying[0]]), int(ends[dying[0]]) + 1):
+                # C's rows and columns born by s, and where B_s holds them.
+                rows, cols_s = starts[at_death] <= s, starts[dying] <= s
+                b, place = cols[s - 1], alive[s - 1]
+                j = np.searchsorted(place, dying[cols_s])
+                b[:, j] = (b[:, j] + b[:, np.searchsorted(place, at_death[rows])]
+                           @ c[rows][:, cols_s]) % p
+        basis = _BASES[id(m)] = PersistenceBasis(starts, ends, tuple(cols))
+        weakref.finalize(m, _BASES.pop, id(m), None)
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# Barcodes by composite ranks, and generator counts.
 
 
 def _composite_rank(m: PersistenceModule, s: int, t: int) -> int:
@@ -196,6 +310,24 @@ def y_minus(f: Morphism, i: GridInterval, j: GridInterval, t: int) -> Subspace:
     absorbed = sum_subspaces(pushed(f, v_minus, i, t), v_minus(f.target, j, t))
     early = gf.intersect(pushed(f, im_minus, i, t), v_plus(f.target, j, t))
     return sum_subspaces(absorbed, early)
+
+
+@dataclass(frozen=True)
+class XModule:
+    """Comparison module for a bar pair; zero off the overlap."""
+
+    support: GridInterval | None
+    module: PersistenceModule
+
+
+def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
+    """The comparison module of (I, J) on the full grid, as the direct sum
+    of the bars of its g table entry, which all die at the right end of
+    the overlap.  A pair with no entry has the zero module: disjoint bars,
+    a pair no nonzero map joins, and an I that is no source bar or a J
+    that is no target bar of f, where G_f(I, J) has no generators."""
+    bars = g_table(basis_matrix(f)).get(i, j)
+    return XModule(i.intersect(j), module_from_bars(f.n, f.p, [iv for iv, _ in bars.rep()]))
 
 
 def is_injective(f: Morphism) -> bool:

@@ -23,10 +23,10 @@ from indumatch.modules import (
     Barcode,
     BasisMatrix,
     InvariantError,
-    PersistenceBasis,
     _check_support,
     basis_matrix,
 )
+from indumatch.oracle import PersistenceBasis
 
 
 def mat(rows):
@@ -133,12 +133,13 @@ def ref_frame(f, t):
     return coords
 
 
-def ref_basis_matrix(f):
-    """f's M by one gf.solve per distinct source birth s, for the columns
-    of the generators born at s against the target generators alive at
-    s; not cached on f."""
+def ref_basis_matrix(f, basis=persistence_basis):
+    """f's M in the bases basis(module) gives f's two ends, by one
+    gf.solve per distinct source birth s, for the columns of the
+    generators born at s against the target generators alive at s; not
+    cached on f."""
     p = f.p
-    alpha, beta = persistence_basis(f.source), persistence_basis(f.target)
+    alpha, beta = basis(f.source), basis(f.target)
     m = gf.zeros(len(beta.starts), len(alpha.starts))
     for s in sorted(set(alpha.starts.tolist())):
         cols = np.nonzero(alpha.starts == s)[0]

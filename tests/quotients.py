@@ -13,9 +13,8 @@ import numpy as np
 
 from indumatch import gf, zero_module
 from indumatch.gf import DimensionMismatch, Subspace
-from indumatch.matching import XModule
 from indumatch.modules import InvariantError, PersistenceModule
-from indumatch.oracle import y_minus, y_plus
+from indumatch.oracle import XModule, y_minus, y_plus
 
 
 class ContainmentError(ValueError):

@@ -884,13 +884,17 @@ def test_cli_reads_nothing_through_the_image_factorization(
 def test_no_command_builds_or_caches_a_persistence_basis(wide_file, tmp_path, capsys,
                                                          monkeypatch):
     # M is built from the records of the two sweeps: no command replays a
-    # basis, and none is left cached on either module.
+    # basis or builds a comparison module, and no module caches a basis.
+    # Both are referees, defined in oracle alone.
+    for owner, names in ((modules, ("PersistenceBasis", "persistence_basis")),
+                         (matching, ("XModule", "x_module"))):
+        assert [name for name in names if hasattr(owner, name)] == [], owner.__name__
+    assert indumatch.persistence_basis is oracle.persistence_basis
+    assert indumatch.x_module is oracle.x_module
     rand = tmp_path / "rand.json"
     write_morphism(modules.direct_sum_morphism(random_ladder(12, 4, 5, 3),
                                                random_ladder(12, 3, 5, 4)), rand)
     f = read_morphism(rand)
-    modules.basis_matrix(f)
-    assert f.source._basis is None and f.target._basis is None
     argvs = [[*fmt, "barcode", path] for fmt in ([], ["--format", "ascii"])
              for path in (wide_file, str(rand))]
     argvs += [[*fmt, "match", path, "--method", method, "--eps", eps]
@@ -898,11 +902,14 @@ def test_no_command_builds_or_caches_a_persistence_basis(wide_file, tmp_path, ca
               for method in ("m", "g", "chi") for eps in ("0", "1")]
     want = [run_cli(capsys, *argv) for argv in argvs]
 
-    def builds_a_basis(*args, **kwargs):
-        raise RuntimeError("a command built a persistence basis")
+    def refused(*args, **kwargs):
+        raise RuntimeError("a command built a persistence basis or a comparison module")
 
-    for owner in (indumatch, modules, oracle):
-        monkeypatch.setattr(owner, "persistence_basis", builds_a_basis)
+    for owner in (indumatch, oracle):
+        for name in ("persistence_basis", "x_module"):
+            monkeypatch.setattr(owner, name, refused)
+    modules.basis_matrix(f)
+    assert not hasattr(f.source, "_basis") and not hasattr(f.target, "_basis")
     assert [run_cli(capsys, *argv) for argv in argvs] == want
 
 
@@ -952,7 +959,7 @@ def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, cap
     calls = {"solve": 0, "rref": 0}
     in_m = {"solve": 0, "rref": 0}
     builds, sweeps, barcodes = [], [], []
-    real_sweep = modules._sweep
+    real_sweep = modules.sweep
     real_interval_barcode = modules._interval_barcode
 
     def counted_interval_barcode(starts, ends):
@@ -970,7 +977,7 @@ def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, cap
         sweeps.append(m)
         return real_sweep(m, images)
 
-    monkeypatch.setattr(modules, "_sweep", counted_sweep)
+    monkeypatch.setattr(modules, "sweep", counted_sweep)
 
     def counting(name):
         real = getattr(gf, name)

@@ -217,6 +217,17 @@ def test_x_modules_of_shifted_wide_ladder(wide_ladder):
     assert barcode(x2.module) == Barcode.from_pairs([(3, 3, 1)])
 
 
+def test_x_module_of_a_bar_that_is_not_a_source_bar_is_zero():
+    # [5,6] is a target bar of this ladder, twice, but no source bar: the
+    # g table has no entry for ([5,6], [5,6]), as G_f has no generators
+    # there, so the comparison module is zero on the overlap.
+    f = random_ladder(6, 3, 2, 5)
+    assert barcode(f.source).mult(iv(5, 6)) == 0 and barcode(f.target).mult(iv(5, 6)) == 2
+    x = x_module(f, iv(5, 6), iv(5, 6))
+    assert x.support == iv(5, 6)
+    assert x.module.dims == (0,) * 6
+
+
 def test_x_module_dims_nondecreasing_on_support():
     rng = random.Random(53)
     for seed in range(25):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,19 +43,19 @@ from indumatch import (
     v_plus,
     zero_module,
 )
-from indumatch import cli, modules
+from indumatch import cli, modules, oracle
 from indumatch.bauer_lesnick import chi, chi_table
 from indumatch.gf import Subspace
 from indumatch.matching import MMatchingTable, g_matching, g_table, m_matching, m_table
 from indumatch.modules import (
     BasisMatrix,
     InvariantError,
-    PersistenceBasis,
     _check_support,
-    _sweep,
     basis_matrix,
+    sweep,
 )
-from indumatch.oracle import is_injective, is_surjective, naive_barcode, sum_subspaces
+from indumatch.oracle import (PersistenceBasis, is_injective, is_surjective, naive_barcode,
+                              sum_subspaces)
 
 from conftest import (
     iv,
@@ -505,13 +506,15 @@ def _fresh(f):
 
 
 def _with_bases(f, basis):
-    """A copy of f whose modules carry the bases basis(module) builds, and
-    whose M is in those bases: the target's sweep rebuilds only its own."""
+    """A copy of f whose M is in the bases basis(module) builds for its
+    two ends."""
     g = _fresh(f)
-    for m in (g.source, g.target):
-        m._basis = basis(m)
-    g._matrix = ref_basis_matrix(g)
+    g._matrix = ref_basis_matrix(g, basis)
     return g
+
+
+def _builds_a_basis(m):
+    raise AssertionError("a persistence basis was built")
 
 
 def _cli_tables(f):
@@ -537,11 +540,12 @@ def _assert_m_equals_the_solve_referee(f):
     # The referee solves in the bases persistence_basis replays; M, built
     # from the two sweeps' records with no basis, must be the same matrix.
     h, g = _fresh(f), _fresh(f)
-    ref, bm = ref_basis_matrix(h), basis_matrix(g)
+    ref = ref_basis_matrix(h)
+    with mock.patch.object(oracle, "persistence_basis", _builds_a_basis):
+        bm = basis_matrix(g)
     for name in ("src_a", "src_b", "tgt_a", "tgt_b", "m"):
         a, b = getattr(bm, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert g.source._basis is None and g.target._basis is None
     assert bm.barcodes == (barcode(h.source), barcode(h.target))
 
 
@@ -587,18 +591,23 @@ def test_sweep_rebuilds_the_basis_module_from_bars_seeds(n, p, bars):
 
 
 def test_only_the_sweep_builds_bases_and_m(wide_ladder):
-    m = module_from_bars(4, 3, [iv(1, 4), iv(2, 3), iv(2, 4)])
-    assert m._basis is None
-    g = shift_morphism(wide_ladder, 1)
-    assert g._matrix is None and g.target._basis is None
-    m_matching(g)  # a report reads M, which sweeps g's ends and builds no basis
-    assert g._matrix is not None
-    assert g.source._basis is None and g.target._basis is None
+    with mock.patch.object(oracle, "persistence_basis", _builds_a_basis):
+        m = module_from_bars(4, 3, [iv(1, 4), iv(2, 3), iv(2, 4)])
+        g = shift_morphism(wide_ladder, 1)
+        assert g._matrix is None
+        m_matching(g)  # a report reads M, which sweeps g's ends and builds no basis
+        assert g._matrix is not None
+    assert not hasattr(m, "_basis")  # a module caches nothing
     # A basis persistence_basis built first stays the cached object when
     # M's sweep of the same module follows.
     pb = persistence_basis(m)
     assert basis_matrix(Morphism.identity(m)).m.tolist() == gf.identity(3).tolist()
     assert persistence_basis(m) is pb
+    # oracle keeps it only while the module lives.
+    key = id(m)
+    assert oracle._BASES[key] is pb
+    del m
+    assert key not in oracle._BASES
 
 
 def test_sweep_makes_one_image_product_per_step(monkeypatch):
@@ -617,7 +626,7 @@ def test_sweep_makes_one_image_product_per_step(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(gf, name, counting(name))
-    _sweep(m)
+    sweep(m)
     assert calls["rref"] == calls["solve"] == 0
     assert 0 < calls["matmul"] <= m.n - 1
     # persistence_basis replays the record of that one sweep: it reduces
