@@ -25,15 +25,15 @@ off its rows and columns: m_matching and g_matching pass f's, and the
 CLI passes f's or that of its shift (BasisMatrix.shift).  Their referee,
 the y spaces as pushed subspaces of W(t), is in oracle.py.
 
-One walk computes a comparison module's dimensions: it starts at K.b
-and steps leftward along K, so its first value is the m entry and the
-rest make up the g entry.  The m table takes that first value of each
-pair; the g table also takes the rest, for the pairs whose first value
-is nonzero (a zero there forces the whole module to zero), and the
-referee oracle.x_module builds the module from its g entry.  The walk
-is lazy, so the checks between t and t+1 run exactly on the steps a
-table consumes.  The first values come from one reduction per (J, I.a),
-shared by every I of that start.
+A comparison module's dimension at K.b is the m entry, and its
+dimensions along K make up the g entry.  One reduction per (J, I.a)
+(_reduce), shared by every I of that start, gives each I its m entry
+and the basis lower that a walk along K starts from, and the pair
+iterator _pairs hands both to the tables.  The m table sums the entries
+and walks nothing.  The g table walks from K.b leftward along K
+(_comparison_dims) only the pairs with a nonzero entry, as a zero there
+forces the whole module to zero, and the referee oracle.x_module builds
+the module from its g entry.
 
 The counts are ranks, read off one lowest-pivot reduction (gf.low_reduce).
 Fix (I, J) and t in K, and let own be the rows of J's own generators and
@@ -139,11 +139,14 @@ def _src_plus(bm: BasisMatrix, i: GridInterval, t: int):
     return cols, bm.m[:, cols]
 
 
-def _reduce(bm: BasisMatrix, j: GridInterval, a: int, t: int):
+def _reduce(bm: BasisMatrix, j: GridInterval, a: int,
+            t: int) -> dict[int, tuple[int, np.ndarray]]:
     """Q of the sources starting at a against J at t (see the module
-    docstring), reduced by gf.low_reduce: the range of Q columns of each
-    source bar [a, b] at t, by b; which Q columns have their low on J's
-    own rows; and the transpose of Q's reduced columns on those rows."""
+    docstring), reduced by gf.low_reduce.  For each source bar [a, b]
+    alive at t, by b: its m entry, the number of its own Q columns whose
+    low is one of J's own rows, and lower, the transpose of the reduced
+    columns before them (Q's prefix [E, S]) with such a low, on J's own
+    rows: a basis of L_S."""
     alive = bm.src_b >= t
     e = (alive & (bm.src_a < a)).nonzero()[0]
     x = (alive & (bm.src_a <= a)).nonzero()[0]
@@ -155,19 +158,15 @@ def _reduce(bm: BasisMatrix, j: GridInterval, a: int, t: int):
     qt[:ne, :no], qt[ne:, :no] = own[e], own[x]
     qt[:ne, no : no + nf], qt[ne:, no + nf :] = off[e], off[x]
     lows = gf.low_reduce(qt, bm.p)
-    spans: dict[int, tuple[int, int]] = {}
-    for k, (ga, gb) in enumerate(zip(bm.src_a[x].tolist(), bm.src_b[x].tolist()), ne):
+    in_own = ((lows >= 0) & (lows < no)).tolist()
+    lower = qt[in_own, :no]
+    k = sum(in_own[:ne])  # the columns with an own low before the current one
+    spans: dict[int, list[int]] = {}  # b -> k at [a, b]'s first column, and past its last
+    for ga, gb, own_low in zip(bm.src_a[x].tolist(), bm.src_b[x].tolist(), in_own[ne:]):
         if ga == a:
-            spans[gb] = (spans.get(gb, (k,))[0], k + 1)
-    return spans, (lows >= 0) & (lows < no), qt[:, :no].copy()
-
-
-def _entry(reduced, i: GridInterval) -> tuple[int, np.ndarray]:
-    """The m entry of I off the _reduce of its group, and the transpose of
-    that reduction's columns spanning lower on J's own rows."""
-    spans, in_own, own = reduced
-    start, end = spans[i.b]
-    return int(in_own[start:end].sum()), own[:start][in_own[:start]]
+            spans.setdefault(gb, [k, k])[1] += own_low
+        k += own_low
+    return {b: (end - start, lower[:start]) for b, (start, end) in spans.items()}
 
 
 class _Walk(NamedTuple):
@@ -186,7 +185,7 @@ class _Walk(NamedTuple):
 def _walk_reduce(bm: BasisMatrix, i: GridInterval, j: GridInterval, lower: np.ndarray) -> _Walk:
     """The reductions of A = [[0, P_off], [lower, P_own]] (rows off, then
     J's own) and B = [[1], [P_off]] by gf.low_reduce, lower the transpose of
-    a basis of L_S (_entry), P _src_plus at K.a and off the rows of
+    a basis of L_S (_reduce), P _src_plus at K.a and off the rows of
     _off_plus at K.a, earliest death first: P_t is a prefix of P and
     _off_plus at t a suffix of off (see _comparison_dims)."""
     cols, plus = _src_plus(bm, i, max(i.a, j.a))
@@ -222,11 +221,13 @@ def _dim_at(walk: _Walk, n: int, f: int) -> int:
             - int(np.count_nonzero(walk.lows_b[:n] >= len(walk.dies) + f)))
 
 
-def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=None):
+def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: int,
+                     lower: np.ndarray) -> list[int]:
     """The dimensions of the comparison module of (I, J) along the overlap
-    K = I n J, read off M: a generator that yields them from t = K.b
-    leftward to K.a, so its first value is the m entry.  reduced is
-    _reduce(bm, J, I.a, K.b), made here if not given.
+    K = I n J, read off M, from t = K.b leftward to K.a: entry, the m
+    entry, then the rest.  entry and lower are what _reduce(bm, J, I.a,
+    K.b) gives I.b; the g table walks only the pairs whose entry is
+    nonzero.
 
     The module is big_t / small_t with the maps W_t induces, where
     big_t = y_plus(t), small at K.b is big n y_minus(K.b), and walking
@@ -248,7 +249,7 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=
     holds off at K.b.  The counts then follow the module docstring, with
     own, off, E and S at K.b and R the rows a count at K.b keeps:
       - dims[K.b], the m entry, counts I's own columns of Q whose low is
-        an own row (_entry).
+        an own row (_reduce).
       - For t < K.b, upper_t is zero on off_t, so on R it is
         P_t own ker P_t off_t on own, and by the second item of the module
         docstring dims[t] = dim (L_S + P_t own ker P_t off_t) - dim L_S.
@@ -278,9 +279,8 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=
     A step whose upper_t is zero on the rows alive at t counts 0 and
     checks no witness.
 
-    Checks, each naming the pair and t (InvariantError), made on the step
-    left to t-1 from t, so a consumer that stops after the first value
-    makes none and one that reads the whole walk makes all of them:
+    Checks, each naming the pair and t (InvariantError), made on each
+    step left to t-1 from t:
       - W_t(span upper_t) lies in span upper_{t+1}.  The induced map
         big_t / small_t -> big_{t+1} / small_{t+1} is well defined when W_t
         carries big into big and small into small; the second holds by the
@@ -316,10 +316,9 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=
     dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
     """
     ka, kb = max(i.a, j.a), min(i.b, j.b)
-    d_l, lower = _entry(_reduce(bm, j, i.a, kb) if reduced is None else reduced, i)
-    yield d_l
+    dims = [entry]
     if ka == kb:
-        return
+        return dims
     walk = _walk_reduce(bm, i, j, lower)
     u = gf.matmul(walk.plus, walk.ident.T, bm.p)  # y_plus at t is columns of U
     plus_l = _src_plus(bm, i, kb)[1]  # P_{t+1}
@@ -336,16 +335,17 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, reduced=
                     raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
                                          f" t={t} out of y_plus at t={t + 1}")
             d = _dim_at(walk, n, f)
-        if d > d_l:
+        if d > dims[-1]:
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
-                                 f" {d} to {d_l} at t={t + 1}")
-        yield d
-        plus_l, d_l = walk.plus[:, :n], d
+                                 f" {d} to {dims[-1]} at t={t + 1}")
+        dims.append(d)
+        plus_l = walk.plus[:, :n]
+    return dims
 
 
 def _overlap_bars(k: GridInterval, dims: list[int]) -> Barcode:
     """d_s - d_{s-1} bars [s, K.b] at each s of K, with d_{K.a - 1} = 0, off
-    dims = [d_{K.b}, ..., d_{K.a}], as _comparison_dims yields them."""
+    dims = [d_{K.b}, ..., d_{K.a}], as _comparison_dims returns them."""
     return Barcode({GridInterval(k.b - s, k.b): d - e
                     for s, (d, e) in enumerate(zip(dims, dims[1:] + [0]))})
 
@@ -412,12 +412,12 @@ def _bars(starts: np.ndarray, ends: np.ndarray) -> list[GridInterval]:
     return [GridInterval(a, b) for a, b in dict.fromkeys(zip(starts.tolist(), ends.tolist()))]
 
 
-def _walks(bm: BasisMatrix):
-    """(I, J, walk) for the hom_exists pairs of each block of bm, walk the
-    _comparison_dims of the block's part of the pair, given one _reduce
-    per (J, I.a) of the block.
+def _pairs(bm: BasisMatrix):
+    """(block, I, J, entry, lower) for the hom_exists pairs of each block
+    of bm: the m entry of the block's part of the pair and the lower a
+    walk of it starts from, off one _reduce per (J, I.a) of the block.
 
-    A hom pair overlaps and J ends first, so each walk starts at J.b.
+    A hom pair overlaps and J ends first, so each is counted at J.b.
     """
     for block in bm.blocks():
         targets = _bars(block.tgt_a, block.tgt_b)
@@ -427,7 +427,7 @@ def _walks(bm: BasisMatrix):
                 if hom_exists(i, j):
                     if (j, i.a) not in reductions:
                         reductions[j, i.a] = _reduce(block, j, i.a, j.b)
-                    yield i, j, _comparison_dims(block, i, j, reductions[j, i.a])
+                    yield block, i, j, *reductions[j, i.a][i.b]
 
 
 def m_matching(f: Morphism) -> MMatchingTable:
@@ -461,8 +461,8 @@ def m_table(bm: BasisMatrix) -> MMatchingTable:
     In both cases y_plus lies in y_minus and the entry is 0.
     """
     counts: Counter = Counter()
-    for i, j, walk in _walks(bm):
-        counts[(i, j)] += next(walk)
+    for _, i, j, entry, _ in _pairs(bm):
+        counts[(i, j)] += entry
     _check_table_bounds(counts, *bm.barcodes, InvariantError)
     return MMatchingTable(counts)
 
@@ -481,18 +481,16 @@ def g_table(bm: BasisMatrix) -> GMatchingTable:
     comparison module of (I, J) is the direct sum of those of the blocks
     holding both bars, so its barcode is the union of theirs.  Within a
     block, the module's dimensions are nondecreasing toward the shared
-    death, so a zero first value of the walk, the count at K.b, forces
-    the whole module to zero, and only the nonzero ones walk on along
-    the overlap; M's bars bound the summed counts.
+    death, so a zero m entry, the count at K.b, forces the whole module
+    to zero, and only the pairs with a nonzero one walk along the
+    overlap; M's bars bound the summed counts.
     """
     counts: Counter = Counter()
     entries: dict[tuple[GridInterval, GridInterval], Barcode] = {}
-    for i, j, walk in _walks(bm):
-        dims = [next(walk)]
-        if dims[0]:
-            dims += walk
-            counts[(i, j)] += dims[0]
-            bars = _overlap_bars(i.intersect(j), dims)
+    for block, i, j, entry, lower in _pairs(bm):
+        if entry:
+            counts[(i, j)] += entry
+            bars = _overlap_bars(i.intersect(j), _comparison_dims(block, i, j, entry, lower))
             entries[(i, j)] = entries.get((i, j), Barcode()).union(bars)
     _check_table_bounds(counts, *bm.barcodes, InvariantError)
     return GMatchingTable(entries)

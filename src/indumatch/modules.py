@@ -311,7 +311,7 @@ class Morphism:
         )
 
 
-def _alive(starts: np.ndarray, ends: np.ndarray, t: int) -> np.ndarray:
+def alive_at(starts: np.ndarray, ends: np.ndarray, t: int) -> np.ndarray:
     """Indices of the generators with bars [starts[k], ends[k]] alive at t."""
     return ((starts <= t) & (t <= ends)).nonzero()[0]
 
@@ -327,7 +327,7 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
     matrix, the identity when the bars come sorted by start.
     """
     starts, ends = _bar_ends(n, bars)
-    alive = [_alive(starts, ends, t) for t in range(1, n + 1)]
+    alive = [alive_at(starts, ends, t) for t in range(1, n + 1)]
     maps = [(alive[t][:, None] == alive[t - 1]).astype(np.int64) for t in range(1, n)]
     return PersistenceModule(p, [len(k) for k in alive], maps)
 
@@ -420,11 +420,15 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
 # as, pushed forward.  Such a rewrite is B_s -> B_s (I + C) at every s it
 # touches, restricted at each s to the generators alive there; C^2 = 0,
 # as its rows are survivors and its columns dying generators.
-#   - A target death.  The images of f ride along the target's sweep.  As
+#   - A target death.  The images of f ride along the target's sweep,
+#     which reads each at its position in the raw basis there.  As
 #     f_s S_s = B_s F_s = B_s (I + C)(I - C) F_s, the coordinates become
-#     F_s -> (I - C) F_s: one row operation on M, M[older] -= C M[dying],
-#     which leaves the columns read before the dying generator's birth
-#     alone, since its row is zero there.
+#     F_s -> (I - C) F_s: one row operation on M, M[older] -= C M[dying].
+#     It reaches only the columns read while the dying generators live,
+#     since their rows are zero on every column read before their birth
+#     or after their death.  So the row operations run on all of M once
+#     the sweep is done, in death order: a survivor of one death may die
+#     at a later one, and its row must hold the earlier one by then.
 #   - A source death.  The raw vector of a generator j born at s is a unit
 #     vector e_i of V(s), so its image is column i of f_s, with no product:
 #     M's columns start as the coordinates of those raw images.  j's
@@ -440,8 +444,11 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
 #     still k's own raw column, and a later death touches only its own
 #     column.
 #   - The row operations are a change of the target basis and the column
-#     operations one of the source basis, so they commute, and the column
-#     operations run after the target's sweep.
+#     operations one of the source basis.  A column operation reads
+#     F_{j.a}, coordinates in the final target basis, so basis_matrix makes
+#     every row operation first: in the masked form above the two do not
+#     commute, since a row operation may add a row dead by j.a to one
+#     alive there.
 # As coordinates in a basis are unique, M is the same matrix as solving
 # f_{g.a} g = B_{g.a} x for every g against the final bases, the ones
 # oracle.persistence_basis replays.
@@ -463,8 +470,8 @@ class BasisMatrix:
 
     def at(self, t: int) -> "BasisMatrix":
         """F_t: f_t from the source generators alive at t to the target ones."""
-        return self.select(_alive(self.tgt_a, self.tgt_b, t),
-                           _alive(self.src_a, self.src_b, t))
+        return self.select(alive_at(self.tgt_a, self.tgt_b, t),
+                           alive_at(self.src_a, self.src_b, t))
 
     def select(self, rows: np.ndarray, cols: np.ndarray) -> "BasisMatrix":
         """The rows and columns of M at the index arrays rows and cols."""
@@ -498,8 +505,8 @@ class BasisMatrix:
     @cached_property
     def barcodes(self) -> tuple[Barcode, Barcode]:
         """The source and target barcodes: the bars of M's columns and rows."""
-        return (_interval_barcode(self.src_a, self.src_b),
-                _interval_barcode(self.tgt_a, self.tgt_b))
+        return (interval_barcode(self.src_a, self.src_b),
+                interval_barcode(self.tgt_a, self.tgt_b))
 
     def shift(self, eps: int) -> "BasisMatrix":
         """The M of the eps-shift of the morphism whose M this is; the shifted
@@ -565,7 +572,7 @@ class BasisMatrix:
         return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
 
 
-def _interval_barcode(starts: np.ndarray, ends: np.ndarray) -> Barcode:
+def interval_barcode(starts: np.ndarray, ends: np.ndarray) -> Barcode:
     """The barcode of generators with the bars [starts[k], ends[k]]."""
     bars = Counter(zip(starts.tolist(), ends.tolist()))
     return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
@@ -594,11 +601,12 @@ def basis_matrix(f: Morphism) -> BasisMatrix:
     The source is swept first.  A generator born at s starts as the unit
     vector of a newborn row i of V(s), so column i of f_s is its raw
     image; those columns ride along the target's sweep (sweep), which
-    reads each column of M at its generator's birth in the target basis
-    as the sweep leaves it, with no solve and no product.  Then each
-    source death, in death order, is one column operation on M (the
-    proof is in the block above BasisMatrix).  Neither module's basis
-    is built or cached.
+    reads each column of M at its generator's birth in the raw target
+    basis there, with no solve and no product.  Then each target death,
+    in death order, is one row operation on M, and after those each
+    source death, in death order, one column operation (the proofs are
+    in the block above BasisMatrix).  Neither module's basis is built or
+    cached.
     """
     if f._matrix is None:
         p = f.p
@@ -606,6 +614,11 @@ def basis_matrix(f: Morphism) -> BasisMatrix:
         images = [f.comp(s)[:, rows] for s, rows in enumerate(src.newborn, start=1)]
         tgt = sweep(f.target, images)
         m = tgt.coords
+        for dying, alive, c in tgt.deaths:
+            # B_s (I + C) has coordinates (I - C) F: M[alive] -= C M[dying],
+            # on the rows C adds to.
+            hit = c.any(1)
+            m[alive[hit]] = (m[alive[hit]] - gf.matmul(c[hit], m[dying], p)) % p
         for dying, alive, c in src.deaths:
             # M[:, j] += sum_k C[k, j] M[:, k], on the rows alive at j's birth.
             added = np.where(tgt.ends[:, None] >= src.starts[dying],
@@ -680,20 +693,22 @@ class _Sweep:
     with a nonzero image, in order, (dying, alive, C): the dying
     generators' numbers, those of all generators alive at that step, and
     the matrix C whose column for dying generator j holds the older
-    survivors added to j, on the rows of alive.  coords is None, or the
-    coordinates of the images the sweep carried, one row per generator.
+    survivors added to j, on the rows of alive.  coords holds the raw
+    coordinates of the images the sweep carried, one row per generator:
+    each image's in the raw basis at its position, which no later death
+    has rewritten.
     """
 
     starts: np.ndarray
     ends: np.ndarray
     newborn: list[list[int]]
     deaths: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    coords: np.ndarray | None
+    coords: np.ndarray
 
 
 def sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Sweep:
     """One left-to-right reduction of m that keeps only the current B_t,
-    and the coordinates of images in the persistence basis it records.
+    and the raw coordinates of images at their positions.
 
     The vectors at t of the generators alive at t, oldest first, are the
     columns of one matrix B_t.  The step from V(t) to V(t+1):
@@ -727,10 +742,12 @@ def sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Swee
     the sweep the generators alive at each t must number dim V(t);
     InvariantError names the first t where they do not.
 
-    images, if given, holds per position t a matrix whose columns are
-    vectors of V(t); coords has their coordinates in the corrected basis,
-    one row per generator in birth order and one column per image
-    column, positions in order.  They ride along:
+    images holds per position t a matrix whose columns are vectors of
+    V(t), none if images is not given.  coords has their coordinates in
+    the raw basis at t, the generators' vectors before any death adds to
+    them, one row per generator in birth order and one column per image
+    column, positions in order.  Each is placed once and never
+    rewritten.  They ride along:
       - At t = 1, B_1 is the identity, so the coordinates are the images.
       - The images at t+1 are reduced against the survivors' leads in
         step 2 (they never lead), so each is a combination of the raw
@@ -738,9 +755,9 @@ def sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Swee
         the raw survivors and on the newborns e_i of B_{t+1}, as rest
         gives them.
       - A later death rewrites B_s as B_s (I + C), so the coordinates F
-        become (I - C) F: one row operation, the dying generators' rows
-        times C off the survivors' rows (the proof is in the block above
-        BasisMatrix).
+        in the corrected basis are (I - C) F.  The sweep only records C:
+        basis_matrix makes these row operations on M once the sweep is
+        done (the proof is in the block above BasisMatrix).
     """
     p = m.p
     eye = gf.identity(max(m.dims))
@@ -751,14 +768,14 @@ def sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Swee
     alive = np.arange(m.dims[0])
     newborn = [list(range(m.dims[0]))]
     combs = []
-    coords = None
-    if images is not None:
-        coords = gf.zeros(sum(m.dims), sum(y.shape[1] for y in images))
-        done = images[0].shape[1]  # columns of coords filled so far
-        coords[: m.dims[0], :done] = images[0]
+    if images is None:
+        images = [gf.zeros(d, 0) for d in m.dims]
+    coords = gf.zeros(sum(m.dims), sum(y.shape[1] for y in images))
+    done = images[0].shape[1]  # columns of coords filled so far
+    coords[: m.dims[0], :done] = images[0]
     for t in range(1, m.n):
         x = gf.matmul(m.map(t), b, p)
-        y = x[:, :0] if images is None else images[t]
+        y = images[t]
         lead, comb, rest = _reduce_images(x, y, eye, p)
         # A column that reduces to 0 dies at t; if its image was 0 already,
         # nothing is added to it.
@@ -770,10 +787,6 @@ def sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Swee
             c = comb[:, fix]
             c[fix, np.arange(len(fix))] = 0
             combs.append((alive[fix], alive, c))
-            if coords is not None:  # B_s (I + C) has coordinates (I - C) F
-                hit = c.any(1).nonzero()[0]
-                coords[alive[hit], :done] = (coords[alive[hit], :done] - gf.matmul(
-                    c[hit], coords[alive[fix], :done], p)) % p
         survive = [j for j, r in enumerate(lead) if r >= 0]
         led = set(lead)
         rows = [i for i in range(m.dims[t]) if i not in led]
@@ -795,7 +808,7 @@ def sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Swee
 
     _check_alive_counts(m, births, deaths)
     return _Sweep(np.array(births, dtype=np.int64), np.array(deaths, dtype=np.int64),
-                  newborn, combs, None if coords is None else coords[: len(births)])
+                  newborn, combs, coords[: len(births)])
 
 
 def _check_alive_counts(m: PersistenceModule, births: list[int], deaths: list[int]):
@@ -826,7 +839,7 @@ def barcode(m: PersistenceModule) -> Barcode:
     matching relies on.
     """
     record = sweep(m)
-    return _interval_barcode(record.starts, record.ends)
+    return interval_barcode(record.starts, record.ends)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ matchings of barcodes and the algebraic stability of persistence").
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,17 +26,12 @@ from .gf import Subspace
 from .bauer_lesnick import bucket_matching, chi
 from .matching import RepMatching, g_table, m_matching, representation
 from .modules import (Barcode, GridInterval, Morphism, PersistenceModule, ValidationError,
-                      barcode, basis_matrix, image_module, module_from_bars,
-                      morphism_from_bars, sweep)
+                      alive_at, barcode, basis_matrix, image_module, interval_barcode,
+                      module_from_bars, morphism_from_bars, sweep)
 
 
 # ---------------------------------------------------------------------------
 # Persistence bases.
-
-
-def _alive(starts: np.ndarray, ends: np.ndarray, t: int) -> np.ndarray:
-    """Indices of the generators with bars [starts[k], ends[k]] alive at t."""
-    return ((starts <= t) & (t <= ends)).nonzero()[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +55,10 @@ class PersistenceBasis:
             a.setflags(write=False)
 
     def interval_barcode(self) -> Barcode:
-        return Barcode(Counter(map(GridInterval, self.starts.tolist(), self.ends.tolist())))
+        return interval_barcode(self.starts, self.ends)
 
     def alive(self, t: int) -> np.ndarray:
-        return _alive(self.starts, self.ends, t)
+        return alive_at(self.starts, self.ends, t)
 
     def validate(self, m: PersistenceModule) -> "PersistenceBasis":
         starts, ends = self.starts, self.ends
@@ -118,7 +112,7 @@ def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
         record = sweep(m)
         starts, ends = record.starts, record.ends
         eye = gf.identity(max(m.dims))
-        alive = [_alive(starts, ends, t) for t in range(1, m.n + 1)]
+        alive = [alive_at(starts, ends, t) for t in range(1, m.n + 1)]
         cols = [eye[: m.dims[0], : m.dims[0]].copy()]
         for t in range(1, m.n):
             kept = cols[-1][:, ends[alive[t - 1]] > t]

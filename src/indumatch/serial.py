@@ -4,7 +4,8 @@ All matrices are flat row-major integer arrays; shapes are implied by
 the dimension sequences, and entries are reduced mod p on load.  A
 prime too large for exact int64 arithmetic at the file's dimensions is
 rejected (see gf.field_error), and so is a file past the work bound
-gf.MAX_WORK, before any matrix is read.
+gf.MAX_WORK, before any matrix is read.  A file longer than
+MAX_INPUT_BYTES is refused before it is read whole.
 
 Every JSON document the CLI writes, ladder files and reports alike, goes
 through dumps_canonical: sorted keys, two-space indent, one array element
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +32,15 @@ from .modules import Morphism, PersistenceModule
 
 FORMAT_NAME = "indumatch-ladder"
 FORMAT_VERSION = 1
+
+# The most bytes read_morphism reads of a file; a longer one is refused
+# before the rest is read, so no input, /dev/zero included, is read
+# whole.  The largest canonical file inside gf.MAX_DIM and gf.MAX_WORK has
+# n = 8 and every dim 255 (8 + 16 * 255 = 4088): 22 matrices of 255 x 255,
+# 1,430,550 entries, one per line after 6 or 8 spaces of indent, each at
+# most 9 digits (the field bound keeps p below 1.92e8 at dim 255) and
+# ",\n": 26,140,761 bytes.  64 MiB leaves room for other whitespace.
+MAX_INPUT_BYTES = 64 * 2**20
 
 
 class ParseError(ValueError):
@@ -179,8 +190,20 @@ def write_morphism(f: Morphism, path) -> None:
 
 def read_morphism(path) -> Morphism:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        with open(path, "rb") as fh:
+            # A read allocates all it asks for, so a regular file asks for
+            # its size; a pipe or /dev/zero, whose size reads 0, reads on.
+            ask = min(os.fstat(fh.fileno()).st_size, MAX_INPUT_BYTES) + 1
+            data = fh.read(ask)
+            if len(data) == ask:
+                data += fh.read(MAX_INPUT_BYTES + 1 - ask)
+    except OSError as exc:  # missing, a directory
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    _expect(len(data) <= MAX_INPUT_BYTES,
+            f"cannot read {path}: longer than the input cap of {MAX_INPUT_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)

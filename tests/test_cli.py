@@ -31,6 +31,7 @@ from indumatch import (
     modules,
     oracle,
     random_ladder,
+    serial,
 )
 from indumatch.cli import main
 from indumatch.serial import (
@@ -165,6 +166,33 @@ def test_directory_input_exits_2(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *[arg.format(d=tmp_path) for arg in argv])
     assert code == 2 and out == ""
     assert err.startswith("parse error:") and str(tmp_path) in err
+
+
+def test_input_past_the_byte_cap_exits_2(ref_file, tmp_path, capsys, monkeypatch):
+    # A file of exactly serial.MAX_INPUT_BYTES is read; one byte more, even
+    # of valid JSON, is refused by every command that reads a file.
+    want = run_cli(capsys, "barcode", ref_file)
+    size = Path(ref_file).stat().st_size
+    monkeypatch.setattr(serial, "MAX_INPUT_BYTES", size)
+    assert run_cli(capsys, "barcode", ref_file) == want
+    longer = tmp_path / "longer.json"
+    longer.write_bytes(Path(ref_file).read_bytes() + b" ")
+    for argv in (["barcode", longer], ["match", longer], ["sum", ref_file, longer]):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 2 and out == ""
+        assert err == (f"parse error: cannot read {longer}: longer than the input cap"
+                       f" of {size} bytes\n")
+
+
+def test_endless_input_exits_2(capsys):
+    # /dev/zero never ends: it is refused after MAX_INPUT_BYTES + 1 bytes,
+    # not read until memory runs out.
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero on this platform")
+    code, out, err = run_cli(capsys, "barcode", "/dev/zero")
+    assert code == 2 and out == ""
+    assert err == ("parse error: cannot read /dev/zero: longer than the input cap"
+                   f" of {serial.MAX_INPUT_BYTES} bytes\n")
 
 
 ONE_POSITION_LADDER = {
@@ -960,13 +988,13 @@ def test_m_is_built_without_solve_or_rref_and_one_sweep_per_module(tmp_path, cap
     in_m = {"solve": 0, "rref": 0}
     builds, sweeps, barcodes = [], [], []
     real_sweep = modules.sweep
-    real_interval_barcode = modules._interval_barcode
+    real_interval_barcode = modules.interval_barcode
 
     def counted_interval_barcode(starts, ends):
         barcodes.append(len(starts))
         return real_interval_barcode(starts, ends)
 
-    monkeypatch.setattr(modules, "_interval_barcode", counted_interval_barcode)
+    monkeypatch.setattr(modules, "interval_barcode", counted_interval_barcode)
 
     def report(*argv):
         before = len(barcodes)
@@ -1050,14 +1078,21 @@ def _dim_at_grows_leftward():
     return lambda *args: 2
 
 
+def _pairs_count_5():
+    """A matching._pairs that hands the tables an m entry of 5 for every
+    hom pair."""
+    pairs = matching._pairs
+    return lambda bm: ((block, i, j, 5, lower) for block, i, j, _, lower in pairs(bm))
+
+
 @pytest.mark.parametrize("file, owner, attr, make_fake, argv, message", [
     pytest.param("pair_file", matching, "_dim_at", _dim_at_grows_leftward,
                  ["match", "--method", "g"],
                  "comparison module of ([2,3],[1,3]) shrinks from 2 to 1 at t=3",
                  id="_dim_at-grows-leftward"),
-    pytest.param("ref_file", matching, "_comparison_dims", lambda: lambda *args: iter([5]),
+    pytest.param("ref_file", matching, "_pairs", _pairs_count_5,
                  ["match", "--method", "m"], "row sum 5 exceeds multiplicity of [2,2]",
-                 id="_comparison_dims-yields-5"),
+                 id="_pairs-yields-5"),
     pytest.param("ref_file", modules.BasisMatrix, "barcodes",
                  lambda: property(lambda bm: (modules.Barcode(),) * 2),
                  ["match", "--method", "g"],

@@ -51,6 +51,12 @@ import quotients
 from conftest import bar_pair_morphism, iv, mat, ref_shift_morphism
 
 
+def lib_dims(bm, i, j):
+    """matching._comparison_dims of (I, J) on bm, off the _reduce of I's
+    group at K.b, whatever the entry there."""
+    return matching._comparison_dims(bm, i, j, *matching._reduce(bm, j, i.a, min(i.b, j.b))[i.b])
+
+
 def interval_hom(n, p, src, dst):
     """The canonical nonzero map between interval modules (dst <= src)."""
     source = interval_module(n, p, src)
@@ -130,7 +136,7 @@ def lib_y_spaces(f, i, j, t):
     bm, b = basis_matrix(f), persistence_basis(f.target).vectors[t - 1]
     alive = (bm.tgt_a <= t) & (bm.tgt_b >= t)
     own = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
-    count, lower = matching._entry(matching._reduce(bm, j, i.a, t), i)
+    count, lower = matching._reduce(bm, j, i.a, t)[i.b]
     walk = matching._walk_reduce(bm, i, j, lower)
     n, off = matching._prefixes(walk, t)
     upper = ref_upper(walk, n, off, f.p)
@@ -163,8 +169,7 @@ def assert_y_spaces_match_referee(f):
                 assert lib_y_spaces(f, i, j, t) == (yp, gf.intersect(ym, own), count), (i, j, t)
                 assert ref_y_minus(f, i, j, t) == ym, (i, j, t)
             # t is now the shared death, where the entry is counted.
-            walk = matching._comparison_dims(bm, i, j)
-            assert next(walk) == count, ("count", i, j)
+            assert matching._reduce(bm, j, i.a, k.b)[i.b][0] == count, ("count", i, j)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -298,7 +303,7 @@ def assert_comparison_modules_match_referee(f):
                 with mock.patch.object(matching, "_src_plus", _zeroed_at(k.b)), \
                         pytest.raises(InvariantError,
                                       match=rf"t={k.b - 1} out of y_plus at t={k.b}$"):
-                    list(matching._comparison_dims(bm, i, j))
+                    lib_dims(bm, i, j)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -399,7 +404,7 @@ def full_scan_counts(f):
             yp = y_plus(f, i, j, k.b)
             ym = y_minus(f, i, j, k.b)
             c = yp.dim - gf.intersect(ym, yp).dim
-            assert next(matching._comparison_dims(basis_matrix(f), i, j)) == c
+            assert matching._reduce(basis_matrix(f), j, i.a, k.b)[i.b][0] == c
             if not hom_exists(i, j):
                 assert c == 0, (i, j)
             if c:
@@ -430,14 +435,16 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
         for i in matching._bars(b.src_a, b.src_b)
         for j in matching._bars(b.tgt_a, b.tgt_b)
     )
-    visited = {}  # id of a block -> the block and the pairs it walked
-    walk = matching._comparison_dims
+    visited = {}  # id of a block -> the block and the pairs it counted
+    real_pairs = matching._pairs
 
-    def counting(block, i, j, reduced):
-        visited.setdefault(id(block), (block, []))[1].append((i, j))
-        return walk(block, i, j, reduced)
+    def counting(bm):
+        for pair in real_pairs(bm):
+            block, i, j = pair[:3]
+            visited.setdefault(id(block), (block, []))[1].append((i, j))
+            yield pair
 
-    monkeypatch.setattr(matching, "_comparison_dims", counting)
+    monkeypatch.setattr(matching, "_pairs", counting)
     m_matching(f)
     assert len(visited) == len(blocks) > 1
     pairs = [(block, i, j) for block, seen in visited.values() for i, j in seen]
@@ -567,12 +574,12 @@ def ref_comparison_dims(bm, i, j):
 
 
 def assert_dims_match_walk_referee(bm):
-    """The dims each table's walks yield, summed over the blocks, and those
-    of matching._comparison_dims on the whole of bm, equal the referee
-    walk's at every t of every hom pair."""
+    """The dims of matching._comparison_dims on each pair matching._pairs
+    hands the tables, summed over the blocks, and those on the whole of
+    bm, equal the referee walk's at every t of every hom pair."""
     by_blocks = {}
-    for i, j, walk in matching._walks(bm):
-        dims = list(walk)
+    for block, i, j, entry, lower in matching._pairs(bm):
+        dims = matching._comparison_dims(block, i, j, entry, lower)
         have = by_blocks.setdefault((i, j), [0] * len(dims))
         by_blocks[i, j] = [a + b for a, b in zip(have, dims)]
     pairs = 0
@@ -581,7 +588,7 @@ def assert_dims_match_walk_referee(bm):
             if hom_exists(i, j):
                 pairs += 1
                 ref = list(ref_comparison_dims(bm, i, j))
-                assert list(matching._comparison_dims(bm, i, j)) == ref, (i, j)
+                assert lib_dims(bm, i, j) == ref, (i, j)
                 assert by_blocks.pop((i, j), [0] * len(ref)) == ref, (i, j)
     assert by_blocks == {}
     return pairs
@@ -632,7 +639,7 @@ def test_walk_referee_covers_repeated_bars_on_both_sides():
     bm = basis_matrix(bar_pair_morphism(5, 8, 3, 2, 3))
     for starts, ends in ((bm.src_a, bm.src_b), (bm.tgt_a, bm.tgt_b)):
         assert len(matching._bars(starts, ends)) < len(starts)
-    groups = {(j, i.a) for i, j, _ in matching._walks(bm)}
+    groups = {(j, i.a) for _, i, j, _, _ in matching._pairs(bm)}
     assert 0 < len(groups) < assert_dims_match_walk_referee(bm)
 
 
@@ -643,7 +650,7 @@ def test_walk_referee_covers_repeated_bars_on_both_sides():
 def ref_product_dims(bm, i, j):
     """The dims of matching._comparison_dims, y_plus at t by ref_upper."""
     ka, kb = max(i.a, j.a), min(i.b, j.b)
-    d_l, lower = matching._entry(matching._reduce(bm, j, i.a, kb), i)
+    d_l, lower = matching._reduce(bm, j, i.a, kb)[i.b]
     yield d_l
     if ka == kb:
         return
@@ -679,12 +686,12 @@ def assert_upper_matches_product_referee(bm):
             for j in matching._bars(block.tgt_a, block.tgt_b):
                 if not hom_exists(i, j):
                     continue
-                dims = list(matching._comparison_dims(block, i, j))
+                dims = lib_dims(block, i, j)
                 assert dims == list(ref_product_dims(block, i, j)), (i, j)
                 ka, kb = max(i.a, j.a), min(i.b, j.b)
                 if not dims[0] or ka == kb:
                     continue
-                lower = matching._entry(matching._reduce(block, j, i.a, kb), i)[1]
+                lower = matching._reduce(block, j, i.a, kb)[i.b][1]
                 walk = matching._walk_reduce(block, i, j, lower)
                 u = gf.matmul(walk.plus, walk.ident.T, bm.p)
                 n_l = matching._prefixes(walk, kb)[0]
@@ -732,9 +739,9 @@ def unsplit_tables(f):
         for j in barcode(f.target).intervals():
             if not hom_exists(i, j):
                 continue
-            count = next(matching._comparison_dims(bm, i, j))
+            count = matching._reduce(bm, j, i.a, j.b)[i.b][0]
             if count:
-                dims = list(matching._comparison_dims(bm, i, j))
+                dims = lib_dims(bm, i, j)
                 assert dims[0] == count, (i, j)
                 m[(i, j)] = count
                 g[(i, j)] = matching._overlap_bars(i.intersect(j), dims)
