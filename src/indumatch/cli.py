@@ -8,12 +8,14 @@ morphism's ends, whose columns and rows carry the source and target
 bars.  match --eps shifts M alone (BasisMatrix.shift), so it builds
 no shifted module, morphism or basis.  Exit codes: 0 ok, 2 parse error
 (including a dimension above gf.MAX_DIM, a file past the work bound
-gf.MAX_WORK, or an input longer than serial.MAX_INPUT_BYTES, which is
-refused once that many bytes are read), 3 validation error, 4 usage error (including a catalog
---dump DIR that cannot be written and random arguments whose output
-could pass either bound), 5 incompatible inputs (including a sum past
-the field bound, the dimension cap or the work bound), 6 internal
-invariant failure (a bug; the message names the failing check).
+gf.MAX_WORK, an input longer than serial.MAX_INPUT_BYTES, which is
+refused once that many bytes are read, and one with more ","
+separators than serial.MAX_INPUT_VALUES, refused before it is parsed),
+3 validation error, 4 usage error (including a catalog --dump DIR that
+cannot be written and random arguments whose output could pass either
+bound), 5 incompatible inputs (including a sum past the field bound,
+the dimension cap or the work bound), 6 internal invariant failure (a
+bug; the message names the failing check).
 """
 
 from __future__ import annotations

@@ -83,9 +83,14 @@ N_t of the null space of P_t on off_t, so y_plus at t is P_t N_t.  Each
 of those identity parts is zero past its own index, so P_t N_t is a
 column selection of one product U = P V per pair, V the reduced
 identity part of B (kept transposed, one row per column): every step
-reads y_plus off U, with no rref and no product.  The witness check of the walk makes one product, and only at
-K.b - 1 and where a column of P dies; at every other step it compares
-a block with itself.
+reads y_plus off U, with no rref and no product.  The witness check of
+the walk makes one product, and only at K.b - 1 and where a column of P
+dies; at every other step it compares a block with itself.  The dims
+can change only at a step where a column of P or a row of off dies, so
+a pair whose overlap loses neither (K.a = K.b among them) has its m
+entry at every t of K, and reads no reduction, no product and no
+_src_plus: every count of its walk would read the blocks read at K.b,
+and every check would compare a block with itself.
 
 Both tables are read one block of M at a time (BasisMatrix.blocks: the
 connected components of its nonzero entries), and this is exact by
@@ -312,13 +317,33 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     column dies at t-1, |P_t| < |P_{t-1}|.  On every other step
     P_t = P_{t-1}, so y is all of N_{t-1} and P_t y = upper_{t-1}: the
     product is the block it is compared with.
+    A pair whose overlap loses no generator, that is, no column of P and
+    no row of off dies at a t in [K.a, K.b) (K.a = K.b among them), has
+    dims[t] = entry at every t of K, and reads no reduction, no product
+    and no _src_plus:
+      - P_t = P and off_t = off at every t of K, both as at K.b: a
+        column of P read at t and not at K.b dies in [t, K.b), and so
+        does a row of _off_plus at t not in _off_plus at K.b, as
+        K.b <= J.b leaves it h.a > J.a.  So every count of the walk reads
+        the same blocks, and dims[t] = dim (L_S + P own ker P off)
+        - dim L_S, which is dim L_P - dim L_S as S lies in P: the m entry,
+        by the second item of the module docstring.  This is linear
+        algebra on M, so it holds on an M off its support too.
+      - Where the entry is nonzero, upper_t = P N is nonzero on J's own
+        rows, which are alive at every t <= K.b, so no step would take
+        the zero branch; where it is 0, that branch and the count both
+        give 0.
+      - Every witness, the one at K.b - 1 included, would compare
+        P_t y = P N with the block it is compared with, and the shrink
+        check equal counts: no check that can fail is skipped.
     An injective module zero after K.b has all its bars die at K.b, and
     dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
     """
     ka, kb = max(i.a, j.a), min(i.b, j.b)
+    if not (((bm.src_a <= i.a) & (bm.src_b >= ka) & (bm.src_b < kb)).any()
+            or ((bm.tgt_a > j.a) & (bm.tgt_b >= ka) & (bm.tgt_b < kb)).any()):
+        return [entry] * (kb - ka + 1)  # no column of P and no row of off dies in K
     dims = [entry]
-    if ka == kb:
-        return dims
     walk = _walk_reduce(bm, i, j, lower)
     u = gf.matmul(walk.plus, walk.ident.T, bm.p)  # y_plus at t is columns of U
     plus_l = _src_plus(bm, i, kb)[1]  # P_{t+1}

@@ -5,7 +5,8 @@ the dimension sequences, and entries are reduced mod p on load.  A
 prime too large for exact int64 arithmetic at the file's dimensions is
 rejected (see gf.field_error), and so is a file past the work bound
 gf.MAX_WORK, before any matrix is read.  A file longer than
-MAX_INPUT_BYTES is refused before it is read whole.
+MAX_INPUT_BYTES is refused before it is read whole, and one holding more
+values than MAX_INPUT_VALUES before it is parsed.
 
 Every JSON document the CLI writes, ladder files and reports alike, goes
 through dumps_canonical: sorted keys, two-space indent, one array element
@@ -41,6 +42,22 @@ FORMAT_VERSION = 1
 # most 9 digits (the field bound keeps p below 1.92e8 at dim 255) and
 # ",\n": 26,140,761 bytes.  64 MiB leaves room for other whitespace.
 MAX_INPUT_BYTES = 64 * 2**20
+
+# The most "," separators read_morphism parses; a file with more is
+# refused before json.loads builds a Python object for each value, which
+# takes several times the file's size.  A ladder file's separators lie
+# between the members of its objects (6 at the top, 1 in each module)
+# and between the elements of its arrays: at most 2 n in the dims, 2 n in
+# the lists of maps, n in the morphism list, and fewer than its matrix
+# entries in the matrices.  With v_t = dim V(t) and w_t = dim W(t), each
+# at most MAX_DIM, V's map at t has v_{t+1} v_t <= MAX_DIM v_t entries,
+# W's w_{t+1} w_t <= MAX_DIM w_t, and f_t has v_t w_t <= MAX_DIM
+# (v_t + w_t) / 2, so the entries number at most 3/2 MAX_DIM (the sum of
+# all dims) <= 3/2 MAX_DIM (MAX_WORK - n) = 384 (4096 - n), and the
+# separators at most 384 (4096 - n) + 5 n + 8 <= 3/2 MAX_DIM MAX_WORK
+# = 1,572,864.  An input of at most that many bytes holds no more
+# separators, so only a longer one is counted.
+MAX_INPUT_VALUES = 3 * gf.MAX_DIM * gf.MAX_WORK // 2
 
 
 class ParseError(ValueError):
@@ -201,6 +218,8 @@ def read_morphism(path) -> Morphism:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     _expect(len(data) <= MAX_INPUT_BYTES,
             f"cannot read {path}: longer than the input cap of {MAX_INPUT_BYTES} bytes")
+    _expect(len(data) <= MAX_INPUT_VALUES or data.count(b",") <= MAX_INPUT_VALUES,
+            f"cannot read {path}: more values than the value cap of {MAX_INPUT_VALUES}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -184,6 +184,24 @@ def test_input_past_the_byte_cap_exits_2(ref_file, tmp_path, capsys, monkeypatch
                        f" of {size} bytes\n")
 
 
+def test_input_past_the_value_cap_exits_2(ref_file, tmp_path, capsys, monkeypatch):
+    # A file of exactly serial.MAX_INPUT_VALUES "," separators is read; one
+    # value more, even in valid JSON, is refused by every command that
+    # reads a file.
+    want = run_cli(capsys, "barcode", ref_file)
+    text = Path(ref_file).read_bytes()
+    cap = text.count(b",")
+    monkeypatch.setattr(serial, "MAX_INPUT_VALUES", cap)
+    assert run_cli(capsys, "barcode", ref_file) == want
+    more = tmp_path / "more.json"
+    more.write_bytes(b'{"unread": 0,' + text[1:])
+    for argv in (["barcode", more], ["match", more], ["sum", ref_file, more]):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 2 and out == ""
+        assert err == (f"parse error: cannot read {more}: more values than the value cap"
+                       f" of {cap}\n")
+
+
 def test_endless_input_exits_2(capsys):
     # /dev/zero never ends: it is refused after MAX_INPUT_BYTES + 1 bytes,
     # not read until memory runs out.
@@ -1071,10 +1089,42 @@ def pair_file(tmp_path):
     return str(path)
 
 
+def test_a_walk_that_loses_no_generator_reads_no_pair_reduction(pair_file, capsys,
+                                                                 monkeypatch):
+    # Along K = [2,3] of both of the pair file's walked pairs no source
+    # generator of src_plus(I) and no target generator off tgt_plus(J)
+    # dies, so each comparison module is its m entry at t = 2 and 3, read
+    # with no src_plus and no pair reduction.
+    argvs = [["match", pair_file, "--method", "g", "--eps", eps] for eps in ("0", "1")]
+    want = [run_cli(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in want)
+
+    def refused(*args):
+        raise RuntimeError("a walk that loses no generator read src_plus or a pair reduction")
+
+    for name in ("_walk_reduce", "_src_plus"):
+        monkeypatch.setattr(matching, name, refused)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+
+
+@pytest.fixture
+def dying_pair_file(tmp_path):
+    """k[1,2] + k[2,3] -> k[1,3] + k[1,2] over GF(2), with [1,2] sent to
+    [1,2] and [2,3] to the sum of both target generators: the pair
+    ([2,3], [1,3]) counts 1, and along K = [2,3] the src_plus column
+    [1,2] dies at t = 2, so its walk reads a pair reduction."""
+    source = modules.PersistenceModule(2, (1, 2, 1), [[[1], [0]], [[0, 1]]])
+    target = modules.PersistenceModule(2, (2, 2, 1), [gf.identity(2), [[1, 0]]])
+    f = modules.Morphism(source, target, [[[0], [1]], [[0, 1], [1, 1]], [[1]]]).validate()
+    path = tmp_path / "dying-pair.json"
+    write_morphism(f, path)
+    return str(path)
+
+
 def _dim_at_grows_leftward():
     """A matching._dim_at that counts 2 at every step t < K.b: the walk of
-    ([2,3], [1,3]), the pair file's first hom pair, counts 1 at t = 3 off
-    its group's reduction, and then 2 at t = 2."""
+    ([2,3], [1,3]), the dying pair file's one walked pair, counts 1 at
+    t = 3 off its group's reduction, and then 2 at t = 2."""
     return lambda *args: 2
 
 
@@ -1086,7 +1136,7 @@ def _pairs_count_5():
 
 
 @pytest.mark.parametrize("file, owner, attr, make_fake, argv, message", [
-    pytest.param("pair_file", matching, "_dim_at", _dim_at_grows_leftward,
+    pytest.param("dying_pair_file", matching, "_dim_at", _dim_at_grows_leftward,
                  ["match", "--method", "g"],
                  "comparison module of ([2,3],[1,3]) shrinks from 2 to 1 at t=3",
                  id="_dim_at-grows-leftward"),

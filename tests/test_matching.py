@@ -275,7 +275,25 @@ def test_witness_trips_where_a_column_dies_below_the_shared_death():
 # Referee: the comparison module by the subspace walk in W(t), against its
 # dims read off M.  A walk that reads M's src_plus columns as zero at the
 # shared death K.b has a zero y_plus there to carry into, so whatever the
-# module holds at K.b - 1 must trip the containment check at K.b.
+# module holds at K.b - 1 must trip the containment check at K.b, on every
+# pair whose overlap loses a generator.  Every other pair reads no
+# src_plus and no pair reduction at all.
+
+
+def loses_generator(bm, i, j):
+    """Whether a src_plus(I) column or a row alive outside tgt_plus(J)
+    read at K.a is not read at K.b: a generator of the walk of (I, J)
+    dies inside its overlap K."""
+    ka, kb = max(i.a, j.a), min(i.b, j.b)
+
+    def plus(t):
+        return (bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)
+    return bool((plus(ka) != plus(kb)).any()
+                or (ref_off_plus(bm, j, ka) != ref_off_plus(bm, j, kb)).any())
+
+
+def _refused(*args):
+    raise AssertionError("a walk that loses no generator read src_plus or a pair reduction")
 
 
 def _zeroed_at(t0):
@@ -299,7 +317,12 @@ def assert_comparison_modules_match_referee(f):
             ref = quotients.ref_x_module(f, i, j)
             assert x_module(f, i, j).module.dims == ref.module.dims, ("dims", i, j)
             assert table.get(i, j) == barcode(ref.module), ("g", i, j)
-            if k.a < k.b and ref.module.dim(k.b - 1):
+            if not loses_generator(bm, i, j):
+                with mock.patch.object(matching, "_src_plus", _refused), \
+                        mock.patch.object(matching, "_walk_reduce", _refused):
+                    dims = lib_dims(bm, i, j)
+                assert dims == [ref.module.dim(t) for t in range(k.b, k.a - 1, -1)], ("dims", i, j)
+            elif ref.module.dim(k.b - 1):
                 with mock.patch.object(matching, "_src_plus", _zeroed_at(k.b)), \
                         pytest.raises(InvariantError,
                                       match=rf"t={k.b - 1} out of y_plus at t={k.b}$"):
@@ -461,8 +484,10 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
     # Each table reduces one Q per (block, J, I.a) of its hom pairs, which
     # counts the pairs at K.b.  m stops there and makes no pair reduction
     # (_walk_reduce); g walks on along K, |K| - 1 steps more, only where
-    # the count at K.b is nonzero, and reads every step off the two
-    # reductions of one _walk_reduce per such pair, not one per step.
+    # the count at K.b is nonzero and a generator of the walk dies inside
+    # K, and reads every step off the two reductions of one _walk_reduce
+    # per such pair, not one per step.  A nonzero pair whose overlap
+    # loses no generator (kept) makes no pair reduction.
     f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
     calls = Counter()
 
@@ -476,7 +501,7 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
 
     for eps in (0, 1):
         bm = basis_matrix(f).shift(eps)
-        hom_pairs = walked = more = 0
+        hom_pairs = walked = more = kept = 0
         groups = set()
         for k, block in enumerate(bm.blocks()):
             counts = matching.m_table(block)
@@ -485,10 +510,13 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
                     if hom_exists(i, j):
                         hom_pairs += 1
                         groups.add((k, j, i.a))
-                        if counts.get(i, j):
-                            walked += i.intersect(j).length > 0
-                            more += i.intersect(j).length
-        assert 0 < walked < more, eps
+                        if counts.get(i, j) and i.intersect(j).length:
+                            if loses_generator(block, i, j):
+                                walked += 1
+                                more += i.intersect(j).length
+                            else:
+                                kept += 1
+        assert (walked, more, kept) == ((1, 3, 0), (0, 0, 1))[eps], eps
         with monkeypatch.context() as patch:
             for name in ("_walk_reduce", "_reduce"):
                 patch.setattr(matching, name, counting(name))
@@ -497,7 +525,7 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
             assert calls == {"_reduce": len(groups)}, eps
             calls.clear()
             matching.g_table(bm)
-            assert calls == {"_reduce": len(groups), "_walk_reduce": walked}, eps
+            assert calls == Counter(_reduce=len(groups), _walk_reduce=walked), eps
 
 
 # Referee: the comparison walk as it was before the tables read their
@@ -641,6 +669,30 @@ def test_walk_referee_covers_repeated_bars_on_both_sides():
         assert len(matching._bars(starts, ends)) < len(starts)
     groups = {(j, i.a) for _, i, j, _, _ in matching._pairs(bm)}
     assert 0 < len(groups) < assert_dims_match_walk_referee(bm)
+
+
+def test_walk_referee_covers_pairs_that_walk_and_pairs_that_lose_nothing(monkeypatch):
+    # The property above compares with the referee walk both the pairs
+    # whose overlap loses a generator, which walk, and the pairs that lose
+    # none, which read their m entry at every t of K with no pair
+    # reduction, some of them nonzero.  A pair walks exactly where it
+    # loses a generator on the whole of M.
+    bm = basis_matrix(bar_pair_morphism(6, 10, 4, 2, 3))
+    walked = set()
+    real_walk_reduce = matching._walk_reduce
+
+    def recorded(block, i, j, lower):
+        walked.add((i, j))
+        return real_walk_reduce(block, i, j, lower)
+
+    monkeypatch.setattr(matching, "_walk_reduce", recorded)
+    assert_dims_match_walk_referee(bm)
+    overlaps = [(i, j) for i in matching._bars(bm.src_a, bm.src_b)
+                for j in matching._bars(bm.tgt_a, bm.tgt_b)
+                if hom_exists(i, j) and i.intersect(j).length]
+    assert walked == {(i, j) for i, j in overlaps if loses_generator(bm, i, j)}
+    kept = [(i, j) for i, j in overlaps if (i, j) not in walked]
+    assert walked and any(lib_dims(bm, i, j)[0] for i, j in kept)
 
 
 # Referee: the walk as it was before it read y_plus off U, with the gate
@@ -787,8 +839,9 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     # pair with K.a < K.b, off which it reads every step t < K.b: no rref
     # and no null basis.  Its products are one U per such pair, off which
     # every step reads y_plus, and a witness at K.b - 1 and at each step
-    # that loses a column of P, where y_plus is nonzero: 212 in all, not
-    # one per step or more.
+    # that loses a column of P, where y_plus is nonzero: 210 in all, not
+    # one per step or more.  One nonzero pair loses no generator along its
+    # overlap and makes neither reductions nor products.
     bm = basis_matrix(bar_pair_morphism(20, 50, 10, 2))
     [block] = bm.blocks()
     pairs = [(i, j) for i in matching._bars(block.src_a, block.src_b)
@@ -805,12 +858,13 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     assert calls == {"low_reduce": 200}
     calls.clear()
     matching.g_table(bm)
-    walked = sum(i.intersect(j).length > 0 for (i, j), _ in m_table.items())
-    steps = sum(i.intersect(j).length for (i, j), _ in m_table.items())
-    assert (walked, steps) == (36, 215)
+    overlaps = [(i, j) for (i, j), _ in m_table.items() if i.intersect(j).length]
+    steps = sum(i.intersect(j).length for i, j in overlaps)
+    walked = sum(loses_generator(block, i, j) for i, j in overlaps)
+    assert (len(overlaps), walked, steps) == (36, 35, 215)
     assert calls.keys() == {"low_reduce", "matmul"}
     assert calls["low_reduce"] == 200 + 2 * walked
-    assert calls["matmul"] == 212 < steps
+    assert calls["matmul"] == 210 < steps
 
 
 def test_table_inequalities_small_suite():
