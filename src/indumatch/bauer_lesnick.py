@@ -1,17 +1,14 @@
 """The Bauer-Lesnick induced matching and its relation to the counting one.
 
 An injective morphism matches bars that die together, longest first; a
-surjective one matches bars born together, longest first.  A general
-morphism factors through its image and composes the two, and the result
-depends only on the three barcodes involved: chi reads the source and
-target barcodes, which are the bars of the columns and rows of f's
-basis matrix M, and the image barcode, read off M too
-(BasisMatrix.image_barcode), and never builds the image.  That is also
-why it fails to be additive over direct sums.  chi_table takes M alone:
-the CLI passes f's, or that of f's shift.  bucket_matching is the one
-matching of bars by a shared endpoint; the two factors on a morphism,
-iota and lambda_, the eps-matching check and realize_as_m, a companion
-morphism whose counting table chi represents, are referees in oracle.py.
+surjective one matches bars born together, longest first (Claim B1).  A
+general morphism factors through its image and composes the two, so chi
+depends only on three barcodes, all read off f's basis matrix M, and
+never builds the image (Claim B2).  chi_table takes M alone: the CLI
+passes f's, or that of f's shift.  bucket_matching is the one matching
+of bars by a shared endpoint; the two factors on a morphism, iota and
+lambda_, the eps-matching check and realize_as_m, a companion morphism
+whose counting table chi represents, are referees in oracle.py.
 """
 
 from __future__ import annotations
@@ -32,10 +29,17 @@ def _buckets(bc: Barcode, end) -> dict[int, list[IndexedBar]]:
 
 def bucket_matching(b_src: Barcode, b_dst: Barcode, by: str) -> RepMatching:
     """Bars born together (by="birth") or dying together (by="death")
-    matched longest first.  A surjection adds no births, so at a birth
-    every target bar needs a partner; an injection loses no deaths, so
-    at a death every source bar does.  A shortfall raises InvariantError,
-    and any other by ValueError.
+    matched longest first.  At a birth every target bar needs a partner,
+    and at a death every source bar does (Claim B1): a shortfall raises
+    InvariantError, and any other by ValueError.
+
+    Claim B1 (Bauer and Lesnick, "Induced matchings of barcodes and the
+    algebraic stability of persistence", proved there).  Under an
+    injective morphism, the death buckets matched longest first pair
+    every source bar, each with a target bar of its death at least as
+    long.  Under a surjective one, the birth buckets matched longest
+    first pair every target bar, each with a source bar of its birth at
+    least as long.
     """
     if by not in ("birth", "death"):
         raise ValueError(f'bucket_matching by {by!r}: expected "birth" or "death"')
@@ -60,9 +64,19 @@ def chi(f: Morphism) -> RepMatching:
 
 def chi_table(bm: BasisMatrix) -> RepMatching:
     """The Bauer-Lesnick matching of the morphism whose M is bm, between
-    the barcodes of M's columns and rows: lambda_ of the projection onto
-    the image, then iota of its embedding, from the three barcodes:
-    births from source to image, then deaths from image to target."""
+    the barcodes of M's columns and rows.
+
+    Claim B2 (chi from three barcodes).  chi is lambda_ of the projection
+    onto the image, then iota of its embedding, and equals
+    bucket_matching of the source and image barcodes by birth, then of
+    the image and target barcodes by death; the source and target
+    barcodes are the bars of M's columns and rows, and the image barcode
+    is read off M (Claim M7).  Buckets of different summands merge, so
+    chi is not additive over direct sums.
+    Proof.  The projection is surjective and the embedding injective, so
+    each factor is the bucket matching of its two ends (Claim B1), and a
+    bucket matching reads only the barcodes of its ends.
+    """
     b_src, b_dst = bm.barcodes
     b_img = bm.image_barcode()
     return bucket_matching(b_src, b_img, "birth").then(

@@ -7,7 +7,8 @@ and chi) reads one matrix M between the persistence bases of the
 morphism's ends, whose columns and rows carry the source and target
 bars.  match --eps shifts M alone (BasisMatrix.shift), so it builds
 no shifted module, morphism or basis.  Exit codes: 0 ok, 2 parse error
-(including a dimension above gf.MAX_DIM, a file past the work bound
+(including a member the file format does not define, at the top level
+or in a module, a dimension above gf.MAX_DIM, a file past the work bound
 gf.MAX_WORK, an input longer than serial.MAX_INPUT_BYTES, which is
 refused once that many bytes are read, and one with more ","
 separators than serial.MAX_INPUT_VALUES, refused before it is parsed),

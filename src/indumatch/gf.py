@@ -168,11 +168,18 @@ def low_reduce(w: np.ndarray, p: int) -> np.ndarray:
     Each column in turn, left to right, takes its lowest nonzero row as
     its low; while an earlier column already took that low, a multiple of
     that column clears it.  Returns each column's low, or -1 if the column
-    reduced to zero.  The reduced matrix is m V, V upper unitriangular,
-    with distinct lows, so by the pairing lemma (Cohen-Steiner, Edelsbrunner
-    and Morozov, "Vines and Vineyards") the rank of m on its first k
-    columns and its rows from r down is the number of lows >= r among the
-    first k columns.
+    reduced to zero.
+
+    Claim G1 (the pairing lemma: Cohen-Steiner, Edelsbrunner and Morozov,
+    "Vines and Vineyards").  The reduced matrix is m V with V upper
+    unitriangular, and for every k and r the rank of m on its first k
+    columns and its rows from r down is the number of lows >= r among its
+    first k reduced columns.
+    Proof.  Each step adds to a column a multiple of an earlier one, so V
+    is upper unitriangular, and m and m V span the same space on every
+    prefix of their columns, on any set of rows.  On the rows from r
+    down, a reduced column with no low or a low above row r is zero, and
+    those with a low >= r have distinct lows, so they are independent.
     """
     lows = [-1] * len(w)
     owner: dict[int, int] = {}  # low -> the column that took it

@@ -146,8 +146,8 @@ def random_ladder(n: int, max_dim: int, p: int, seed: int) -> Morphism:
     Both sides are random interval sums behind random basis changes; the
     morphism is morphism_from_bars of a random scalar on every pair of
     summands that admits a nonzero map, conjugated to the hidden bases.
-    Every morphism between the two modules has this form, so the draw
-    covers the whole Hom space and commutation holds exactly.
+    Every morphism between the two modules has this form (Claim M9), so
+    the draw covers the whole Hom space and commutation holds exactly.
     """
     rng = random.Random(seed)
     src_ivs, src_chg = _random_bars(n, max_dim, p, rng)

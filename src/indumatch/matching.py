@@ -1,111 +1,106 @@
 """Partial matchings induced by a morphism between persistence modules.
 
 For every pair of bars (I, J) of the source and target barcodes, the
-morphism squeezes a comparison module out of the target: an upper space
-y_plus (what the I-part of the source hits inside the J-part of the
-target) and a lower space y_minus (what is already explained by longer
-bars on either side).  The comparison module is injective and zero off
-the overlap K = I n J, so all of its bars die at K.b and it is fixed by
-its dimensions along K: its barcode is the table entry of the
-persistence-valued matching, and its dimension at K.b the entry of the
-counting matching.  Both tables are linear under direct sums of
-morphisms.
+morphism squeezes a comparison module out of the target along the
+overlap K = I n J: an upper space y_plus (what the I-part of the source
+hits inside the J-part of the target) over a lower space y_minus (what
+longer bars on either side already explain), whose referees are
+oracle.y_plus and oracle.y_minus.  Its dimension at K.b is the entry of
+the counting matching (m_table), and its barcode the entry of the
+persistence-valued one (g_table).  Both tables take f's basis matrix M
+alone (modules.py Claim M1) and read the two barcodes off its columns
+and rows: m_matching and g_matching pass f's M, and the CLI passes f's
+or its shift (BasisMatrix.shift).
 
-f is read off the persistence bases of its two ends as one matrix M
-(see the proof block in modules.py): f_t between the generators alive
-at t is M on their rows and columns, so the y spaces at t are meets and
-sums of column sets of M and coordinate subspaces, read on the rows
-alive at t.  Every step reads M itself, masked by its generators' bars,
-in M's one generator index.  The target's structure maps are 0/1
-selections of those generators, so carrying a vector from t to a later
-position keeps its rows still alive there, and each dimension of a
-comparison module is the rank count of an entry, on columns of M.  So
-the tables (m_table, g_table) take M alone, and read the two barcodes
-off its rows and columns: m_matching and g_matching pass f's, and the
-CLI passes f's or that of its shift (BasisMatrix.shift).  Their referee,
-the y spaces as pushed subspaces of W(t), is in oracle.py.
+Notation.  Fix (I, J) and t in K.  Among M's columns alive at t, P are
+the src_plus(I) ones (g.a <= I.a and g.b <= I.b), S those of P but I's
+own (src_minus), and E those with g.a < I.a.  Among M's rows, own are
+J's own generators, tgt_plus(J) those with h.a <= J.a and h.b <= J.b,
+and off = _off_plus(J, t) those alive at t outside tgt_plus(J).  A_own
+and A_off are a column set A on own and on off.
 
-A comparison module's dimension at K.b is the m entry, and its
-dimensions along K make up the g entry.  One reduction per (J, I.a)
-(_reduce), shared by every I of that start, gives each I its m entry
-and the basis lower that a walk along K starts from, and the pair
-iterator _pairs hands both to the tables.  The m table sums the entries
-and walks nothing.  The g table walks from K.b leftward along K
-(_comparison_dims) only the pairs with a nonzero entry, as a zero there
-forces the whole module to zero, and the referee oracle.x_module builds
-the module from its g entry.
+Claim T1 (zero off the hom pairs).  Unless hom_exists(I, J), that is
+J.a <= I.a <= J.b <= I.b, the comparison module of (I, J) is zero.
+Proof.  Disjoint bars have no overlap.  Otherwise I.a < J.a or
+I.b < J.b; let t = K.b, V the source and W the target.
+  - I.a < J.a: v_plus_src(I, t) lies in im(V(I.a) -> V(t)), inside
+    im(V(J.a-1) -> V(t)), so naturality puts f of it in
+    im(W(J.a-1) -> W(t)) = im_minus(J, t).  Since v_plus_tgt(J, t) lies
+    in ker_plus(J, t), y_plus lies in im_minus n ker_plus, which is
+    inside v_minus_tgt and so y_minus.
+  - I.b < J.b: here t = I.b, and naturality sends v_plus_src(I, t),
+    which dies at I.b + 1, into ker(W(t) -> W(I.b+1)), which lies in
+    ker(W(t) -> W(J.b)) = ker_minus(J, t).  Since v_plus_tgt(J, t) lies
+    in im_plus(J, t), y_plus lies in im_plus n ker_minus, inside
+    v_minus_tgt and so y_minus.
+So the module is 0 at K.b, and so everywhere (Claim T11).
 
-The counts are ranks, read off one lowest-pivot reduction (gf.low_reduce).
-Fix (I, J) and t in K, and let own be the rows of J's own generators and
-off = _off_plus(J, t).  The rows alive at t outside R = own + off are
-the v_minus_tgt(J) rows, whose coordinate vectors y_minus holds, so a
-count drops them (and off's rows born after t are zero on every column
-read at t).  Take the columns alive at t: P the src_plus(I) ones, S
-those of P but I's own (src_minus), E those with g.a < I.a; A_own and
-A_off are a column set A on own and on off.  Then
-on R, y_plus is spanned by P ker P_off, which is zero on off, and
-y_minus by S and E ker E_off, which is zero on off too.
-  - dim A(ker B) = rk [A; B] - rk B for A and B on the same columns: the
-    image of x -> (Ax, Bx) projects onto im B with kernel A(ker B).
-  - For a column set A and a space W of vectors zero on off,
-    dim (span A + W) = rk A_off + dim (W + A_own ker A_off): project onto
-    the off rows; the image is im A_off and the kernel is the rest.  So
-    with L_A = E_own ker E_off + A_own ker A_off, on J's own rows,
-    dim y_minus = rk S_off + dim L_S and, as S lies in P,
-    dim (y_minus + y_plus) = rk S_off + dim L_P: the entry is
-    dim L_P - dim L_S.
-  - Let Q_A = [[E_own, A_own], [E_off, 0], [0, A_off]].  By the first
-    item, dim L_A = rk Q_A - rk E_off - rk A_off.
-  - Let X be the columns alive at t with g.a <= I.a, ordered by g.b with
-    the g.a = I.a ones last among equal g.b.  S and P are then prefixes of
-    X (g.b <= I.b, with I's own columns ending P), so with E's columns
-    first, Q_S and Q_P are prefixes of Q = Q_X, and their off rows are
-    all of Q's rows below own.  By the pairing lemma on one reduction of
-    Q, rk Q_A counts the nonzero columns of its prefix and
-    rk E_off + rk A_off the lows below own there, so dim L_A counts its
-    columns whose low is an own row, and the entry counts I's own columns
-    whose low is an own row.  E, own and off do not depend on I.b, so one
-    reduction of Q (_reduce) counts every I of the start I.a against J.
-Away from K.b the comparison module's dims take y_minus at K.b and
-y_plus at t, and they count the same way, each t off two more
-reductions per pair (_walk_reduce; the proof is in _comparison_dims).
-Order P, the src_plus(I) columns alive at K.a, by death with the latest
-first, and off, the rows of _off_plus at K.a, by death with the earliest
-first: the columns alive at t are a prefix P_t of P, and _off_plus at t
-is a suffix off_t of off.  Let lower be the k reduced columns of Q's
-prefix [E, S] whose low is an own row.  gf.low_reduce reduces
-A = [[0, P_off], [lower, P_own]] (rows off, then own) and
-B = [[1], [P_off]], and with rkA(t) the lows among A's first k + |P_t|
-columns in its rows from off_t down and rkB(t) those among B's first
-|P_t| columns inside off_t, dims[t] = rkA(t) - k - rkB(t).  The identity
-parts of B's first |P_t| columns whose low lies above off_t are a basis
-N_t of the null space of P_t on off_t, so y_plus at t is P_t N_t.  Each
-of those identity parts is zero past its own index, so P_t N_t is a
-column selection of one product U = P V per pair, V the reduced
-identity part of B (kept transposed, one row per column): every step
-reads y_plus off U, with no rref and no product.  The witness check of
-the walk makes one product, and only at K.b - 1 and where a column of P
-dies; at every other step it compares a block with itself.  The dims
-can change only at a step where a column of P or a row of off dies, so
-a pair whose overlap loses neither (K.a = K.b among them) has its m
-entry at every t of K, and reads no reduction, no product and no
-_src_plus: every count of its walk would read the blocks read at K.b,
-and every check would compare a block with itself.
+Claim T2 (the y spaces are column sets of M).  In the target generators
+alive at t, with the rows of v_minus_tgt(J) dropped, y_plus(t) is
+spanned by P ker P_off, which is zero on off, and y_minus(t) by S and by
+E ker E_off, which is zero on off too; both live on the rows own + off.
+Every dimension a table takes over y_minus is the same with those rows
+dropped.
+Proof.  f_t is M on the generators alive at t (Claim M1), and v_plus,
+v_minus and im_minus are spans of generators (oracle.py Claim O1): of
+the source's, so f of them is spanned by P, S and E, and of the
+target's, so v_plus_tgt(J) is the coordinate subspace of tgt_plus(J),
+whose vectors are those zero on off, and v_minus_tgt(J) that of
+tgt_plus(J) less own.  v_minus_tgt(J) lies in y_minus, so dropping its
+rows, a quotient by it, changes no dimension taken over y_minus.  A row
+born after t is zero on every column alive at t (Claim M1), so off may
+hold the rows not dead by t, as _off_plus does.
 
-Both tables are read one block of M at a time (BasisMatrix.blocks: the
-connected components of its nonzero entries), and this is exact by
-elementary linear algebra, with no appeal to linearity of the tables.
-Every space an entry uses is a span of M-columns, a coordinate subspace,
-or a meet or sum of these.  Under the partition of the generators into
-blocks, with the generators of an all-zero row or column as summands of
-their own, M is block diagonal, so each such space is the direct sum of
-its parts in the blocks, and so are the quotients by coordinate rows
-that a count takes: rank counts add over the blocks.
-A block with no I-generator counts 0 for (I, J), as its src_minus is its
-src_plus, so lower spans upper; so does one with no J-generator, as its
-tgt_minus is its tgt_plus, which holds upper.  So an entry is the sum of
-the counts of the blocks holding both of its bars, and a comparison
-module is the direct sum of theirs, its dims the sums of theirs.
+Claim T3 (two rank identities).
+  (a) dim A(ker B) = rk [A; B] - rk B for A and B on the same columns.
+  (b) For a column set A and a space W of vectors zero on off,
+      dim (span A + W) = rk A_off + dim (W + A_own ker A_off).
+Proof.  (a): the image of x -> (Ax, Bx) projects onto im B with kernel
+A(ker B).  (b): project span A + W onto the off rows; the image is
+im A_off and the kernel is W + A ker A_off, zero on off.
+
+Claim T4 (the count).  Let c(t) = dim (y_minus + y_plus) - dim y_minus
+at t, the m entry at t = K.b; L_A = E_own ker E_off + A_own ker A_off,
+on J's own rows; and Q_A = [[E_own, A_own], [E_off, 0], [0, A_off]].
+Then c(t) = dim L_P - dim L_S, and dim L_A = rk Q_A - rk E_off - rk A_off.
+Proof.  By Claim T2, and by Claim T3 (b) with A = S and W the rest,
+dim y_minus = rk S_off + dim L_S and, as S lies in P,
+dim (y_minus + y_plus) = rk S_off + dim L_P.  L_A is [E_own, A_own] on ker [[E_off, 0], [0, A_off]],
+so Claim T3 (a) gives dim L_A.
+
+Claim T5 (one reduction per start).  Let X be the columns alive at t
+with g.a <= I.a, ordered by g.b with the g.a = I.a ones last among equal
+g.b, and Q = Q_X with E's columns first.  After one gf.low_reduce of Q,
+c(t) is the number of I's own columns whose low is an own row, and the
+own parts of the reduced columns of Q's prefix [E, S] whose low is an
+own row are a basis, lower, of L_S.  E, own and off do not depend on
+I.b, so one reduction counts every I of the start I.a against J.
+Proof.  S and P are prefixes of X (g.b <= I.b, I's own columns ending
+P), so Q_S and Q_P are prefixes of Q, whose off rows are all of Q's rows
+below own.  By Claim G1 (gf.low_reduce), rk Q_A counts the nonzero
+reduced columns of its prefix and rk E_off + rk A_off those with a low
+below own, so dim L_A (Claim T4) counts the columns of its prefix with
+an own low, and c(t) = dim L_P - dim L_S counts I's own columns with
+one.  The reduced columns of [E, S] with an own low are combinations of
+Q_S's columns zero on off, so their own parts lie in L_S; those have
+distinct lows, so they are independent, and there are dim L_S of them.
+
+Claim T6 (one block at a time).  Let BasisMatrix.blocks split M into the
+connected components of its nonzero entries, with the generators of an
+all-zero row or column as summands of their own.  An entry is the sum
+of the counts of the blocks that hold both of its bars, and a
+comparison module the direct sum of theirs.
+Proof.  Every space an entry uses is a span of M-columns, a coordinate
+subspace, or a meet or sum of these (Claim T2), and M is block diagonal
+under the partition, so each such space is the direct sum of its parts
+in the blocks, and so are the quotients by coordinate rows a count
+takes: rank counts add over the blocks.  A block with no I-generator
+counts 0 for (I, J), as its src_minus is its src_plus, so its y_minus
+holds its y_plus; so does one with no J-generator, as its tgt_minus is
+its tgt_plus, which holds its y_plus.
+
+The walk along K, which reads the rest of the g entry, has its claims
+(Claim T7 to Claim T11) in _comparison_dims.
 """
 
 from __future__ import annotations
@@ -129,9 +124,8 @@ from .modules import (
 
 
 def _off_plus(bm: BasisMatrix, j: GridInterval, t: int) -> np.ndarray:
-    """The rows alive at t outside tgt_plus(J).  A row not dead by t stands
-    in for one alive at t: a row born after t is zero on every column
-    alive at t, as a nonzero M[h, g] has h.a <= g.a."""
+    """The rows alive at t outside tgt_plus(J), as the rows not dead by t
+    (Claim T2)."""
     return (bm.tgt_b >= t) & ((bm.tgt_a > j.a) | (bm.tgt_b > j.b))
 
 
@@ -146,12 +140,10 @@ def _src_plus(bm: BasisMatrix, i: GridInterval, t: int):
 
 def _reduce(bm: BasisMatrix, j: GridInterval, a: int,
             t: int) -> dict[int, tuple[int, np.ndarray]]:
-    """Q of the sources starting at a against J at t (see the module
-    docstring), reduced by gf.low_reduce.  For each source bar [a, b]
-    alive at t, by b: its m entry, the number of its own Q columns whose
-    low is one of J's own rows, and lower, the transpose of the reduced
-    columns before them (Q's prefix [E, S]) with such a low, on J's own
-    rows: a basis of L_S."""
+    """Q of the sources starting at a against J at t, reduced by
+    gf.low_reduce.  For each source bar [a, b] alive at t, by b: its m
+    entry, and lower, the transpose of the basis of L_S on J's own rows
+    that Q's prefix [E, S] holds (Claim T5)."""
     alive = bm.src_b >= t
     e = (alive & (bm.src_a < a)).nonzero()[0]
     x = (alive & (bm.src_a <= a)).nonzero()[0]
@@ -176,7 +168,7 @@ def _reduce(bm: BasisMatrix, j: GridInterval, a: int,
 
 class _Walk(NamedTuple):
     """The two reductions a walk of (I, J) reads every step t < K.b off
-    (_walk_reduce)."""
+    (_walk_reduce, Claim T8)."""
 
     plus: np.ndarray  # P, the src_plus(I) columns alive at K.a, latest death first
     dies: np.ndarray  # the deaths of P's columns
@@ -189,10 +181,9 @@ class _Walk(NamedTuple):
 
 def _walk_reduce(bm: BasisMatrix, i: GridInterval, j: GridInterval, lower: np.ndarray) -> _Walk:
     """The reductions of A = [[0, P_off], [lower, P_own]] (rows off, then
-    J's own) and B = [[1], [P_off]] by gf.low_reduce, lower the transpose of
-    a basis of L_S (_reduce), P _src_plus at K.a and off the rows of
-    _off_plus at K.a, earliest death first: P_t is a prefix of P and
-    _off_plus at t a suffix of off (see _comparison_dims)."""
+    J's own) and B = [[1], [P_off]] by gf.low_reduce (Claim T8), lower from
+    _reduce, P _src_plus at K.a and off the rows of _off_plus at K.a,
+    earliest death first."""
     cols, plus = _src_plus(bm, i, max(i.a, j.a))
     off = _off_plus(bm, j, max(i.a, j.a)).nonzero()[0]
     off = off[np.argsort(bm.tgt_b[off], kind="stable")]
@@ -213,15 +204,13 @@ def _prefixes(walk: _Walk, t: int) -> tuple[int, int]:
 
 def _null_cols(walk: _Walk, n: int, f: int) -> np.ndarray:
     """The indices of B's first n reduced columns whose low lies above
-    _off_plus at t (n and f from _prefixes): their identity parts span
-    N_t, the null space of P_t on that suffix of off."""
+    _off_plus at t (n and f from _prefixes): their identity parts are N_t
+    (Claim T8)."""
     return (walk.lows_b[:n] < len(walk.dies) + f).nonzero()[0]
 
 
 def _dim_at(walk: _Walk, n: int, f: int) -> int:
-    """dims[t] = rkA(t) - k - rkB(t) (n and f from _prefixes): the lows in
-    A's rows from _off_plus at t down among its first k + n columns, less
-    k, less the lows in that suffix of off among B's first n columns."""
+    """dims[t] = rkA(t) - k - rkB(t) (Claim T8; n and f from _prefixes)."""
     return (int(np.count_nonzero(walk.lows_a[: walk.k + n] >= f)) - walk.k
             - int(np.count_nonzero(walk.lows_b[:n] >= len(walk.dies) + f)))
 
@@ -232,120 +221,117 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     K = I n J, read off M, from t = K.b leftward to K.a: entry, the m
     entry, then the rest.  entry and lower are what _reduce(bm, J, I.a,
     K.b) gives I.b; the g table walks only the pairs whose entry is
-    nonzero.
+    nonzero (Claim T11).
 
     The module is big_t / small_t with the maps W_t induces, where
     big_t = y_plus(t), small at K.b is big n y_minus(K.b), and walking
     left small_t = big_t n W_t^-1(small_{t+1}).  Let C_t : W(t) -> W(K.b)
-    be the composite of structure maps.  If W_t(big_t) lies in big_{t+1}
-    for every t < K.b, then C_t(big_t) lies in big at K.b and the walk
-    telescopes to small_t = big_t n C_t^-1(small at K.b)
-    = big_t n C_t^-1(y_minus(K.b)), the kernel of big_t -> W(K.b) / y_minus.
-    So dims[t] = dim (C_t big_t + y_minus) - dim y_minus at K.b.
+    be the composite of structure maps.  P_t are the src_plus(I) columns
+    alive at t (_src_plus), off_t = _off_plus at t, N_t a basis of the
+    null space of P_t on off_t, and upper_t = P_t N_t, y_plus at t
+    (Claim T2).  A step whose upper_t is zero on the rows alive at t counts
+    0 and checks no witness.  Each step left to t-1 from t checks, naming
+    the pair and t (InvariantError), that W_{t-1} carries span upper_{t-1}
+    into span upper_t (by a witness, Claim T9), on which Claim T7 rests,
+    and that the dims do not fall toward K.b (Claim T11): given the
+    containment the carried spans are nested, so this guards _dim_at.
 
-    Every space is a set of columns of M, read on the rows of the target
-    generators alive at its t: one generator index, so C_t is row
-    selection.  It keeps the rows alive at t and at K.b, and a row born
-    after t gets 0, which M already is on every column alive at t (a
-    nonzero M[h, g] has h.a <= g.a <= t).  So C_t big_t is upper_t on the
-    rows not dead by K.b, where upper_t = P_t N_t is y_plus at t: P_t the
-    src_plus(I) columns alive at t (_src_plus), and N_t a basis of the
-    null space of P_t off_t, their rows in off_t = _off_plus at t, which
-    holds off at K.b.  The counts then follow the module docstring, with
-    own, off, E and S at K.b and R the rows a count at K.b keeps:
-      - dims[K.b], the m entry, counts I's own columns of Q whose low is
-        an own row (_reduce).
-      - For t < K.b, upper_t is zero on off_t, so on R it is
-        P_t own ker P_t off_t on own, and by the second item of the module
-        docstring dims[t] = dim (L_S + P_t own ker P_t off_t) - dim L_S.
-        The reduced columns of Q's prefix [E, S] whose low is an own row
-        are zero off own, so they lie in L_S, and they are independent and
-        as many as dim L_S: they are a basis, lower, of k columns.  By the
-        same item, with lower zero on off_t,
-        dims[t] = rk [[lower, P_t own], [0, P_t off_t]] - k - rk P_t off_t.
-    Two reductions per pair read these ranks at every t < K.b
-    (_walk_reduce).  Order P = P_{K.a} latest death first and off =
-    _off_plus at K.a earliest death first: P_t is a prefix of P and off_t
-    a suffix of off.  On A = [[0, P off], [lower, P own]], rows off then
-    own, the first rank is that of the lower-left block of A's first
-    k + |P_t| columns and its rows from off_t down; on B = [[1], [P off]],
-    the last is that of the block of B's first |P_t| columns on off_t.
-    By the pairing lemma each is the number of lows in its block after
-    one gf.low_reduce, rkA(t) and rkB(t), so dims[t] = rkA(t) - k - rkB(t)
-    (_dim_at).  B reduces to B V with V upper unitriangular, so the
-    identity part of its c-th reduced column is V's c-th column, zero past
-    row c.  Among its first |P_t| columns, the |P_t| - rkB(t) whose low
-    lies above off_t are zero on off_t, so their identity parts lie in
-    ker P_t off_t, and they are independent: they are N_t (_null_cols).
-    Each of them, V's c-th column for some c < |P_t|, is zero past row c,
-    so P_t times it is P times it: upper_t is the columns _null_cols of
-    one product U = P V, made once per pair (_Walk.ident holds V's
-    columns as rows).
-    A step whose upper_t is zero on the rows alive at t counts 0 and
-    checks no witness.
+    Claim T7 (the walk telescopes).  If W_t carries big_t into big_{t+1}
+    for every t < K.b, the module is injective and
+    dims[t] = dim (C_t big_t + y_minus) - dim y_minus at K.b.
+    Proof.  The induced map big_t / small_t -> big_{t+1} / small_{t+1} is
+    well defined when W_t carries big into big and small into small; the
+    second holds by the definition of small_t, which also makes the
+    kernel of the induced map small_t / small_t = 0.  C_t then carries
+    big_t into big at K.b, and the walk telescopes to
+    small_t = big_t n C_t^-1(small at K.b) = big_t n C_t^-1(y_minus(K.b)),
+    the kernel of big_t -> W(K.b) / y_minus.
 
-    Checks, each naming the pair and t (InvariantError), made on each
-    step left to t-1 from t:
-      - W_t(span upper_t) lies in span upper_{t+1}.  The induced map
-        big_t / small_t -> big_{t+1} / small_{t+1} is well defined when W_t
-        carries big into big and small into small; the second holds by the
-        definition of small_t, which also makes the kernel of the induced
-        map small_t / small_t = 0.  So the module is injective, which is
-        what a rank check on its maps would test, exactly when this
-        containment holds, and the telescoping above rests on it too.
-      - dims nondecreasing along K, as an injective module's are.  Given
-        the containment the carried spans are nested, so this guards
-        _dim_at.
-    The containment is checked with a witness, one product and no solve.
-    upper_{t-1} = P_{t-1} N_{t-1}; P_t is the prefix of P_{t-1} of the
-    columns still alive at t (at K.b, read by _src_plus), so let y be the
-    first |P_t| rows of N_{t-1} and D the rest of P_{t-1}, the columns
-    dying at t-1.  W_{t-1} carries upper_{t-1} to its rows alive at t,
-    those born at t being 0 in it as above.  That carried upper_{t-1} is
-    zero off tgt_plus: upper_{t-1} is zero on _off_plus at t-1, which
-    holds every row alive at t off tgt_plus, since tgt_plus does not
-    depend on t.  So if P_t y equals upper_{t-1} on the rows alive at t,
-    P_t y is zero on _off_plus at t, y lies in the null space N_t spans,
-    and the carried upper_{t-1} lies in span upper_t.  By M's support the
-    equation holds: the two sides differ by D times the other rows of
-    N_{t-1}, and a column dying at t-1 is zero on every row alive at t (a
-    nonzero M[h, g] has h.b <= g.b).  _check_support enforces that
-    support on every M built from a morphism or a shift, so a failing
-    witness means an M off its support, and it raises.
-    The witness is made only where it can fail: on the step from K.b,
-    where P_t at t = K.b is read on its own (_src_plus), and where a
-    column dies at t-1, |P_t| < |P_{t-1}|.  On every other step
+    Claim T8 (two reductions read the walk).  Let lower, of k columns, be
+    the basis of L_S at K.b (Claim T5).  Order P = P_{K.a} by death with
+    the latest first and off = off_{K.a} by death with the earliest
+    first, so that P_t is a prefix of P and off_t a suffix of off.
+    gf.low_reduce reduces A = [[0, P_off], [lower, P_own]], rows off then
+    own, and B = [[1], [P_off]].  Let rkA(t) be the number of lows among
+    A's first k + |P_t| columns in its rows from off_t down, and rkB(t)
+    that among B's first |P_t| columns inside off_t.  Then
+    dims[t] = rkA(t) - k - rkB(t) for t < K.b.  B reduces to B V, and the
+    identity parts of B's first |P_t| reduced columns whose low lies above
+    off_t are N_t, so upper_t is a column selection of one product
+    U = P V per pair.
+    Proof.  C_t selects rows in M's one generator index: it keeps the
+    rows alive at t and at K.b, and a row born after t gets 0, which M
+    already is on every column alive at t (Claim M1).  So C_t big_t is
+    upper_t on the rows not dead by K.b.  upper_t is zero on off_t, which
+    holds off at K.b, so Claim T3 (b), as in Claim T4, gives
+    dims[t] = dim (L_S + P_t own ker P_t off_t) - dim L_S, and with the
+    basis lower of L_S, zero on off_t, Claim T3 (a) gives
+    dims[t] = rk [[lower, P_t own], [0, P_t off_t]] - k - rk P_t off_t.
+    Those two blocks are lower left in A and in B, so by Claim G1 their
+    ranks are rkA(t) and rkB(t).  V is upper unitriangular (Claim G1), so
+    the identity part of B's c-th reduced column is V's c-th column, zero
+    past row c.  Among B's first |P_t| columns, the |P_t| - rkB(t) whose
+    low lies above off_t are zero on off_t, so their identity parts lie in
+    ker P_t off_t, and they are independent: they are N_t.  Each of them,
+    V's c-th column for some c < |P_t|, is zero past row c, so P_t times
+    it is P times it.
+
+    Claim T9 (where the witness can fail).  On the step left to t-1 from
+    t, let y be the first |P_t| rows of N_{t-1}.  If P_t y equals
+    upper_{t-1} on the rows alive at t, then W_{t-1} carries upper_{t-1}
+    into span upper_t.  On an M with the support of Claim M1 the equation
+    holds, and it can fail only on the step from K.b, where P_t is read on
+    its own (_src_plus), and where a column of P dies at t-1,
+    |P_t| < |P_{t-1}|.
+    Proof.  P_t is the prefix of P_{t-1} of the columns still alive at t;
+    let D be the rest, the columns dying at t-1.  W_{t-1} carries
+    upper_{t-1} to its rows alive at t, those born at t being 0 in it
+    (Claim M1).  That carried upper_{t-1} is zero off tgt_plus:
+    upper_{t-1} is zero on _off_plus at t-1, which holds every row alive
+    at t off tgt_plus, since tgt_plus does not depend on t.  So if P_t y
+    equals it, P_t y is zero on _off_plus at t, y lies in the null space
+    N_t spans, and the carried upper_{t-1} lies in span upper_t.  The two
+    sides differ by D times the other rows of N_{t-1}, and a column dying
+    at t-1 is zero on every row alive at t (Claim M1), which _check_support
+    enforces on every M built from a morphism or a shift; so a failing
+    witness means an M off its support.  On every other step
     P_t = P_{t-1}, so y is all of N_{t-1} and P_t y = upper_{t-1}: the
     product is the block it is compared with.
-    A pair whose overlap loses no generator, that is, no column of P and
-    no row of off dies at a t in [K.a, K.b) (K.a = K.b among them), has
-    dims[t] = entry at every t of K, and reads no reduction, no product
-    and no _src_plus:
-      - P_t = P and off_t = off at every t of K, both as at K.b: a
-        column of P read at t and not at K.b dies in [t, K.b), and so
-        does a row of _off_plus at t not in _off_plus at K.b, as
-        K.b <= J.b leaves it h.a > J.a.  So every count of the walk reads
-        the same blocks, and dims[t] = dim (L_S + P own ker P off)
-        - dim L_S, which is dim L_P - dim L_S as S lies in P: the m entry,
-        by the second item of the module docstring.  This is linear
-        algebra on M, so it holds on an M off its support too.
+
+    Claim T10 (a walk that loses no generator).  If no column of P and no
+    row of off dies at a t in [K.a, K.b) (K.a = K.b among them), then
+    dims[t] = entry at every t of K, and a walk that reads no reduction,
+    no product and no _src_plus skips no check that can fail.
+    Proof.
+      - P_t = P and off_t = off at every t of K, both as at K.b: a column
+        of P read at t and not at K.b dies in [t, K.b), and so does a row
+        of _off_plus at t not in _off_plus at K.b, as K.b <= J.b leaves it
+        h.a > J.a.  So every count of the walk reads the same blocks, and
+        dims[t] = dim (L_S + P own ker P off) - dim L_S, which is
+        dim L_P - dim L_S as S lies in P: the m entry, by Claim T4.  This
+        is linear algebra on M, so it holds on an M off its support too.
       - Where the entry is nonzero, upper_t = P N is nonzero on J's own
-        rows, which are alive at every t <= K.b, so no step would take
-        the zero branch; where it is 0, that branch and the count both
-        give 0.
+        rows, which are alive at every t <= K.b, so no step would take the
+        zero branch; where it is 0, that branch and the count both give 0.
       - Every witness, the one at K.b - 1 included, would compare
-        P_t y = P N with the block it is compared with, and the shrink
-        check equal counts: no check that can fail is skipped.
-    An injective module zero after K.b has all its bars die at K.b, and
-    dims[s] - dims[s-1] of them are born at s (see _overlap_bars).
+        P_t y = P N with the block it is compared with (Claim T9), and the
+        check that the dims do not fall would compare equal counts.
+
+    Claim T11 (the bars of an injective module zero after K.b).  A module
+    zero outside K whose maps along K are injective has nondecreasing
+    dims along K, and all its bars die at K.b, dims[s] - dims[s-1] of them
+    born at s.  So a zero dim at K.b makes the module zero.
+    Proof.  A bar that died at t < K.b would hold a nonzero vector at t
+    that W_t sends to 0, against injectivity.  So every bar alive at s-1
+    is alive at s, and the bars born at s number dims[s] - dims[s-1].
     """
     ka, kb = max(i.a, j.a), min(i.b, j.b)
     if not (((bm.src_a <= i.a) & (bm.src_b >= ka) & (bm.src_b < kb)).any()
             or ((bm.tgt_a > j.a) & (bm.tgt_b >= ka) & (bm.tgt_b < kb)).any()):
-        return [entry] * (kb - ka + 1)  # no column of P and no row of off dies in K
+        return [entry] * (kb - ka + 1)  # no generator dies in K (Claim T10)
     dims = [entry]
     walk = _walk_reduce(bm, i, j, lower)
-    u = gf.matmul(walk.plus, walk.ident.T, bm.p)  # y_plus at t is columns of U
+    u = gf.matmul(walk.plus, walk.ident.T, bm.p)  # y_plus at t is columns of U (Claim T8)
     plus_l = _src_plus(bm, i, kb)[1]  # P_{t+1}
     for t in range(kb - 1, ka - 1, -1):
         n, f = _prefixes(walk, t)
@@ -354,7 +340,7 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
         d = 0
         if upper[bm.tgt_b >= t].any():
             if t == kb - 1 or plus_l.shape[1] < n:
-                y = walk.ident[cols, : plus_l.shape[1]].T  # the witness
+                y = walk.ident[cols, : plus_l.shape[1]].T  # the witness (Claim T9)
                 later = bm.tgt_b > t  # the rows alive at t+1
                 if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
                     raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
@@ -369,8 +355,9 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
 
 
 def _overlap_bars(k: GridInterval, dims: list[int]) -> Barcode:
-    """d_s - d_{s-1} bars [s, K.b] at each s of K, with d_{K.a - 1} = 0, off
-    dims = [d_{K.b}, ..., d_{K.a}], as _comparison_dims returns them."""
+    """d_s - d_{s-1} bars [s, K.b] at each s of K (Claim T11), with
+    d_{K.a - 1} = 0, off dims = [d_{K.b}, ..., d_{K.a}], as
+    _comparison_dims returns them."""
     return Barcode({GridInterval(k.b - s, k.b): d - e
                     for s, (d, e) in enumerate(zip(dims, dims[1:] + [0]))})
 
@@ -438,11 +425,11 @@ def _bars(starts: np.ndarray, ends: np.ndarray) -> list[GridInterval]:
 
 
 def _pairs(bm: BasisMatrix):
-    """(block, I, J, entry, lower) for the hom_exists pairs of each block
-    of bm: the m entry of the block's part of the pair and the lower a
-    walk of it starts from, off one _reduce per (J, I.a) of the block.
-
-    A hom pair overlaps and J ends first, so each is counted at J.b.
+    """(block, I, J, entry, lower) for the hom_exists pairs (Claim T1) of
+    each block of bm (Claim T6): the m entry of the block's part of the
+    pair and the lower a walk of it starts from, off one _reduce per
+    (J, I.a) of the block (Claim T5).  A hom pair overlaps and J ends
+    first, so each is counted at J.b.
     """
     for block in bm.blocks():
         targets = _bars(block.tgt_a, block.tgt_b)
@@ -462,28 +449,10 @@ def m_matching(f: Morphism) -> MMatchingTable:
 
 def m_table(bm: BasisMatrix) -> MMatchingTable:
     """Counting matching of the morphism whose M is bm: entry (I, J) is
-    the number of comparison bars; M's bars bound its row and column sums.
-
-    Read one block of M at a time and summed (see the module docstring):
-    within a block only the pairs of its own bars are counted.
-
-    Only pairs with J.a <= I.a <= J.b <= I.b (hom_exists) are counted;
-    every other entry is 0, as an entry factors through a map from the
-    I interval module to the J one.  In detail: disjoint bars count 0.
-    Otherwise I.a < J.a or I.b < J.b; let t = min(I.b, J.b), where the
-    count is dim y_plus - dim (y_minus n y_plus); V is the source and W
-    the target.
-      - I.a < J.a: v_plus_src(I, t) lies in im(V(I.a) -> V(t)), inside
-        im(V(J.a-1) -> V(t)), so naturality puts f of it in
-        im(W(J.a-1) -> W(t)) = im_minus(J, t).
-        Since v_plus_tgt(J, t) lies in ker_plus(J, t), y_plus lies in
-        im_minus n ker_plus, which is inside v_minus_tgt and so y_minus.
-      - I.b < J.b: here t = I.b, and naturality sends v_plus_src(I, t),
-        which dies at I.b + 1, into ker(W(t) -> W(I.b+1)), which lies
-        in ker(W(t) -> W(J.b)) = ker_minus(J, t).  Since
-        v_plus_tgt(J, t) lies in im_plus(J, t), y_plus lies in
-        im_plus n ker_minus, inside v_minus_tgt and so y_minus.
-    In both cases y_plus lies in y_minus and the entry is 0.
+    the dimension of the comparison module at the right end of I n J;
+    M's bars bound its row and column sums.  Only the hom_exists pairs
+    are counted, as every other entry is 0 (Claim T1), one block of M at a
+    time and summed (Claim T6).
     """
     counts: Counter = Counter()
     for _, i, j, entry, _ in _pairs(bm):
@@ -500,14 +469,12 @@ def g_matching(f: Morphism) -> GMatchingTable:
 def g_table(bm: BasisMatrix) -> GMatchingTable:
     """Barcode-valued matching of the morphism whose M is bm: entry (I, J)
     is the barcode of the comparison module, every bar of which dies at
-    the right end of I n J.
+    the right end of I n J (Claim T11).
 
-    Read one block of M at a time (see the module docstring): the
-    comparison module of (I, J) is the direct sum of those of the blocks
-    holding both bars, so its barcode is the union of theirs.  Within a
-    block, the module's dimensions are nondecreasing toward the shared
-    death, so a zero m entry, the count at K.b, forces the whole module
-    to zero, and only the pairs with a nonzero one walk along the
+    Read one block of M at a time: the comparison module of (I, J) is the
+    direct sum of those of the blocks holding both bars (Claim T6), so its
+    barcode is the union of theirs.  A zero m entry forces the module to
+    zero (Claim T11), so only the pairs with a nonzero one walk along the
     overlap; M's bars bound the summed counts.
     """
     counts: Counter = Counter()

@@ -9,20 +9,19 @@ It reads the barcode off one left-to-right sweep (the function sweep),
 which keeps only the current basis matrix B_t, of the vectors at t of
 the generators alive at t, and records what the bars need: their
 births and deaths, the rows of each newborn unit vector, and per death
-the older survivors added to the dying generators.  A morphism f is read
-off the persistence bases of its two ends as one matrix M, a
-BasisMatrix, the only thing a morphism caches and what every report
-takes; a module caches nothing.  basis_matrix builds every M from the
-records of the sweeps of f's two ends, and no basis is built: the
-replay of a sweep's record into B_1, ..., B_n (oracle.persistence_basis)
-is a referee.  M carries the bars of its rows and columns, the target
-and source barcodes (M.barcodes, built once per M), so the image
-barcode is read off M alone (M.image_barcode()), and the shift functor
-is one operation on M (M.shift(eps)) that builds no module.  The image
-factorization and the composite maps are referees that no command runs,
-kept here because the benchmark reads them here; the other referees,
-the basis replay, the interval operators and the shifted modules among
-them, are in oracle.py.
+the older survivors added to the dying generators (Claim M2).  A
+morphism f is read off the persistence bases of its two ends as one
+matrix M, a BasisMatrix (Claim M1), the only thing a morphism caches
+and what every report takes; a module caches nothing.  basis_matrix
+builds every M from the records of the sweeps of f's two ends, and no
+basis is built: the replay of a sweep's record into B_1, ..., B_n
+(oracle.persistence_basis) is a referee.  M carries the bars of its rows
+and columns, the target and source barcodes (M.barcodes, built once per
+M), so the image barcode is read off M alone (M.image_barcode()), and
+the shift functor is one operation on M (M.shift(eps)) that builds no
+module.  The image factorization and the composite maps are referees
+that no command runs, kept here because the benchmark reads them here;
+the other referees are in oracle.py.
 """
 
 from __future__ import annotations
@@ -321,10 +320,9 @@ def module_from_bars(n: int, p: int, bars) -> PersistenceModule:
 
     V(t) has one coordinate per bar alive at t, in the order given, and
     the structure map V(t) -> V(t+1) keeps the bars that survive and
-    drops the rest, a 0/1 selection.  Every image of a standard basis vector
-    is another one or 0, so the sweep takes the standard basis vectors,
-    the bars in stable start order, and each B_t is a permutation
-    matrix, the identity when the bars come sorted by start.
+    drops the rest, a 0/1 selection.  The sweep takes the standard basis
+    vectors, the bars in stable start order (Claim M9), so each B_t is a
+    permutation matrix, the identity when the bars come sorted by start.
     """
     starts, ends = _bar_ends(n, bars)
     alive = [alive_at(starts, ends, t) for t in range(1, n + 1)]
@@ -345,13 +343,25 @@ def _bar_ends(n: int, bars) -> tuple[np.ndarray, np.ndarray]:
 def morphism_from_bars(n: int, p: int, src_bars, tgt_bars, m) -> Morphism:
     """The morphism between module_from_bars of src_bars and of tgt_bars
     whose component at t is m on the bars alive at t: m[h, g] is the
-    coefficient of target bar h in the image of source bar g.
+    coefficient of target bar h in the image of source bar g, the bar
+    form of m.  An m with a nonzero entry off the hom_exists pairs is
+    refused (ValueError).
 
-    It is natural exactly when every nonzero m[h, g] has hom_exists(g, h),
-    and an m with a nonzero entry elsewhere is refused (ValueError).  With
-    the bars in birth order, basis_matrix of the result returns m
-    unchanged, as the sweep takes the standard basis vectors: this is
-    the inverse of basis_matrix.
+    Claim M9 (the bar form).  The bar form of m is natural exactly when
+    every nonzero m[h, g] on a pair of overlapping bars has
+    hom_exists(g, h), and with the bars in birth order basis_matrix of it
+    returns m: the bar form is the inverse of basis_matrix.  So every
+    morphism f is, in the persistence bases of its ends, the bar form of
+    its M.
+    Proof.  The square at t compares m[h, g] for g alive at t and h alive
+    at t+1: W_t f_t keeps it if h is alive at t, and f_{t+1} V_t if g is
+    alive at t+1.  So naturality asks m[h, g] = 0 where h outlives g,
+    h.b > g.b, and where h is born after g, h.a > g.a.  The structure
+    maps send each unit vector to another or to 0, so the sweep subtracts
+    nothing and records no death: it takes the unit vectors, the bars in
+    stable start order, and in birth order the raw coordinates of f's
+    images (Claim M3) are m.  By Claim M1, f_t is M on the generators
+    alive at t.
     """
     src_bars, tgt_bars = list(src_bars), list(tgt_bars)
     m = gf.normalize(m, p)
@@ -400,16 +410,19 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
 # ---------------------------------------------------------------------------
 # A morphism between the persistence bases.
 #
-# Write f_t g_t = sum_h F_t[h, g] h_t for the generators g, h of the
-# source and target bases alive at t.  For g alive at t and t+1,
-# naturality gives f_{t+1} g_{t+1} = f_{t+1} V_t g_t = W_t f_t g_t, and
-# W_t sends h_t to h_{t+1} if h survives t, else to 0; comparing
-# coefficients of the basis h_{t+1}:
-#   F_{t+1}[h, g] = F_t[h, g] for h alive at t and t+1, 0 for h born at t+1.
-# So every F_t is a slice of one matrix M, rows the target generators and
-# columns the source ones, F_t = M[alive at t, alive at t], and M[h, g] can
-# be read at t = g.a.  A nonzero M[h, g] is a nonzero map from g's interval
-# module to h's, so hom_exists(g.interval, h.interval) holds.
+# Claim M1 (M and its support).  Write f_t g_t = sum_h F_t[h, g] h_t for
+# the generators g, h of the source and target bases alive at t.  Every
+# F_t is a slice of one matrix M, rows the target generators and columns
+# the source ones: F_t = M[alive at t, alive at t].  A nonzero M[h, g]
+# has hom_exists(g, h), h.a <= g.a <= h.b <= g.b, so on the columns alive
+# at t every row born after t is zero, and a column dead before t is zero
+# on every row alive at t.
+# Proof.  For g alive at t and t+1, naturality gives f_{t+1} g_{t+1} =
+# f_{t+1} V_t g_t = W_t f_t g_t, and W_t sends h_t to h_{t+1} if h
+# survives t, else to 0; comparing coefficients of the basis h_{t+1},
+# F_{t+1}[h, g] = F_t[h, g] for h alive at t and t+1, and 0 for h born
+# at t+1.  So M[h, g] can be read at t = g.a, and a nonzero one is a
+# nonzero map from g's interval module to h's.
 #
 # M is built from the records of the two sweeps, which keep no past B_s.
 # A sweep fixes each basis only at the end: a generator j that dies at t
@@ -420,35 +433,43 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
 # as, pushed forward.  Such a rewrite is B_s -> B_s (I + C) at every s it
 # touches, restricted at each s to the generators alive there; C^2 = 0,
 # as its rows are survivors and its columns dying generators.
-#   - A target death.  The images of f ride along the target's sweep,
-#     which reads each at its position in the raw basis there.  As
-#     f_s S_s = B_s F_s = B_s (I + C)(I - C) F_s, the coordinates become
-#     F_s -> (I - C) F_s: one row operation on M, M[older] -= C M[dying].
-#     It reaches only the columns read while the dying generators live,
-#     since their rows are zero on every column read before their birth
-#     or after their death.  So the row operations run on all of M once
-#     the sweep is done, in death order: a survivor of one death may die
-#     at a later one, and its row must hold the earlier one by then.
-#   - A source death.  The raw vector of a generator j born at s is a unit
-#     vector e_i of V(s), so its image is column i of f_s, with no product:
-#     M's columns start as the coordinates of those raw images.  j's
-#     corrected vector at j.a is e_i + sum_k C[k, j] v_k(j.a), v_k(j.a) the
-#     raw vector of k at j.a.  While k lives, column k of M holds the
-#     coordinates of f_{k.a} v_k(k.a), and by the first paragraph
-#     f_{j.a} v_k(j.a) has the coordinates F_{j.a}[:, k]: M[h, k] on the
-#     rows h alive at j.a, which are the rows with h.b >= j.a, as a row
-#     born after j.a is zero there (a nonzero M[h, k] has h.a <= k.a <= j.a).
-#     So the death is one column operation on M:
-#       M[:, j] += sum_k C[k, j] M[h.b >= j.a, k].
-#     These run in death order: k survives j's death, so column k is then
-#     still k's own raw column, and a later death touches only its own
-#     column.
-#   - The row operations are a change of the target basis and the column
-#     operations one of the source basis.  A column operation reads
-#     F_{j.a}, coordinates in the final target basis, so basis_matrix makes
-#     every row operation first: in the masked form above the two do not
-#     commute, since a row operation may add a row dead by j.a to one
-#     alive there.
+#
+# Claim M4 (a target death is a row operation).  Start M from the raw
+# coordinates of f's images (Claim M3).  A target death with record C
+# makes the coordinates (I - C) F_s, one row operation on M,
+# M[older] -= C M[dying], and these run on all of M once the sweep is
+# done, in death order.
+# Proof.  As f_s S_s = B_s F_s = B_s (I + C)(I - C) F_s, the coordinates
+# become F_s -> (I - C) F_s.  The operation reaches only the columns read
+# while the dying generators live, since their rows are zero on every
+# column read before their birth or after their death.  Death order: a
+# survivor of one death may die at a later one, and its row must hold
+# the earlier one by then.
+#
+# Claim M5 (a source death is a column operation).  With M in the final
+# target basis, the death of a source generator j with record C is one
+# column operation, M[:, j] += sum_k C[k, j] M[h.b >= j.a, k], and these
+# run in death order.
+# Proof.  The raw vector of a generator j born at s is a unit vector e_i
+# of V(s), so its image is column i of f_s, with no product: M's columns
+# start as the coordinates of those raw images.  j's corrected vector at
+# j.a is e_i + sum_k C[k, j] v_k(j.a), v_k(j.a) the raw vector of k at
+# j.a.  While k lives, column k of M holds the coordinates of
+# f_{k.a} v_k(k.a), and by Claim M1 f_{j.a} v_k(j.a) has the coordinates
+# F_{j.a}[:, k]: M[h, k] on the rows h alive at j.a, which are the rows
+# with h.b >= j.a, as a row born after j.a is zero there.  In death order,
+# k survives j's death, so column k is then still k's own raw column, and
+# a later death touches only its own column.
+#
+# Claim M6 (every row operation runs first).  The column operations
+# of Claim M5 give f's M only once every row operation of Claim M4 is
+# made.
+# Proof.  The row operations are a change of the target basis and the
+# column operations one of the source basis.  A column operation reads
+# F_{j.a}, coordinates in the final target basis.  In the masked form
+# of Claim M5 the two do not commute, since a row operation may add a
+# row dead by j.a to one alive there.
+#
 # As coordinates in a basis are unique, M is the same matrix as solving
 # f_{g.a} g = B_{g.a} x for every g against the final bases, the ones
 # oracle.persistence_basis replays.
@@ -456,10 +477,10 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
 
 @dataclass(frozen=True)
 class BasisMatrix:
-    """M with the starts and ends of its columns (source generators) and
-    rows (target generators), in any order: every method reads them by
-    their bars (basis_matrix and shift give them in birth order); at(t)
-    is F_t."""
+    """M (Claim M1) with the starts and ends of its columns (source
+    generators) and rows (target generators), in any order: every method
+    reads them by their bars (basis_matrix and shift give them in birth
+    order); at(t) is F_t."""
 
     p: int
     src_a: np.ndarray
@@ -482,7 +503,8 @@ class BasisMatrix:
         """The connected components of M's bipartite graph, as selects:
         rows (target generators) and columns (source generators) joined by
         the nonzero entries, in the order of their first nonzero.  An
-        all-zero row or column is in no block."""
+        all-zero row or column is in no block.  The tables read one block
+        at a time (matching.py Claim T6)."""
         nr = self.m.shape[0]
         parent = list(range(nr + self.m.shape[1]))  # rows, then columns
 
@@ -510,21 +532,23 @@ class BasisMatrix:
 
     def shift(self, eps: int) -> "BasisMatrix":
         """The M of the eps-shift of the morphism whose M this is; the shifted
-        modules are never built.
+        modules are never built.  Its rows and columns carry the bars of the
+        shifted target and source.  A negative eps would lengthen bars past
+        the grid, so it is refused.
 
-        im(V(t) -> V(t+eps)) is spanned by the vectors at t+eps of the
-        generators alive at t and t+eps, so the shift keeps each bar [a, b]
-        with b - a >= eps as [a, b - eps], a persistence basis of the
-        shifted module in the same birth order.  f_{t+eps} sends such a
-        source generator to the sum of M[h, g] h over the target generators
-        alive at t+eps, and those kept and alive at t are the shifted
-        target's generators at t; one born after t has h.a > t >= g.a, so
-        M[h, g] = 0 by M's support.  So the shifted M is f's on the kept
-        generators, less the entries whose shortened bars no longer overlap
-        (g.a > h.b - eps, where no shifted F_t reads them).  The support
-        check stands for "the shifted image stays in the target's".  Its
-        rows and columns carry the bars of the shifted target and source.
-        A negative eps would lengthen bars past the grid, so it is refused.
+        Claim M8 (the shift of M).  The eps-shift keeps each bar [a, b] with
+        b - a >= eps as [a, b - eps], on both sides, and its M is f's on the
+        kept generators, less the entries whose shortened bars no longer
+        overlap (g.a > h.b - eps).
+        Proof.  im(V(t) -> V(t+eps)) is spanned by the vectors at t+eps of
+        the generators alive at t and t+eps, so the kept bars, shortened,
+        are a persistence basis of the shifted module in the same birth
+        order.  f_{t+eps} sends such a source generator to the sum of
+        M[h, g] h over the target generators alive at t+eps, and those kept
+        and alive at t are the shifted target's generators at t; one born
+        after t has h.a > t >= g.a, so M[h, g] = 0 (Claim M1).  The entries
+        with g.a > h.b - eps are read by no shifted F_t.  The support check
+        stands for "the shifted image stays in the target's".
         """
         if eps < 0:
             raise ValueError(f"shift amount {eps} is negative")
@@ -536,27 +560,28 @@ class BasisMatrix:
 
     def image_barcode(self) -> Barcode:
         """Barcode of the image of the morphism whose M this is, read off one
-        reduction of M.
+        reduction of M.  The rows are sorted by death and the columns by
+        birth here, with stable sorts, so M may come in any order.
 
-        The rank r(s, t) of Im(s) -> Im(t), s <= t, is that of M on the rows
-        h with h.b >= t and the columns g with g.a <= s.  It is the rank of
-        f_t on the source generators alive at s and t, the columns of F_t
-        with g.a <= s <= t <= g.b; a nonzero M[h, g] has
-        h.a <= g.a <= h.b <= g.b, so the other columns with g.a <= s die
-        before t and are zero on those rows, and the rows alive at t are
-        those rows less ones born after t, which are zero on those columns.
-        With the rows sorted by death and the columns by birth (stable sorts
-        made here, so M may come in any order), every such block is lower
-        left, and by the pairing lemma (Cohen-Steiner, Edelsbrunner and
-        Morozov, "Vines and Vineyards") one lowest-pivot column reduction
-        (gf.low_reduce) counts them all:
-        r(s, t) is the number of its pivot pairs (h, g), h the low of reduced
-        column g, with g.a <= s and h.b >= t.  Inclusion-exclusion,
-        as in oracle.naive_barcode, then makes [a, b]'s multiplicity the
-        number of pairs with g.a = a and h.b = b.  A pair with g.a > h.b is
-        counted only by the r(s, t) with s > t, which are no ranks of the
-        image, so it is dropped.  This is the image-persistence reduction of
+        Claim M7 (the image barcode from one reduction).  After one
+        gf.low_reduce of M with its rows sorted by death and its columns by
+        birth, the multiplicity of [a, b] in the image barcode is the number
+        of pivot pairs (h, g), h the low of reduced column g, with g.a = a
+        and h.b = b.  This is the image-persistence reduction of
         Cohen-Steiner, Edelsbrunner, Harer and Morozov.
+        Proof.  The rank r(s, t) of Im(s) -> Im(t), s <= t, is that of f_t
+        on the source generators alive at s and t, the columns of F_t with
+        g.a <= s <= t <= g.b.  By Claim M1 it is the rank of M on the rows
+        h with h.b >= t and the columns g with g.a <= s: the other columns
+        with g.a <= s die before t and are zero on those rows, and the rows
+        alive at t are those rows less ones born after t, which are zero on
+        those columns.  In the sorted M every such block is lower left, so
+        by Claim G1 (gf.low_reduce) r(s, t) is the number of pivot pairs
+        with g.a <= s and h.b >= t.  Inclusion-exclusion, as in
+        oracle.naive_barcode, then makes [a, b]'s multiplicity the number
+        of pairs with g.a = a and h.b = b.  A pair with g.a > h.b is counted
+        only by the r(s, t) with s > t, which are no ranks of the image, so
+        it is dropped.
         """
         order = np.argsort(self.tgt_b, kind="stable")
         death = self.tgt_b[order].tolist()
@@ -596,17 +621,15 @@ def _check_support(bm: BasisMatrix, error=InvariantError) -> BasisMatrix:
 
 
 def basis_matrix(f: Morphism) -> BasisMatrix:
-    """f's M, cached on f, built from one sweep of each end and no basis.
+    """f's M (Claim M1), cached on f, built from one sweep of each end and
+    no basis.
 
-    The source is swept first.  A generator born at s starts as the unit
-    vector of a newborn row i of V(s), so column i of f_s is its raw
-    image; those columns ride along the target's sweep (sweep), which
-    reads each column of M at its generator's birth in the raw target
-    basis there, with no solve and no product.  Then each target death,
-    in death order, is one row operation on M, and after those each
-    source death, in death order, one column operation (the proofs are
-    in the block above BasisMatrix).  Neither module's basis is built or
-    cached.
+    The source is swept first, and the raw images of its generators, the
+    columns of f_s of its newborn rows, ride along the target's sweep,
+    which reads their raw coordinates (Claim M3).  Then each target death,
+    in death order, is one row operation on M (Claim M4), and after all of
+    them (Claim M6) each source death, in death order, one column
+    operation (Claim M5).  Neither module's basis is built or cached.
     """
     if f._matrix is None:
         p = f.p
@@ -615,12 +638,12 @@ def basis_matrix(f: Morphism) -> BasisMatrix:
         tgt = sweep(f.target, images)
         m = tgt.coords
         for dying, alive, c in tgt.deaths:
-            # B_s (I + C) has coordinates (I - C) F: M[alive] -= C M[dying],
-            # on the rows C adds to.
+            # M[alive] -= C M[dying] (Claim M4), on the rows C adds to.
             hit = c.any(1)
             m[alive[hit]] = (m[alive[hit]] - gf.matmul(c[hit], m[dying], p)) % p
         for dying, alive, c in src.deaths:
-            # M[:, j] += sum_k C[k, j] M[:, k], on the rows alive at j's birth.
+            # M[:, j] += sum_k C[k, j] M[:, k] (Claim M5), on the rows alive
+            # at j's birth.
             added = np.where(tgt.ends[:, None] >= src.starts[dying],
                              gf.matmul(m[:, alive], c, p), 0)
             m[:, dying] = (m[:, dying] + added) % p
@@ -724,7 +747,22 @@ def sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Swee
          B_s is kept or rewritten.
       5. The newborns at t+1 are the unit vectors e_i of the rows i that
          no reduced survivor leads.  They need no reduction.
-    Why this is exact:
+    The generators are numbered as they are born, survivors keep their
+    order and newborns come last, so each B_t is in birth order.  After
+    the sweep the generators alive at each t must number dim V(t);
+    InvariantError names the first t where they do not.
+
+    images holds per position t a matrix whose columns are vectors of
+    V(t), none if images is not given.  coords has one row per generator
+    in birth order and one column per image column, positions in order.
+    Each column is placed once and never rewritten; a later death's
+    change of basis is left to basis_matrix (Claim M4).
+
+    Claim M2 (the sweep is exact).  The generators' vectors, each dying
+    one corrected by its recorded C, are a persistence basis of m, and
+    the bars are m's barcode.  The basis, and so M, depends on the sweep,
+    but every table and chi are basis-invariant.
+    Proof.
       - The reduced copies have distinct leading rows, so with those e_i
         they are an echelon set of dim V(t+1) vectors, a basis.
       - Each reduced copy is its raw image less older raw images, a
@@ -732,32 +770,21 @@ def sweep(m: PersistenceModule, images: list[np.ndarray] | None = None) -> _Swee
         basis of V(t+1) too.  A death adds older generators alive at
         every s in [birth, t] to the dying one, also unitriangular, so
         every B_s of the corrected basis (oracle.persistence_basis) is a
-        basis.
+        basis, and step 4 makes each dying vector map to 0.
       - A column dies exactly when its image lies in the span of the
         older images.  This is the elder rule, so the barcode is the
-        module's own; the basis, and so M, depends on the sweep, but
-        every table and chi are basis-invariant.
-    The generators are numbered as they are born, survivors keep their
-    order and newborns come last, so each B_t is in birth order.  After
-    the sweep the generators alive at each t must number dim V(t);
-    InvariantError names the first t where they do not.
+        module's own.
 
-    images holds per position t a matrix whose columns are vectors of
-    V(t), none if images is not given.  coords has their coordinates in
-    the raw basis at t, the generators' vectors before any death adds to
-    them, one row per generator in birth order and one column per image
-    column, positions in order.  Each is placed once and never
-    rewritten.  They ride along:
+    Claim M3 (the images ride along).  coords holds the coordinates of
+    each image in the raw basis at its position: the generators' vectors
+    there before any death adds to them.
+    Proof.
       - At t = 1, B_1 is the identity, so the coordinates are the images.
       - The images at t+1 are reduced against the survivors' leads in
         step 2 (they never lead), so each is a combination of the raw
         survivors plus a residual on the unled rows: the coordinates on
         the raw survivors and on the newborns e_i of B_{t+1}, as rest
         gives them.
-      - A later death rewrites B_s as B_s (I + C), so the coordinates F
-        in the corrected basis are (I - C) F.  The sweep only records C:
-        basis_matrix makes these row operations on M once the sweep is
-        done (the proof is in the block above BasisMatrix).
     """
     p = m.p
     eye = gf.identity(max(m.dims))
@@ -824,20 +851,8 @@ def _check_alive_counts(m: PersistenceModule, births: list[int], deaths: list[in
 
 
 def barcode(m: PersistenceModule) -> Barcode:
-    """Interval decomposition multiplicities, read off the bars of m's sweep.
-
-    The sweep (sweep) is a left-to-right column reduction that closes a
-    generator by the elder rule, so the bars are the module's own
-    whatever basis it records.  Each step makes one image product,
-    reduces a copy of it oldest first, takes the unit vectors of the
-    unled rows as newborns and records, for a dying generator, the older
-    survivors added to it (the steps and why they are exact are in
-    sweep's docstring); no basis is built.  Since v_plus and v_minus of
-    [a, b] (oracle.py) are spanned by basis vectors and differ by exactly
-    the generators with interval [a, b], dim v_plus - dim v_minus at any
-    t in [a, b] is the multiplicity of [a, b], which is the fact the
-    matching relies on.
-    """
+    """Interval decomposition multiplicities, read off the bars of m's
+    sweep, which are m's own (Claim M2); no basis is built."""
     record = sweep(m)
     return interval_barcode(record.starts, record.ends)
 
@@ -847,7 +862,7 @@ def barcode(m: PersistenceModule) -> Barcode:
 
 
 def image_barcode(f: Morphism) -> Barcode:
-    """Barcode of the image of f, read off its M."""
+    """Barcode of the image of f, read off its M (Claim M7)."""
     return basis_matrix(f).image_barcode()
 
 

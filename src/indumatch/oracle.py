@@ -94,8 +94,8 @@ _BASES: dict[int, PersistenceBasis] = {}
 
 def persistence_basis(m: PersistenceModule) -> PersistenceBasis:
     """A persistence basis of m, replayed from the record of its one sweep
-    (modules.sweep), read-only like the structure maps, and kept while m
-    lives.
+    (modules.sweep, Claim M2), read-only like the structure maps, and kept
+    while m lives.
 
     No command builds one: barcode and basis_matrix take the sweep's
     record itself.  The replay runs no reduction.  B_1 is the identity,
@@ -206,18 +206,23 @@ def ends_before(d: int, t: int):
 #   ker_minus= kernel of V(t) -> V(b)       (dead strictly before b's end)
 #   v_plus   = im_plus n ker_plus;  v_minus = im_minus n ker_plus + im_plus n ker_minus
 #
-# All six are spans of persistence-basis generators.  The generators alive
-# at t are a basis of V(t), and for s <= t the composite V(s) -> V(t) sends
-# a generator g alive at s to its vector at t if g.b >= t, else to 0.  Each
-# composite is thus diagonal: its image is spanned by the g alive at t with
-# g.a <= s, its kernel by the g alive at s with g.b < t.  So the four keep
-# g.a <= a, g.a < a, g.b <= b, g.b < b (no g has g.a < 1, all have g.b <= n),
-# and as spans of one basis meet and add like index sets, v_plus keeps
-# g.a <= a and g.b <= b, and v_minus the same less the generators of I.
+# Claim O1 (the operators are spans of generators).  In any persistence
+# basis, each of the six at t is the span of the generators alive at t
+# that keep g.a <= a (im_plus), g.a < a (im_minus), g.b <= b (ker_plus),
+# g.b < b (ker_minus), g.a <= a and g.b <= b (v_plus), and the same less
+# the generators of I (v_minus).  So dim v_plus - dim v_minus at any t in
+# I is the multiplicity of I in the barcode.
+# Proof.  The generators alive at t are a basis of V(t), and for s <= t
+# the composite V(s) -> V(t) sends a generator g alive at s to its vector
+# at t if g.b >= t, else to 0.  Each composite is thus diagonal: its image
+# is spanned by the g alive at t with g.a <= s, its kernel by the g alive
+# at s with g.b < t.  No g has g.a < 1 and all have g.b <= n, and spans of
+# one basis meet and add like index sets.
 
 
 def _span(m: PersistenceModule, t: int, keep) -> Subspace:
-    """Span of the basis vectors alive at t whose starts and ends pass keep."""
+    """Span of the basis vectors alive at t whose starts and ends pass keep
+    (Claim O1)."""
     basis = persistence_basis(m)
     alive = basis.alive(t)
     return Subspace.image(basis.vectors[t - 1][:, keep(basis.starts[alive],
@@ -317,9 +322,10 @@ class XModule:
 def x_module(f: Morphism, i: GridInterval, j: GridInterval) -> XModule:
     """The comparison module of (I, J) on the full grid, as the direct sum
     of the bars of its g table entry, which all die at the right end of
-    the overlap.  A pair with no entry has the zero module: disjoint bars,
-    a pair no nonzero map joins, and an I that is no source bar or a J
-    that is no target bar of f, where G_f(I, J) has no generators."""
+    the overlap (matching.py Claim T11).  A pair with no entry has the
+    zero module: disjoint bars, a pair no nonzero map joins, and an I
+    that is no source bar or a J that is no target bar of f, where
+    G_f(I, J) has no generators."""
     bars = g_table(basis_matrix(f)).get(i, j)
     return XModule(i.intersect(j), module_from_bars(f.n, f.p, [iv for iv, _ in bars.rep()]))
 
@@ -361,11 +367,11 @@ def shift_module(m: PersistenceModule, eps: int) -> PersistenceModule:
 
 def shift_morphism(f: Morphism, eps: int) -> Morphism:
     """The morphism induced between the shifted source and target:
-    morphism_from_bars of the columns' and rows' bars of f's shifted M,
-    in birth order, and of its matrix, so the result's own M, built by
-    basis_matrix when a report reads it, is the shifted matrix again.
-    The result is isomorphic to the morphism between the shift_module
-    images.
+    morphism_from_bars of the columns' and rows' bars of f's shifted M
+    (Claim M8), in birth order, and of its matrix, so the result's own M,
+    built by basis_matrix when a report reads it, is the shifted matrix
+    again (Claim M9).  The result is isomorphic to the morphism between
+    the shift_module images.
     """
     _check_eps(f.n, eps)
     s = basis_matrix(f).shift(eps)
@@ -380,14 +386,14 @@ def _check_eps(n: int, eps: int):
 
 
 def iota(g: Morphism) -> RepMatching:
-    """Death-bucket matching under an injective morphism."""
+    """Death-bucket matching under an injective morphism (Claim B1)."""
     if not is_injective(g):
         raise ValueError("iota needs an injective morphism")
     return bucket_matching(barcode(g.source), barcode(g.target), "death")
 
 
 def lambda_(h: Morphism) -> RepMatching:
-    """Birth-bucket matching under a surjective morphism."""
+    """Birth-bucket matching under a surjective morphism (Claim B1)."""
     if not is_surjective(h):
         raise ValueError("lambda_ needs a surjective morphism")
     return bucket_matching(barcode(h.source), barcode(h.target), "birth")

@@ -2,11 +2,12 @@
 
 All matrices are flat row-major integer arrays; shapes are implied by
 the dimension sequences, and entries are reduced mod p on load.  A
-prime too large for exact int64 arithmetic at the file's dimensions is
-rejected (see gf.field_error), and so is a file past the work bound
-gf.MAX_WORK, before any matrix is read.  A file longer than
-MAX_INPUT_BYTES is refused before it is read whole, and one holding more
-values than MAX_INPUT_VALUES before it is parsed.
+member outside TOP_MEMBERS at the top level, or outside MODULE_MEMBERS
+in a module, is refused.  A prime too large for exact int64 arithmetic
+at the file's dimensions is rejected (see gf.field_error), and so is a
+file past the work bound gf.MAX_WORK, before any matrix is read.  A
+file longer than MAX_INPUT_BYTES is refused before it is read whole,
+and one holding more values than MAX_INPUT_VALUES before it is parsed.
 
 Every JSON document the CLI writes, ladder files and reports alike, goes
 through dumps_canonical: sorted keys, two-space indent, one array element
@@ -46,11 +47,12 @@ MAX_INPUT_BYTES = 64 * 2**20
 # The most "," separators read_morphism parses; a file with more is
 # refused before json.loads builds a Python object for each value, which
 # takes several times the file's size.  A ladder file's separators lie
-# between the members of its objects (6 at the top, 1 in each module)
-# and between the elements of its arrays: at most 2 n in the dims, 2 n in
-# the lists of maps, n in the morphism list, and fewer than its matrix
-# entries in the matrices.  With v_t = dim V(t) and w_t = dim W(t), each
-# at most MAX_DIM, V's map at t has v_{t+1} v_t <= MAX_DIM v_t entries,
+# between the members of its objects (6 at the top, 1 in each module:
+# morphism_from_dict refuses any other member) and between the elements
+# of its arrays: at most 2 n in the dims, 2 n in the lists of maps, n in
+# the morphism list, and fewer than its matrix entries in the matrices.
+# With v_t = dim V(t) and w_t = dim W(t), each at most MAX_DIM, V's map
+# at t has v_{t+1} v_t <= MAX_DIM v_t entries,
 # W's w_{t+1} w_t <= MAX_DIM w_t, and f_t has v_t w_t <= MAX_DIM
 # (v_t + w_t) / 2, so the entries number at most 3/2 MAX_DIM (the sum of
 # all dims) <= 3/2 MAX_DIM (MAX_WORK - n) = 384 (4096 - n), and the
@@ -58,6 +60,10 @@ MAX_INPUT_BYTES = 64 * 2**20
 # = 1,572,864.  An input of at most that many bytes holds no more
 # separators, so only a longer one is counted.
 MAX_INPUT_VALUES = 3 * gf.MAX_DIM * gf.MAX_WORK // 2
+
+# The members of a ladder file, at the top and in each module.
+TOP_MEMBERS = frozenset({"format", "version", "p", "n", "source", "target", "morphism"})
+MODULE_MEMBERS = frozenset({"dims", "maps"})
 
 
 class ParseError(ValueError):
@@ -107,8 +113,15 @@ def _reshape(flat: list[int], rows: int, cols: int, p: int, what: str) -> np.nda
     return m.reshape(rows, cols)  # the module and morphism reduce it mod p
 
 
+def _known_members(obj: dict, members: frozenset, where: str):
+    extra = obj.keys() - members
+    if extra:
+        raise ParseError(f"unknown member {min(extra)!r} {where}")
+
+
 def _dims(obj, n: int, what: str) -> list[int]:
     _expect(isinstance(obj, dict), f"{what} is not an object")
+    _known_members(obj, MODULE_MEMBERS, f"in {what}")
     dims = _int_list(obj.get("dims"), f"{what}.dims must be an integer array")
     _expect(len(dims) == n, f"{what}.dims must have length n={n}")
     _expect(all(d >= 0 for d in dims), f"{what}.dims must be nonnegative")
@@ -129,6 +142,7 @@ def _module_from_dict(obj, dims: list[int], p: int, what: str) -> PersistenceMod
 
 def morphism_from_dict(obj) -> Morphism:
     _expect(isinstance(obj, dict), "top level is not an object")
+    _known_members(obj, TOP_MEMBERS, "at the top level")
     _expect(obj.get("format") == FORMAT_NAME, f"format must be {FORMAT_NAME!r}")
     version = obj.get("version")
     _expect(type(version) is int and version == FORMAT_VERSION,

@@ -202,6 +202,23 @@ def test_input_past_the_value_cap_exits_2(ref_file, tmp_path, capsys, monkeypatc
                        f" of {cap}\n")
 
 
+@pytest.mark.parametrize("where, edit, want", [
+    ("at the top level", lambda obj: obj.update(notes=list(range(10))), "'notes'"),
+    ("in source", lambda obj: obj["source"].update(comment="hi"), "'comment'"),
+], ids=["top", "module"])
+def test_unknown_member_exits_2(ref_file, tmp_path, capsys, where, edit, want):
+    # A member the format does not define is refused, not ignored, by
+    # every command that reads a file, and the message names it and where.
+    obj = json.loads(Path(ref_file).read_text(encoding="utf-8"))
+    edit(obj)
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(obj), encoding="utf-8")
+    for argv in (["barcode", extra], ["match", extra], ["sum", ref_file, extra]):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert (code, out) == (2, "")
+        assert err == f"parse error: unknown member {want} {where}\n"
+
+
 def test_endless_input_exits_2(capsys):
     # /dev/zero never ends: it is refused after MAX_INPUT_BYTES + 1 bytes,
     # not read until memory runs out.
