@@ -99,6 +99,20 @@ counts 0 for (I, J), as its src_minus is its src_plus, so its y_minus
 holds its y_plus; so does one with no J-generator, as its tgt_minus is
 its tgt_plus, which holds its y_plus.
 
+Claim T12 (a start that spans J's own rows).  In one block, at t = J.b,
+let the reduction of Q for the start a0 (Claim T5) end with an own low
+in every own row.  Then c(t) = 0 for every source bar I alive at t with
+I.a > a0.
+Proof.  Own lows are distinct rows, so Q has |own| columns with an own
+low, and by Claim T5, with Q = Q_X, dim L_X = |own|: L_X is all of J's
+own rows.  As E lies in X and a vector of ker E_off, padded with zeros,
+lies in ker X_off, L_X = X_own ker X_off.  For I.a > a0 at the same t,
+own and off are the same, and E, the columns alive at t with g.a < I.a,
+holds X of a0, those with g.a <= a0; padding again, L_S and L_P of I
+hold X_own ker X_off, so both are all of J's own rows and c(t) =
+dim L_P - dim L_S = 0 (Claim T4).  The column sets are masks of the
+bars, so this holds for M's columns in any order.
+
 The walk along K, which reads the rest of the g entry, has its claims
 (Claim T7 to Claim T11) in _comparison_dims.
 """
@@ -139,11 +153,12 @@ def _src_plus(bm: BasisMatrix, i: GridInterval, t: int):
 
 
 def _reduce(bm: BasisMatrix, j: GridInterval, a: int,
-            t: int) -> dict[int, tuple[int, np.ndarray]]:
+            t: int) -> tuple[dict[int, tuple[int, np.ndarray]], bool]:
     """Q of the sources starting at a against J at t, reduced by
     gf.low_reduce.  For each source bar [a, b] alive at t, by b: its m
     entry, and lower, the transpose of the basis of L_S on J's own rows
-    that Q's prefix [E, S] holds (Claim T5)."""
+    that Q's prefix [E, S] holds (Claim T5); and whether every own row
+    holds an own low, so that Q spans J's own rows (Claim T12)."""
     alive = bm.src_b >= t
     e = (alive & (bm.src_a < a)).nonzero()[0]
     x = (alive & (bm.src_a <= a)).nonzero()[0]
@@ -163,7 +178,7 @@ def _reduce(bm: BasisMatrix, j: GridInterval, a: int,
         if ga == a:
             spans.setdefault(gb, [k, k])[1] += own_low
         k += own_low
-    return {b: (end - start, lower[:start]) for b, (start, end) in spans.items()}
+    return {b: (end - start, lower[:start]) for b, (start, end) in spans.items()}, k == no
 
 
 class _Walk(NamedTuple):
@@ -296,7 +311,12 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     enforces on every M built from a morphism or a shift; so a failing
     witness means an M off its support.  On every other step
     P_t = P_{t-1}, so y is all of N_{t-1} and P_t y = upper_{t-1}: the
-    product is the block it is compared with.
+    product is the block it is compared with.  Below the step from K.b,
+    P_t is the prefix of the walk's own P, so with z the rows of N_{t-1}
+    past |P_t|, upper_{t-1} = P_t y + D z exactly, and the equation holds
+    if and only if D z is zero on the rows alive at t: the walk checks
+    that, a product of the |D| dying columns alone.  On the step from
+    K.b, P_t is read on its own, and the walk compares the whole product.
 
     Claim T10 (a walk that loses no generator).  If no column of P and no
     row of off dies at a t in [K.a, K.b) (K.a = K.b among them), then
@@ -332,17 +352,22 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     dims = [entry]
     walk = _walk_reduce(bm, i, j, lower)
     u = gf.matmul(walk.plus, walk.ident.T, bm.p)  # y_plus at t is columns of U (Claim T8)
-    plus_l = _src_plus(bm, i, kb)[1]  # P_{t+1}
+    plus_kb = _src_plus(bm, i, kb)[1]  # P_{K.b}, read on its own
+    n_l = plus_kb.shape[1]  # |P_{t+1}|
     for t in range(kb - 1, ka - 1, -1):
         n, f = _prefixes(walk, t)
         cols = _null_cols(walk, n, f)
         upper = u[:, cols]
         d = 0
         if upper[bm.tgt_b >= t].any():
-            if t == kb - 1 or plus_l.shape[1] < n:
-                y = walk.ident[cols, : plus_l.shape[1]].T  # the witness (Claim T9)
+            if t == kb - 1 or n_l < n:  # the witness (Claim T9)
                 later = bm.tgt_b > t  # the rows alive at t+1
-                if not np.array_equal(gf.matmul(plus_l[later], y, bm.p), upper[later]):
+                if t == kb - 1:  # P_{K.b} y against upper_t
+                    y = walk.ident[cols, :n_l].T
+                    miss = gf.matmul(plus_kb[later], y, bm.p) != upper[later]
+                else:  # D z against 0
+                    miss = gf.matmul(walk.plus[later, n_l:n], walk.ident[cols, n_l:n].T, bm.p)
+                if miss.any():
                     raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
                                          f" t={t} out of y_plus at t={t + 1}")
             d = _dim_at(walk, n, f)
@@ -350,7 +375,7 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
                                  f" {d} to {dims[-1]} at t={t + 1}")
         dims.append(d)
-        plus_l = walk.plus[:, :n]
+        n_l = n
     return dims
 
 
@@ -429,16 +454,25 @@ def _pairs(bm: BasisMatrix):
     each block of bm (Claim T6): the m entry of the block's part of the
     pair and the lower a walk of it starts from, off one _reduce per
     (J, I.a) of the block (Claim T5).  A hom pair overlaps and J ends
-    first, so each is counted at J.b.
+    first, so each is counted at J.b.  Once a start's reduction spans J's
+    own rows, every later start of the block counts 0 against J, with no
+    reduction and lower None (Claim T12); a smaller start reached later is
+    still reduced, so the columns may come in any order.
     """
     for block in bm.blocks():
         targets = _bars(block.tgt_a, block.tgt_b)
         reductions = {}
+        filled: dict[GridInterval, int] = {}  # J -> the least spanning start reached
         for i in _bars(block.src_a, block.src_b):
             for j in targets:
                 if hom_exists(i, j):
+                    if i.a > filled.get(j, i.a):
+                        yield block, i, j, 0, None
+                        continue
                     if (j, i.a) not in reductions:
-                        reductions[j, i.a] = _reduce(block, j, i.a, j.b)
+                        reductions[j, i.a], spans = _reduce(block, j, i.a, j.b)
+                        if spans:
+                            filled[j] = i.a
                     yield block, i, j, *reductions[j, i.a][i.b]
 
 

@@ -10,7 +10,9 @@ modules.py Claim M9):
   - the g table against quotients.ref_x_module, at every t of the grid,
     for every source bar I and target bar J, and the m table against the
     referee's dimension at K.b, the right end of K = I n J;
-  - the image barcode against conftest.ref_image_barcode.
+  - the image barcode against conftest.ref_image_barcode;
+  - at eps = 1 and 2 below n, the m and g tables of the shifted M
+    (BasisMatrix.shift) against those of conftest.ref_shift_morphism.
 Each module is checked once: its barcode against oracle.naive_barcode,
 in bar form and behind a seeded random basis change per position
 (ladders._hide).  Each morphism then runs once more between its two
@@ -38,7 +40,7 @@ from indumatch.matching import g_table, m_table
 from indumatch.modules import barcode, basis_matrix
 from indumatch.oracle import naive_barcode
 
-from conftest import ref_image_barcode
+from conftest import ref_image_barcode, ref_shift_morphism
 from quotients import ref_x_module
 
 
@@ -120,6 +122,12 @@ def run(max_n: int, bars: int, p: int, report=print) -> tuple[int, int]:
                 problems = table_mismatches(f, m_tab, g_tab)
                 if image != ref_image_barcode(f):
                     problems.append(f"image barcode {image} != referee {ref_image_barcode(f)}")
+                for eps in range(1, min(n, 3)):
+                    shifted, ref = bm.shift(eps), basis_matrix(ref_shift_morphism(f, eps))
+                    got, want = ((m_table(b), g_table(b)) for b in (shifted, ref))
+                    if got != want:
+                        problems.append(f"at eps {eps}: m and g {got} differ from {want},"
+                                        f" those of ref_shift_morphism")
                 hm = basis_matrix(hidden(f, changes[s], changes[t]))
                 got = (m_table(hm), g_table(hm), hm.image_barcode())
                 if got != (m_tab, g_tab, image):

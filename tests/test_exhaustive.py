@@ -1,6 +1,6 @@
 """The smallest exhaustive scope (tests/exhaustive.py) in the tier-1 suite:
-n <= 3, at most 2 bars a side, GF(2), each morphism in bar form and
-behind a seeded basis change."""
+n <= 3, at most 2 bars a side, GF(2), each morphism in bar form, behind
+a seeded basis change and shifted by eps = 1 and 2."""
 
 from __future__ import annotations
 

@@ -54,7 +54,8 @@ from conftest import bar_pair_morphism, iv, mat, ref_shift_morphism
 def lib_dims(bm, i, j):
     """matching._comparison_dims of (I, J) on bm, off the _reduce of I's
     group at K.b, whatever the entry there."""
-    return matching._comparison_dims(bm, i, j, *matching._reduce(bm, j, i.a, min(i.b, j.b))[i.b])
+    entries = matching._reduce(bm, j, i.a, min(i.b, j.b))[0]
+    return matching._comparison_dims(bm, i, j, *entries[i.b])
 
 
 def interval_hom(n, p, src, dst):
@@ -136,7 +137,7 @@ def lib_y_spaces(f, i, j, t):
     bm, b = basis_matrix(f), persistence_basis(f.target).vectors[t - 1]
     alive = (bm.tgt_a <= t) & (bm.tgt_b >= t)
     own = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
-    count, lower = matching._reduce(bm, j, i.a, t)[i.b]
+    count, lower = matching._reduce(bm, j, i.a, t)[0][i.b]
     walk = matching._walk_reduce(bm, i, j, lower)
     n, off = matching._prefixes(walk, t)
     upper = ref_upper(walk, n, off, f.p)
@@ -169,7 +170,7 @@ def assert_y_spaces_match_referee(f):
                 assert lib_y_spaces(f, i, j, t) == (yp, gf.intersect(ym, own), count), (i, j, t)
                 assert ref_y_minus(f, i, j, t) == ym, (i, j, t)
             # t is now the shared death, where the entry is counted.
-            assert matching._reduce(bm, j, i.a, k.b)[i.b][0] == count, ("count", i, j)
+            assert matching._reduce(bm, j, i.a, k.b)[0][i.b][0] == count, ("count", i, j)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -427,7 +428,7 @@ def full_scan_counts(f):
             yp = y_plus(f, i, j, k.b)
             ym = y_minus(f, i, j, k.b)
             c = yp.dim - gf.intersect(ym, yp).dim
-            assert matching._reduce(basis_matrix(f), j, i.a, k.b)[i.b][0] == c
+            assert matching._reduce(basis_matrix(f), j, i.a, k.b)[0][i.b][0] == c
             if not hom_exists(i, j):
                 assert c == 0, (i, j)
             if c:
@@ -481,8 +482,10 @@ def test_entry_counts_only_for_hom_pairs(monkeypatch):
 
 
 def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
-    # Each table reduces one Q per (block, J, I.a) of its hom pairs, which
-    # counts the pairs at K.b.  m stops there and makes no pair reduction
+    # Each table reduces one Q per (block, J, I.a) of its hom pairs, up to
+    # the first start whose Q spans J's own rows, after which a start
+    # counts 0 with no reduction (Claim T12).  A reduction counts the
+    # pairs at K.b.  m stops there and makes no pair reduction
     # (_walk_reduce); g walks on along K, |K| - 1 steps more, only where
     # the count at K.b is nonzero and a generator of the walk dies inside
     # K, and reads every step off the two reductions of one _walk_reduce
@@ -502,14 +505,17 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
     for eps in (0, 1):
         bm = basis_matrix(f).shift(eps)
         hom_pairs = walked = more = kept = 0
-        groups = set()
+        groups, reduced = set(), set()
         for k, block in enumerate(bm.blocks()):
             counts = matching.m_table(block)
+            fills = filling_starts(block)
             for i in matching._bars(block.src_a, block.src_b):
                 for j in matching._bars(block.tgt_a, block.tgt_b):
                     if hom_exists(i, j):
                         hom_pairs += 1
                         groups.add((k, j, i.a))
+                        if i.a <= fills.get(j, i.a):
+                            reduced.add((k, j, i.a))
                         if counts.get(i, j) and i.intersect(j).length:
                             if loses_generator(block, i, j):
                                 walked += 1
@@ -517,15 +523,16 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
                             else:
                                 kept += 1
         assert (walked, more, kept) == ((1, 3, 0), (0, 0, 1))[eps], eps
+        assert (len(groups), len(reduced)) == ((6, 4), (3, 2))[eps], eps
         with monkeypatch.context() as patch:
             for name in ("_walk_reduce", "_reduce"):
                 patch.setattr(matching, name, counting(name))
             calls.clear()
             matching.m_table(bm)
-            assert calls == {"_reduce": len(groups)}, eps
+            assert calls == {"_reduce": len(reduced)}, eps
             calls.clear()
             matching.g_table(bm)
-            assert calls == Counter(_reduce=len(groups), _walk_reduce=walked), eps
+            assert calls == Counter(_reduce=len(reduced), _walk_reduce=walked), eps
 
 
 # Referee: the comparison walk as it was before the tables read their
@@ -604,10 +611,23 @@ def ref_comparison_dims(bm, i, j):
 def assert_dims_match_walk_referee(bm):
     """The dims of matching._comparison_dims on each pair matching._pairs
     hands the tables, summed over the blocks, and those on the whole of
-    bm, equal the referee walk's at every t of every hom pair."""
+    bm, equal the referee walk's at every t of every hom pair.  The walk
+    of each pair starts from its own unskipped _reduce per (block, J, I.a),
+    whose entry and lower _pairs must hand on, and every pair that _pairs
+    skips (lower None, Claim T12) must count 0 there."""
     by_blocks = {}
+    block_of = None  # the block whose unskipped reductions are kept, by (J, I.a)
     for block, i, j, entry, lower in matching._pairs(bm):
-        dims = matching._comparison_dims(block, i, j, entry, lower)
+        if block is not block_of:
+            block_of, reductions = block, {}
+        if (j, i.a) not in reductions:
+            reductions[j, i.a] = matching._reduce(block, j, i.a, j.b)[0]
+        count, own_lower = reductions[j, i.a][i.b]
+        if lower is None:
+            assert entry == count == 0, ("skipped", i, j)
+        else:
+            assert entry == count and np.array_equal(lower, own_lower), (i, j)
+        dims = matching._comparison_dims(block, i, j, count, own_lower)
         have = by_blocks.setdefault((i, j), [0] * len(dims))
         by_blocks[i, j] = [a + b for a, b in zip(have, dims)]
     pairs = 0
@@ -647,6 +667,100 @@ def test_comparison_dims_match_the_walk_referee(n, p, parts, eps, order):
     order.shuffle(cols)
     assert_dims_match_walk_referee(bm.select(np.array(rows, dtype=np.int64),
                                              np.array(cols, dtype=np.int64)))
+
+
+# Referee: Claim T12's fill, whether X_own ker X_off is all of J's own
+# rows, by a null basis and a rank, against the flag of _reduce.
+
+
+def ref_spans_own(block, j, a):
+    """Whether the columns alive at J.b with g.a <= a, on the null space of
+    their rows in ref_off_plus, span J's own rows."""
+    x = block.m[:, (block.src_b >= j.b) & (block.src_a <= a)]
+    own = (block.tgt_a == j.a) & (block.tgt_b == j.b)
+    null = gf.null_basis(x[ref_off_plus(block, j, j.b)], block.p)
+    return gf.rank(gf.matmul(x[own], null, block.p), block.p) == np.count_nonzero(own)
+
+
+def filling_starts(block):
+    """J -> the least start of the block's hom pairs with J whose Q spans
+    J's own rows, for each J that has one: the start after which Claim T12
+    counts 0.  Every start's _reduce must flag a span exactly where the
+    referee finds one."""
+    fills = {}
+    for i in matching._bars(block.src_a, block.src_b):
+        for j in matching._bars(block.tgt_a, block.tgt_b):
+            if hom_exists(i, j):
+                spans = ref_spans_own(block, j, i.a)
+                assert matching._reduce(block, j, i.a, j.b)[1] == spans, (i, j)
+                if spans and i.a < fills.get(j, i.a + 1):
+                    fills[j] = i.a
+    return fills
+
+
+def assert_skips_follow_claim_t12(bm):
+    """In every block of bm, each start after the least one whose Q spans
+    J's own rows counts 0 against J in an unskipped _reduce.  _pairs skips
+    a start exactly where it comes after a start of that block and J,
+    reached earlier, whose Q spans, and hands on every other entry and
+    lower unchanged.  Returns the pairs skipped."""
+    block_of = None
+    skipped = 0
+    for block, i, j, entry, lower in matching._pairs(bm):
+        if block is not block_of:
+            block_of, reached = block, {}  # J -> the least spanning start reached
+            fills = filling_starts(block)
+            for later in matching._bars(block.src_a, block.src_b):
+                for target, a0 in fills.items():
+                    if hom_exists(later, target) and later.a > a0:
+                        reduced = matching._reduce(block, target, later.a, target.b)[0]
+                        assert reduced[later.b][0] == 0, (later, target, a0)
+        count, own_lower = matching._reduce(block, j, i.a, j.b)[0][i.b]
+        if i.a > reached.get(j, i.a):
+            assert entry == 0 and lower is None, ("skipped", i, j)
+            skipped += 1
+        else:
+            assert lower is not None and entry == count, (i, j)
+            assert np.array_equal(lower, own_lower), (i, j)
+            if ref_spans_own(block, j, i.a):
+                reached[j] = i.a
+    return skipped
+
+
+def permuted_columns(bm, order):
+    """bm with its columns shuffled by the random order."""
+    cols = list(range(bm.m.shape[1]))
+    order.shuffle(cols)
+    return bm.select(np.arange(bm.m.shape[0]), np.array(cols, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 8),
+    p=st.sampled_from([2, 3, 5, 7]),
+    parts=st.lists(st.tuples(st.booleans(), st.integers(1, 5), st.integers(0, 2**16)),
+                   min_size=1, max_size=3),
+    eps=st.integers(0, 2),
+    order=st.randoms(use_true_random=False),
+)
+def test_every_start_after_the_filling_start_counts_zero(n, p, parts, eps, order):
+    # Claim T12, on sums of seeded ladders and bar-pair morphisms as in the
+    # walk referee's property, with M's columns permuted so that the tables
+    # reach a block's starts in any order.
+    f = direct_sum_morphism(*(
+        bar_pair_morphism(n, 2 * size, min(n, 3), p, seed) if bars
+        else random_ladder(n, size, p, seed)
+        for bars, size, seed in parts))
+    assert_skips_follow_claim_t12(permuted_columns(basis_matrix(f).shift(min(eps, n - 1)),
+                                                   order))
+
+
+def test_claim_t12_skips_starts_in_birth_order_and_out_of_it():
+    # On the bar-pair worst case at a reduced size, _pairs skips starts
+    # both with M's columns in birth order and shuffled.
+    bm = basis_matrix(bar_pair_morphism(8, 16, 4, 3, 2))
+    assert assert_skips_follow_claim_t12(bm) > 0
+    assert assert_skips_follow_claim_t12(permuted_columns(bm, random.Random(5))) > 0
 
 
 def test_counts_read_columns_out_of_birth_order():
@@ -702,7 +816,7 @@ def test_walk_referee_covers_pairs_that_walk_and_pairs_that_lose_nothing(monkeyp
 def ref_product_dims(bm, i, j):
     """The dims of matching._comparison_dims, y_plus at t by ref_upper."""
     ka, kb = max(i.a, j.a), min(i.b, j.b)
-    d_l, lower = matching._reduce(bm, j, i.a, kb)[i.b]
+    d_l, lower = matching._reduce(bm, j, i.a, kb)[0][i.b]
     yield d_l
     if ka == kb:
         return
@@ -743,7 +857,7 @@ def assert_upper_matches_product_referee(bm):
                 ka, kb = max(i.a, j.a), min(i.b, j.b)
                 if not dims[0] or ka == kb:
                     continue
-                lower = matching._reduce(block, j, i.a, kb)[i.b][1]
+                lower = matching._reduce(block, j, i.a, kb)[0][i.b][1]
                 walk = matching._walk_reduce(block, i, j, lower)
                 u = gf.matmul(walk.plus, walk.ident.T, bm.p)
                 n_l = matching._prefixes(walk, kb)[0]
@@ -791,7 +905,7 @@ def unsplit_tables(f):
         for j in barcode(f.target).intervals():
             if not hom_exists(i, j):
                 continue
-            count = matching._reduce(bm, j, i.a, j.b)[i.b][0]
+            count = matching._reduce(bm, j, i.a, j.b)[0][i.b][0]
             if count:
                 dims = lib_dims(bm, i, j)
                 assert dims[0] == count, (i, j)
@@ -823,7 +937,7 @@ def test_block_sums_match_unsplit_referee(n, max_dim, p, seed, other, eps):
 def test_bar_pair_worst_case_matches_unsplit_referee():
     # The slowest input known at the work bound, at a reduced size: random
     # bars and a coefficient on every hom pair, so M is one block and the
-    # walk visits every hom pair of it (gf.MAX_WORK's comment has the
+    # walk visits every hom pair of it (README "File format" has the
     # full-size times).
     f = bar_pair_morphism(20, 50, 10, 2)
     assert len(basis_matrix(f).blocks()) == 1
@@ -834,20 +948,24 @@ def test_bar_pair_worst_case_matches_unsplit_referee():
 
 
 def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
-    # m reduces one Q per (J, I.a) of the hom pairs of the one block, and
-    # makes no rref; g makes those reductions, then two more per nonzero
-    # pair with K.a < K.b, off which it reads every step t < K.b: no rref
-    # and no null basis.  Its products are one U per such pair, off which
-    # every step reads y_plus, and a witness at K.b - 1 and at each step
-    # that loses a column of P, where y_plus is nonzero: 210 in all, not
-    # one per step or more.  One nonzero pair loses no generator along its
-    # overlap and makes neither reductions nor products.
+    # m reduces one Q per (J, I.a) of the hom pairs of the one block, up
+    # to the first start whose Q spans J's own rows (Claim T12): 72 of the
+    # 200 groups.  It makes no rref; g makes those reductions, then two
+    # more per nonzero pair with K.a < K.b, off which it reads every step
+    # t < K.b: no rref and no null basis.  Its products are one U per such
+    # pair, off which every step reads y_plus, and a witness at K.b - 1
+    # and at each step that loses a column of P, where y_plus is nonzero:
+    # 210 in all, not one per step or more.  One nonzero pair loses no
+    # generator along its overlap and makes neither reductions nor
+    # products.
     bm = basis_matrix(bar_pair_morphism(20, 50, 10, 2))
     [block] = bm.blocks()
     pairs = [(i, j) for i in matching._bars(block.src_a, block.src_b)
              for j in matching._bars(block.tgt_a, block.tgt_b) if hom_exists(i, j)]
     groups = {(j, i.a) for i, j in pairs}
-    assert (len(pairs), len(groups)) == (482, 200)
+    fills = filling_starts(block)
+    reduced = {(j, a) for j, a in groups if a <= fills.get(j, a)}
+    assert (len(pairs), len(groups), len(reduced)) == (482, 200, 72)
     calls = Counter()
     for name in ("low_reduce", "rref", "null_basis", "matmul"):
         def count(*args, real=getattr(gf, name), name=name):
@@ -855,7 +973,7 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
             return real(*args)
         monkeypatch.setattr(gf, name, count)
     m_table = matching.m_table(bm)
-    assert calls == {"low_reduce": 200}
+    assert calls == {"low_reduce": 72}
     calls.clear()
     matching.g_table(bm)
     overlaps = [(i, j) for (i, j), _ in m_table.items() if i.intersect(j).length]
@@ -863,7 +981,7 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     walked = sum(loses_generator(block, i, j) for i, j in overlaps)
     assert (len(overlaps), walked, steps) == (36, 35, 215)
     assert calls.keys() == {"low_reduce", "matmul"}
-    assert calls["low_reduce"] == 200 + 2 * walked
+    assert calls["low_reduce"] == 72 + 2 * walked == 142
     assert calls["matmul"] == 210 < steps
 
 
