@@ -143,15 +143,6 @@ def _off_plus(bm: BasisMatrix, j: GridInterval, t: int) -> np.ndarray:
     return (bm.tgt_b >= t) & ((bm.tgt_a > j.a) | (bm.tgt_b > j.b))
 
 
-def _src_plus(bm: BasisMatrix, i: GridInterval, t: int):
-    """The src_plus(I) generators alive at t, latest death first, and their
-    columns P_t of M.  The sort is stable, so P_t at t is a prefix of P_s at
-    every s <= t, in the same order."""
-    cols = ((bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)).nonzero()[0]
-    cols = cols[np.argsort(-bm.src_b[cols], kind="stable")]
-    return cols, bm.m[:, cols]
-
-
 def _reduce(bm: BasisMatrix, j: GridInterval, a: int,
             t: int) -> tuple[dict[int, tuple[int, np.ndarray]], bool]:
     """Q of the sources starting at a against J at t, reduced by
@@ -197,11 +188,14 @@ class _Walk(NamedTuple):
 def _walk_reduce(bm: BasisMatrix, i: GridInterval, j: GridInterval, lower: np.ndarray) -> _Walk:
     """The reductions of A = [[0, P_off], [lower, P_own]] (rows off, then
     J's own) and B = [[1], [P_off]] by gf.low_reduce (Claim T8), lower from
-    _reduce, P _src_plus at K.a and off the rows of _off_plus at K.a,
-    earliest death first."""
-    cols, plus = _src_plus(bm, i, max(i.a, j.a))
-    off = _off_plus(bm, j, max(i.a, j.a)).nonzero()[0]
+    _reduce, P the src_plus(I) columns alive at K.a, latest death first,
+    and off the rows of _off_plus at K.a, earliest death first."""
+    ka = max(i.a, j.a)
+    cols = ((bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= ka)).nonzero()[0]
+    cols = cols[np.argsort(-bm.src_b[cols], kind="stable")]
+    off = _off_plus(bm, j, ka).nonzero()[0]
     off = off[np.argsort(bm.tgt_b[off], kind="stable")]
+    plus = bm.m[:, cols]
     p_off = plus[off].T  # one row per column of P
     p_own = plus[(bm.tgt_a == j.a) & (bm.tgt_b == j.b)].T
     k, nf, n = len(lower), len(off), len(cols)
@@ -242,14 +236,13 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     big_t = y_plus(t), small at K.b is big n y_minus(K.b), and walking
     left small_t = big_t n W_t^-1(small_{t+1}).  Let C_t : W(t) -> W(K.b)
     be the composite of structure maps.  P_t are the src_plus(I) columns
-    alive at t (_src_plus), off_t = _off_plus at t, N_t a basis of the
-    null space of P_t on off_t, and upper_t = P_t N_t, y_plus at t
-    (Claim T2).  A step whose upper_t is zero on the rows alive at t counts
-    0 and checks no witness.  Each step left to t-1 from t checks, naming
-    the pair and t (InvariantError), that W_{t-1} carries span upper_{t-1}
-    into span upper_t (by a witness, Claim T9), on which Claim T7 rests,
-    and that the dims do not fall toward K.b (Claim T11): given the
-    containment the carried spans are nested, so this guards _dim_at.
+    alive at t, off_t = _off_plus at t, N_t a basis of the null space of
+    P_t on off_t, and upper_t = P_t N_t, y_plus at t (Claim T2).  Each step
+    left to t-1 from t checks, naming the pair and t (InvariantError),
+    that W_{t-1} carries span upper_{t-1} into span upper_t (by a witness
+    where a column of P dies, Claim T9), on which Claim T7 rests, and that
+    the dims do not fall toward K.b (Claim T11): given the containment the
+    carried spans are nested, so this guards _dim_at.
 
     Claim T7 (the walk telescopes).  If W_t carries big_t into big_{t+1}
     for every t < K.b, the module is injective and
@@ -270,10 +263,9 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     own, and B = [[1], [P_off]].  Let rkA(t) be the number of lows among
     A's first k + |P_t| columns in its rows from off_t down, and rkB(t)
     that among B's first |P_t| columns inside off_t.  Then
-    dims[t] = rkA(t) - k - rkB(t) for t < K.b.  B reduces to B V, and the
-    identity parts of B's first |P_t| reduced columns whose low lies above
-    off_t are N_t, so upper_t is a column selection of one product
-    U = P V per pair.
+    dims[t] = rkA(t) - k - rkB(t) for t < K.b, and the first |P_t| rows
+    of the identity parts of B's first |P_t| reduced columns whose low
+    lies above off_t are N_t.
     Proof.  C_t selects rows in M's one generator index: it keeps the
     rows alive at t and at K.b, and a row born after t gets 0, which M
     already is on every column alive at t (Claim M1).  So C_t big_t is
@@ -283,59 +275,46 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     basis lower of L_S, zero on off_t, Claim T3 (a) gives
     dims[t] = rk [[lower, P_t own], [0, P_t off_t]] - k - rk P_t off_t.
     Those two blocks are lower left in A and in B, so by Claim G1 their
-    ranks are rkA(t) and rkB(t).  V is upper unitriangular (Claim G1), so
-    the identity part of B's c-th reduced column is V's c-th column, zero
-    past row c.  Among B's first |P_t| columns, the |P_t| - rkB(t) whose
-    low lies above off_t are zero on off_t, so their identity parts lie in
-    ker P_t off_t, and they are independent: they are N_t.  Each of them,
-    V's c-th column for some c < |P_t|, is zero past row c, so P_t times
-    it is P times it.
+    ranks are rkA(t) and rkB(t).  B reduces to B V with V upper
+    unitriangular (Claim G1), so the identity part of B's c-th reduced
+    column is V's c-th column, zero past row c.  Among B's first |P_t|
+    columns, the |P_t| - rkB(t) whose low lies above off_t are zero on
+    off_t, so their identity parts, zero past row |P_t|, lie in
+    ker P_t off_t, and they are independent: they are N_t.
 
     Claim T9 (where the witness can fail).  On the step left to t-1 from
-    t, let y be the first |P_t| rows of N_{t-1}.  If P_t y equals
-    upper_{t-1} on the rows alive at t, then W_{t-1} carries upper_{t-1}
-    into span upper_t.  On an M with the support of Claim M1 the equation
-    holds, and it can fail only on the step from K.b, where P_t is read on
-    its own (_src_plus), and where a column of P dies at t-1,
-    |P_t| < |P_{t-1}|.
-    Proof.  P_t is the prefix of P_{t-1} of the columns still alive at t;
-    let D be the rest, the columns dying at t-1.  W_{t-1} carries
-    upper_{t-1} to its rows alive at t, those born at t being 0 in it
-    (Claim M1).  That carried upper_{t-1} is zero off tgt_plus:
-    upper_{t-1} is zero on _off_plus at t-1, which holds every row alive
-    at t off tgt_plus, since tgt_plus does not depend on t.  So if P_t y
-    equals it, P_t y is zero on _off_plus at t, y lies in the null space
-    N_t spans, and the carried upper_{t-1} lies in span upper_t.  The two
-    sides differ by D times the other rows of N_{t-1}, and a column dying
-    at t-1 is zero on every row alive at t (Claim M1), which _check_support
-    enforces on every M built from a morphism or a shift; so a failing
-    witness means an M off its support.  On every other step
-    P_t = P_{t-1}, so y is all of N_{t-1} and P_t y = upper_{t-1}: the
-    product is the block it is compared with.  Below the step from K.b,
-    P_t is the prefix of the walk's own P, so with z the rows of N_{t-1}
-    past |P_t|, upper_{t-1} = P_t y + D z exactly, and the equation holds
-    if and only if D z is zero on the rows alive at t: the walk checks
-    that, a product of the |D| dying columns alone.  On the step from
-    K.b, P_t is read on its own, and the walk compares the whole product.
+    t, P_t is the prefix of P_{t-1} of the columns still alive at t
+    (Claim T8); let D be the rest, the columns dying at t-1, and y and z
+    the first |P_t| rows of N_{t-1} and the rest, so that
+    upper_{t-1} = P_t y + D z.  If D z is zero on the rows alive at t, then
+    W_{t-1} carries upper_{t-1} into span upper_t.  Where no column of P
+    dies, D is empty and there is nothing to check; on an M with the
+    support of Claim M1, D z is zero on those rows at every step.
+    Proof.  W_{t-1} carries upper_{t-1} to its rows alive at t, those born
+    at t being 0 in it (Claim M1).  That carried upper_{t-1} is zero off
+    tgt_plus: upper_{t-1} is zero on _off_plus at t-1, which holds every
+    row alive at t off tgt_plus, since tgt_plus does not depend on t.  So
+    if D z is zero on the rows alive at t, P_t y equals it there, P_t y is
+    zero on _off_plus at t, y lies in the null space N_t spans, and the
+    carried upper_{t-1} lies in span upper_t.  A column dying at t-1 is
+    zero on every row alive at t (Claim M1), which _check_support enforces
+    on every M built from a morphism or a shift; so a failing witness
+    means an M off its support.  The witness is a product of the |D|
+    dying columns alone.
 
     Claim T10 (a walk that loses no generator).  If no column of P and no
     row of off dies at a t in [K.a, K.b) (K.a = K.b among them), then
-    dims[t] = entry at every t of K, and a walk that reads no reduction,
-    no product and no _src_plus skips no check that can fail.
-    Proof.
-      - P_t = P and off_t = off at every t of K, both as at K.b: a column
-        of P read at t and not at K.b dies in [t, K.b), and so does a row
-        of _off_plus at t not in _off_plus at K.b, as K.b <= J.b leaves it
-        h.a > J.a.  So every count of the walk reads the same blocks, and
-        dims[t] = dim (L_S + P own ker P off) - dim L_S, which is
-        dim L_P - dim L_S as S lies in P: the m entry, by Claim T4.  This
-        is linear algebra on M, so it holds on an M off its support too.
-      - Where the entry is nonzero, upper_t = P N is nonzero on J's own
-        rows, which are alive at every t <= K.b, so no step would take the
-        zero branch; where it is 0, that branch and the count both give 0.
-      - Every witness, the one at K.b - 1 included, would compare
-        P_t y = P N with the block it is compared with (Claim T9), and the
-        check that the dims do not fall would compare equal counts.
+    dims[t] = entry at every t of K, and a walk that reads no reduction
+    and no product skips no check that can fail.
+    Proof.  P_t = P and off_t = off at every t of K, both as at K.b: a
+    column of P read at t and not at K.b dies in [t, K.b), and so does a
+    row of _off_plus at t not in _off_plus at K.b, as K.b <= J.b leaves it
+    h.a > J.a.  So every count of the walk reads the same blocks, and
+    dims[t] = dim (L_S + P own ker P off) - dim L_S, which is
+    dim L_P - dim L_S as S lies in P: the m entry, by Claim T4.  This is
+    linear algebra on M, so it holds on an M off its support too.  No
+    column of P dies, so the walk would run no witness (Claim T9), and the
+    check that the dims do not fall would compare equal counts.
 
     Claim T11 (the bars of an injective module zero after K.b).  A module
     zero outside K whose maps along K are injective has nondecreasing
@@ -351,26 +330,15 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
         return [entry] * (kb - ka + 1)  # no generator dies in K (Claim T10)
     dims = [entry]
     walk = _walk_reduce(bm, i, j, lower)
-    u = gf.matmul(walk.plus, walk.ident.T, bm.p)  # y_plus at t is columns of U (Claim T8)
-    plus_kb = _src_plus(bm, i, kb)[1]  # P_{K.b}, read on its own
-    n_l = plus_kb.shape[1]  # |P_{t+1}|
+    n_l = _prefixes(walk, kb)[0]  # |P_{t+1}|
     for t in range(kb - 1, ka - 1, -1):
         n, f = _prefixes(walk, t)
-        cols = _null_cols(walk, n, f)
-        upper = u[:, cols]
-        d = 0
-        if upper[bm.tgt_b >= t].any():
-            if t == kb - 1 or n_l < n:  # the witness (Claim T9)
-                later = bm.tgt_b > t  # the rows alive at t+1
-                if t == kb - 1:  # P_{K.b} y against upper_t
-                    y = walk.ident[cols, :n_l].T
-                    miss = gf.matmul(plus_kb[later], y, bm.p) != upper[later]
-                else:  # D z against 0
-                    miss = gf.matmul(walk.plus[later, n_l:n], walk.ident[cols, n_l:n].T, bm.p)
-                if miss.any():
-                    raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
-                                         f" t={t} out of y_plus at t={t + 1}")
-            d = _dim_at(walk, n, f)
+        if n_l < n:  # the witness: D z against 0 (Claim T9)
+            z = walk.ident[_null_cols(walk, n, f), n_l:n].T
+            if gf.matmul(walk.plus[bm.tgt_b > t, n_l:n], z, bm.p).any():
+                raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
+                                     f" t={t} out of y_plus at t={t + 1}")
+        d = _dim_at(walk, n, f)
         if d > dims[-1]:
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
                                  f" {d} to {dims[-1]} at t={t + 1}")

@@ -108,7 +108,7 @@ def test_y_spaces_zero_off_overlap(wide_ladder):
 # Referee: y_plus at t of a walk as P_t N_t, one product per step, with
 # N_t a matrix of its own: the identity parts of the first |P_t| reduced
 # columns of matching._walk_reduce's B whose low lies above _off_plus at
-# t.  The walk reads the same columns off one product U = P V per pair.
+# t, the columns matching._null_cols picks for the walk's witness.
 
 
 def ref_null(walk, n, f):
@@ -274,11 +274,11 @@ def test_witness_trips_where_a_column_dies_below_the_shared_death():
 
 
 # Referee: the comparison module by the subspace walk in W(t), against its
-# dims read off M.  A walk that reads M's src_plus columns as zero at the
-# shared death K.b has a zero y_plus there to carry into, so whatever the
-# module holds at K.b - 1 must trip the containment check at K.b, on every
-# pair whose overlap loses a generator.  Every other pair reads no
-# src_plus and no pair reduction at all.
+# dims read off M.  Every pair that loses a column of P inside K walks
+# again on an M whose last such column, dying at t0, is made a unit
+# vector on a row of J's own, alive at t0 + 1: W_t0 then does not carry
+# y_plus at t0 into y_plus at t0 + 1, so the witness must trip there.  A
+# pair whose overlap loses no generator reads no pair reduction at all.
 
 
 def loses_generator(bm, i, j):
@@ -293,17 +293,30 @@ def loses_generator(bm, i, j):
                 or (ref_off_plus(bm, j, ka) != ref_off_plus(bm, j, kb)).any())
 
 
+def last_p_death(bm, i, j):
+    """The latest death in [K.a, K.b) of a src_plus(I) column, or None."""
+    ka, kb = max(i.a, j.a), min(i.b, j.b)
+    ends = bm.src_b[(bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= ka) & (bm.src_b < kb)]
+    return int(ends.max()) if len(ends) else None
+
+
 def _refused(*args):
-    raise AssertionError("a walk that loses no generator read src_plus or a pair reduction")
+    raise AssertionError("a walk that loses no generator read a pair reduction")
 
 
-def _zeroed_at(t0):
-    """matching._src_plus, reading M as zero at t0."""
-    src_plus = matching._src_plus
+def _dying_column_on_own_row(t0):
+    """matching._walk_reduce on an M whose last src_plus(I) column to die
+    at t0, the last of them in the walk's P, is the unit vector of J's
+    first own row, alive at t0 + 1 as J.b >= K.b > t0."""
+    walk_reduce = matching._walk_reduce
 
-    def broken(bm, i, t):
-        return src_plus(dataclasses.replace(bm, m=np.zeros_like(bm.m)) if t == t0 else bm,
-                        i, t)
+    def broken(bm, i, j, lower):
+        c = np.flatnonzero((bm.src_a <= i.a) & (bm.src_b == t0))[-1]
+        r = np.flatnonzero((bm.tgt_a == j.a) & (bm.tgt_b == j.b))[0]
+        m = bm.m.copy()
+        m[:, c] = 0
+        m[r, c] = 1
+        return walk_reduce(dataclasses.replace(bm, m=m), i, j, lower)
     return broken
 
 
@@ -318,15 +331,15 @@ def assert_comparison_modules_match_referee(f):
             ref = quotients.ref_x_module(f, i, j)
             assert x_module(f, i, j).module.dims == ref.module.dims, ("dims", i, j)
             assert table.get(i, j) == barcode(ref.module), ("g", i, j)
+            t0 = last_p_death(bm, i, j)
             if not loses_generator(bm, i, j):
-                with mock.patch.object(matching, "_src_plus", _refused), \
-                        mock.patch.object(matching, "_walk_reduce", _refused):
+                with mock.patch.object(matching, "_walk_reduce", _refused):
                     dims = lib_dims(bm, i, j)
                 assert dims == [ref.module.dim(t) for t in range(k.b, k.a - 1, -1)], ("dims", i, j)
-            elif ref.module.dim(k.b - 1):
-                with mock.patch.object(matching, "_src_plus", _zeroed_at(k.b)), \
+            elif t0 is not None:
+                with mock.patch.object(matching, "_walk_reduce", _dying_column_on_own_row(t0)), \
                         pytest.raises(InvariantError,
-                                      match=rf"t={k.b - 1} out of y_plus at t={k.b}$"):
+                                      match=rf"t={t0} out of y_plus at t={t0 + 1}$"):
                     lib_dims(bm, i, j)
 
 
@@ -809,8 +822,17 @@ def test_walk_referee_covers_pairs_that_walk_and_pairs_that_lose_nothing(monkeyp
     assert walked and any(lib_dims(bm, i, j)[0] for i, j in kept)
 
 
-# Referee: the walk as it was before it read y_plus off U, with the gate
-# and the witness on P_t N_t by product (ref_upper) at every step.
+# Referee: the walk with y_plus at t as P_t N_t by product (ref_upper), a
+# step that counts 0 where y_plus is zero on the rows alive at t, and a
+# witness at every other step that compares P_{t+1} y, with P_{K.b} read
+# by its own mask and stable sort, with the whole of y_plus at t.
+
+
+def ref_plus_cols(bm, i, t):
+    """The src_plus(I) columns alive at t, latest death first, ties in
+    M's order."""
+    cols = ((bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)).nonzero()[0]
+    return cols[np.argsort(-bm.src_b[cols], kind="stable")]
 
 
 def ref_product_dims(bm, i, j):
@@ -821,7 +843,7 @@ def ref_product_dims(bm, i, j):
     if ka == kb:
         return
     walk = matching._walk_reduce(bm, i, j, lower)
-    plus_l = matching._src_plus(bm, i, kb)[1]  # P_{t+1}
+    plus_l = bm.m[:, ref_plus_cols(bm, i, kb)]  # P_{t+1}
     for t in range(kb - 1, ka - 1, -1):
         n, f = matching._prefixes(walk, t)
         null = ref_null(walk, n, f)
@@ -844,8 +866,9 @@ def ref_product_dims(bm, i, j):
 def assert_upper_matches_product_referee(bm):
     """On every block of bm: every hom pair's dims equal ref_product_dims',
     and for every walked pair and t < K.b, the columns matching._null_cols
-    of U = P V are P_t N_t.  Returns the steps read and how many of them
-    lose a column of P."""
+    picks of P V, with V the identity parts of the walk's B, are P_t N_t:
+    they are zero past row |P_t| (Claim T8).  Returns the steps read and
+    how many of them lose a column of P."""
     steps = dying = 0
     for block in bm.blocks():
         for i in matching._bars(block.src_a, block.src_b):
@@ -877,7 +900,7 @@ def assert_upper_matches_product_referee(bm):
                    min_size=1, max_size=3),
     eps=st.integers(0, 2),
 )
-def test_walk_reads_y_plus_off_one_product_per_pair(n, p, parts, eps):
+def test_walk_matches_the_product_referee(n, p, parts, eps):
     # A part is a seeded ladder of dims up to size, or a bar-pair morphism
     # of 2 size bars a side, of up to 5 positions.
     f = direct_sum_morphism(*(
@@ -889,10 +912,55 @@ def test_walk_reads_y_plus_off_one_product_per_pair(n, p, parts, eps):
 
 def test_product_referee_covers_steps_that_lose_a_column():
     # The referee reads steps that keep P and steps that lose a column of
-    # it, so U is compared on both kinds of step the witness tells apart.
+    # it, so both kinds of step the walk's witness tells apart are compared.
     steps, dying = assert_upper_matches_product_referee(
         basis_matrix(bar_pair_morphism(6, 10, 4, 2, 3)))
     assert 0 < dying < steps
+
+
+# The two facts the witness reads the walk's P and N_t by (Claim T8): P_t,
+# by its own mask and stable sort, is at every t of K the prefix of the
+# walk's P of |P_t| columns, in the same order; and the identity parts of
+# B's reduced columns, V's columns (Claim G1), are zero past their own
+# index, with a 1 there.
+
+
+def assert_walk_reads_prefixes(bm):
+    """On every block of bm, for every hom pair with K.a < K.b: the facts
+    above."""
+    for block in bm.blocks():
+        for i in matching._bars(block.src_a, block.src_b):
+            for j in matching._bars(block.tgt_a, block.tgt_b):
+                ka, kb = max(i.a, j.a), min(i.b, j.b)
+                if not hom_exists(i, j) or ka == kb:
+                    continue
+                lower = matching._reduce(block, j, i.a, kb)[0][i.b][1]
+                walk = matching._walk_reduce(block, i, j, lower)
+                assert not np.triu(walk.ident, 1).any(), (i, j)
+                assert (np.diagonal(walk.ident) == 1).all(), (i, j)
+                for t in range(ka, kb + 1):
+                    cols = ref_plus_cols(block, i, t)
+                    n = matching._prefixes(walk, t)[0]
+                    assert n == len(cols), (i, j, t)
+                    assert np.array_equal(walk.plus[:, :n], block.m[:, cols]), (i, j, t)
+                    assert np.array_equal(walk.dies[:n], block.src_b[cols]), (i, j, t)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 8),
+    p=st.sampled_from([2, 3, 5, 7]),
+    parts=st.lists(st.tuples(st.booleans(), st.integers(1, 5), st.integers(0, 2**16)),
+                   min_size=1, max_size=3),
+    eps=st.integers(0, 2),
+)
+def test_p_at_every_step_is_a_prefix_of_the_walks_p(n, p, parts, eps):
+    # Parts as in test_walk_matches_the_product_referee.
+    f = direct_sum_morphism(*(
+        bar_pair_morphism(n, 2 * size, min(n, 5), p, seed) if bars
+        else random_ladder(n, size, p, seed)
+        for bars, size, seed in parts))
+    assert_walk_reads_prefixes(basis_matrix(f).shift(min(eps, n - 1)))
 
 
 # Referee: both tables on the whole M, with no block split.
@@ -952,12 +1020,10 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     # to the first start whose Q spans J's own rows (Claim T12): 72 of the
     # 200 groups.  It makes no rref; g makes those reductions, then two
     # more per nonzero pair with K.a < K.b, off which it reads every step
-    # t < K.b: no rref and no null basis.  Its products are one U per such
-    # pair, off which every step reads y_plus, and a witness at K.b - 1
-    # and at each step that loses a column of P, where y_plus is nonzero:
-    # 210 in all, not one per step or more.  One nonzero pair loses no
-    # generator along its overlap and makes neither reductions nor
-    # products.
+    # t < K.b: no rref and no null basis.  Its only products are the
+    # witnesses, one per step that loses a column of P (Claim T9): 173 in
+    # all, not one per step or more.  One nonzero pair loses no generator
+    # along its overlap and makes neither reductions nor products.
     bm = basis_matrix(bar_pair_morphism(20, 50, 10, 2))
     [block] = bm.blocks()
     pairs = [(i, j) for i in matching._bars(block.src_a, block.src_b)
@@ -979,10 +1045,13 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     overlaps = [(i, j) for (i, j), _ in m_table.items() if i.intersect(j).length]
     steps = sum(i.intersect(j).length for i, j in overlaps)
     walked = sum(loses_generator(block, i, j) for i, j in overlaps)
+    plus = [block.src_b[(block.src_a <= i.a) & (block.src_b <= i.b)] for i, j in overlaps]
+    dying = sum(len(set(ends[(ends >= k.a) & (ends < k.b)].tolist()))
+                for ends, k in zip(plus, (i.intersect(j) for i, j in overlaps)))
     assert (len(overlaps), walked, steps) == (36, 35, 215)
     assert calls.keys() == {"low_reduce", "matmul"}
     assert calls["low_reduce"] == 72 + 2 * walked == 142
-    assert calls["matmul"] == 210 < steps
+    assert calls["matmul"] == dying == 173 < steps
 
 
 def test_table_inequalities_small_suite():
