@@ -14,9 +14,10 @@ refused once that many bytes are read, and one with more ","
 separators than serial.MAX_INPUT_VALUES, refused before it is parsed),
 3 validation error, 4 usage error (including a catalog --dump DIR that
 cannot be written and random arguments whose output could pass either
-bound), 5 incompatible inputs (including a sum past the field bound,
-the dimension cap or the work bound), 6 internal invariant failure (a
-bug; the message names the failing check).
+bound), 5 incompatible inputs (including a sum whose dims, summed
+position by position, pass the field bound, the dimension cap or the
+work bound: it is refused before it is built), 6 internal invariant
+failure (a bug; the message names the failing check).
 """
 
 from __future__ import annotations
@@ -252,14 +253,12 @@ def cmd_sum(paths: list[str]) -> int:
                 f"(n={first.n}, p={first.p})\n"
             )
             return EXIT_INCOMPATIBLE
-    total = direct_sum_morphism(*morphisms)
-    # Every input passed the field and work bounds at its own dims; the
-    # sum's are larger.
-    dims = total.source.dims + total.target.dims
-    problem = gf.field_error(total.p, max(dims)) or gf.work_error(total.n, sum(dims))
+    dims = [sum(d) for d in zip(*(f.source.dims + f.target.dims for f in morphisms))]
+    problem = gf.size_error(first.p, first.n, dims)
     if problem:
         sys.stderr.write(f"error: incompatible inputs: {problem}\n")
         return EXIT_INCOMPATIBLE
+    total = direct_sum_morphism(*morphisms)
     sys.stdout.write(serial.dumps_canonical(serial.morphism_to_dict(total)))
     return EXIT_OK
 

@@ -67,6 +67,11 @@ def work_error(n: int, total_dim: int) -> str | None:
     return None
 
 
+def size_error(p: int, n: int, dims) -> str | None:
+    """Why GF(p) on n positions with these dims (both modules') is refused, or None."""
+    return field_error(p, max(dims)) or work_error(n, sum(dims))
+
+
 @functools.cache
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -153,8 +158,8 @@ def low_reduce(w: np.ndarray, p: int) -> np.ndarray:
 
     Each column in turn, left to right, takes its lowest nonzero row as
     its low; while an earlier column already took that low, a multiple of
-    that column clears it.  Returns each column's low, or -1 if the column
-    reduced to zero.
+    that column clears it, up to that low: both are zero past it.  Returns
+    each column's low, or -1 if the column reduced to zero.
 
     Claim G1 (the pairing lemma: Cohen-Steiner, Edelsbrunner and Morozov,
     "Vines and Vineyards").  The reduced matrix is m V with V upper
@@ -177,9 +182,10 @@ def low_reduce(w: np.ndarray, p: int) -> np.ndarray:
             if k is None:
                 owner[low], lows[c] = c, low
                 break
-            col -= col[low] * pow(int(w[k, low]), -1, p) % p * w[k]
-            col %= p
-            nz = col.nonzero()[0]
+            head = col[: low + 1]
+            head -= head[low] * pow(int(w[k, low]), -1, p) % p * w[k, : low + 1]
+            head %= p
+            nz = head[:low].nonzero()[0]
     return np.array(lows, dtype=np.int64)
 
 

@@ -688,8 +688,8 @@ def _reduce_images(x: np.ndarray, y: np.ndarray, eye: np.ndarray,
         # Row j is reduced mod p only once every older pivot is out of it.
         # Each pivot subtracted a product below p^2 (a reduced row times a
         # reduced coefficient), and there are at most d pivots, so by the
-        # field bound d (p-1)^2 < 2^63 nothing overflows meanwhile.  The
-        # combination part is triangular: past column d + j it is still 0.
+        # field bound d (p-1)^2 < 2^63 nothing overflows meanwhile.  A pivot
+        # row is 0 before its lead and, as comb is triangular, past d + j.
         vec = work[j, : d + j + 1]
         vec %= p
         nz = vec[:d].nonzero()[0]
@@ -702,7 +702,7 @@ def _reduce_images(x: np.ndarray, y: np.ndarray, eye: np.ndarray,
         later = c.nonzero()[0]
         if later.size:
             c = c[later] * pow(int(vec[r]), -1, p) % p
-            work[j + 1 + later, : d + j + 1] -= c[:, None] * vec
+            work[j + 1 + later, r : d + j + 1] -= c[:, None] * vec[r:]
     return lead, work[:width, d:].T, work[width:] % p
 
 

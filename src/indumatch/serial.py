@@ -3,9 +3,9 @@
 All matrices are flat row-major integer arrays; shapes are implied by
 the dimension sequences, and entries are reduced mod p on load.  A
 member outside TOP_MEMBERS at the top level, or outside MODULE_MEMBERS
-in a module, is refused.  A prime too large for exact int64 arithmetic
-at the file's dimensions is rejected (see gf.field_error), and so is a
-file past the work bound gf.MAX_WORK, before any matrix is read.  A
+in a module, is refused.  So is, before any matrix is read, a file
+that gf.size_error refuses: past gf.MAX_DIM, past the work bound
+gf.MAX_WORK, or with a prime too large for exact int64 arithmetic.  A
 file longer than MAX_INPUT_BYTES is refused before it is read whole,
 and one holding more values than MAX_INPUT_VALUES before it is parsed.
 
@@ -153,8 +153,7 @@ def morphism_from_dict(obj) -> Morphism:
     _expect(type(n) is int and n >= 1, "n must be a positive integer")
     src_dims = _dims(obj.get("source"), n, "source")
     dst_dims = _dims(obj.get("target"), n, "target")
-    problem = (gf.field_error(p, max(src_dims + dst_dims))
-               or gf.work_error(n, sum(src_dims) + sum(dst_dims)))
+    problem = gf.size_error(p, n, src_dims + dst_dims)
     _expect(problem is None, problem)
     source = _module_from_dict(obj["source"], src_dims, p, "source")
     target = _module_from_dict(obj["target"], dst_dims, p, "target")

@@ -11,6 +11,8 @@ modules.py Claim M9):
     for every source bar I and target bar J, and the m table against the
     referee's dimension at K.b, the right end of K = I n J;
   - the image barcode against conftest.ref_image_barcode;
+  - chi_table of M against oracle.lambda_ of the projection, then
+    oracle.iota of the embedding, of modules.image_factorization;
   - at eps = 1 and 2 below n, the m and g tables of the shifted M
     (BasisMatrix.shift) against those of conftest.ref_shift_morphism.
 Each module is checked once: its barcode against oracle.naive_barcode,
@@ -33,12 +35,13 @@ import random
 import sys
 import time
 
-from indumatch import (GridInterval, Morphism, gf, hom_exists, module_from_bars,
-                       morphism_from_bars)
+from indumatch import (GridInterval, Morphism, gf, hom_exists, image_factorization,
+                       module_from_bars, morphism_from_bars)
+from indumatch.bauer_lesnick import chi_table
 from indumatch.ladders import _hide, _random_change
 from indumatch.matching import g_table, m_table
 from indumatch.modules import barcode, basis_matrix
-from indumatch.oracle import naive_barcode
+from indumatch.oracle import iota, lambda_, naive_barcode
 
 from conftest import ref_image_barcode, ref_shift_morphism
 from quotients import ref_x_module
@@ -122,6 +125,10 @@ def run(max_n: int, bars: int, p: int, report=print) -> tuple[int, int]:
                 problems = table_mismatches(f, m_tab, g_tab)
                 if image != ref_image_barcode(f):
                     problems.append(f"image barcode {image} != referee {ref_image_barcode(f)}")
+                _, project, embed = image_factorization(f)
+                chi, ref_chi = chi_table(bm), lambda_(project).then(iota(embed))
+                if chi != ref_chi:
+                    problems.append(f"chi {chi} != referee {ref_chi}")
                 for eps in range(1, min(n, 3)):
                     shifted, ref = bm.shift(eps), basis_matrix(ref_shift_morphism(f, eps))
                     got, want = ((m_table(b), g_table(b)) for b in (shifted, ref))

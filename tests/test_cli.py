@@ -570,6 +570,46 @@ def test_sum_past_the_work_bound_exits_5(tmp_path, capsys):
     assert "incompatible" in err and "4160, above the work bound" in err
 
 
+def _refuse_to_build(monkeypatch):
+    def refused(*morphisms):
+        raise AssertionError("the sum was built before its dims were checked")
+
+    monkeypatch.setattr(cli, "direct_sum_morphism", refused)
+
+
+def test_sum_past_the_dimension_cap_exits_5_before_it_is_built(tmp_path, capsys,
+                                                                monkeypatch):
+    _refuse_to_build(monkeypatch)
+    half = _one_position_file(tmp_path, "half.json", gf.MAX_DIM // 2 + 1)
+    code, out, err = run_cli(capsys, "sum", half, half)
+    assert code == 5
+    assert out == ""
+    assert err == (f"error: incompatible inputs: dimension {gf.MAX_DIM + 2}"
+                   f" is above the cap of {gf.MAX_DIM}\n")
+
+
+def test_sum_past_the_work_bound_exits_5_before_it_is_built(tmp_path, capsys,
+                                                             monkeypatch):
+    # 64 + 32 * 128 = 4160, within the dimension cap at every position.
+    _refuse_to_build(monkeypatch)
+    half = _alternating_file(tmp_path, "half.json", 64, 64)
+    code, out, err = run_cli(capsys, "sum", half, half)
+    assert code == 5
+    assert out == ""
+    assert err == ("error: incompatible inputs: n + the sum of all dims is 4160,"
+                   f" above the work bound of {gf.MAX_WORK}\n")
+
+
+def test_sum_checks_its_dims_position_by_position(tmp_path, capsys):
+    # Dims [200, 0] and [0, 200] sum to [200, 200], within the cap; the sum
+    # of the files' largest dims, 400, is not.
+    a = _alternating_file(tmp_path, "a.json", 2, 200)
+    b = _alternating_file(tmp_path, "b.json", 2, 0, last=200)
+    code, out, _ = run_cli(capsys, "sum", a, b)
+    assert code == 0
+    assert json.loads(out)["target"]["dims"] == [200, 200]
+
+
 # ---------------------------------------------------------------------------
 # catalog and random
 
