@@ -16,8 +16,10 @@ separators than serial.MAX_INPUT_VALUES, refused before it is parsed),
 cannot be written and random arguments whose output could pass either
 bound), 5 incompatible inputs (including a sum whose dims, summed
 position by position, pass the field bound, the dimension cap or the
-work bound: it is refused before it is built), 6 internal invariant
-failure (a bug; the message names the failing check).
+work bound: sum loads its files one at a time and refuses at the first
+file whose running sum does, so no later file is read and the sum is not
+built), 6 internal invariant failure (a bug; the message names the
+failing check).
 """
 
 from __future__ import annotations
@@ -244,20 +246,24 @@ def cmd_match(f: Morphism, method: str, eps: int, fmt: str) -> int:
 
 
 def cmd_sum(paths: list[str]) -> int:
-    morphisms = [_load(p) for p in paths]
-    first = morphisms[0]
-    for f in morphisms[1:]:
+    morphisms: list[Morphism] = []
+    dims: list[int] = []  # the position-wise sum of the files' dims so far
+    for path in paths:
+        f = _load(path)
+        first = morphisms[0] if morphisms else f
         if f.n != first.n or f.p != first.p:
             sys.stderr.write(
                 f"error: incompatible inputs (n={f.n}, p={f.p}) vs "
                 f"(n={first.n}, p={first.p})\n"
             )
             return EXIT_INCOMPATIBLE
-    dims = [sum(d) for d in zip(*(f.source.dims + f.target.dims for f in morphisms))]
-    problem = gf.size_error(first.p, first.n, dims)
-    if problem:
-        sys.stderr.write(f"error: incompatible inputs: {problem}\n")
-        return EXIT_INCOMPATIBLE
+        ends = f.source.dims + f.target.dims
+        dims = [a + b for a, b in zip(dims, ends)] if dims else list(ends)
+        morphisms.append(f)
+        problem = gf.size_error(f.p, f.n, dims)
+        if problem:  # no later file is read
+            sys.stderr.write(f"error: incompatible inputs: {problem}\n")
+            return EXIT_INCOMPATIBLE
     total = direct_sum_morphism(*morphisms)
     sys.stdout.write(serial.dumps_canonical(serial.morphism_to_dict(total)))
     return EXIT_OK

@@ -29,10 +29,13 @@ MAX_DIM = 256
 
 # Largest work measure of one ladder, n + the sum of every dimension of
 # both modules, i.e. the sum over grid positions t of 1 + dim V(t) +
-# dim W(t).  MAX_DIM bounds the work per position, not per file: without
-# this bound the cost grows linearly in n (about 0.5 ms per input byte,
-# so a file of a few hundred KB runs for minutes).  README "File format"
-# names the slowest inputs known at the bound and their CLI times.
+# dim W(t).  MAX_DIM bounds the work per position, not per file: past
+# this bound the cost grows faster than linearly in the input's size, as
+# M is dense with a row and a column per generator.  With the bound
+# lifted, barcode on n one-point bars a side takes 0.29, 0.82 and 1.88 s
+# and peaks at 76, 212 and 749 MB at n = 1365, 2730 and 5460 (10 to 16
+# us per input byte; shared 2-core x86 VM).  README "File format" names
+# the slowest inputs known at the bound and their CLI times.
 MAX_WORK = 4096
 
 

@@ -174,22 +174,22 @@ def _reduce(bm: BasisMatrix, j: GridInterval, a: int,
 
 class _Walk(NamedTuple):
     """The two reductions a walk of (I, J) reads every step t < K.b off
-    (_walk_reduce, Claim T8)."""
+    (_walk_reduce, Claim T8), and the bars of P's columns."""
 
     plus: np.ndarray  # P, the src_plus(I) columns alive at K.a, latest death first
+    starts: np.ndarray  # the births of P's columns
     dies: np.ndarray  # the deaths of P's columns
     off_dies: np.ndarray  # the deaths of off's rows, earliest first
     k: int  # the number of lower's columns
     lows_a: np.ndarray  # A's lows
     lows_b: np.ndarray  # B's lows
-    ident: np.ndarray  # B's reduced identity part, one row per column
 
 
 def _walk_reduce(bm: BasisMatrix, i: GridInterval, j: GridInterval, lower: np.ndarray) -> _Walk:
     """The reductions of A = [[0, P_off], [lower, P_own]] (rows off, then
-    J's own) and B = [[1], [P_off]] by gf.low_reduce (Claim T8), lower from
-    _reduce, P the src_plus(I) columns alive at K.a, latest death first,
-    and off the rows of _off_plus at K.a, earliest death first."""
+    J's own) and B = P_off by gf.low_reduce (Claim T8), lower from _reduce,
+    P the src_plus(I) columns alive at K.a, latest death first, and off
+    the rows of _off_plus at K.a, earliest death first."""
     ka = max(i.a, j.a)
     cols = ((bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= ka)).nonzero()[0]
     cols = cols[np.argsort(-bm.src_b[cols], kind="stable")]
@@ -198,12 +198,11 @@ def _walk_reduce(bm: BasisMatrix, i: GridInterval, j: GridInterval, lower: np.nd
     plus = bm.m[:, cols]
     p_off = plus[off].T  # one row per column of P
     p_own = plus[(bm.tgt_a == j.a) & (bm.tgt_b == j.b)].T
-    k, nf, n = len(lower), len(off), len(cols)
-    at = gf.zeros(k + n, nf + p_own.shape[1])  # one row per column of A
+    k, nf = len(lower), len(off)
+    at = gf.zeros(k + len(cols), nf + p_own.shape[1])  # one row per column of A
     at[:k, nf:], at[k:, :nf], at[k:, nf:] = lower, p_off, p_own
-    bt = np.hstack([gf.identity(n), p_off])  # one row per column of B
-    return _Walk(plus, bm.src_b[cols], bm.tgt_b[off], k,
-                 gf.low_reduce(at, bm.p), gf.low_reduce(bt, bm.p), bt[:, :n])
+    return _Walk(plus, bm.src_a[cols], bm.src_b[cols], bm.tgt_b[off], k,
+                 gf.low_reduce(at, bm.p), gf.low_reduce(p_off, bm.p))
 
 
 def _prefixes(walk: _Walk, t: int) -> tuple[int, int]:
@@ -211,17 +210,10 @@ def _prefixes(walk: _Walk, t: int) -> tuple[int, int]:
     return int(np.count_nonzero(walk.dies >= t)), int(np.count_nonzero(walk.off_dies < t))
 
 
-def _null_cols(walk: _Walk, n: int, f: int) -> np.ndarray:
-    """The indices of B's first n reduced columns whose low lies above
-    _off_plus at t (n and f from _prefixes): their identity parts are N_t
-    (Claim T8)."""
-    return (walk.lows_b[:n] < len(walk.dies) + f).nonzero()[0]
-
-
 def _dim_at(walk: _Walk, n: int, f: int) -> int:
     """dims[t] = rkA(t) - k - rkB(t) (Claim T8; n and f from _prefixes)."""
     return (int(np.count_nonzero(walk.lows_a[: walk.k + n] >= f)) - walk.k
-            - int(np.count_nonzero(walk.lows_b[:n] >= len(walk.dies) + f)))
+            - int(np.count_nonzero(walk.lows_b[:n] >= f)))
 
 
 def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: int,
@@ -236,13 +228,15 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     big_t = y_plus(t), small at K.b is big n y_minus(K.b), and walking
     left small_t = big_t n W_t^-1(small_{t+1}).  Let C_t : W(t) -> W(K.b)
     be the composite of structure maps.  P_t are the src_plus(I) columns
-    alive at t, off_t = _off_plus at t, N_t a basis of the null space of
-    P_t on off_t, and upper_t = P_t N_t, y_plus at t (Claim T2).  Each step
-    left to t-1 from t checks, naming the pair and t (InvariantError),
-    that W_{t-1} carries span upper_{t-1} into span upper_t (by a witness
-    where a column of P dies, Claim T9), on which Claim T7 rests, and that
-    the dims do not fall toward K.b (Claim T11): given the containment the
-    carried spans are nested, so this guards _dim_at.
+    alive at t, off_t = _off_plus at t, and upper_t = P_t ker P_t off_t,
+    y_plus at t (Claim T2).  Before it walks, it checks that each column
+    of P that dies at a t in [K.a, K.b) is zero on every row that outlives
+    it, so that W_t carries upper_t into upper_{t+1} (Claim T9), on which
+    the walk rests (Claim T7); a column that fails raises InvariantError
+    naming the pair, the column's bar and t, and the row's bar.  Each step
+    left to t from t+1 then checks, naming the pair and t+1, that the dims
+    do not fall toward K.b (Claim T11): given the containment the carried
+    spaces are nested, so this guards _dim_at.
 
     Claim T7 (the walk telescopes).  If W_t carries big_t into big_{t+1}
     for every t < K.b, the module is injective and
@@ -260,12 +254,10 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     the latest first and off = off_{K.a} by death with the earliest
     first, so that P_t is a prefix of P and off_t a suffix of off.
     gf.low_reduce reduces A = [[0, P_off], [lower, P_own]], rows off then
-    own, and B = [[1], [P_off]].  Let rkA(t) be the number of lows among
-    A's first k + |P_t| columns in its rows from off_t down, and rkB(t)
-    that among B's first |P_t| columns inside off_t.  Then
-    dims[t] = rkA(t) - k - rkB(t) for t < K.b, and the first |P_t| rows
-    of the identity parts of B's first |P_t| reduced columns whose low
-    lies above off_t are N_t.
+    own, and B = P_off.  Let rkA(t) be the number of lows among A's first
+    k + |P_t| columns in its rows from off_t down, and rkB(t) that among
+    B's first |P_t| columns inside off_t.  Then
+    dims[t] = rkA(t) - k - rkB(t) for t < K.b.
     Proof.  C_t selects rows in M's one generator index: it keeps the
     rows alive at t and at K.b, and a row born after t gets 0, which M
     already is on every column alive at t (Claim M1).  So C_t big_t is
@@ -275,37 +267,28 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     basis lower of L_S, zero on off_t, Claim T3 (a) gives
     dims[t] = rk [[lower, P_t own], [0, P_t off_t]] - k - rk P_t off_t.
     Those two blocks are lower left in A and in B, so by Claim G1 their
-    ranks are rkA(t) and rkB(t).  B reduces to B V with V upper
-    unitriangular (Claim G1), so the identity part of B's c-th reduced
-    column is V's c-th column, zero past row c.  Among B's first |P_t|
-    columns, the |P_t| - rkB(t) whose low lies above off_t are zero on
-    off_t, so their identity parts, zero past row |P_t|, lie in
-    ker P_t off_t, and they are independent: they are N_t.
+    ranks are rkA(t) and rkB(t).
 
-    Claim T9 (where the witness can fail).  On the step left to t-1 from
-    t, P_t is the prefix of P_{t-1} of the columns still alive at t
-    (Claim T8); let D be the rest, the columns dying at t-1, and y and z
-    the first |P_t| rows of N_{t-1} and the rest, so that
-    upper_{t-1} = P_t y + D z.  If D z is zero on the rows alive at t, then
-    W_{t-1} carries upper_{t-1} into span upper_t.  Where no column of P
-    dies, D is empty and there is nothing to check; on an M with the
-    support of Claim M1, D z is zero on those rows at every step.
-    Proof.  W_{t-1} carries upper_{t-1} to its rows alive at t, those born
-    at t being 0 in it (Claim M1).  That carried upper_{t-1} is zero off
-    tgt_plus: upper_{t-1} is zero on _off_plus at t-1, which holds every
-    row alive at t off tgt_plus, since tgt_plus does not depend on t.  So
-    if D z is zero on the rows alive at t, P_t y equals it there, P_t y is
-    zero on _off_plus at t, y lies in the null space N_t spans, and the
-    carried upper_{t-1} lies in span upper_t.  A column dying at t-1 is
-    zero on every row alive at t (Claim M1), which _check_support enforces
-    on every M built from a morphism or a shift; so a failing witness
-    means an M off its support.  The witness is a product of the |D|
-    dying columns alone.
+    Claim T9 (the support check).  On the step left to t-1 from t, let D
+    be the columns of P_{t-1} dying at t-1, the rest of it past its
+    prefix P_t (Claim T8).  If D is zero on the rows alive at t, then
+    W_{t-1} carries upper_{t-1} into upper_t.  On every M that
+    _check_support passed, D is zero on every row that outlives it.
+    Proof.  Take x in ker P_{t-1} off_{t-1}, split into y on P_t and z on
+    D, so P_{t-1} x = P_t y + D z.  W_{t-1} carries P_{t-1} x to its rows
+    alive at t, those born at t being 0 in it (Claim M1), and there D z is
+    0, as D is, so it is P_t y there.  P_{t-1} x is zero on off_{t-1},
+    which holds every row alive at t off tgt_plus, since tgt_plus does not
+    depend on t; so P_t y is zero on off_t, y lies in ker P_t off_t, and
+    the carried vector lies in upper_t.  A nonzero M[h, g] has
+    h.b <= g.b (Claim M1), which _check_support enforces on every M built
+    from a morphism or a shift, so a column dying at t-1 is zero on every
+    row h with h.b > t-1: the check can fail only on an M off its support.
 
     Claim T10 (a walk that loses no generator).  If no column of P and no
     row of off dies at a t in [K.a, K.b) (K.a = K.b among them), then
     dims[t] = entry at every t of K, and a walk that reads no reduction
-    and no product skips no check that can fail.
+    skips no check that can fail.
     Proof.  P_t = P and off_t = off at every t of K, both as at K.b: a
     column of P read at t and not at K.b dies in [t, K.b), and so does a
     row of _off_plus at t not in _off_plus at K.b, as K.b <= J.b leaves it
@@ -313,8 +296,9 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     dims[t] = dim (L_S + P own ker P off) - dim L_S, which is
     dim L_P - dim L_S as S lies in P: the m entry, by Claim T4.  This is
     linear algebra on M, so it holds on an M off its support too.  No
-    column of P dies, so the walk would run no witness (Claim T9), and the
-    check that the dims do not fall would compare equal counts.
+    column of P dies in K, so the support check has none to read
+    (Claim T9), and the check that the dims do not fall would compare
+    equal counts.
 
     Claim T11 (the bars of an injective module zero after K.b).  A module
     zero outside K whose maps along K are injective has nondecreasing
@@ -328,22 +312,22 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     if not (((bm.src_a <= i.a) & (bm.src_b >= ka) & (bm.src_b < kb)).any()
             or ((bm.tgt_a > j.a) & (bm.tgt_b >= ka) & (bm.tgt_b < kb)).any()):
         return [entry] * (kb - ka + 1)  # no generator dies in K (Claim T10)
-    dims = [entry]
     walk = _walk_reduce(bm, i, j, lower)
-    n_l = _prefixes(walk, kb)[0]  # |P_{t+1}|
+    n = _prefixes(walk, kb)[0]  # P_{K.b}: the columns of P past it die in K
+    # each is zero on every row that outlives it (Claim T9)
+    cols, rows = ((walk.plus[:, n:].T != 0) & (bm.tgt_b > walk.dies[n:, None])).nonzero()
+    if len(cols):
+        c, r = n + cols[0], rows[0]
+        raise InvariantError(
+            f"M is off its support: column [{walk.starts[c]},{walk.dies[c]}] of ({i},{j}),"
+            f" dying at t={walk.dies[c]}, is nonzero on row [{bm.tgt_a[r]},{bm.tgt_b[r]}]")
+    dims = [entry]
     for t in range(kb - 1, ka - 1, -1):
-        n, f = _prefixes(walk, t)
-        if n_l < n:  # the witness: D z against 0 (Claim T9)
-            z = walk.ident[_null_cols(walk, n, f), n_l:n].T
-            if gf.matmul(walk.plus[bm.tgt_b > t, n_l:n], z, bm.p).any():
-                raise InvariantError(f"W_{t} carries y_plus of ({i},{j}) at"
-                                     f" t={t} out of y_plus at t={t + 1}")
-        d = _dim_at(walk, n, f)
+        d = _dim_at(walk, *_prefixes(walk, t))
         if d > dims[-1]:
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
                                  f" {d} to {dims[-1]} at t={t + 1}")
         dims.append(d)
-        n_l = n
     return dims
 
 

@@ -405,13 +405,13 @@ def _random_files(capsys, tmp_path, prime, copies):
 
 
 def test_sum_past_the_field_bound_exits_5(tmp_path, capsys):
-    # Each file is exact at dimension 2; three of them reach dimension 6,
-    # where p = 2^31-1 products overflow int64.
+    # Each file is exact at dimension 2; the running sum reaches dimension
+    # 4 at the second of three, where p = 2^31-1 products overflow int64.
     files = _random_files(capsys, tmp_path, 2**31 - 1, 3)
     code, out, err = run_cli(capsys, "sum", *files)
     assert code == 5
     assert out == ""
-    assert "incompatible" in err and "too large" in err and "dimension 6" in err
+    assert "incompatible" in err and "too large" in err and "dimension 4" in err
 
 
 def test_sum_within_the_field_bound_exits_0(tmp_path, capsys):
@@ -598,6 +598,37 @@ def test_sum_past_the_work_bound_exits_5_before_it_is_built(tmp_path, capsys,
     assert out == ""
     assert err == ("error: incompatible inputs: n + the sum of all dims is 4160,"
                    f" above the work bound of {gf.MAX_WORK}\n")
+
+
+def test_sum_stops_loading_at_the_first_file_past_the_size_rule(tmp_path, capsys,
+                                                                monkeypatch):
+    # Each copy is in bound at dimension 200; the running sum passes the
+    # cap at the second of 30, and no later file is read.
+    one = _alternating_file(tmp_path, "one.json", 2, 200)
+    loads = []
+    real_load = cli._load
+
+    def counted(path):
+        loads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "_load", counted)
+    code, out, err = run_cli(capsys, "sum", *[one] * 30)
+    assert code == 5
+    assert out == ""
+    assert err == (f"error: incompatible inputs: dimension 400 is above the cap"
+                   f" of {gf.MAX_DIM}\n")
+    assert loads == [one, one]
+
+
+def test_sum_refuses_before_it_reaches_a_missing_file(tmp_path, capsys):
+    # A missing path is a file error (exit 2), but the sum is refused at
+    # the second file, before the third is opened.
+    one = _alternating_file(tmp_path, "one.json", 2, 200)
+    code, out, err = run_cli(capsys, "sum", one, one, str(tmp_path / "missing.json"))
+    assert code == 5
+    assert out == ""
+    assert "dimension 400 is above the cap" in err
 
 
 def test_sum_checks_its_dims_position_by_position(tmp_path, capsys):
