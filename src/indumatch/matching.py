@@ -174,10 +174,10 @@ def _reduce(bm: BasisMatrix, j: GridInterval, a: int,
 
 class _Walk(NamedTuple):
     """The two reductions a walk of (I, J) reads every step t < K.b off
-    (_walk_reduce, Claim T8), and the bars of P's columns."""
+    (_walk_reduce, Claim T8), P, and the deaths that cut P_t and off_t out
+    of them at each t (_prefixes)."""
 
     plus: np.ndarray  # P, the src_plus(I) columns alive at K.a, latest death first
-    starts: np.ndarray  # the births of P's columns
     dies: np.ndarray  # the deaths of P's columns
     off_dies: np.ndarray  # the deaths of off's rows, earliest first
     k: int  # the number of lower's columns
@@ -189,7 +189,9 @@ def _walk_reduce(bm: BasisMatrix, i: GridInterval, j: GridInterval, lower: np.nd
     """The reductions of A = [[0, P_off], [lower, P_own]] (rows off, then
     J's own) and B = P_off by gf.low_reduce (Claim T8), lower from _reduce,
     P the src_plus(I) columns alive at K.a, latest death first, and off
-    the rows of _off_plus at K.a, earliest death first."""
+    the rows of _off_plus at K.a, earliest death first.  _comparison_dims
+    makes it only for a pair whose overlap loses a row of off, after the
+    support check has passed (Claim T10)."""
     ka = max(i.a, j.a)
     cols = ((bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= ka)).nonzero()[0]
     cols = cols[np.argsort(-bm.src_b[cols], kind="stable")]
@@ -201,7 +203,7 @@ def _walk_reduce(bm: BasisMatrix, i: GridInterval, j: GridInterval, lower: np.nd
     k, nf = len(lower), len(off)
     at = gf.zeros(k + len(cols), nf + p_own.shape[1])  # one row per column of A
     at[:k, nf:], at[k:, :nf], at[k:, nf:] = lower, p_off, p_own
-    return _Walk(plus, bm.src_a[cols], bm.src_b[cols], bm.tgt_b[off], k,
+    return _Walk(plus, bm.src_b[cols], bm.tgt_b[off], k,
                  gf.low_reduce(at, bm.p), gf.low_reduce(p_off, bm.p))
 
 
@@ -229,14 +231,15 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     left small_t = big_t n W_t^-1(small_{t+1}).  Let C_t : W(t) -> W(K.b)
     be the composite of structure maps.  P_t are the src_plus(I) columns
     alive at t, off_t = _off_plus at t, and upper_t = P_t ker P_t off_t,
-    y_plus at t (Claim T2).  Before it walks, it checks that each column
-    of P that dies at a t in [K.a, K.b) is zero on every row that outlives
-    it, so that W_t carries upper_t into upper_{t+1} (Claim T9), on which
-    the walk rests (Claim T7); a column that fails raises InvariantError
-    naming the pair, the column's bar and t, and the row's bar.  Each step
-    left to t from t+1 then checks, naming the pair and t+1, that the dims
-    do not fall toward K.b (Claim T11): given the containment the carried
-    spaces are nested, so this guards _dim_at.
+    y_plus at t (Claim T2).  Before any reduction, it checks off M alone
+    that each column of P that dies at a t in [K.a, K.b) is zero on every
+    row that outlives it, so that W_t carries upper_t into upper_{t+1}
+    (Claim T9), on which the walk rests (Claim T7); a column that fails
+    raises InvariantError naming the pair, the column's bar and t, and the
+    row's bar.  Only a pair whose overlap loses a row of off then walks
+    (Claim T10).  Each step left to t from t+1 checks, naming the pair and
+    t+1, that the dims do not fall toward K.b (Claim T11): given the
+    containment the carried spaces are nested, so this guards _dim_at.
 
     Claim T7 (the walk telescopes).  If W_t carries big_t into big_{t+1}
     for every t < K.b, the module is injective and
@@ -272,8 +275,10 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     Claim T9 (the support check).  On the step left to t-1 from t, let D
     be the columns of P_{t-1} dying at t-1, the rest of it past its
     prefix P_t (Claim T8).  If D is zero on the rows alive at t, then
-    W_{t-1} carries upper_{t-1} into upper_t.  On every M that
-    _check_support passed, D is zero on every row that outlives it.
+    W_{t-1} carries upper_{t-1} into upper_t.  The check reads every such
+    D of K, the columns of P dying in [K.a, K.b), off M and no reduction,
+    against the rows that outlive each; on every M that _check_support
+    passed, it passes.
     Proof.  Take x in ker P_{t-1} off_{t-1}, split into y on P_t and z on
     D, so P_{t-1} x = P_t y + D z.  W_{t-1} carries P_{t-1} x to its rows
     alive at t, those born at t being 0 in it (Claim M1), and there D z is
@@ -285,20 +290,20 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     from a morphism or a shift, so a column dying at t-1 is zero on every
     row h with h.b > t-1: the check can fail only on an M off its support.
 
-    Claim T10 (a walk that loses no generator).  If no column of P and no
-    row of off dies at a t in [K.a, K.b) (K.a = K.b among them), then
-    dims[t] = entry at every t of K, and a walk that reads no reduction
-    skips no check that can fail.
-    Proof.  P_t = P and off_t = off at every t of K, both as at K.b: a
-    column of P read at t and not at K.b dies in [t, K.b), and so does a
-    row of _off_plus at t not in _off_plus at K.b, as K.b <= J.b leaves it
-    h.a > J.a.  So every count of the walk reads the same blocks, and
-    dims[t] = dim (L_S + P own ker P off) - dim L_S, which is
-    dim L_P - dim L_S as S lies in P: the m entry, by Claim T4.  This is
-    linear algebra on M, so it holds on an M off its support too.  No
-    column of P dies in K, so the support check has none to read
-    (Claim T9), and the check that the dims do not fall would compare
-    equal counts.
+    Claim T10 (a walk that loses no row of off).  Once the support check
+    has passed, if no row of off dies at a t in [K.a, K.b) (K.a = K.b
+    among them), then dims[t] = entry at every t of K, and a walk that
+    reads no reduction skips no check that can fail.
+    Proof.  A row of _off_plus at t not in _off_plus at K.b dies in
+    [t, K.b), as K.b <= J.b leaves it h.a > J.a, so off_t is off at K.b
+    at every t of K.  A column g of P_t not in P_{K.b} dies in [t, K.b),
+    so the check has read it: it is zero on every row h with h.b > g.b,
+    J's own rows (J.b >= K.b) and the rows of off_t (h.b >= K.b) among
+    them.  So such columns add nothing to P_t own ker P_t off_t, which is
+    P own ker P off at K.b, and dims[t] = dim (L_S + P own ker P off)
+    - dim L_S, which is dim L_P - dim L_S as S lies in P: by Claim T4, the
+    m entry.  The check that the dims do not fall would compare equal
+    counts.
 
     Claim T11 (the bars of an injective module zero after K.b).  A module
     zero outside K whose maps along K are injective has nondecreasing
@@ -309,18 +314,17 @@ def _comparison_dims(bm: BasisMatrix, i: GridInterval, j: GridInterval, entry: i
     is alive at s, and the bars born at s number dims[s] - dims[s-1].
     """
     ka, kb = max(i.a, j.a), min(i.b, j.b)
-    if not (((bm.src_a <= i.a) & (bm.src_b >= ka) & (bm.src_b < kb)).any()
-            or ((bm.tgt_a > j.a) & (bm.tgt_b >= ka) & (bm.tgt_b < kb)).any()):
-        return [entry] * (kb - ka + 1)  # no generator dies in K (Claim T10)
+    dying = ((bm.src_a <= i.a) & (bm.src_b >= ka) & (bm.src_b < kb)).nonzero()[0]
+    if len(dying):  # each is zero on every row that outlives it (Claim T9)
+        cols, rows = ((bm.m[:, dying].T != 0) & (bm.tgt_b > bm.src_b[dying, None])).nonzero()
+        if len(cols):
+            c, r = dying[cols[0]], rows[0]
+            raise InvariantError(
+                f"M is off its support: column [{bm.src_a[c]},{bm.src_b[c]}] of ({i},{j}),"
+                f" dying at t={bm.src_b[c]}, is nonzero on row [{bm.tgt_a[r]},{bm.tgt_b[r]}]")
+    if not ((bm.tgt_a > j.a) & (bm.tgt_b >= ka) & (bm.tgt_b < kb)).any():
+        return [entry] * (kb - ka + 1)  # no row of off dies in K (Claim T10)
     walk = _walk_reduce(bm, i, j, lower)
-    n = _prefixes(walk, kb)[0]  # P_{K.b}: the columns of P past it die in K
-    # each is zero on every row that outlives it (Claim T9)
-    cols, rows = ((walk.plus[:, n:].T != 0) & (bm.tgt_b > walk.dies[n:, None])).nonzero()
-    if len(cols):
-        c, r = n + cols[0], rows[0]
-        raise InvariantError(
-            f"M is off its support: column [{walk.starts[c]},{walk.dies[c]}] of ({i},{j}),"
-            f" dying at t={walk.dies[c]}, is nonzero on row [{bm.tgt_a[r]},{bm.tgt_b[r]}]")
     dims = [entry]
     for t in range(kb - 1, ka - 1, -1):
         d = _dim_at(walk, *_prefixes(walk, t))

@@ -1177,18 +1177,22 @@ def pair_file(tmp_path):
     return str(path)
 
 
-def test_a_walk_that_loses_no_generator_reads_no_pair_reduction(pair_file, capsys,
-                                                                 monkeypatch):
+def test_a_walk_that_loses_no_generator_reads_no_pair_reduction(pair_file, dying_pair_file,
+                                                                 capsys, monkeypatch):
     # Along K = [2,3] of both of the pair file's walked pairs no source
     # generator of src_plus(I) and no target generator off tgt_plus(J)
     # dies, so each comparison module is its m entry at t = 2 and 3, read
-    # with no pair reduction.
+    # with no pair reduction.  So is that of the dying pair file's one
+    # nonzero pair, which loses a column of src_plus(I), zero on every row
+    # that outlives it, but no target generator off tgt_plus(J)
+    # (Claim T10).
     argvs = [["match", pair_file, "--method", "g", "--eps", eps] for eps in ("0", "1")]
+    argvs.append(["match", dying_pair_file, "--method", "g"])
     want = [run_cli(capsys, *argv) for argv in argvs]
     assert all(code == 0 for code, _, _ in want)
 
     def refused(*args):
-        raise RuntimeError("a walk that loses no generator read a pair reduction")
+        raise RuntimeError("a walk that loses no row off tgt_plus(J) read a pair reduction")
 
     monkeypatch.setattr(matching, "_walk_reduce", refused)
     assert [run_cli(capsys, *argv) for argv in argvs] == want
@@ -1199,7 +1203,7 @@ def dying_pair_file(tmp_path):
     """k[1,2] + k[2,3] -> k[1,3] + k[1,2] over GF(2), with [1,2] sent to
     [1,2] and [2,3] to the sum of both target generators: the pair
     ([2,3], [1,3]) counts 1, and along K = [2,3] the src_plus column
-    [1,2] dies at t = 2, so its walk reads a pair reduction."""
+    [1,2] dies at t = 2, but no target generator off tgt_plus([1,3])."""
     source = modules.PersistenceModule(2, (1, 2, 1), [[[1], [0]], [[0, 1]]])
     target = modules.PersistenceModule(2, (2, 2, 1), [gf.identity(2), [[1, 0]]])
     f = modules.Morphism(source, target, [[[0], [1]], [[0, 1], [1, 1]], [[1]]]).validate()
@@ -1208,9 +1212,22 @@ def dying_pair_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def off_row_pair_file(tmp_path):
+    """The bar form of k[2,3] -> k[1,3] + k[2,2] over GF(2) sending [2,3]
+    to the sum of both target bars: the pair ([2,3], [1,3]) counts 1, and
+    along K = [2,3] the target bar [2,2], off tgt_plus([1,3]), dies at
+    t = 2, so its walk reads a pair reduction; its g entry is [3,3]."""
+    iv = modules.GridInterval
+    f = modules.morphism_from_bars(3, 2, [iv(2, 3)], [iv(1, 3), iv(2, 2)], [[1], [1]])
+    path = tmp_path / "off-row-pair.json"
+    write_morphism(f, path)
+    return str(path)
+
+
 def _dim_at_grows_leftward():
     """A matching._dim_at that counts 2 at every step t < K.b: the walk of
-    ([2,3], [1,3]), the dying pair file's one walked pair, counts 1 at
+    ([2,3], [1,3]), the off-row pair file's one walked pair, counts 1 at
     t = 3 off its group's reduction, and then 2 at t = 2."""
     return lambda *args: 2
 
@@ -1223,7 +1240,7 @@ def _pairs_count_5():
 
 
 @pytest.mark.parametrize("file, owner, attr, make_fake, argv, message", [
-    pytest.param("dying_pair_file", matching, "_dim_at", _dim_at_grows_leftward,
+    pytest.param("off_row_pair_file", matching, "_dim_at", _dim_at_grows_leftward,
                  ["match", "--method", "g"],
                  "comparison module of ([2,3],[1,3]) shrinks from 2 to 1 at t=3",
                  id="_dim_at-grows-leftward"),

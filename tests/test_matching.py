@@ -275,15 +275,16 @@ def test_witness_trips_where_a_column_dies_below_the_shared_death():
         matching.g_table(bm)
 
 
-# The support check (Claim T9) on the walks of g_table: none trips on an M
-# that basis_matrix or a shift built, and each trips, at t and naming the
+# The support check (Claim T9) on the nonzero pairs of g_table, walked or
+# not, as it runs before any reduction: none trips on an M that
+# basis_matrix or a shift built, and each trips, at t and naming the
 # column and the row, on that M with one entry moved off its support: a
 # column of P dying at a t in [K.a, K.b) made nonzero on a row that
 # outlives it.
 
 
 def assert_support_check_trips_off_the_support(bm):
-    """The above for every pair g_table walks in every block of bm.
+    """The above for every nonzero pair of g_table in every block of bm.
     Returns the number of entries moved."""
     moved = 0
     for block, i, j, entry, lower in matching._pairs(bm):
@@ -333,23 +334,19 @@ def test_support_check_property_moves_entries():
 
 
 # Referee: the comparison module by the subspace walk in W(t), against its
-# dims read off M.  Every pair that loses a column of P inside K walks
-# again on an M whose last such column, dying at t0, is made a unit
+# dims read off M.  Every pair that loses a column of P inside K is read
+# again off an M whose last such column, dying at t0, is made a unit
 # vector on a row of J's own, alive at t0 + 1: M is then off its support
 # there, so the support check must trip at t0, on J's row.  A pair whose
-# overlap loses no generator reads no pair reduction at all.
+# overlap loses no row alive outside tgt_plus(J) reads no pair reduction
+# at all.
 
 
-def loses_generator(bm, i, j):
-    """Whether a src_plus(I) column or a row alive outside tgt_plus(J)
-    read at K.a is not read at K.b: a generator of the walk of (I, J)
-    dies inside its overlap K."""
+def loses_off_row(bm, i, j):
+    """Whether a row alive outside tgt_plus(J) read at K.a is not read at
+    K.b: a row of off of the walk of (I, J) dies inside its overlap K."""
     ka, kb = max(i.a, j.a), min(i.b, j.b)
-
-    def plus(t):
-        return (bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)
-    return bool((plus(ka) != plus(kb)).any()
-                or (ref_off_plus(bm, j, ka) != ref_off_plus(bm, j, kb)).any())
+    return bool((ref_off_plus(bm, j, ka) != ref_off_plus(bm, j, kb)).any())
 
 
 def last_p_death(bm, i, j):
@@ -360,23 +357,19 @@ def last_p_death(bm, i, j):
 
 
 def _refused(*args):
-    raise AssertionError("a walk that loses no generator read a pair reduction")
+    raise AssertionError("a walk that loses no row of off read a pair reduction")
 
 
-def _dying_column_on_own_row(t0):
-    """matching._walk_reduce on an M whose last src_plus(I) column to die
-    at t0, the last of them in the walk's P, is the unit vector of J's
-    first own row, alive at t0 + 1 as J.b >= K.b > t0."""
-    walk_reduce = matching._walk_reduce
-
-    def broken(bm, i, j, lower):
-        c = np.flatnonzero((bm.src_a <= i.a) & (bm.src_b == t0))[-1]
-        r = np.flatnonzero((bm.tgt_a == j.a) & (bm.tgt_b == j.b))[0]
-        m = bm.m.copy()
-        m[:, c] = 0
-        m[r, c] = 1
-        return walk_reduce(dataclasses.replace(bm, m=m), i, j, lower)
-    return broken
+def dying_column_on_own_row(bm, i, j, t0):
+    """bm with its last src_plus(I) column to die at t0 made the unit
+    vector of J's first own row, alive at t0 + 1 as J.b >= K.b > t0.  The
+    column is not alive at K.b, so the reduction there does not read it."""
+    c = np.flatnonzero((bm.src_a <= i.a) & (bm.src_b == t0))[-1]
+    r = np.flatnonzero((bm.tgt_a == j.a) & (bm.tgt_b == j.b))[0]
+    m = bm.m.copy()
+    m[:, c] = 0
+    m[r, c] = 1
+    return dataclasses.replace(bm, m=m)
 
 
 def assert_comparison_modules_match_referee(f):
@@ -390,16 +383,15 @@ def assert_comparison_modules_match_referee(f):
             ref = quotients.ref_x_module(f, i, j)
             assert x_module(f, i, j).module.dims == ref.module.dims, ("dims", i, j)
             assert table.get(i, j) == barcode(ref.module), ("g", i, j)
-            t0 = last_p_death(bm, i, j)
-            if not loses_generator(bm, i, j):
+            if not loses_off_row(bm, i, j):
                 with mock.patch.object(matching, "_walk_reduce", _refused):
                     dims = lib_dims(bm, i, j)
                 assert dims == [ref.module.dim(t) for t in range(k.b, k.a - 1, -1)], ("dims", i, j)
-            elif t0 is not None:
-                with mock.patch.object(matching, "_walk_reduce", _dying_column_on_own_row(t0)), \
-                        pytest.raises(InvariantError,
-                                      match=rf"dying at t={t0}, is nonzero on row \[{j.a},{j.b}\]$"):
-                    lib_dims(bm, i, j)
+            t0 = last_p_death(bm, i, j)
+            if t0 is not None:
+                with pytest.raises(InvariantError,
+                                   match=rf"dying at t={t0}, is nonzero on row \[{j.a},{j.b}\]$"):
+                    lib_dims(dying_column_on_own_row(bm, i, j, t0), i, j)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -559,10 +551,11 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
     # counts 0 with no reduction (Claim T12).  A reduction counts the
     # pairs at K.b.  m stops there and makes no pair reduction
     # (_walk_reduce); g walks on along K, |K| - 1 steps more, only where
-    # the count at K.b is nonzero and a generator of the walk dies inside
+    # the count at K.b is nonzero and a row of the walk's off dies inside
     # K, and reads every step off the two reductions of one _walk_reduce
     # per such pair, not one per step.  A nonzero pair whose overlap
-    # loses no generator (kept) makes no pair reduction.
+    # loses no row of off (kept) makes no pair reduction, whatever
+    # columns of P it loses.
     f = direct_sum_morphism(random_ladder(6, 4, 2, 11), random_ladder(6, 4, 2, 12))
     calls = Counter()
 
@@ -589,7 +582,7 @@ def test_each_table_reads_only_the_positions_it_needs(monkeypatch):
                         if i.a <= fills.get(j, i.a):
                             reduced.add((k, j, i.a))
                         if counts.get(i, j) and i.intersect(j).length:
-                            if loses_generator(block, i, j):
+                            if loses_off_row(block, i, j):
                                 walked += 1
                                 more += i.intersect(j).length
                             else:
@@ -859,10 +852,10 @@ def test_walk_referee_covers_repeated_bars_on_both_sides():
 
 def test_walk_referee_covers_pairs_that_walk_and_pairs_that_lose_nothing(monkeypatch):
     # The property above compares with the referee walk both the pairs
-    # whose overlap loses a generator, which walk, and the pairs that lose
-    # none, which read their m entry at every t of K with no pair
-    # reduction, some of them nonzero.  A pair walks exactly where it
-    # loses a generator on the whole of M.
+    # whose overlap loses a row of off, which walk, and the pairs that
+    # lose none, which read their m entry at every t of K with no pair
+    # reduction, some of them nonzero and losing a column of P.  A pair
+    # walks exactly where it loses a row of off on the whole of M.
     bm = basis_matrix(bar_pair_morphism(6, 10, 4, 2, 3))
     walked = set()
     real_walk_reduce = matching._walk_reduce
@@ -876,9 +869,10 @@ def test_walk_referee_covers_pairs_that_walk_and_pairs_that_lose_nothing(monkeyp
     overlaps = [(i, j) for i in matching._bars(bm.src_a, bm.src_b)
                 for j in matching._bars(bm.tgt_a, bm.tgt_b)
                 if hom_exists(i, j) and i.intersect(j).length]
-    assert walked == {(i, j) for i, j in overlaps if loses_generator(bm, i, j)}
+    assert walked == {(i, j) for i, j in overlaps if loses_off_row(bm, i, j)}
     kept = [(i, j) for i, j in overlaps if (i, j) not in walked]
-    assert walked and any(lib_dims(bm, i, j)[0] for i, j in kept)
+    assert walked and any(lib_dims(bm, i, j)[0] and last_p_death(bm, i, j) is not None
+                          for i, j in kept)
 
 
 # Referee: the walk with y_plus at t as P_t N_t by product (ref_upper), a
@@ -1066,11 +1060,11 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     # m reduces one Q per (J, I.a) of the hom pairs of the one block, up
     # to the first start whose Q spans J's own rows (Claim T12): 72 of the
     # 200 groups.  It makes no rref; g makes those reductions, then two
-    # more per nonzero pair with K.a < K.b, off which it reads every step
-    # t < K.b: no rref, no null basis and no product, not even at the 173
-    # steps that lose a column of P, which the support check reads off P
-    # (Claim T9).  One nonzero pair loses no generator along its overlap
-    # and makes no reduction.
+    # more per nonzero pair whose overlap loses a row of off, off which it
+    # reads every step t < K.b: no rref, no null basis and no product, not
+    # even at the 173 steps that lose a column of P, which the support
+    # check reads off M (Claim T9).  The 12 nonzero pairs that lose no row
+    # of off along their overlaps make no reduction (Claim T10).
     bm = basis_matrix(bar_pair_morphism(20, 50, 10, 2))
     [block] = bm.blocks()
     pairs = [(i, j) for i in matching._bars(block.src_a, block.src_b)
@@ -1091,13 +1085,13 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     matching.g_table(bm)
     overlaps = [(i, j) for (i, j), _ in m_table.items() if i.intersect(j).length]
     steps = sum(i.intersect(j).length for i, j in overlaps)
-    walked = sum(loses_generator(block, i, j) for i, j in overlaps)
+    walked = sum(loses_off_row(block, i, j) for i, j in overlaps)
     plus = [block.src_b[(block.src_a <= i.a) & (block.src_b <= i.b)] for i, j in overlaps]
     dying = sum(len(set(ends[(ends >= k.a) & (ends < k.b)].tolist()))
                 for ends, k in zip(plus, (i.intersect(j) for i, j in overlaps)))
-    assert (len(overlaps), walked, steps) == (36, 35, 215)
+    assert (len(overlaps), walked, steps) == (36, 24, 215)
     assert calls.keys() == {"low_reduce"}
-    assert calls["low_reduce"] == 72 + 2 * walked == 142
+    assert calls["low_reduce"] == 72 + 2 * walked == 120
     assert calls["matmul"] == 0 < dying == 173 < steps
 
 
