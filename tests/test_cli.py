@@ -103,10 +103,24 @@ def test_barcode_zero_module(tmp_path, capsys):
     }
 
 
-def test_barcode_ascii(ref_file, capsys):
+def test_barcode_ascii(ref_file, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--format", "ascii", "barcode", ref_file)
     assert code == 0
-    assert "[2,3]_1" in out and "█" in out
+    assert out == (
+        "source:\n  [2,3]_1    ·██\n  [2,2]_1    ·█·\n"
+        "target:\n  [1,2]_1    ██·\n"
+        "image:\n  [2,2]_1    ·█·\n"
+    )
+    # A side with no bar, and so no image, gets an (empty) panel.
+    path = tmp_path / "no_source.json"
+    write_morphism(from_code(LadderCode((1, 1, 0), (0, 0, 0))), path)
+    code, out, _ = run_cli(capsys, "--format", "ascii", "barcode", str(path))
+    assert code == 0
+    assert out == (
+        "source:\n  (empty)\n"
+        "target:\n  [1,2]_1    ██·\n"
+        "image:\n  (empty)\n"
+    )
 
 
 def test_malformed_file_exits_2(tmp_path, capsys):
@@ -327,6 +341,13 @@ def test_unknown_method_exits_4(ref_file, capsys):
 def test_usage_error_exits_4(capsys):
     code, _, err = run_cli(capsys, "match")  # missing file
     assert code == 4
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["match", "--help"]], ids=["top", "match"])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: indumatch ")
 
 
 def test_parser_reused_after_usage_error(ref_file, capsys):
@@ -767,11 +788,16 @@ def test_random_output_is_always_loadable(tmp_path, capsys):
     assert code == 4 and "work bound" in err
 
 
-def test_match_counts_ascii_table(thick_file, capsys):
+def test_match_counts_ascii_table(thick_file, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--format", "ascii", "match", thick_file,
                            "--method", "m")
     assert code == 0
     assert "→" in out and "x1" in out
+    # A morphism whose m table is empty: the source has no bar.
+    path = tmp_path / "no_source.json"
+    write_morphism(from_code(LadderCode((1, 1, 0), (0, 0, 0))), path)
+    assert run_cli(capsys, "--format", "ascii", "match", str(path), "--method", "m") \
+        == (0, "(empty matching)\n", "")
 
 
 def test_random_respects_env_seed(capsys, monkeypatch):

@@ -177,3 +177,41 @@ def test_non_integer_matrix_entry_exits_2(reference_ladder, tmp_path, capsys, ba
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"parse error: {label}[{k}] must be an integer array\n"
+
+
+# The reference ladder's matrix lists: their required length, and the
+# message for one more entry in the first nonempty matrix of each.
+LIST_ERRORS = {
+    "morphism": ("morphism must be an array of length n=3",
+                 1, "morphism[1]: expected 1x2 = 2 entries, got 3"),
+    "source.maps": ("source.maps must be an array of length n-1=2",
+                    1, "source.maps[1]: expected 1x2 = 2 entries, got 3"),
+    "target.maps": ("target.maps must be an array of length n-1=2",
+                    0, "target.maps[0]: expected 1x1 = 1 entries, got 2"),
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "short", "long", "not-a-list", "entry-count"])
+@pytest.mark.parametrize("where", sorted(LIST_ERRORS))
+def test_malformed_matrix_list_exits_2(reference_ladder, tmp_path, capsys, where, fault):
+    obj = morphism_to_dict(reference_ladder)
+    holder, key = (obj, "morphism") if where == "morphism" else \
+        (obj[where.split(".")[0]], "maps")
+    length_msg, k, count_msg = LIST_ERRORS[where]
+    if fault == "missing":
+        del holder[key]
+    elif fault == "short":
+        holder[key].pop()
+    elif fault == "long":
+        holder[key].append([])
+    elif fault == "not-a-list":
+        holder[key] = {}
+    else:
+        holder[key][k].append(0)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["barcode", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    msg = count_msg if fault == "entry-count" else length_msg
+    assert captured.err == f"parse error: {msg}\n"
