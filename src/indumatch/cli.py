@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: barcode, match, sum, catalog, random.  Reports are JSON
-with sorted keys (byte-deterministic given the same file and flags) or
-an ASCII bar rendering.  Every report (the three barcodes, the tables
+Subcommands: barcode, match, sum, catalog, random.  A report is built
+once as objects (the barcodes, a table, chi's unmatched source bars) and
+rendered from them, as JSON with sorted keys (byte-deterministic given
+the same file and flags) or as ASCII bars; only the JSON writers know
+the report schema.  Every report (the three barcodes, the tables
 and chi) reads one matrix M between the persistence bases of the
 morphism's ends, whose columns and rows carry the source and target
 bars.  match --eps shifts M alone (BasisMatrix.shift), so it builds
@@ -36,7 +38,6 @@ from .ladders import CATALOG_CODES, from_code, random_ladder
 from .matching import g_table, m_table
 from .modules import (
     Barcode,
-    GridInterval,
     InvariantError,
     Morphism,
     ValidationError,
@@ -111,6 +112,10 @@ def _barcode_json(bc: Barcode) -> list[dict]:
     ]
 
 
+def _indexed_bar_json(iv, index: int) -> dict:
+    return {"interval": _interval_json(iv), "index": index}
+
+
 def _emit(payload: dict) -> int:
     sys.stdout.write(serial.dumps_canonical(payload))
     return EXIT_OK
@@ -118,24 +123,17 @@ def _emit(payload: dict) -> int:
 
 # ---------------------------------------------------------------------------
 # ASCII rendering: one character column per grid position, a full block
-# over the support of each indexed bar.
+# over the support of each indexed bar.  It reads the report objects, as
+# the JSON writers do; GridInterval prints as [a,b].
 
 
 def _bar_row(iv, n: int) -> str:
     return "".join("█" if iv.contains(t) else "·" for t in range(1, n + 1))
 
 
-def _bar_label(iv, idx: int) -> str:
-    return f"[{iv.a},{iv.b}]_{idx}"
-
-
 def _render_barcode_panel(title: str, bc: Barcode, n: int) -> list[str]:
-    lines = [f"{title}:"]
-    for iv, idx in bc.rep():
-        lines.append(f"  {_bar_label(iv, idx):<10} {_bar_row(iv, n)}")
-    if not bc.rep():
-        lines.append("  (empty)")
-    return lines
+    lines = [f"  {f'{iv}_{idx}':<10} {_bar_row(iv, n)}" for iv, idx in bc.rep()]
+    return [f"{title}:"] + (lines or ["  (empty)"])
 
 
 def cmd_barcode(f: Morphism, fmt: str) -> int:
@@ -159,8 +157,9 @@ def cmd_barcode(f: Morphism, fmt: str) -> int:
     )
 
 
-def _match_payload(f: Morphism, method: str, eps: int) -> dict:
-    """The JSON payload of match --method method --eps eps on f.
+def _match_report(f: Morphism, method: str, eps: int):
+    """The table of match --method method --eps eps on f, and for chi the
+    indexed source bars it leaves unmatched (for m and g, none).
 
     Every report takes one M, f's or with eps > 0 its shift, so the
     shifted modules are never built.
@@ -168,81 +167,53 @@ def _match_payload(f: Morphism, method: str, eps: int) -> dict:
     bm = modules.basis_matrix(f)
     if eps:
         bm = bm.shift(eps)
-    report = {"m": m_table, "g": g_table, "chi": chi_table}[method](bm)
-    if method == "m":
-        entries = [
-            {"I": _interval_json(i), "J": _interval_json(j), "count": c}
-            for (i, j), c in report.items()
-        ]
-        return {"method": "m", "eps": eps, "entries": entries}
-    if method == "g":
-        entries = [
-            {"I": _interval_json(i), "J": _interval_json(j),
-             "bars": _barcode_json(bc)}
-            for (i, j), bc in report.items()
-        ]
-        return {"method": "g", "eps": eps, "entries": entries}
-    pairs = [
-        {"source": {"interval": _interval_json(i), "index": l},
-         "target": {"interval": _interval_json(j), "index": m}}
-        for (i, l), (j, m) in report.items()
-    ]
-    matched = report.domain()
-    unmatched = [
-        {"interval": _interval_json(iv), "index": l}
-        for iv, l in bm.barcodes[0].rep()
-        if (iv, l) not in matched
-    ]
-    return {"method": "chi", "eps": eps, "pairs": pairs,
-            "unmatched_source": unmatched}
+    table = {"m": m_table, "g": g_table, "chi": chi_table}[method](bm)
+    if method != "chi":
+        return table, []
+    matched = table.domain()
+    return table, [bar for bar in bm.barcodes[0].rep() if bar not in matched]
 
 
-def _render_match_ascii(n: int, payload: dict) -> str:
-    lines = []
-    if payload["method"] in ("m", "g"):
-        for e in payload["entries"]:
-            ia, ib = e["I"]
-            ja, jb = e["J"]
-            left = _bar_row(GridInterval(ia, ib), n)
-            right = _bar_row(GridInterval(ja, jb), n)
-            detail = (
-                f"x{e['count']}" if payload["method"] == "m"
-                else " ".join(
-                    f"[{s},{r}]x{bar['multiplicity']}"
-                    for bar in e["bars"]
-                    for s, r in [bar["interval"]]
-                )
-            )
-            lines.append(
-                f"[{ia},{ib}] {left} → {right} [{ja},{jb}]  {detail}"
-            )
-        if not payload["entries"]:
-            lines.append("(empty matching)")
+def _match_json(method: str, eps: int, table, unmatched) -> dict:
+    """The JSON payload of a match report: the one place its schema lives."""
+    if method == "chi":
+        return {"method": "chi", "eps": eps,
+                "pairs": [{"source": _indexed_bar_json(*s), "target": _indexed_bar_json(*t)}
+                          for s, t in table.items()],
+                "unmatched_source": [_indexed_bar_json(*s) for s in unmatched]}
+    entries = [
+        {"I": _interval_json(i), "J": _interval_json(j),
+         **({"count": v} if method == "m" else {"bars": _barcode_json(v)})}
+        for (i, j), v in table.items()
+    ]
+    return {"method": method, "eps": eps, "entries": entries}
+
+
+def _match_ascii(method: str, n: int, table, unmatched) -> str:
+    """A match report drawn on the grid 1..n: one line per table entry,
+    or per chi pair and unmatched source bar."""
+    if method == "chi":
+        lines = [f"{i}_{l} {_bar_row(i, n)} → {_bar_row(j, n)} {j}_{m}"
+                 for (i, l), (j, m) in table.items()]
+        lines += [f"{i}_{l} {_bar_row(i, n)} → ×" for i, l in unmatched]
     else:
-        for pair in payload["pairs"]:
-            (ia, ib), l = pair["source"]["interval"], pair["source"]["index"]
-            (ja, jb), m = pair["target"]["interval"], pair["target"]["index"]
-            lines.append(
-                f"[{ia},{ib}]_{l} {_bar_row(GridInterval(ia, ib), n)} → "
-                f"{_bar_row(GridInterval(ja, jb), n)} [{ja},{jb}]_{m}"
-            )
-        for bar in payload["unmatched_source"]:
-            (ia, ib), l = bar["interval"], bar["index"]
-            lines.append(
-                f"[{ia},{ib}]_{l} {_bar_row(GridInterval(ia, ib), n)} → ×"
-            )
+        lines = []
+        for (i, j), v in table.items():
+            detail = f"x{v}" if method == "m" else " ".join(f"{iv}x{k}" for iv, k in v.items())
+            lines.append(f"{i} {_bar_row(i, n)} → {_bar_row(j, n)} {j}  {detail}")
+        lines = lines or ["(empty matching)"]
     return "\n".join(lines) + "\n"
 
 
 def cmd_match(f: Morphism, method: str, eps: int, fmt: str) -> int:
     if not 0 <= eps <= f.n - 1:
         raise UsageError(f"--eps must be in 0..{f.n - 1}")
-    payload = _match_payload(f, method, eps)
+    report = _match_report(f, method, eps)
     if fmt == "ascii":
         # The shifted grid is 1..n - eps.
-        sys.stdout.write(_render_match_ascii(f.n - eps, payload))
+        sys.stdout.write(_match_ascii(method, f.n - eps, *report))
         return EXIT_OK
-    return _emit(payload)
+    return _emit(_match_json(method, eps, *report))
 
 
 def cmd_sum(paths: list[str]) -> int:
@@ -334,12 +305,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
         if args.command == "barcode":
             return cmd_barcode(_load(args.file), args.format)
         if args.command == "match":
@@ -349,6 +314,8 @@ def main(argv=None) -> int:
         if args.command == "catalog":
             return cmd_catalog(args.dump, args.prime)
         return cmd_random(args.n, args.max_dim, args.seed, args.prime)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

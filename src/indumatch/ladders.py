@@ -2,13 +2,15 @@
 
 A ladder module is a morphism between two modules on the same grid,
 written as a 2x3 dimension code (upper row = target, lower row =
-source).  Twenty-seven catalog entries are thin (all dimensions 0/1,
-maps identity where both ends are nonzero): the row intervals [a,b] on
-top and [c,d] below joined whenever a <= c <= b <= d, plus the single-row
-ones, each morphism_from_bars of its 0 or 1 bar per row with weight 1.
-The remaining two carry a 2-dimensional middle space: two bars, [1,2]
-and [2,3], on one row, both sent with weight 1 to or from the one bar of
-the other row.
+source).  The catalog is one bar table: each code's source bars, target
+bars and M, its morphism_from_bars, with each row of the code counting
+the bars of that row alive at t.  Twenty-seven entries are thin (all
+dimensions 0/1, maps identity where both ends are nonzero): the row
+intervals [a,b] on top and [c,d] below joined whenever a <= c <= b <= d,
+plus the single-row ones, with 0 or 1 bar per row and weight 1.  The
+remaining two carry a 2-dimensional middle space: two bars, [1,2] and
+[2,3], on one row, both sent with weight 1 to or from the one bar of the
+other row.  The table also holds ZERO_CODE, which has no bar.
 """
 
 from __future__ import annotations
@@ -40,56 +42,44 @@ class LadderCode:
         return f"{u}/{l}"
 
 
-def _row_code(iv: GridInterval | None) -> tuple[int, int, int]:
-    return tuple(1 if iv is not None and iv.contains(t) else 0 for t in (1, 2, 3))
+def _row_code(bars: list[GridInterval]) -> tuple[int, int, int]:
+    """A row of a code: the number of its bars alive at each t."""
+    return tuple(sum(iv.contains(t) for iv in bars) for t in (1, 2, 3))
 
 
-def _thin_codes() -> list[LadderCode]:
-    intervals = [GridInterval(a, b) for a in (1, 2, 3) for b in range(a, 4)]
-    codes = []
-    for iv in intervals:
-        codes.append(LadderCode(_row_code(iv), _row_code(None)))
-        codes.append(LadderCode(_row_code(None), _row_code(iv)))
-    for up in intervals:
-        for lo in intervals:
-            if hom_exists(lo, up):
-                codes.append(LadderCode(_row_code(up), _row_code(lo)))
-    return sorted(codes, key=lambda c: (c.upper, c.lower))
+def _entry(src: list[GridInterval], tgt: list[GridInterval], m) -> tuple:
+    """A catalog entry, its code and (source bars, target bars, M)."""
+    return LadderCode(_row_code(tgt), _row_code(src)), (src, tgt, m)
 
 
-THIN_CODES: tuple[LadderCode, ...] = tuple(_thin_codes())
+def _thin(src: list[GridInterval], tgt: list[GridInterval]) -> tuple:
+    """A thin entry: 0 or 1 bar a row, joined with weight 1."""
+    return _entry(src, tgt, np.ones((len(tgt), len(src)), np.int64))
 
-# The source bars, target bars and M of each thick code.
-_THICK_BARS = {
-    LadderCode((1, 2, 1), (0, 1, 1)): ([GridInterval(2, 3)],
-                                       [GridInterval(1, 2), GridInterval(2, 3)], [[1], [1]]),
-    LadderCode((1, 1, 0), (1, 2, 1)): ([GridInterval(1, 2), GridInterval(2, 3)],
-                                       [GridInterval(1, 2)], [[1, 1]]),
-}
-THICK_CODES: tuple[LadderCode, ...] = tuple(_THICK_BARS)
+
+_INTERVALS = [GridInterval(a, b) for a in (1, 2, 3) for b in range(a, 4)]
+
+# The one bar table, keyed by code: the thin codes, the thick ones and
+# the zero code.
+_BARS = dict(
+    [_thin([], [iv]) for iv in _INTERVALS] + [_thin([iv], []) for iv in _INTERVALS]
+    + [_thin([lo], [up]) for up in _INTERVALS for lo in _INTERVALS if hom_exists(lo, up)]
+    + [_entry([GridInterval(2, 3)], [GridInterval(1, 2), GridInterval(2, 3)], [[1], [1]]),
+       _entry([GridInterval(1, 2), GridInterval(2, 3)], [GridInterval(1, 2)], [[1, 1]]),
+       _thin([], [])]
+)
+
+THIN_CODES: tuple[LadderCode, ...] = tuple(sorted(
+    (c for c in _BARS if max(c.upper + c.lower) == 1), key=lambda c: (c.upper, c.lower)))
+THICK_CODES: tuple[LadderCode, ...] = tuple(c for c in _BARS if max(c.upper + c.lower) == 2)
 CATALOG_CODES: tuple[LadderCode, ...] = THIN_CODES + THICK_CODES
-
-
-def _thin_morphism(code: LadderCode, p: int) -> Morphism:
-    """A thin code's rows, 0 or 1 bar each, joined with weight 1."""
-    lower, upper = _row_bars(code.lower), _row_bars(code.upper)
-    return morphism_from_bars(3, p, lower, upper, np.ones((len(upper), len(lower)), np.int64))
-
-
-def _row_bars(bits: tuple[int, int, int]) -> list[GridInterval]:
-    support = [t for t in (1, 2, 3) if bits[t - 1]]
-    return [GridInterval(min(support), max(support))] if support else []
-
-
 ZERO_CODE = LadderCode((0, 0, 0), (0, 0, 0))
 
 
 def from_code(code: LadderCode, p: int = 2) -> Morphism:
-    if code in THICK_CODES:
-        return morphism_from_bars(3, p, *_THICK_BARS[code]).validate()
-    if code in THIN_CODES or code == ZERO_CODE:
-        return _thin_morphism(code, p).validate()
-    raise ValueError(f"unknown ladder code {code}")
+    if code not in _BARS:
+        raise ValueError(f"unknown ladder code {code}")
+    return morphism_from_bars(3, p, *_BARS[code]).validate()
 
 
 def enumerate_catalog(p: int = 2) -> list[Morphism]:

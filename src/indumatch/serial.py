@@ -128,16 +128,20 @@ def _dims(obj, n: int, what: str) -> list[int]:
     return dims
 
 
-def _module_from_dict(obj, dims: list[int], p: int, what: str) -> PersistenceModule:
-    n = len(dims)
-    maps = obj.get("maps")
-    _expect(isinstance(maps, list) and len(maps) == n - 1,
-            f"{what}.maps must be an array of length n-1={n - 1}")
-    mats = []
-    for t, flat in enumerate(maps, start=1):
-        entries = _int_list(flat, f"{what}.maps[{t - 1}] must be an integer array")
-        mats.append(_reshape(entries, dims[t], dims[t - 1], p, f"{what}.maps[{t - 1}]"))
-    return PersistenceModule(p, dims, mats)
+def _matrices(value, shapes: list[tuple[int, int]], length: str, p: int,
+              what: str) -> list[np.ndarray]:
+    """The list of matrices at what, a module's maps or the morphism: one
+    per shape, with length naming their number in the message."""
+    _expect(isinstance(value, list) and len(value) == len(shapes),
+            f"{what} must be an array of length {length}={len(shapes)}")
+    return [_reshape(_int_list(flat, f"{what}[{k}] must be an integer array"),
+                     rows, cols, p, f"{what}[{k}]")
+            for k, (flat, (rows, cols)) in enumerate(zip(value, shapes))]
+
+
+def _module_from_dict(obj: dict, dims: list[int], p: int, what: str) -> PersistenceModule:
+    shapes = list(zip(dims[1:], dims))
+    return PersistenceModule(p, dims, _matrices(obj.get("maps"), shapes, "n-1", p, f"{what}.maps"))
 
 
 def morphism_from_dict(obj) -> Morphism:
@@ -157,17 +161,8 @@ def morphism_from_dict(obj) -> Morphism:
     _expect(problem is None, problem)
     source = _module_from_dict(obj["source"], src_dims, p, "source")
     target = _module_from_dict(obj["target"], dst_dims, p, "target")
-    comps = obj.get("morphism")
-    _expect(isinstance(comps, list) and len(comps) == n,
-            f"morphism must be an array of length n={n}")
-    mats = []
-    for t, flat in enumerate(comps, start=1):
-        entries = _int_list(flat, f"morphism[{t - 1}] must be an integer array")
-        mats.append(
-            _reshape(entries, target.dims[t - 1], source.dims[t - 1], p,
-                     f"morphism[{t - 1}]")
-        )
-    return Morphism(source, target, mats)
+    comps = _matrices(obj.get("morphism"), list(zip(dst_dims, src_dims)), "n", p, "morphism")
+    return Morphism(source, target, comps)
 
 
 @functools.cache

@@ -323,11 +323,22 @@ def test_match_with_shift(wide_file, capsys):
     ]
 
 
-def test_match_ascii(ref_file, capsys):
+def test_match_ascii(ref_file, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--format", "ascii", "match", ref_file,
                            "--method", "chi")
     assert code == 0
     assert "→" in out and "×" in out
+    assert out == "[2,3]_1 ·██ → ██· [1,2]_1\n[2,2]_1 ·█· → ×\n"
+    # A g entry with two bars lists them space-separated.
+    path = tmp_path / "two_bar_entry.json"
+    write_morphism(bar_pair_morphism(3, 7, 3, 2, seed=4), path)
+    code, out, _ = run_cli(capsys, "--format", "ascii", "match", str(path), "--method", "g")
+    assert code == 0
+    assert out == (
+        "[1,1] █·· → █·· [1,1]  [1,1]x1\n"
+        "[2,3] ·██ → ███ [1,3]  [2,3]x1 [3,3]x1\n"
+        "[2,2] ·█· → ·█· [2,2]  [2,2]x1\n"
+    )
 
 
 def test_unknown_method_exits_4(ref_file, capsys):

@@ -521,7 +521,8 @@ def _cli_tables(f):
     """What the CLI reports on f, with and without the shift by one."""
     out = [barcode(f.source), barcode(f.target), image_barcode(f)]
     for eps in range(min(f.n, 2)):
-        out += [cli._match_payload(f, method, eps) for method in ("m", "g", "chi")]
+        out += [cli._match_json(method, eps, *cli._match_report(f, method, eps))
+                for method in ("m", "g", "chi")]
     return out
 
 
