@@ -12,16 +12,19 @@ births and deaths, the rows of each newborn unit vector, and per death
 the older survivors added to the dying generators (Claim M2).  A
 morphism f is read off the persistence bases of its two ends as one
 matrix M, a BasisMatrix (Claim M1), the only thing a morphism caches
-and what every report takes; a module caches nothing.  basis_matrix
-builds every M from the records of the sweeps of f's two ends, and no
-basis is built: the replay of a sweep's record into B_1, ..., B_n
-(oracle.persistence_basis) is a referee.  M carries the bars of its rows
-and columns, the target and source barcodes (M.barcodes, built once per
-M), so the image barcode is read off M alone (M.image_barcode()), and
-the shift functor is one operation on M (M.shift(eps)) that builds no
-module.  The image factorization and the composite maps are referees
-that no command runs, kept here because the benchmark reads them here;
-the other referees are in oracle.py.
+and what every report takes; a module caches nothing.  A BasisMatrix is
+on its support by construction: its constructor alone refuses a nonzero
+entry on a pair of bars with no nonzero map between them, and no reader
+checks that again.  basis_matrix builds every M from the records of the
+sweeps of f's two ends, and no basis is built: the replay of a sweep's
+record into B_1, ..., B_n (oracle.persistence_basis) is a referee.  M
+carries the bars of its rows and columns, the target and source
+barcodes (M.barcodes, built once per M), so the image barcode is read
+off M alone (M.image_barcode()), and the shift functor is one operation
+on M (M.shift(eps)) that builds no module.  The image factorization
+and the composite maps are referees that no command runs, kept here
+because the benchmark reads them here; the other referees are in
+oracle.py.
 """
 
 from __future__ import annotations
@@ -344,8 +347,9 @@ def morphism_from_bars(n: int, p: int, src_bars, tgt_bars, m) -> Morphism:
     """The morphism between module_from_bars of src_bars and of tgt_bars
     whose component at t is m on the bars alive at t: m[h, g] is the
     coefficient of target bar h in the image of source bar g, the bar
-    form of m.  An m with a nonzero entry off the hom_exists pairs is
-    refused (ValueError).
+    form of m.  The BasisMatrix of the bars and m refuses an m of another
+    shape or with a nonzero entry off the hom_exists pairs, and either
+    way this raises ValueError, as the mistake is the caller's.
 
     Claim M9 (the bar form).  The bar form of m is natural exactly when
     every nonzero m[h, g] on a pair of overlapping bars has
@@ -364,11 +368,11 @@ def morphism_from_bars(n: int, p: int, src_bars, tgt_bars, m) -> Morphism:
     alive at t.
     """
     src_bars, tgt_bars = list(src_bars), list(tgt_bars)
-    m = gf.normalize(m, p)
-    if m.shape != (len(tgt_bars), len(src_bars)):
-        raise ValueError(f"m has shape {m.shape}, not {(len(tgt_bars), len(src_bars))}")
-    bm = _check_support(BasisMatrix(p, *_bar_ends(n, src_bars), *_bar_ends(n, tgt_bars), m),
-                        ValueError)
+    try:
+        bm = BasisMatrix(p, *_bar_ends(n, src_bars), *_bar_ends(n, tgt_bars),
+                         gf.normalize(m, p))
+    except InvariantError as e:  # the caller's M is off its support
+        raise ValueError(*e.args) from None
     return Morphism(module_from_bars(n, p, src_bars), module_from_bars(n, p, tgt_bars),
                     [bm.at(t).m for t in range(1, n + 1)])
 
@@ -416,7 +420,10 @@ def direct_sum_morphism(*morphisms: Morphism) -> Morphism:
 # the source ones: F_t = M[alive at t, alive at t].  A nonzero M[h, g]
 # has hom_exists(g, h), h.a <= g.a <= h.b <= g.b, so on the columns alive
 # at t every row born after t is zero, and a column dead before t is zero
-# on every row alive at t.
+# on every row alive at t.  These pairs are M's support, and the
+# BasisMatrix constructor refuses every M off it, reading only M's
+# nonzero entries: basis_matrix, shift, select and a caller's M in
+# morphism_from_bars all pass through it, so no reader checks it again.
 # Proof.  For g alive at t and t+1, naturality gives f_{t+1} g_{t+1} =
 # f_{t+1} V_t g_t = W_t f_t g_t, and W_t sends h_t to h_{t+1} if h
 # survives t, else to 0; comparing coefficients of the basis h_{t+1},
@@ -480,7 +487,13 @@ class BasisMatrix:
     """M (Claim M1) with the starts and ends of its columns (source
     generators) and rows (target generators), in any order: every method
     reads them by their bars (basis_matrix and shift give them in birth
-    order); at(t) is F_t."""
+    order); at(t) is F_t.
+
+    M is on its support by construction.  The constructor refuses bar
+    arrays whose lengths disagree with m's shape (ValueError, naming both)
+    and a nonzero entry on a pair of bars without hom_exists (Claim M1):
+    InvariantError names t, both bars and the coefficient of the first
+    such entry in row-major order."""
 
     p: int
     src_a: np.ndarray
@@ -488,6 +501,14 @@ class BasisMatrix:
     tgt_a: np.ndarray
     tgt_b: np.ndarray
     m: np.ndarray
+
+    def __post_init__(self):
+        shape, ends = (len(self.tgt_a), len(self.src_a)), (len(self.tgt_b), len(self.src_b))
+        if ends != shape:
+            raise ValueError(f"the bars have {shape} starts but {ends} ends")
+        if self.m.shape != shape:
+            raise ValueError(f"m has shape {self.m.shape}, not {shape}, the bars' shape")
+        _check_support(self)
 
     def at(self, t: int) -> "BasisMatrix":
         """F_t: f_t from the source generators alive at t to the target ones."""
@@ -547,8 +568,9 @@ class BasisMatrix:
         M[h, g] h over the target generators alive at t+eps, and those kept
         and alive at t are the shifted target's generators at t; one born
         after t has h.a > t >= g.a, so M[h, g] = 0 (Claim M1).  The entries
-        with g.a > h.b - eps are read by no shifted F_t.  The support check
-        stands for "the shifted image stays in the target's".
+        with g.a > h.b - eps are read by no shifted F_t.  The constructor's
+        support check on the shifted M stands for "the shifted image stays
+        in the target's".
         """
         if eps < 0:
             raise ValueError(f"shift amount {eps} is negative")
@@ -556,7 +578,7 @@ class BasisMatrix:
                            (self.src_b - self.src_a >= eps).nonzero()[0])
         src_b, tgt_b = kept.src_b - eps, kept.tgt_b - eps
         m = np.where(kept.src_a <= tgt_b[:, None], kept.m, 0)
-        return _check_support(BasisMatrix(self.p, kept.src_a, src_b, kept.tgt_a, tgt_b, m))
+        return BasisMatrix(self.p, kept.src_a, src_b, kept.tgt_a, tgt_b, m)
 
     def image_barcode(self) -> Barcode:
         """Barcode of the image of the morphism whose M this is, read off one
@@ -603,21 +625,21 @@ def interval_barcode(starts: np.ndarray, ends: np.ndarray) -> Barcode:
     return Barcode({GridInterval(a, b): k for (a, b), k in bars.items()})
 
 
-def _check_support(bm: BasisMatrix, error=InvariantError) -> BasisMatrix:
-    """bm, once every nonzero entry is known to sit on a hom_exists pair;
-    error is raised otherwise: ValueError for an M a caller gave."""
-    hom = ((bm.tgt_a[:, None] <= bm.src_a) & (bm.src_a <= bm.tgt_b[:, None])
-           & (bm.tgt_b[:, None] <= bm.src_b))
-    bad = np.argwhere((bm.m != 0) & ~hom)
-    if bad.size:
-        h, g = (int(x) for x in bad[0])
+def _check_support(bm: BasisMatrix):
+    """Raise InvariantError unless every nonzero entry of M sits on a
+    hom_exists pair (Claim M1), naming the first that does not in
+    row-major order."""
+    rows, cols = bm.m.nonzero()
+    hom = ((bm.tgt_a[rows] <= bm.src_a[cols]) & (bm.src_a[cols] <= bm.tgt_b[rows])
+           & (bm.tgt_b[rows] <= bm.src_b[cols]))
+    if not hom.all():
+        h, g = (int(x[np.argmin(hom)]) for x in (rows, cols))
         src = GridInterval(int(bm.src_a[g]), int(bm.src_b[g]))
         tgt = GridInterval(int(bm.tgt_a[h]), int(bm.tgt_b[h]))
-        raise error(
+        raise InvariantError(
             f"f at t={src.a} sends source generator {src} onto target generator"
             f" {tgt} with coefficient {bm.m[h, g]}, but no nonzero map {src} -> {tgt}"
             " exists")
-    return bm
 
 
 def basis_matrix(f: Morphism) -> BasisMatrix:
@@ -647,8 +669,7 @@ def basis_matrix(f: Morphism) -> BasisMatrix:
             added = np.where(tgt.ends[:, None] >= src.starts[dying],
                              gf.matmul(m[:, alive], c, p), 0)
             m[:, dying] = (m[:, dying] + added) % p
-        f._matrix = _check_support(BasisMatrix(p, src.starts, src.ends,
-                                               tgt.starts, tgt.ends, m))
+        f._matrix = BasisMatrix(p, src.starts, src.ends, tgt.starts, tgt.ends, m)
     return f._matrix
 
 

@@ -23,7 +23,6 @@ from indumatch.modules import (
     Barcode,
     BasisMatrix,
     InvariantError,
-    _check_support,
     basis_matrix,
 )
 from indumatch.oracle import PersistenceBasis
@@ -120,7 +119,24 @@ def bar_pair_morphism(n, nbars, length, p, seed=1):
 
 # ---------------------------------------------------------------------------
 # Referees for what the library reads off a morphism's basis matrix M:
-# the definitions it used before M, built independently of it.
+# the definitions it used before M, built independently of it, and the
+# check of M's support by a dense mask over every pair of bars, which the
+# BasisMatrix constructor makes off M's nonzero entries alone.
+
+
+def ref_support_error(src_a, src_b, tgt_a, tgt_b, m):
+    """The message naming M's first entry, in row-major order, that is
+    nonzero on a pair of bars with no nonzero map between them, or None
+    when M is on its support."""
+    hom = ((tgt_a[:, None] <= src_a) & (src_a <= tgt_b[:, None])
+           & (tgt_b[:, None] <= src_b))
+    bad = np.argwhere((m != 0) & ~hom)
+    if not bad.size:
+        return None
+    h, g = bad[0]
+    src, tgt = GridInterval(src_a[g], src_b[g]), GridInterval(tgt_a[h], tgt_b[h])
+    return (f"f at t={src.a} sends source generator {src} onto target generator {tgt}"
+            f" with coefficient {m[h, g]}, but no nonzero map {src} -> {tgt} exists")
 
 
 def ref_frame(f, t):
@@ -137,7 +153,7 @@ def ref_basis_matrix(f, basis=persistence_basis):
     """f's M in the bases basis(module) gives f's two ends, by one
     gf.solve per distinct source birth s, for the columns of the
     generators born at s against the target generators alive at s; not
-    cached on f."""
+    cached on f.  Constructing it checks that M is on its support."""
     p = f.p
     alpha, beta = basis(f.source), basis(f.target)
     m = gf.zeros(len(beta.starts), len(alpha.starts))
@@ -147,7 +163,7 @@ def ref_basis_matrix(f, basis=persistence_basis):
         coords = gf.solve(beta.vectors[s - 1], gf.matmul(f.comp(s), src, p), p)
         assert coords is not None, f"target basis at t={s} does not span f_{s}"
         m[beta.alive(s)[:, None], cols] = coords
-    return _check_support(BasisMatrix(p, alpha.starts, alpha.ends, beta.starts, beta.ends, m))
+    return BasisMatrix(p, alpha.starts, alpha.ends, beta.starts, beta.ends, m)
 
 
 def ref_image_barcode(f):

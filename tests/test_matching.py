@@ -107,21 +107,33 @@ def test_y_spaces_zero_off_overlap(wide_ladder):
 
 
 # Referee: y_plus at t of a walk as P_t N_t, one product per step, with
-# N_t a null basis of its own: of P_t, the first |P_t| columns of
-# matching._walk_reduce's P (|P_t| from matching._prefixes), on the rows
-# of _off_plus at t.
+# N_t a null basis of its own: of P_t, the first |P_t| columns of P, built
+# here from the bars as the walk orders it (|P_t| from
+# matching._prefixes), on the rows of _off_plus at t.
 
 
-def ref_null(bm, j, walk, t):
+def ref_plus_cols(bm, i, t):
+    """The src_plus(I) columns alive at t, latest death first, ties in
+    M's order."""
+    cols = ((bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)).nonzero()[0]
+    return cols[np.argsort(-bm.src_b[cols], kind="stable")]
+
+
+def ref_walk_plus(bm, i, j):
+    """P, the src_plus(I) columns of M alive at K.a, latest death first."""
+    return bm.m[:, ref_plus_cols(bm, i, max(i.a, j.a))]
+
+
+def ref_null(bm, i, j, walk, t):
     """N_t, columns spanning the null space of P_t on _off_plus at t."""
     n = matching._prefixes(walk, t)[0]
-    return gf.null_basis(walk.plus[matching._off_plus(bm, j, t), :n], bm.p)
+    return gf.null_basis(ref_walk_plus(bm, i, j)[matching._off_plus(bm, j, t), :n], bm.p)
 
 
-def ref_upper(bm, j, walk, t):
+def ref_upper(bm, i, j, walk, t):
     """y_plus at t, P_t N_t, by product."""
     n = matching._prefixes(walk, t)[0]
-    return gf.matmul(walk.plus[:, :n], ref_null(bm, j, walk, t), bm.p)
+    return gf.matmul(ref_walk_plus(bm, i, j)[:, :n], ref_null(bm, i, j, walk, t), bm.p)
 
 
 # Referee: the y spaces as pushed subspaces (oracle.y_plus, oracle.y_minus),
@@ -141,7 +153,7 @@ def lib_y_spaces(f, i, j, t):
     own = (bm.tgt_a == j.a) & (bm.tgt_b == j.b)
     count, lower = matching._reduce(bm, j, i.a, t)[0][i.b]
     walk = matching._walk_reduce(bm, i, j, lower)
-    upper = gf.matmul(b, ref_upper(bm, j, walk, t)[alive], f.p)
+    upper = gf.matmul(b, ref_upper(bm, i, j, walk, t)[alive], f.p)
     return (Subspace.image(upper, f.p),
             Subspace.image(gf.matmul(b[:, own[alive]], lower.T, f.p), f.p), count)
 
@@ -250,15 +262,15 @@ def test_x_module_dims_nondecreasing_on_support():
 def test_witness_trips_on_an_m_off_its_support():
     # Source [1,1], [1,2], [2,2] and target [1,2], [2,2] over GF(2); M[0, 0]
     # sends [1,1] onto [1,2], which no natural map does.  Along K = [1,2]
-    # of ([1,2], [1,2]) the walk reads column [1,1] at t = 1 only, and its
-    # image does not die with it, so y_plus at 1 is not carried into y_plus
-    # at 2.
-    bm = BasisMatrix(2, np.array([1, 1, 2]), np.array([1, 2, 2]), np.array([1, 2]),
-                     np.array([2, 2]), mat([[1, 1, 1], [0, 0, 1]]))
-    with pytest.raises(InvariantError, match=r"^M is off its support: column \[1,1\] of"
-                                             r" \(\[1,2\],\[1,2\]\), dying at t=1, is"
-                                             r" nonzero on row \[1,2\]$"):
-        matching.g_table(bm)
+    # of ([1,2], [1,2]) the walk would read column [1,1] at t = 1 only, and
+    # its image does not die with it, so y_plus at 1 would not be carried
+    # into y_plus at 2.  Such an M is refused where it is made, on that
+    # column and row.
+    with pytest.raises(InvariantError, match=r"^f at t=1 sends source generator \[1,1\]"
+                                             r" onto target generator \[1,2\] with"
+                                             r" coefficient 1,"):
+        BasisMatrix(2, np.array([1, 1, 2]), np.array([1, 2, 2]), np.array([1, 2]),
+                    np.array([2, 2]), mat([[1, 1, 1], [0, 0, 1]]))
 
 
 def test_witness_trips_where_a_column_dies_below_the_shared_death():
@@ -266,19 +278,19 @@ def test_witness_trips_where_a_column_dies_below_the_shared_death():
     # onto [1,3], which no natural map does.  Along K = [1,3] of
     # ([1,3], [1,3]) P keeps its one column from t = 3 down to t = 2, and
     # [1,1] joins it at t = 1, below K.b - 1: its image does not die with
-    # it, so y_plus at 1 is not carried into y_plus at 2.
-    bm = BasisMatrix(3, np.array([1, 1]), np.array([1, 3]), np.array([1]),
-                     np.array([3]), mat([[1, 1]]))
-    with pytest.raises(InvariantError, match=r"^M is off its support: column \[1,1\] of"
-                                             r" \(\[1,3\],\[1,3\]\), dying at t=1, is"
-                                             r" nonzero on row \[1,3\]$"):
-        matching.g_table(bm)
+    # it, so y_plus at 1 would not be carried into y_plus at 2.  Such an M
+    # is refused where it is made, on that column and row.
+    with pytest.raises(InvariantError, match=r"^f at t=1 sends source generator \[1,1\]"
+                                             r" onto target generator \[1,3\] with"
+                                             r" coefficient 1,"):
+        BasisMatrix(3, np.array([1, 1]), np.array([1, 3]), np.array([1]), np.array([3]),
+                    mat([[1, 1]]))
 
 
-# The support check (Claim T9) on the nonzero pairs of g_table, walked or
-# not, as it runs before any reduction: none trips on an M that
-# basis_matrix or a shift built, and each trips, at t and naming the
-# column and the row, on that M with one entry moved off its support: a
+# What the walk's containment (Claim T9) rests on, on the nonzero pairs of
+# g_table, walked or not: every M that basis_matrix or a shift built
+# walks, and the BasisMatrix constructor refuses, at t and naming the
+# column and the row, that M with one entry moved off its support: a
 # column of P dying at a t in [K.a, K.b) made nonzero on a row that
 # outlives it.
 
@@ -298,11 +310,12 @@ def assert_support_check_trips_off_the_support(bm):
             for r in (block.tgt_b > t).nonzero()[0].tolist():
                 m = block.m.copy()
                 m[r, c] = 1
-                message = (f"M is off its support: column [{a},{t}] of ({i},{j}), dying at"
-                           f" t={t}, is nonzero on row [{block.tgt_a[r]},{block.tgt_b[r]}]")
+                row = f"[{block.tgt_a[r]},{block.tgt_b[r]}]"
+                message = (f"f at t={a} sends source generator [{a},{t}] onto target generator"
+                           f" {row} with coefficient 1, but no nonzero map [{a},{t}] -> {row}"
+                           " exists")
                 with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
-                    matching._comparison_dims(dataclasses.replace(block, m=m), i, j, entry,
-                                              lower)
+                    dataclasses.replace(block, m=m)
                 moved += 1
     return moved
 
@@ -334,10 +347,10 @@ def test_support_check_property_moves_entries():
 
 
 # Referee: the comparison module by the subspace walk in W(t), against its
-# dims read off M.  Every pair that loses a column of P inside K is read
-# again off an M whose last such column, dying at t0, is made a unit
-# vector on a row of J's own, alive at t0 + 1: M is then off its support
-# there, so the support check must trip at t0, on J's row.  A pair whose
+# dims read off M.  For every pair that loses a column of P inside K, an M
+# whose last such column, dying at t0, is made a unit vector on a row of
+# J's own, alive at t0 + 1, is off its support there, so its construction
+# must be refused on that column, dying at t0, and J's row.  A pair whose
 # overlap loses no row alive outside tgt_plus(J) reads no pair reduction
 # at all.
 
@@ -362,8 +375,9 @@ def _refused(*args):
 
 def dying_column_on_own_row(bm, i, j, t0):
     """bm with its last src_plus(I) column to die at t0 made the unit
-    vector of J's first own row, alive at t0 + 1 as J.b >= K.b > t0.  The
-    column is not alive at K.b, so the reduction there does not read it."""
+    vector of J's first own row, alive at t0 + 1 as J.b >= K.b > t0, which
+    the BasisMatrix constructor refuses.  The column is not alive at K.b,
+    so the reduction there would not read it."""
     c = np.flatnonzero((bm.src_a <= i.a) & (bm.src_b == t0))[-1]
     r = np.flatnonzero((bm.tgt_a == j.a) & (bm.tgt_b == j.b))[0]
     m = bm.m.copy()
@@ -389,9 +403,9 @@ def assert_comparison_modules_match_referee(f):
                 assert dims == [ref.module.dim(t) for t in range(k.b, k.a - 1, -1)], ("dims", i, j)
             t0 = last_p_death(bm, i, j)
             if t0 is not None:
-                with pytest.raises(InvariantError,
-                                   match=rf"dying at t={t0}, is nonzero on row \[{j.a},{j.b}\]$"):
-                    lib_dims(dying_column_on_own_row(bm, i, j, t0), i, j)
+                with pytest.raises(InvariantError, match=rf"source generator \[\d+,{t0}\] onto"
+                                                         rf" target generator \[{j.a},{j.b}\] "):
+                    dying_column_on_own_row(bm, i, j, t0)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -881,13 +895,6 @@ def test_walk_referee_covers_pairs_that_walk_and_pairs_that_lose_nothing(monkeyp
 # by its own mask and stable sort, with the whole of y_plus at t.
 
 
-def ref_plus_cols(bm, i, t):
-    """The src_plus(I) columns alive at t, latest death first, ties in
-    M's order."""
-    cols = ((bm.src_a <= i.a) & (bm.src_b <= i.b) & (bm.src_b >= t)).nonzero()[0]
-    return cols[np.argsort(-bm.src_b[cols], kind="stable")]
-
-
 def ref_product_dims(bm, i, j):
     """The dims of matching._comparison_dims, y_plus at t by ref_upper."""
     ka, kb = max(i.a, j.a), min(i.b, j.b)
@@ -896,11 +903,12 @@ def ref_product_dims(bm, i, j):
     if ka == kb:
         return
     walk = matching._walk_reduce(bm, i, j, lower)
+    plus = ref_walk_plus(bm, i, j)
     plus_l = bm.m[:, ref_plus_cols(bm, i, kb)]  # P_{t+1}
     for t in range(kb - 1, ka - 1, -1):
         n, f = matching._prefixes(walk, t)
-        null = ref_null(bm, j, walk, t)
-        upper = gf.matmul(walk.plus[:, :n], null, bm.p)
+        null = ref_null(bm, i, j, walk, t)
+        upper = gf.matmul(plus[:, :n], null, bm.p)
         d = 0
         if upper[bm.tgt_b >= t].any():
             y = null[: plus_l.shape[1]]  # the witness
@@ -913,7 +921,7 @@ def ref_product_dims(bm, i, j):
             raise InvariantError(f"comparison module of ({i},{j}) shrinks from"
                                  f" {d} to {d_l} at t={t + 1}")
         yield d
-        plus_l, d_l = walk.plus[:, :n], d
+        plus_l, d_l = plus[:, :n], d
 
 
 def assert_upper_matches_product_referee(bm):
@@ -963,9 +971,9 @@ def test_product_referee_covers_steps_that_lose_a_column():
     assert 0 < dying < steps
 
 
-# The fact the walk reads P_t and the support check its dying columns by
-# (Claim T8): P_t, by its own mask and stable sort, is at every t of K the
-# prefix of the walk's P of |P_t| columns, in the same order.
+# The fact the walk reads P_t by (Claim T8): P_t, by its own mask and
+# stable sort, is at every t of K the prefix of P of |P_t| columns, in the
+# same order, with |P_t| and their deaths as the walk counts them.
 
 
 def assert_walk_reads_prefixes(bm):
@@ -979,11 +987,12 @@ def assert_walk_reads_prefixes(bm):
                     continue
                 lower = matching._reduce(block, j, i.a, kb)[0][i.b][1]
                 walk = matching._walk_reduce(block, i, j, lower)
+                plus = ref_walk_plus(block, i, j)
                 for t in range(ka, kb + 1):
                     cols = ref_plus_cols(block, i, t)
                     n = matching._prefixes(walk, t)[0]
                     assert n == len(cols), (i, j, t)
-                    assert np.array_equal(walk.plus[:, :n], block.m[:, cols]), (i, j, t)
+                    assert np.array_equal(plus[:, :n], block.m[:, cols]), (i, j, t)
                     assert np.array_equal(walk.dies[:n], block.src_b[cols]), (i, j, t)
 
 
@@ -1062,9 +1071,9 @@ def test_bar_pair_worst_case_makes_one_reduction_per_group(monkeypatch):
     # 200 groups.  It makes no rref; g makes those reductions, then two
     # more per nonzero pair whose overlap loses a row of off, off which it
     # reads every step t < K.b: no rref, no null basis and no product, not
-    # even at the 173 steps that lose a column of P, which the support
-    # check reads off M (Claim T9).  The 12 nonzero pairs that lose no row
-    # of off along their overlaps make no reduction (Claim T10).
+    # even at the 173 steps that lose a column of P, which need no check
+    # as M is on its support (Claim T9).  The 12 nonzero pairs that lose
+    # no row of off along their overlaps make no reduction (Claim T10).
     bm = basis_matrix(bar_pair_morphism(20, 50, 10, 2))
     [block] = bm.blocks()
     pairs = [(i, j) for i in matching._bars(block.src_a, block.src_b)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import time
 from unittest import mock
 
@@ -22,6 +23,7 @@ from indumatch import (
     direct_sum,
     direct_sum_morphism,
     gf,
+    hom_exists,
     im_minus,
     im_plus,
     image_barcode,
@@ -50,7 +52,7 @@ from indumatch.matching import MMatchingTable, g_matching, g_table, m_matching, 
 from indumatch.modules import (
     BasisMatrix,
     InvariantError,
-    _check_support,
+    _bar_ends,
     basis_matrix,
     sweep,
 )
@@ -66,6 +68,7 @@ from conftest import (
     ref_image_barcode,
     ref_persistence_basis,
     ref_shift_morphism,
+    ref_support_error,
 )
 
 
@@ -838,12 +841,72 @@ def test_basis_matrix_of_thick_ladder(thick_ladder):
 
 def test_support_check_names_t_and_the_generator_pair():
     # Target generator [2,5] outlives source generator [3,4]: no map exists.
-    bm = BasisMatrix(2, np.array([3]), np.array([4]), np.array([2]), np.array([5]),
-                     mat([[1]]))
+    src_a, src_b, tgt_a = np.array([3]), np.array([4]), np.array([2])
     with pytest.raises(InvariantError, match=r"t=3 .*\[3,4\].*\[2,5\]"):
-        _check_support(bm)
-    assert _check_support(BasisMatrix(2, bm.src_a, bm.src_b, bm.tgt_a, bm.tgt_a + 1,
-                                      bm.m)) is not None
+        BasisMatrix(2, src_a, src_b, tgt_a, np.array([5]), mat([[1]]))
+    assert BasisMatrix(2, src_a, src_b, tgt_a, tgt_a + 1, mat([[1]])) is not None
+
+
+@pytest.mark.parametrize("src, tgt, m, bad", [
+    # [1,1] -> [1,3]: the target outlives the source.  Without the check,
+    # the image barcode read {[1,3]: 1} and chi matched [1,1] to [1,3].
+    ([iv(1, 1)], [iv(1, 3)], [[1]], (iv(1, 1), iv(1, 3))),
+    # [1,2] -> [1,3] beside [1,3] -> [1,3]: without the check, the m table
+    # read {([1,3],[1,3]): 1} and only the g walk refused it.
+    ([iv(1, 2), iv(1, 3)], [iv(1, 3)], [[1, 1]], (iv(1, 2), iv(1, 3))),
+])
+def test_an_m_off_its_support_is_refused_where_it_is_made(src, tgt, m, bad):
+    message = (f"f at t=1 sends source generator {bad[0]} onto target generator {bad[1]}"
+               f" with coefficient 1, but no nonzero map {bad[0]} -> {bad[1]} exists")
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        BasisMatrix(2, *_bar_ends(3, src), *_bar_ends(3, tgt), mat(m))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        morphism_from_bars(3, 2, src, tgt, m)
+
+
+def test_basis_matrix_refuses_bars_that_disagree_with_m():
+    # Two source bars against a one-column M, a 1-D M, and source ends
+    # that disagree with the starts: each names both shapes.
+    one, two = np.array([1]), np.array([1, 1])
+    cases = [
+        ((two, two, one, one), mat([[1]]), "m has shape (1, 1), not (1, 2), the bars' shape"),
+        ((one, one, one, one), mat([1]), "m has shape (1,), not (1, 1), the bars' shape"),
+        ((one, two, one, one), mat([[1]]), "the bars have (1, 1) starts but (1, 2) ends"),
+    ]
+    for ends, m, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BasisMatrix(2, *ends, m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 6), p=st.sampled_from([2, 3, 5, 7]),
+       on=st.booleans())
+def test_support_check_matches_the_dense_referee(data, n, p, on):
+    # Random bars in 1..n on both sides and a sparse M over GF(p), masked
+    # to the hom_exists pairs when on: construction raises exactly when the
+    # dense referee finds an entry off the support, naming its first one,
+    # and morphism_from_bars raises ValueError with the same text, or else
+    # builds a natural morphism (Claim M9).
+    bar = st.tuples(st.integers(1, n), st.integers(1, n)).map(lambda e: iv(min(e), max(e)))
+    src = data.draw(st.lists(bar, max_size=5))
+    tgt = data.draw(st.lists(bar, max_size=5))
+    m = gf.zeros(len(tgt), len(src))
+    if src and tgt:
+        entry = st.tuples(st.integers(0, len(tgt) - 1), st.integers(0, len(src) - 1),
+                          st.integers(1, p - 1))
+        for h, g, c in data.draw(st.lists(entry, max_size=6)):
+            if not on or hom_exists(src[g], tgt[h]):
+                m[h, g] = c
+    ends = (*_bar_ends(n, src), *_bar_ends(n, tgt))
+    message = ref_support_error(*ends, m)
+    if message is None:
+        assert np.array_equal(BasisMatrix(p, *ends, m).m, m)
+        morphism_from_bars(n, p, src, tgt, m).validate()
+    else:
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            BasisMatrix(p, *ends, m)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            morphism_from_bars(n, p, src, tgt, m)
 
 
 def test_image_barcode_of_reference(reference_ladder):
@@ -969,21 +1032,26 @@ def test_image_barcode_matches_the_per_t_rref_referee(f):
 
 
 def _indexed_blocks(bm):
-    # blocks() reads only M, so endpoints replaced by indices label each
-    # block's rows and columns with their places in M.
+    """bm's blocks, each with the places in M of its rows and columns.
+    blocks() reads only M, so bars replaced by labels mark the places:
+    column g gets src_a = g and row h gets tgt_b = nc + h.  With every
+    tgt_a 0 and every src_b past all labels, each pair of bars has
+    hom_exists, so the relabelled M stays on its support."""
     nr, nc = bm.m.shape
-    return dataclasses.replace(bm, src_a=np.arange(nc), tgt_a=np.arange(nr)).blocks()
+    labelled = BasisMatrix(bm.p, np.arange(nc), np.full(nc, nc + nr),
+                           np.zeros(nr, dtype=np.int64), nc + np.arange(nr), bm.m)
+    return [(b, (b.tgt_b - nc).tolist(), b.src_a.tolist()) for b in labelled.blocks()]
 
 
 def assert_blocks_partition_m(bm):
     blocks = _indexed_blocks(bm)
-    rows = [b.tgt_a.tolist() for b in blocks]
-    cols = [b.src_a.tolist() for b in blocks]
+    rows = [r for _, r, _ in blocks]
+    cols = [c for _, _, c in blocks]
     assert sum(map(len, rows)) == len({h for r in rows for h in r})  # disjoint
     assert sum(map(len, cols)) == len({g for c in cols for g in c})
     for h, g in np.argwhere(bm.m != 0).tolist():
         assert sum(h in r and g in c for r, c in zip(rows, cols)) == 1, (h, g)
-    for block, r, c in zip(blocks, rows, cols):
+    for block, r, c in blocks:
         assert np.array_equal(block.m, bm.m[np.ix_(r, c)])
         assert block.m.any(axis=0).all() and block.m.any(axis=1).all()
         assert len(block.blocks()) == 1  # connected
@@ -998,7 +1066,7 @@ def test_blocks_of_a_path_and_a_lone_entry():
     m = mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
     ends = np.array([1, 1, 1, 1])
     bm = BasisMatrix(2, ends, ends, ends, ends, m)
-    assert [b.m.tolist() for b in _indexed_blocks(bm)] == [[[1, 1], [0, 1]], [[1]]]
+    assert [b.m.tolist() for b, _, _ in _indexed_blocks(bm)] == [[[1, 1], [0, 1]], [[1]]]
     assert_blocks_partition_m(bm)
     assert BasisMatrix(2, ends, ends, ends, ends, gf.zeros(4, 4)).blocks() == []
 
